@@ -2,9 +2,7 @@
 
 Subcommands: levelsets | audit | green | slice-scan | asymptotics.
 Global flags: --config PATH, --out DIR, --seed N, --verbose.  Exit codes:
-0 success, 1 runtime/solver failure, 2 invalid configuration.  The
-environment variable MARTIN_THREADS caps internal parallelism (checks run
-sequentially when it is 1 or unset).
+0 success, 1 runtime/solver failure, 2 invalid configuration or geometry.
 
 All randomness used for sample placement comes from the seeded xorshift64*
 generator, and all JSON/CSV outputs are deterministic for a fixed config and
@@ -30,14 +28,6 @@ from ._rng import XorShift64Star
 
 class ConfigError(ValueError):
     pass
-
-
-def thread_cap():
-    raw = os.environ.get("MARTIN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +248,7 @@ def cmd_audit(args):
     verdicts = {}
     timings = {}
     failed_required = False
-    cap = thread_cap()
-
-    def run_one(entry):
-        name, item = entry
+    for name, item in jobs:
         # process-independent per-check seed (hash() is salted per process)
         rng = XorShift64Star(cfg.seed ^ zlib.crc32(name.encode()))
         t0 = time.perf_counter()
@@ -270,16 +257,7 @@ def cmd_audit(args):
             err = None
         except Exception as e:   # a failing check must not kill the audit
             passed, details, err = False, {}, f"{type(e).__name__}: {e}"
-        return name, item, passed, details, err, time.perf_counter() - t0
-
-    if cap > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(cap, len(jobs))) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(j) for j in jobs]
-
-    for name, item, passed, details, err, dt in results:
+        dt = time.perf_counter() - t0
         expected = bool(item.get("expected", True))
         required = bool(item.get("required", True))
         ok = (passed == expected)
@@ -360,10 +338,7 @@ def cmd_green(args):
     domain_name = args.domain or raw.get("domain")
     if not domain_name:
         raise ConfigError("green needs --domain or a config 'domain'")
-    try:
-        domain = geometry.domain_from_config(domain_name)
-    except geometry.GeometryError as e:
-        raise ConfigError(str(e))
+    domain = geometry.domain_from_config(domain_name)
     if isinstance(domain, geometry.ConvexRing):
         return _green_ring_mode(cfg, domain, raw, args)
     x0 = _parse_floats(args.x0 or ",".join(map(str, raw.get("x0", []))))
@@ -382,17 +357,11 @@ def cmd_green(args):
     else:
         raise ConfigError("--probe takes 2 or 4 comma-separated values")
 
-    try:
-        mcfg = greenratio.MartinApproxConfig(x0=tuple(x0), poles=tuple(poles), probe_window=probe)
-    except geometry.GeometryError as e:
-        raise ConfigError(str(e))
+    mcfg = greenratio.MartinApproxConfig(x0=tuple(x0), poles=tuple(poles), probe_window=probe)
 
     t0 = time.perf_counter()
-    try:
-        result = greenratio.martin_ratio(domain, mcfg, h)
-    except geometry.GeometryError as e:
-        raise ConfigError(str(e))
-    probe_vals_final = np.asarray([result.final.value(p) for p in result.probe_points])
+    result = greenratio.martin_ratio(domain, mcfg, h)
+    probe_vals_final = result.final.value(result.probe_points)
 
     payload = {
         "domain": domain.kind,
@@ -412,8 +381,7 @@ def cmd_green(args):
     oracle = _RATIO_ORACLES.get(domain.kind)
     if oracle:
         fld = fields.field_from_name(oracle)
-        exact = np.asarray([fld.value(p) / fld.value(np.asarray(mcfg.x0))
-                            for p in result.probe_points])
+        exact = fld.value(result.probe_points) / fld.value(np.asarray(mcfg.x0))
         rel = np.abs(probe_vals_final - exact) / np.abs(exact)
         payload["closed_form"] = {"field": oracle, "max_rel_error": float(rel.max())}
     out_path = os.path.join(cfg.out_dir, args.ratio_out or raw.get("ratio_out", "ratio.json"))
@@ -561,7 +529,7 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, geometry.GeometryError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (greenratio.SolverError, fields.FieldError, levelset.LevelSetError) as e:

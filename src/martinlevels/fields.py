@@ -221,7 +221,6 @@ class CylinderMode:
     d2phi: object
     A: float = 1.0
     B: float = 0.0
-    cross_dim: int = 1
 
     def __post_init__(self):
         if self.A < 0.0 or self.B < 0.0 or self.A + self.B <= 0.0:
@@ -244,11 +243,15 @@ def interval_mode(A=1.0, B=0.0):
                         phi=lambda y: np.cos(np.pi * np.asarray(y) / 2),
                         dphi=lambda y: -(np.pi / 2) * np.sin(np.pi * np.asarray(y) / 2),
                         d2phi=lambda y: -lam * np.cos(np.pi * np.asarray(y) / 2),
-                        A=A, B=B, cross_dim=1)
+                        A=A, B=B)
 
 
 def disk_mode(A=1.0, B=0.0):
-    """d = 2 eigenpair on the unit disk: lam = j0^2, phi = J_0(j0 |Y|)."""
+    """d = 2 eigenpair on the unit disk: lam = j0^2, phi = J_0(j0 |Y|).
+
+    The pair carries no derivatives, so it builds no :class:`CylinderModeField`
+    (whose domain is the planar cylinder R x (-1, 1)).
+    """
     j0 = first_j0_zero()
     lam = j0 * j0
 
@@ -256,7 +259,7 @@ def disk_mode(A=1.0, B=0.0):
         r = np.linalg.norm(np.atleast_1d(np.asarray(y, dtype=float)), axis=-1)
         return bessel_j0(j0 * r)
 
-    return CylinderMode(lam=lam, phi=phi, dphi=None, d2phi=None, A=A, B=B, cross_dim=2)
+    return CylinderMode(lam=lam, phi=phi, dphi=None, d2phi=None, A=A, B=B)
 
 
 class CylinderModeField(ScalarField):
@@ -265,10 +268,10 @@ class CylinderModeField(ScalarField):
     def __init__(self, mode: CylinderMode = None, A=None, B=None):
         if mode is None:
             mode = interval_mode(A if A is not None else 1.0, B if B is not None else 1.0)
-        if mode.cross_dim != 1:
-            raise FieldError("field evaluation is implemented for 1-d cross-sections")
+        if mode.dphi is None or mode.d2phi is None:
+            raise FieldError("field evaluation needs the mode derivatives dphi and d2phi")
         self.mode = mode
-        self.domain = CylinderDomain(1)
+        self.domain = CylinderDomain()
         self.name = f"cylinder:A={mode.A:g},B={mode.B:g}"
         self.default_window = WindowBox((-2.0, -1.0), (2.0, 1.0))
 

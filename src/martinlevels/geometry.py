@@ -1,15 +1,16 @@
 """Unbounded planar domains, convex cross-sections, and point-set utilities.
 
-Points are plain sequences/ndarrays ``(t, Y)`` whose first coordinate is the
-axial variable; all entries must be finite and the dimension is at least 2.
-Every object here is immutable after construction and every operation is
-pure, so values can be shared freely between threads.
+Points are planar: sequences/ndarrays ``(t, y)`` whose first coordinate is
+the axial variable.  Every domain answers membership of the open set and of
+its closure on arrays of shape ``(..., 2)`` in one call.  Every object here
+is immutable after construction and every operation is pure, so values can
+be shared freely between threads.
 
 Domains are built either from the named registry (``strip``,
 ``sector_minus_slit``, ``halfplane_minus_disk``, ``right_halfplane``,
 ``cylinder``, ``convex_ring``) or as profile regions
-``{(t, Y): t > 0, Y in f(t) * D}`` for a positive profile ``f`` and a bounded
-convex body ``D`` containing the origin.
+``{(t, y): t > 0, y in f(t) * D}`` for a positive profile ``f`` and a bounded
+interval ``D`` containing the origin.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ class GeometryError(ValueError):
 
 
 def as_point(p):
-    """Validate and return a point as a 1-d float array (finite, dim >= 2)."""
+    """Validate and return one planar point as a finite float array of shape (2,)."""
     q = np.asarray(p, dtype=float)
-    if q.ndim != 1 or q.size < 2:
-        raise GeometryError(f"point must be a flat sequence of >= 2 coords, got shape {q.shape}")
+    if q.shape != (2,):
+        raise GeometryError(f"point must be a flat sequence of 2 coords, got shape {q.shape}")
     if not np.all(np.isfinite(q)):
         raise GeometryError(f"point has non-finite entries: {q}")
     return q
@@ -40,7 +41,7 @@ def as_point(p):
 
 @dataclass(frozen=True)
 class WindowBox:
-    """Axis-aligned box given by lower/upper corners (nonempty interior)."""
+    """Axis-aligned planar box given by lower/upper corners (nonempty interior)."""
 
     lower: tuple
     upper: tuple
@@ -48,25 +49,24 @@ class WindowBox:
     def __post_init__(self):
         lo = tuple(float(v) for v in self.lower)
         hi = tuple(float(v) for v in self.upper)
-        if len(lo) != len(hi) or len(lo) < 2:
-            raise GeometryError("window corners must share a dimension >= 2")
+        if len(lo) != 2 or len(hi) != 2:
+            raise GeometryError("window corners must be planar points")
         if not all(a < b for a, b in zip(lo, hi)):
             raise GeometryError(f"window has empty interior: lower={lo}, upper={hi}")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
-    @property
-    def dim(self):
-        return len(self.lower)
-
     def extent(self):
         return tuple(b - a for a, b in zip(self.lower, self.upper))
 
     def contains(self, p, strict=False):
+        """Membership of points ``(..., 2)`` in the closed (or open) box."""
         p = np.asarray(p, dtype=float)
         if strict:
-            return bool(np.all(p > self.lower) and np.all(p < self.upper))
-        return bool(np.all(p >= self.lower) and np.all(p <= self.upper))
+            inside = (p > self.lower) & (p < self.upper)
+        else:
+            inside = (p >= self.lower) & (p <= self.upper)
+        return np.all(inside, axis=-1)[()]
 
     def lattice(self, h):
         """Node coordinates of a grid of spacing ~h snapped to the corners."""
@@ -82,12 +82,14 @@ class WindowBox:
 # ---------------------------------------------------------------------------
 
 class ConvexBody:
-    """Bounded convex polytope in R^d given by its vertices, origin inside.
+    """Bounded convex polytope given by its vertices, origin strictly inside.
 
-    For ``d == 2`` the vertices are reduced to the convex hull and stored in
-    counter-clockwise order; for ``d == 1`` the body is the interval spanned
-    by the vertex values.  Dimensions above 2 are not supported (smooth
-    bodies are approximated by polygons, see :func:`regular_polygon`).
+    A planar body (``dim == 2``) is reduced to its convex hull, stored in
+    counter-clockwise order; smooth bodies are approximated by polygons (see
+    :func:`regular_polygon`).  A 1-d body is the interval spanned by the
+    vertex values: the cross-section ``D`` of a profile region, which reads
+    its end points directly.  ``contains``, ``boundary_distance`` and
+    ``boundary_points`` take planar bodies only.
     """
 
     def __init__(self, vertices, symmetric=None):
@@ -107,7 +109,7 @@ class ConvexBody:
             if len(hull) < 3:
                 raise GeometryError("2-d body is degenerate (collinear vertices)")
             self.vertices = hull
-            if not self._contains_2d(np.zeros(2), 1.0, strict=True):
+            if not self.contains(np.zeros(2)):
                 raise GeometryError("origin not strictly inside body")
         else:
             raise GeometryError("convex bodies are supported in dimensions 1 and 2 only")
@@ -134,7 +136,14 @@ class ConvexBody:
         xi = xi / nrm
         return float(np.max(self.vertices @ xi))
 
-    def _contains_2d(self, w, scale, strict):
+    def contains(self, w, scale=1.0, strict=True):
+        """Membership of planar points ``w`` (shape ``(..., 2)``) in ``scale * D``.
+
+        The open body when ``strict``, its closure otherwise.
+        """
+        w = np.asarray(w, dtype=float)
+        if self.dim != 2 or w.shape[-1:] != (2,):
+            raise GeometryError(f"membership needs a planar body and points (..., 2), got {w.shape}")
         v = self.vertices * scale
         n = len(v)
         x, y = w[..., 0], w[..., 1]
@@ -144,27 +153,11 @@ class ConvexBody:
             bx, by = v[(k + 1) % n]
             cross = (bx - ax) * (y - ay) - (by - ay) * (x - ax)
             inside &= (cross > 0.0) if strict else (cross >= 0.0)
-        return inside
-
-    def contains(self, w, scale=1.0, strict=True):
-        """Membership of ``w`` in ``scale * D`` (open set when strict)."""
-        w = np.asarray(w, dtype=float)
-        scalar = w.ndim <= 1 and self.dim > 1 or (self.dim == 1 and w.ndim == 0)
-        if self.dim == 1:
-            lo, hi = self.vertices[0, 0] * scale, self.vertices[1, 0] * scale
-            val = w if w.ndim == 0 else w[..., 0] if w.shape[-1:] == (1,) else w
-            res = (val > lo) & (val < hi) if strict else (val >= lo) & (val <= hi)
-        else:
-            res = self._contains_2d(np.atleast_1d(w), scale, strict)
-        return bool(res) if scalar else res
+        return inside[()]
 
     def boundary_distance(self, w, scale=1.0):
-        """Euclidean distance from ``w`` to the boundary of ``scale * D``."""
+        """Euclidean distance from a planar point ``w`` to the boundary of ``scale * D``."""
         w = np.asarray(w, dtype=float).reshape(-1)
-        if self.dim == 1:
-            lo, hi = self.vertices[0, 0] * scale, self.vertices[1, 0] * scale
-            val = float(w[0])
-            return min(abs(val - lo), abs(hi - val))
         v = self.vertices * scale
         n = len(v)
         best = math.inf
@@ -174,9 +167,6 @@ class ConvexBody:
 
     def boundary_points(self, n, scale=1.0):
         """~n points sampled uniformly by arc length along the boundary."""
-        if self.dim == 1:
-            lo, hi = self.vertices[:, 0] * scale
-            return np.array([[lo], [hi]])
         v = self.vertices * scale
         edges = np.roll(v, -1, axis=0) - v
         lengths = np.linalg.norm(edges, axis=1)
@@ -257,21 +247,28 @@ _HYPOTHESIS_GRID = 2.0 ** np.arange(-6, 21)
 class ProfileDomain:
     """Profile function ``f`` plus convex cross-section ``D``.
 
-    ``profile_kind`` is ``"lipschitz-concave-derivative"`` when f' is
-    non-increasing with limit 0 (checked by sampling on a geometric grid,
-    tolerance 1e-9) and ``"general"`` otherwise.  When ``fprime`` is omitted
-    a centered finite difference of ``f`` is used.
+    ``f`` (and ``fprime``) must accept float arrays and act elementwise;
+    membership of the closure evaluates ``f`` at ``t = 0``, where it must
+    return its limit from the right.  ``f`` may also be a name from
+    :data:`PROFILES`.  ``profile_kind`` is ``"lipschitz-concave-derivative"``
+    when f' is non-increasing with limit 0 (checked by sampling on a
+    geometric grid, tolerance 1e-9) and ``"general"`` otherwise.  When
+    ``fprime`` is omitted a centered finite difference of ``f`` is used.
     """
 
     def __init__(self, f, cross_section, fprime=None, profile_kind="lipschitz-concave-derivative",
                  name=None):
         if isinstance(f, str):
+            if f not in PROFILES:
+                raise GeometryError(f"unknown profile {f!r}; known: {sorted(PROFILES)}")
             name = name or f
             f, fp = PROFILES[f]
             fprime = fprime or fp
+        elif not callable(f):
+            raise GeometryError(f"profile must be a callable or a name from {sorted(PROFILES)}")
         if fprime is None:
             def fprime(t, _f=f):
-                h = 1e-6 * (1.0 + abs(t))
+                h = 1e-6 * (1.0 + np.abs(t))
                 return (_f(t + h) - _f(t - h)) / (2.0 * h)
         self.f = f
         self.fprime = fprime
@@ -281,11 +278,11 @@ class ProfileDomain:
         self._validate()
 
     def _validate(self, tol=1e-9):
-        fv = np.asarray([float(self.f(t)) for t in _HYPOTHESIS_GRID])
+        fv = np.asarray(self.f(_HYPOTHESIS_GRID), dtype=float)
         if not np.all(fv > 0.0):
             raise GeometryError("profile must be positive on (0, inf)")
         if self.profile_kind == "lipschitz-concave-derivative":
-            dv = np.asarray([float(self.fprime(t)) for t in _HYPOTHESIS_GRID])
+            dv = np.asarray(self.fprime(_HYPOTHESIS_GRID), dtype=float)
             if not np.all(np.diff(dv) <= tol):
                 k = int(np.argmax(np.diff(dv) > tol))
                 raise GeometryError(
@@ -299,20 +296,14 @@ class ProfileDomain:
 
 @dataclass(frozen=True)
 class SliceSet:
-    """The cross-section of a domain at a fixed axial coordinate.
-
-    One-dimensional cross-sections are stored as a tuple of open intervals
-    (possibly unbounded); higher-dimensional profile slices carry the scaled
-    body ``scale * body`` instead.
-    """
+    """The cross-section of a domain at a fixed axial coordinate: a tuple of
+    open intervals (possibly unbounded)."""
 
     t: float
     intervals: tuple = ()
-    body: ConvexBody = None
-    scale: float = 1.0
 
     def __post_init__(self):
-        if not self.intervals and self.body is None:
+        if not self.intervals:
             raise GeometryError(f"slice at t={self.t} is empty")
 
     @property
@@ -320,8 +311,6 @@ class SliceSet:
         return all(np.isfinite(a) and np.isfinite(b) for a, b in self.intervals)
 
     def contains(self, y):
-        if self.body is not None:
-            return self.body.contains(y, scale=self.scale)
         return any(a < y < b for a, b in self.intervals)
 
     def sample(self, n, span=None):
@@ -343,10 +332,14 @@ class SliceSet:
 # ---------------------------------------------------------------------------
 
 class Domain:
-    """Open connected set with containment, boundary, and slice queries."""
+    """Open connected planar set with membership, boundary, and slice queries.
+
+    ``contains`` and ``contains_closure`` take points of shape ``(..., 2)``
+    and return a boolean array of shape ``(...)`` (a numpy bool for one
+    point); the open set lies inside its closure.
+    """
 
     kind = None
-    dim = 2
 
     def contains(self, p):
         raise NotImplementedError
@@ -366,18 +359,10 @@ class Domain:
     def truncation_window(self, s):
         raise GeometryError(f"domain kind {self.kind!r} has no axial truncation rule")
 
-    def _check_point(self, p):
-        q = as_point(p)
-        if q.size != self.dim:
-            raise GeometryError(f"point dimension {q.size} != domain dimension {self.dim}")
-        return q
-
     def _split(self, p):
         p = np.asarray(p, dtype=float)
-        if p.ndim == 1:
-            if p.size != self.dim:
-                raise GeometryError(f"point dimension {p.size} != domain dimension {self.dim}")
-            return p[0], p[1]
+        if p.shape[-1:] != (2,):
+            raise GeometryError(f"points must have shape (..., 2), got {p.shape}")
         return p[..., 0], p[..., 1]
 
 
@@ -395,7 +380,7 @@ class Strip(Domain):
         return np.asarray((x >= 0.0) & (np.abs(y) <= np.pi / 2))[()]
 
     def boundary_distance(self, p):
-        x, y = self._split(self._check_point(p))
+        x, y = self._split(as_point(p))
         if not self.contains(p):
             raise GeometryError(f"point {p} outside domain")
         return float(min(x, np.pi / 2 - abs(y)))
@@ -433,7 +418,7 @@ class RightHalfplane(Domain):
         return np.asarray(x >= 0.0)[()]
 
     def boundary_distance(self, p):
-        x, _ = self._split(self._check_point(p))
+        x, _ = self._split(as_point(p))
         if not self.contains(p):
             raise GeometryError(f"point {p} outside domain")
         return float(x)
@@ -465,7 +450,7 @@ class Sector(Domain):
         return np.asarray((x >= 0.0) & (np.abs(y) <= x))[()]
 
     def boundary_distance(self, p):
-        x, y = self._split(self._check_point(p))
+        x, y = self._split(as_point(p))
         if not self.contains(p):
             raise GeometryError(f"point {p} outside domain")
         return float((x - abs(y)) / math.sqrt(2.0))
@@ -492,7 +477,7 @@ class SectorMinusSlit(Sector):
         return np.asarray((x > 0.0) & (np.abs(y) < x) & ~on_slit)[()]
 
     def boundary_distance(self, p):
-        x, y = self._split(self._check_point(p))
+        x, y = self._split(as_point(p))
         if not self.contains(p):
             raise GeometryError(f"point {p} outside domain")
         d_rays = (x - abs(y)) / math.sqrt(2.0)
@@ -526,7 +511,7 @@ class HalfplaneMinusDisk(Domain):
         return np.asarray((x >= 0.0) & (x * x + y * y >= 1.0))[()]
 
     def boundary_distance(self, p):
-        x, y = self._split(self._check_point(p))
+        x, y = self._split(as_point(p))
         if not self.contains(p):
             raise GeometryError(f"point {p} outside domain")
         return float(min(x, math.hypot(x, y) - 1.0))
@@ -552,38 +537,26 @@ class HalfplaneMinusDisk(Domain):
 
 
 class CylinderDomain(Domain):
-    """R x B_1(0); one transverse dimension by default."""
+    """R x (-1, 1)."""
 
     kind = "cylinder"
 
-    def __init__(self, cross_dim=1):
-        if cross_dim < 1:
-            raise GeometryError("cylinder needs a transverse dimension >= 1")
-        self.cross_dim = cross_dim
-        self.dim = 1 + cross_dim
-
-    def _norm_y(self, p):
-        p = np.asarray(p, dtype=float)
-        if p.ndim == 1:
-            return np.linalg.norm(p[1:])
-        return np.sqrt(np.sum(p[..., 1:] ** 2, axis=-1))
-
     def contains(self, p):
-        return np.asarray(self._norm_y(p) < 1.0)[()]
+        _, y = self._split(p)
+        return np.asarray(np.abs(y) < 1.0)[()]
 
     def contains_closure(self, p):
-        return np.asarray(self._norm_y(p) <= 1.0)[()]
+        _, y = self._split(p)
+        return np.asarray(np.abs(y) <= 1.0)[()]
 
     def boundary_distance(self, p):
-        p = self._check_point(p)
+        _, y = self._split(as_point(p))
         if not self.contains(p):
             raise GeometryError(f"point {p} outside domain")
-        return float(1.0 - self._norm_y(p))
+        return float(1.0 - abs(y))
 
     def slice_at(self, t):
-        if self.cross_dim == 1:
-            return SliceSet(t, ((-1.0, 1.0),))
-        return SliceSet(t, body=regular_polygon(64), scale=1.0)
+        return SliceSet(t, ((-1.0, 1.0),))
 
     def boundary_points(self, window, n):
         ts = np.linspace(window.lower[0], window.upper[0], n)
@@ -599,7 +572,7 @@ class ConvexRing(Domain):
     def __init__(self, outer, inner):
         if outer.dim != 2 or inner.dim != 2:
             raise GeometryError("convex ring needs planar bodies")
-        if not np.all(outer._contains_2d(inner.vertices, 1.0, strict=True)):
+        if not np.all(outer.contains(inner.vertices)):
             raise GeometryError("inner body closure must sit strictly inside the outer body")
         self.outer = outer
         self.inner = inner
@@ -615,8 +588,8 @@ class ConvexRing(Domain):
                           & ~self.inner.contains(p, strict=True))[()]
 
     def boundary_distance(self, p):
-        q = self._check_point(p)
-        if not self.contains(p):
+        q = as_point(p)
+        if not self.contains(q):
             raise GeometryError(f"point {p} outside domain")
         return min(self.outer.boundary_distance(q), self.inner.boundary_distance(q))
 
@@ -651,40 +624,47 @@ def _polygon_vertical_section(vertices, t):
     return (lo, hi) if lo < hi else None
 
 
-class ProfileRegion(Domain):
-    """{(t, Y): t > 0, Y in f(t) * D} for a profile f and cross-section D."""
+class _IntervalProfile(Domain):
+    """Region ``{t in T, y in radius(t) * D}`` for an interval ``D = (lo, hi)``.
+
+    Subclasses give the axial range ``T`` (``_axial``) and ``radius``, which
+    is NaN where the profile is undefined, so those points lie in neither
+    the open set nor its closure.
+    """
+
+    def __init__(self, profile: ProfileDomain):
+        if profile.cross_section.dim != 1:
+            raise GeometryError("profile regions need an interval cross-section D")
+        self.profile = profile
+        self.lo, self.hi = profile.cross_section.vertices[:, 0]
+
+    def contains(self, p):
+        t, y = self._split(p)
+        r = self.radius(t)
+        return np.asarray(self._axial(t, strict=True) & (r * self.lo < y) & (y < r * self.hi))[()]
+
+    def contains_closure(self, p):
+        t, y = self._split(p)
+        r = self.radius(t)
+        return np.asarray(self._axial(t, strict=False)
+                          & (r * self.lo <= y) & (y <= r * self.hi))[()]
+
+    def _walls(self, ts, r):
+        return np.vstack([np.column_stack([ts, r * self.hi]), np.column_stack([ts, r * self.lo])])
+
+
+class ProfileRegion(_IntervalProfile):
+    """{(t, y): t > 0, y in f(t) * D} for a profile f and an interval D."""
 
     kind = "profile"
 
-    def __init__(self, profile: ProfileDomain):
-        self.profile = profile
-        self.dim = 1 + profile.cross_section.dim
-
-    def contains(self, p):
-        p = np.asarray(p, dtype=float)
-        t = p[..., 0]
-        y = p[..., 1:] if self.dim > 2 else p[..., 1]
-        t_arr = np.atleast_1d(t)
-        ok = t_arr > 0.0
-        res = np.zeros_like(ok)
-        if np.any(ok):
-            scales = np.asarray([float(self.profile.f(tv)) for tv in t_arr[ok]])
-            yy = np.atleast_1d(y)[ok]
-            res[ok] = [self.profile.cross_section.contains(yv, scale=s)
-                       for yv, s in zip(yy, scales)]
-        return res[0] if np.ndim(t) == 0 else res.reshape(np.shape(t))
-
-    def contains_closure(self, p):
-        p = np.asarray(p, dtype=float)
-        t, y = p[0], p[1:] if self.dim > 2 else p[1]
-        if t < 0.0:
-            return False
-        if t == 0.0:
-            return True  # the pinch point / end cap
-        return bool(self.profile.cross_section.contains(y, scale=float(self.profile.f(t)), strict=False))
-
     def radius(self, t):
-        return float(self.profile.f(t))
+        """Transverse scale f(t) for t >= 0 (NaN for t < 0)."""
+        t = np.asarray(t, dtype=float)
+        return np.where(t >= 0.0, self.profile.f(np.maximum(t, 0.0)), np.nan)
+
+    def _axial(self, t, strict):
+        return t > 0.0 if strict else t >= 0.0
 
     def boundary_distance(self, p, sampling_h=None):
         """Lower bound on the distance to the lateral boundary.
@@ -693,29 +673,19 @@ class ProfileRegion(Domain):
         (default: slice_gap/64) with a Lipschitz correction, so the reported
         value is within 2*sampling_h below the exact distance.
         """
-        q = self._check_point(p)
+        q = as_point(p)
         if not self.contains(q):
             raise GeometryError(f"point {p} outside domain")
-        if self.dim != 2:
-            raise GeometryError("profile boundary distance implemented for 1-d cross-sections")
         t, y = q
-        f = self.profile.f
-        body = self.profile.cross_section
-        d_slice = body.boundary_distance(np.array([y]), scale=float(f(t)))
+        lo, hi = self.lo, self.hi
+        r = float(self.profile.f(t))
+        d_slice = min(abs(y - r * lo), abs(r * hi - y))
         h = sampling_h if sampling_h is not None else max(d_slice / 64.0, 1e-6)
-        lo_t = max(t - d_slice, h / 2.0)
-        ts = np.arange(lo_t, t + d_slice + h, h)
-        lo, hi = body.vertices[0, 0], body.vertices[1, 0]
-        best = d_slice
-        prev = None
-        lip = 0.0
-        for tv in ts:
-            fv = float(f(tv))
-            for yb in (fv * lo, fv * hi):
-                best = min(best, math.hypot(tv - t, yb - y))
-            if prev is not None:
-                lip = max(lip, abs(fv - prev) / h)
-            prev = fv
+        ts = np.arange(max(t - d_slice, h / 2.0), t + d_slice + h, h)
+        fv = np.asarray(self.profile.f(ts), dtype=float)
+        best = min(d_slice, float(np.hypot(ts - t, fv * lo - y).min()),
+                   float(np.hypot(ts - t, fv * hi - y).min()))
+        lip = float(np.max(np.abs(np.diff(fv)), initial=0.0)) / h
         correction = 0.5 * h * math.sqrt(1.0 + (lip * max(abs(lo), abs(hi))) ** 2)
         return max(0.0, best - correction)
 
@@ -723,30 +693,20 @@ class ProfileRegion(Domain):
         if t <= 0.0:
             raise GeometryError(f"slice at t={t} is empty")
         scale = float(self.profile.f(t))
-        body = self.profile.cross_section
-        if body.dim == 1:
-            lo, hi = body.vertices[:, 0]
-            return SliceSet(t, ((scale * lo, scale * hi),))
-        return SliceSet(t, body=body, scale=scale)
+        return SliceSet(t, ((scale * self.lo, scale * self.hi),))
 
     def truncation_window(self, s):
-        ts = np.linspace(1e-6, 2.0 * s, 257)
-        r = max(float(self.profile.f(t)) for t in ts)
-        w = max(abs(self.profile.cross_section.vertices).max(), 1.0)
+        r = float(np.max(self.profile.f(np.linspace(1e-6, 2.0 * s, 257))))
+        w = max(abs(self.lo), abs(self.hi), 1.0)
         return WindowBox((0.0, -r * w), (2.0 * s, r * w))
 
     def boundary_points(self, window, n):
-        if self.dim != 2:
-            raise GeometryError("boundary sampling implemented for 1-d cross-sections")
-        t0 = max(window.lower[0], 1e-9)
-        ts = np.linspace(t0, window.upper[0], n)
-        fv = np.asarray([float(self.profile.f(t)) for t in ts])
-        lo, hi = self.profile.cross_section.vertices[:, 0]
-        return np.vstack([np.column_stack([ts, fv * hi]), np.column_stack([ts, fv * lo])])
+        ts = np.linspace(max(window.lower[0], 1e-9), window.upper[0], n)
+        return self._walls(ts, np.asarray(self.profile.f(ts), dtype=float))
 
 
-class RescaledProfile(Domain):
-    """Zoomed slab ``{|t| < s/2, Y in r(t) * D}`` with r(t) = f(s + t f(s)) / f(s).
+class RescaledProfile(_IntervalProfile):
+    """Zoomed slab ``{|t| < s/2, y in r(t) * D}`` with r(t) = f(s + t f(s)) / f(s).
 
     This is the profile region seen in coordinates centered at (s, 0) and
     scaled by f(s); as the zoom point s grows it converges to the unit
@@ -758,12 +718,11 @@ class RescaledProfile(Domain):
     def __init__(self, profile: ProfileDomain, s):
         if s <= 0.0:
             raise GeometryError("rescale parameter must be positive")
-        self.profile = profile
+        super().__init__(profile)
         self.s = float(s)
         self.f_s = float(profile.f(s))
         if not self.f_s > 0.0:
             raise GeometryError("profile must be positive at the zoom point")
-        self.dim = 1 + profile.cross_section.dim
 
     def radius(self, t):
         """Transverse scale factor at axial coordinate t (NaN where undefined)."""
@@ -773,33 +732,16 @@ class RescaledProfile(Domain):
             r = np.where(base > 0.0, np.asarray(self.profile.f(np.maximum(base, 1e-300))), np.nan)
         return r / self.f_s
 
-    def contains(self, p):
-        p = np.asarray(p, dtype=float)
-        t = p[..., 0]
-        y = p[..., 1:] if self.dim > 2 else p[..., 1]
-        r = self.radius(t)
-        ok = (np.abs(t) < self.s / 2.0) & np.isfinite(r)
-        t_arr, r_arr, ok_arr = np.atleast_1d(t), np.atleast_1d(r), np.atleast_1d(ok)
-        y_arr = np.atleast_1d(y)
-        res = np.zeros_like(ok_arr)
-        for idx in np.nonzero(ok_arr)[0]:
-            res[idx] = self.profile.cross_section.contains(y_arr[idx], scale=float(r_arr[idx]))
-        return res[0] if np.ndim(t) == 0 else res.reshape(np.shape(t))
-
-    def contains_closure(self, p):
-        return self.contains(p)
+    def _axial(self, t, strict):
+        return np.abs(t) < self.s / 2.0 if strict else np.abs(t) <= self.s / 2.0
 
     def boundary_points(self, window, n):
-        if self.dim != 2:
-            raise GeometryError("boundary sampling implemented for 1-d cross-sections")
         t0 = max(window.lower[0], -self.s / 2.0)
         t1 = min(window.upper[0], self.s / 2.0)
         ts = np.linspace(t0, t1, n)
         r = self.radius(ts)
         keep = np.isfinite(r)
-        ts, r = ts[keep], r[keep]
-        lo, hi = self.profile.cross_section.vertices[:, 0]
-        return np.vstack([np.column_stack([ts, r * hi]), np.column_stack([ts, r * lo])])
+        return self._walls(ts[keep], r[keep])
 
 
 def rescaled_domain(domain, s):
@@ -880,12 +822,19 @@ def domain_from_config(cfg) -> Domain:
     if kind == "right_halfplane":
         return RightHalfplane()
     if kind == "cylinder":
-        return CylinderDomain(int(cfg.get("cross_dim", 1)))
+        return CylinderDomain()
     if kind == "convex_ring":
-        return ConvexRing(body_from_config(cfg["A"]), body_from_config(cfg["B"]))
+        return ConvexRing(body_from_config(_required(cfg, "A")),
+                          body_from_config(_required(cfg, "B")))
     if kind == "profile":
         body = body_from_config(cfg["D"]) if "D" in cfg else interval_body()
-        prof = ProfileDomain(cfg["f"], body, profile_kind=cfg.get("profile_kind",
-                                                                  "lipschitz-concave-derivative"))
+        prof = ProfileDomain(_required(cfg, "f"), body,
+                             profile_kind=cfg.get("profile_kind", "lipschitz-concave-derivative"))
         return ProfileRegion(prof)
     raise GeometryError(f"unknown domain kind {kind!r}")
+
+
+def _required(cfg, key):
+    if key not in cfg:
+        raise GeometryError(f"domain kind {cfg.get('kind')!r} needs key {key!r}")
+    return cfg[key]

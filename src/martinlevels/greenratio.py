@@ -60,9 +60,6 @@ class Grid2D:
         j = int(round((p[1] - self.ys[0]) / self.hy))
         return i, j
 
-    def node_xy(self, i, j):
-        return float(self.xs[i]), float(self.ys[j])
-
     def interior_count(self):
         return int(np.count_nonzero(self.mask == INTERIOR))
 
@@ -75,27 +72,17 @@ def build_grid(domain, window, h):
     """
     if h <= 0.0 or h > min(window.extent()) / 16.0:
         raise GeometryError(f"grid spacing h={h} too coarse for window extent {window.extent()}")
-    xs, ys = window.lattice(h)[:2]
+    xs, ys = window.lattice(h)
     hx = float((xs[-1] - xs[0]) / (len(xs) - 1))
     hy = float((ys[-1] - ys[0]) / (len(ys) - 1))
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([X, Y], axis=-1)
-    in_closure = np.asarray(domain.contains_closure(pts)) \
-        if _vectorizable(domain) else _contains_loop(domain.contains_closure, pts)
-    in_open = np.asarray(domain.contains(pts)) \
-        if _vectorizable(domain) else _contains_loop(domain.contains, pts)
-
-    interior = in_open.copy()
+    pts = _node_points(xs, ys)
+    in_closure = domain.contains_closure(pts)
+    interior = np.array(domain.contains(pts), dtype=bool)
     interior[0, :] = interior[-1, :] = False
     interior[:, 0] = interior[:, -1] = False
     interior[1:-1, 1:-1] &= (in_closure[2:, 1:-1] & in_closure[:-2, 1:-1]
                              & in_closure[1:-1, 2:] & in_closure[1:-1, :-2])
-    neighbor_interior = np.zeros_like(interior)
-    neighbor_interior[1:, :] |= interior[:-1, :]
-    neighbor_interior[:-1, :] |= interior[1:, :]
-    neighbor_interior[:, 1:] |= interior[:, :-1]
-    neighbor_interior[:, :-1] |= interior[:, 1:]
-    boundary = in_closure & ~interior & neighbor_interior
+    boundary = in_closure & ~interior & _has_neighbor_in(interior)
 
     mask = np.zeros(interior.shape, dtype=np.int8)
     mask[interior] = INTERIOR
@@ -108,19 +95,20 @@ def build_grid(domain, window, h):
     return Grid2D(domain=domain, window=window, hx=hx, hy=hy, xs=xs, ys=ys, mask=mask)
 
 
-def _vectorizable(domain):
-    try:
-        probe = np.zeros((2, 2, getattr(domain, "dim", 2)))
-        res = domain.contains(probe)
-        return np.shape(res) == (2, 2)
-    except Exception:
-        return False
+def _node_points(xs, ys):
+    """Grid node coordinates as an array of shape (len(xs), len(ys), 2)."""
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    return np.stack([X, Y], axis=-1)
 
 
-def _contains_loop(fn, pts):
-    flat = pts.reshape(-1, pts.shape[-1])
-    out = np.fromiter((bool(fn(p)) for p in flat), dtype=bool, count=len(flat))
-    return out.reshape(pts.shape[:-1])
+def _has_neighbor_in(member):
+    """Nodes with at least one of their four grid neighbors in ``member``."""
+    out = np.zeros_like(member)
+    out[1:, :] |= member[:-1, :]
+    out[:-1, :] |= member[1:, :]
+    out[:, 1:] |= member[:, :-1]
+    out[:, :-1] |= member[:, 1:]
+    return out
 
 
 def _connected(interior):
@@ -154,22 +142,22 @@ class GridField(ScalarField):
         self.default_window = grid.window
 
     def value(self, p, check=True):
+        """Bilinear interpolation at points of shape ``(..., 2)``."""
         p = np.asarray(p, dtype=float)
-        if p.ndim > 1:
-            return np.asarray([self.value(q, check=check) for q in p.reshape(-1, 2)]) \
-                .reshape(p.shape[:-1])
         g = self.grid
-        fx = (float(p[0]) - g.xs[0]) / g.hx
-        fy = (float(p[1]) - g.ys[0]) / g.hy
-        i = int(np.clip(np.floor(fx), 0, len(g.xs) - 2))
-        j = int(np.clip(np.floor(fy), 0, len(g.ys) - 2))
-        if check and not (-1e-9 <= fx <= len(g.xs) - 1 + 1e-9
-                          and -1e-9 <= fy <= len(g.ys) - 1 + 1e-9):
-            raise GeometryError(f"point {p} outside grid window")
+        fx = (p[..., 0] - g.xs[0]) / g.hx
+        fy = (p[..., 1] - g.ys[0]) / g.hy
+        if check:
+            inside = ((-1e-9 <= fx) & (fx <= len(g.xs) - 1 + 1e-9)
+                      & (-1e-9 <= fy) & (fy <= len(g.ys) - 1 + 1e-9))
+            if not np.all(inside):
+                raise GeometryError(f"point {p[~inside][0]} outside grid window")
+        i = np.clip(np.floor(fx), 0, len(g.xs) - 2).astype(int)
+        j = np.clip(np.floor(fy), 0, len(g.ys) - 2).astype(int)
         tx, ty = fx - i, fy - j
         v = self.values
-        return float((1 - tx) * (1 - ty) * v[i, j] + tx * (1 - ty) * v[i + 1, j]
-                     + (1 - tx) * ty * v[i, j + 1] + tx * ty * v[i + 1, j + 1])
+        return ((1 - tx) * (1 - ty) * v[i, j] + tx * (1 - ty) * v[i + 1, j]
+                + (1 - tx) * ty * v[i, j + 1] + tx * ty * v[i + 1, j + 1])[()]
 
     def gradient(self, p):
         h = self.grid.h
@@ -313,7 +301,6 @@ class MartinRatioResult:
     cauchy: list                       # eps_n = max |u_{n+1} - u_n| on the probe lattice
     final: GridField
     probe_points: np.ndarray
-    closed_form_error: float = None
 
 
 def probe_lattice(window, shape=(25, 17)):
@@ -333,6 +320,11 @@ def martin_ratio(domain, cfg: MartinApproxConfig, h):
     if not domain.contains(np.asarray(cfg.x0, dtype=float)):
         raise GeometryError(f"reference point {cfg.x0} not inside the domain")
     probes = probe_lattice(cfg.probe_window, cfg.probe_shape)
+    outside = ~domain.contains_closure(probes)
+    if np.any(outside):
+        # the ratio reads 0 there, which would pass unnoticed into the diagnostics
+        raise GeometryError(f"{int(outside.sum())} probe points leave the domain, "
+                            f"e.g. {probes[outside][0].tolist()}")
     iterates = []
     samples = []
     for n, s in enumerate(cfg.poles):
@@ -348,7 +340,7 @@ def martin_ratio(domain, cfg: MartinApproxConfig, h):
             raise SolverError(f"nonpositive Green value at the reference point for pole {s}")
         ratio = GridField(grid, G.values / g0, name=f"ratio[{s}]")
         iterates.append(MartinIterate(index=n, pole=s, ratio=ratio, grid=grid))
-        samples.append(np.asarray([ratio.value(p) for p in probes]))
+        samples.append(ratio.value(probes))
     cauchy = [float(np.max(np.abs(b - a))) for a, b in zip(samples, samples[1:])]
     return MartinRatioResult(iterates=iterates, cauchy=cauchy,
                              final=iterates[-1].ratio, probe_points=probes)
@@ -400,36 +392,25 @@ def superlevel_boundary_nodes(fld: GridField, c, window=None, extra_member=None)
 def _clip_nodes(grid, member, window):
     ii, jj = np.nonzero(member)
     pts = np.column_stack([grid.xs[ii], grid.ys[jj]])
-    if window is not None and len(pts):
-        keep = np.array([window.contains(p) for p in pts])
-        pts = pts[keep]
-    return pts
+    return pts if window is None else pts[window.contains(pts)]
 
 
 def ring_dirichlet_data(grid):
-    """Boundary data for a convex-ring grid: 1 on the inner wall, 0 outside."""
+    """Boundary data for a convex-ring grid: 1 on the inner wall, 0 outside.
+
+    A boundary node is on the inner wall when it lies in the closed inner
+    body or has a grid neighbor in the open one.
+    """
     if not isinstance(grid.domain, ConvexRing):
         raise GeometryError("ring data needs a convex-ring grid")
     inner = grid.domain.inner
-    data = np.zeros(grid.shape)
-    for i, j in zip(*np.nonzero(grid.mask == BOUNDARY)):
-        p = np.array([grid.xs[i], grid.ys[j]])
-        near_inner = inner.contains(p, strict=False)
-        if not near_inner:
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                a, b = i + di, j + dj
-                if 0 <= a < grid.shape[0] and 0 <= b < grid.shape[1]:
-                    if inner.contains(np.array([grid.xs[a], grid.ys[b]]), strict=True):
-                        near_inner = True
-                        break
-        data[i, j] = 1.0 if near_inner else 0.0
-    return data
+    pts = _node_points(grid.xs, grid.ys)
+    near_inner = inner.contains(pts, strict=False) | _has_neighbor_in(inner.contains(pts))
+    return np.where((grid.mask == BOUNDARY) & near_inner, 1.0, 0.0)
 
 
 def inner_body_nodes(grid):
     """Mask of grid nodes lying in the closed inner body of a ring grid."""
     if not isinstance(grid.domain, ConvexRing):
         raise GeometryError("needs a convex-ring grid")
-    X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
-    pts = np.stack([X, Y], axis=-1)
-    return grid.domain.inner.contains(pts, strict=False)
+    return grid.domain.inner.contains(_node_points(grid.xs, grid.ys), strict=False)

@@ -64,10 +64,7 @@ def _field_values_on_lattice(fld, xs, ys):
     vals = np.full(X.shape, np.nan)
     pts = np.stack([X[mask], Y[mask]], axis=-1)
     if pts.size:
-        try:
-            vals[mask] = np.asarray(fld.value(pts, check=False), dtype=float)
-        except Exception:
-            vals[mask] = [float(fld.value(p, check=False)) for p in pts]
+        vals[mask] = np.asarray(fld.value(pts, check=False), dtype=float)
     return vals, mask
 
 
@@ -78,7 +75,7 @@ def extract_level_curve(fld, c, window, h):
     along cell edges, so each satisfies |u - c| = O(h * |grad u|) locally.
     An unattained level yields an empty list.
     """
-    xs, ys = window.lattice(h)[:2]
+    xs, ys = window.lattice(h)
     vals, mask = _field_values_on_lattice(fld, xs, ys)
     segments, positions = _marching_squares(vals, mask, xs, ys, float(c))
     curves = []
@@ -376,47 +373,9 @@ def tangent_hessian_form(fld, p):
     if p.size == 2:
         T = np.array([g[1], -g[0]])
         return float(T @ H @ T)
-    Q = _orthonormal_complement(g)
-    B = Q.T @ H @ Q
-    eigs = jacobi_eigenvalues(B)
-    return float(eigs.max())
-
-
-def _orthonormal_complement(g):
-    """Orthonormal basis of the hyperplane orthogonal to g (Householder)."""
-    n = g.size
-    e = np.zeros(n)
-    e[0] = np.linalg.norm(g)
-    v = g - e
-    if np.linalg.norm(v) < 1e-300:
-        Q = np.eye(n)
-    else:
-        v = v / np.linalg.norm(v)
-        Q = np.eye(n) - 2.0 * np.outer(v, v)
-    return Q[:, 1:]
-
-
-def jacobi_eigenvalues(S, tol=1e-13, max_sweeps=64):
-    """Eigenvalues of a small symmetric matrix by cyclic plane rotations."""
-    A = np.asarray(S, dtype=float).copy()
-    n = A.shape[0]
-    if n == 1:
-        return A[0].copy()
-    for _ in range(max_sweeps):
-        off = math.sqrt(np.sum(np.tril(A, -1) ** 2))
-        if off <= tol * (1.0 + np.abs(np.diag(A)).max()):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if A[p, q] == 0.0:
-                    continue
-                theta = 0.5 * math.atan2(2.0 * A[p, q], A[q, q] - A[p, p])
-                ct, st = math.cos(theta), math.sin(theta)
-                R = np.eye(n)
-                R[p, p] = R[q, q] = ct
-                R[p, q], R[q, p] = st, -st
-                A = R.T @ A @ R
-    return np.sort(np.diag(A))
+    # rows 1.. of V^T in the SVD of g as a 1 x n matrix span g's complement
+    Q = np.linalg.svd(g[None, :])[2][1:].T
+    return float(np.linalg.eigvalsh(Q.T @ H @ Q).max())
 
 
 def classify_strictness(fld, levels, window=None, h=0.02, samples_per_level=64, band_scale=1e-7):
@@ -476,17 +435,10 @@ def product_direction_detect(fld, samples, tol=1e-8, span=1.0, n_span=5):
         H = np.asarray(fld.hessian(p), dtype=float)
         g = np.asarray(fld.gradient(p), dtype=float)
         M += H.T @ H + np.outer(g, g)
-    eigs = jacobi_eigenvalues(M)
-    # recover the eigenvector of the smallest eigenvalue by inverse iteration
-    lam0 = eigs[0]
-    if lam0 > tol * max(1.0, eigs[-1]):
+    eigs, vecs = np.linalg.eigh(M)
+    if eigs[0] > tol * max(1.0, eigs[-1]):
         return None
-    A = M + (tol * max(1.0, eigs[-1]) + 1e-300) * np.eye(n)
-    v = np.ones(n)
-    for _ in range(64):
-        v = np.linalg.solve(A, v)
-        v = v / np.linalg.norm(v)
-    e = v
+    e = vecs[:, 0]
     scale = 1.0
     for p in samples:
         g = np.asarray(fld.gradient(p), dtype=float)

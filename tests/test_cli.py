@@ -49,6 +49,17 @@ class TestExitCodes:
                          "--h", "0.0628", "--probe", "0.5,2.0,-1,1", "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["green", "--domain", "profile", "--x0", "1,0", "--poles", "2,3", "--probe", "0.5,1.5"],
+        ["green", "--domain", "cylinder", "--x0", "0.5,0", "--poles", "2,3", "--probe", "0.5,1.5"],
+        ["slice-scan", "--field", "exterior", "--t", "0.5"],
+        ["asymptotics", "--radii", "1:2:3"],
+    ], ids=["profile-without-f", "cylinder-no-truncation", "unbounded-slice-no-span",
+            "short-radii"])
+    def test_geometry_errors_are_usage_errors(self, tmp_path, capsys, argv):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_green_probe_outside_truncation_rejected(self, tmp_path):
         code = cli.main(["green", "--domain", "strip", "--x0", "0.5,0", "--poles", "1",
                          "--h", "0.0628", "--probe", "0.5,3.0,-1,1", "--out", str(tmp_path)])
@@ -149,18 +160,6 @@ class TestAudit:
         assert len(cells) == 4
         float(cells[2]); float(cells[3])   # parse cleanly, no numpy repr noise
 
-    def test_thread_cap_does_not_change_report(self, tmp_path, monkeypatch):
-        payload = {"field": "strip",
-                   "checks": [{"name": "slice_maxima", "params": {"t": [1.0]}},
-                              {"name": "boundary_vanishing"}]}
-        cfg = write_config(tmp_path, "audit.json", payload)
-        out1, out2 = str(tmp_path / "seq"), str(tmp_path / "par")
-        assert cli.main(["audit", "--config", cfg, "--out", out1]) == 0
-        monkeypatch.setenv("MARTIN_THREADS", "2")
-        assert cli.main(["audit", "--config", cfg, "--out", out2]) == 0
-        assert open(os.path.join(out1, "report.json"), "rb").read() == \
-            open(os.path.join(out2, "report.json"), "rb").read()
-
 
 class TestGreen:
     def test_small_strip_run(self, tmp_path):
@@ -188,6 +187,16 @@ class TestGreen:
         assert payload["mode"] == "ring"
         assert payload["max_principle"] is True
         assert all(v["verdict"] == "convex" for v in payload["convexity"].values())
+
+    def test_profile_domain_config(self, tmp_path):
+        cfg = write_config(tmp_path, "profile.json", {
+            "domain": {"kind": "profile", "f": "sqrt"}, "x0": [1.0, 0.0],
+            "poles": [2.0, 3.0], "h": 0.05, "probe": [0.5, 1.5, -0.5, 0.5]})
+        assert cli.main(["green", "--config", cfg, "--out", str(tmp_path)]) == 0
+        payload = json.load(open(tmp_path / "ratio.json"))
+        assert payload["domain"] == "profile"
+        assert len(payload["cauchy"]) == 1
+        assert "closed_form" not in payload
 
     def test_alias_entry_point(self, tmp_path):
         code = cli.green_martin_main(["--domain", "strip", "--x0", "0.5,0", "--poles", "2",

@@ -45,6 +45,57 @@ class TestContainment:
         assert not ring.contains((2.5, 0.0))
 
 
+RING = {"kind": "convex_ring", "A": {"vertices": [[-2, -2], [2, -2], [2, 2], [-2, 2]]},
+        "B": {"ngon": 7, "radius": 0.6}}
+REGISTRY = [{"kind": k} for k in ("strip", "sector", "sector_minus_slit",
+                                   "halfplane_minus_disk", "right_halfplane", "cylinder")]
+REGISTRY += [RING]
+REGISTRY += [{"kind": "profile", "f": name} for name in geo.PROFILES]
+REGISTRY += ["rescaled_sqrt"]
+
+
+def _registry_domain(cfg):
+    if cfg == "rescaled_sqrt":
+        return geo.rescaled_domain(geo.domain_from_config({"kind": "profile", "f": "sqrt"}), 4.0)
+    return geo.domain_from_config(cfg)
+
+
+class TestMembershipContract:
+    @pytest.mark.parametrize("cfg", REGISTRY, ids=lambda c: c if isinstance(c, str) else
+                             "-".join(str(c[k]) for k in ("kind", "f") if k in c))
+    def test_arrays_match_points_and_open_inside_closure(self, cfg):
+        dom = _registry_domain(cfg)
+        # a lattice through the walls t = 0, y = 0 and y = +-1 plus random points
+        X, Y = np.meshgrid(np.linspace(-2.0, 6.0, 33), np.linspace(-3.0, 3.0, 25), indexing="ij")
+        lattice = np.stack([X, Y], axis=-1)
+        noise = np.random.default_rng(3).uniform([-2.0, -3.0], [6.0, 3.0], size=(4, 25, 2))
+        pts = np.concatenate([lattice, noise])
+        inside, closure = dom.contains(pts), dom.contains_closure(pts)
+        assert inside.shape == closure.shape == pts.shape[:-1]
+        assert inside.dtype == closure.dtype == bool
+        flat = pts.reshape(-1, 2)
+        assert inside.ravel().tolist() == [bool(dom.contains(p)) for p in flat]
+        assert closure.ravel().tolist() == [bool(dom.contains_closure(p)) for p in flat]
+        assert not np.any(inside & ~closure)
+        assert np.any(inside)
+
+    def test_rescaled_wall_in_closure(self, sqrt_profile):
+        rd = geo.rescaled_domain(sqrt_profile, 9.0)
+        for wall in ((0.0, 1.0), (0.0, -1.0)):
+            assert rd.contains_closure(wall)
+            assert not rd.contains(wall)
+
+    def test_profile_needs_interval_cross_section(self):
+        with pytest.raises(geo.GeometryError):
+            geo.ProfileRegion(geo.ProfileDomain("sqrt", geo.square_body()))
+
+    @pytest.mark.parametrize("cfg", [{"kind": "strip"}, RING, "rescaled_sqrt"],
+                             ids=["strip", "convex_ring", "rescaled_sqrt"])
+    def test_points_must_be_planar(self, cfg):
+        with pytest.raises(geo.GeometryError):
+            _registry_domain(cfg).contains(np.zeros((4, 3)))
+
+
 class TestBoundaryDistance:
     def test_strip_axis_point(self, strip):
         # the left wall at distance 1 is closer than the lines y = +-pi/2
@@ -266,6 +317,17 @@ class TestWindowAndConfig:
         assert prof.contains((4.0, 1.5))
         with pytest.raises(geo.GeometryError):
             geo.domain_from_config({"kind": "moebius"})
+
+    @pytest.mark.parametrize("cfg,key", [
+        ({"kind": "profile"}, "'f'"),
+        ({"kind": "convex_ring", "B": {"ngon": 6}}, "'A'"),
+        ({"kind": "convex_ring", "A": {"ngon": 6, "radius": 2.0}}, "'B'"),
+        ({"kind": "profile", "f": "cubic"}, "'cubic'"),
+        ({"kind": "profile", "f": 3}, "callable"),
+    ])
+    def test_domain_config_names_missing_key(self, cfg, key):
+        with pytest.raises(geo.GeometryError, match=key):
+            geo.domain_from_config(cfg)
 
     def test_ngon_config(self):
         body = geo.body_from_config({"ngon": 64, "radius": 2.0})

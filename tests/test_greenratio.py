@@ -195,6 +195,28 @@ class TestHalfplaneRatio:
         assert all(b < a for a, b in zip(res.cauchy, res.cauchy[1:]))
 
 
+class TestProfileRatio:
+    def test_sqrt_profile_ratio(self):
+        # the paper's profile regions enter the same pipeline as the strip
+        dom = geo.domain_from_config({"kind": "profile", "f": "sqrt"})
+        cfg = gr.MartinApproxConfig(x0=(1.0, 0.0), poles=(2.0, 3.0, 4.0),
+                                    probe_window=geo.WindowBox((0.5, -0.5), (1.5, 0.5)))
+        res = gr.martin_ratio(dom, cfg, 0.05)
+        assert len(res.cauchy) == 2
+        assert all(b < a for a, b in zip(res.cauchy, res.cauchy[1:]))
+        assert res.final.value(res.probe_points).min() > 0.0
+        grid = res.final.grid
+        assert grid.mask[grid.node_index((1.0, 0.0))] == gr.INTERIOR
+        assert grid.mask[grid.node_index((1.0, 1.5))] == gr.EXTERIOR
+
+    def test_probe_window_must_stay_in_domain(self):
+        dom = geo.domain_from_config({"kind": "profile", "f": "sqrt"})
+        cfg = gr.MartinApproxConfig(x0=(1.0, 0.0), poles=(2.0, 3.0),
+                                    probe_window=geo.WindowBox((0.5, -1.6), (1.5, 1.6)))
+        with pytest.raises(geo.GeometryError, match="probe points leave the domain"):
+            gr.martin_ratio(dom, cfg, 0.05)
+
+
 class TestSuperlevelClouds:
     def test_strip_iterate_superlevel_convex(self, strip_ratio):
         _, res = strip_ratio

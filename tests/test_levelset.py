@@ -281,14 +281,6 @@ class TestTangentForm:
         expected = np.linalg.eigvalsh(Q.T @ np.diag([2.0, -1.0, -1.0]) @ Q).max()
         assert got == pytest.approx(expected, abs=1e-9)
 
-    def test_jacobi_matches_numpy(self):
-        rng = np.random.default_rng(31)
-        for n in (2, 3, 5):
-            A = rng.normal(size=(n, n))
-            S = 0.5 * (A + A.T)
-            got = ls.jacobi_eigenvalues(S)
-            assert np.allclose(got, np.linalg.eigvalsh(S), atol=1e-9)
-
 
 class TestStrictness:
     def test_strip_strictly_convex_everywhere(self):
