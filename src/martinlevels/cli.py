@@ -296,6 +296,20 @@ def _parse_floats(text):
         raise ConfigError(f"cannot parse float list {text!r}")
 
 
+def _probe_half_height(domain, x0, x1, pole):
+    """Smallest bounded slice half-width over [x0, x1], capped by the
+    truncation window of the first pole, so a symmetric probe window of
+    that half-height stays inside the region."""
+    half = domain.truncation_window(pole).upper[1]
+    for t in np.linspace(x0, x1, 65):
+        if t <= 0.0:        # empty slice; martin_ratio checks these probes itself
+            continue
+        sl = domain.slice_at(t)
+        if sl.bounded:
+            half = min(half, -sl.intervals[0][0], sl.intervals[-1][1])
+    return half
+
+
 def _green_ring_mode(cfg, domain, raw, args):
     """Theorem-style ring run: direct solve plus per-level convexity verdicts."""
     h = float(args.h or raw.get("h", 0.05))
@@ -350,7 +364,7 @@ def cmd_green(args):
     if probe_vals is None:
         raise ConfigError("green needs --probe x0,x1[,y0,y1]")
     if len(probe_vals) == 2:
-        half = (domain.truncation_window(poles[0]).upper[1]) * 0.8
+        half = 0.8 * _probe_half_height(domain, probe_vals[0], probe_vals[1], poles[0])
         probe = geometry.WindowBox((probe_vals[0], -half), (probe_vals[1], half))
     elif len(probe_vals) == 4:
         probe = geometry.WindowBox((probe_vals[0], probe_vals[2]), (probe_vals[1], probe_vals[3]))

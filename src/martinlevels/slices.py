@@ -218,22 +218,19 @@ def rescale_and_compare(fld, s, window, mode: CylinderMode, n_lattice=41):
     ts = np.linspace(window.lower[0], window.upper[0], n_lattice)
     ys = np.linspace(window.lower[1], window.upper[1], n_lattice)
 
-    def v_s(ti, yi):
-        return float(fld.value(np.array([s + f_s * ti, f_s * yi]))) / M
+    def v_s(t, y):
+        return fld.value(np.stack([s + f_s * t, f_s * y], axis=-1)) / M
 
     rt = math.sqrt(mode.lam)
-    axis_keep = np.abs(ts) < zoomed.s / 2.0
-    axis_vals = np.asarray([v_s(ti, 0.0) for ti in ts[axis_keep]])
-    E = np.column_stack([np.exp(rt * ts[axis_keep]), np.exp(-rt * ts[axis_keep])])
+    axis_ts = ts[np.abs(ts) < zoomed.s / 2.0]
+    axis_vals = v_s(axis_ts, np.zeros_like(axis_ts))
+    E = np.column_stack([np.exp(rt * axis_ts), np.exp(-rt * axis_ts)])
     A, B = _nonnegative_mode_fit(E, axis_vals)
 
-    sup_err = 0.0
-    for ti in ts:
-        for yi in ys:
-            if not zoomed.contains(np.array([ti, yi])):
-                continue
-            model = (A * math.exp(rt * ti) + B * math.exp(-rt * ti)) * float(mode.phi(yi))
-            sup_err = max(sup_err, abs(v_s(ti, yi) - model))
+    lattice = np.stack(np.meshgrid(ts, ys, indexing="ij"), axis=-1)
+    t_in, y_in = lattice[zoomed.contains(lattice)].T
+    model = (A * np.exp(rt * t_in) + B * np.exp(-rt * t_in)) * mode.phi(y_in)
+    sup_err = np.max(np.abs(v_s(t_in, y_in) - model), initial=0.0)
 
     cyl_ts = np.linspace(window.lower[0], window.upper[0], 801)
     cyl = np.vstack([np.column_stack([cyl_ts, np.ones_like(cyl_ts)]),
@@ -242,7 +239,7 @@ def rescale_and_compare(fld, s, window, mode: CylinderMode, n_lattice=41):
 
     return RescaleResult(s=float(s), window=window, mode_coefficients=(float(A), float(B)),
                          sup_mode_error=float(sup_err), hausdorff_to_cylinder=float(dh),
-                         center_value=v_s(0.0, 0.0))
+                         center_value=float(v_s(0.0, 0.0)))
 
 
 # ---------------------------------------------------------------------------

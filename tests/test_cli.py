@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -197,6 +198,18 @@ class TestGreen:
         assert payload["domain"] == "profile"
         assert len(payload["cauchy"]) == 1
         assert "closed_form" not in payload
+
+    def test_profile_two_value_probe_stays_inside(self, tmp_path):
+        # the probe half-height follows the narrowest slice over [0.5, 1.5]
+        cfg = write_config(tmp_path, "profile.json", {
+            "domain": {"kind": "profile", "f": "sqrt"}, "x0": [1.0, 0.0],
+            "poles": [2.0, 3.0], "h": 0.05})
+        assert cli.main(["green", "--config", cfg, "--probe", "0.5,1.5",
+                         "--out", str(tmp_path)]) == 0
+        payload = json.load(open(tmp_path / "ratio.json"))
+        (_, y0), (_, y1) = payload["probe_window"]
+        assert y1 == -y0 == pytest.approx(0.8 * math.sqrt(0.5))
+        assert min(payload["probe_values"]) > 0.0
 
     def test_alias_entry_point(self, tmp_path):
         code = cli.green_martin_main(["--domain", "strip", "--x0", "0.5,0", "--poles", "2",

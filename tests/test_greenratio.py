@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra import numpy as hnp
 
 from martinlevels import geometry as geo
 from martinlevels import greenratio as gr
@@ -71,6 +73,65 @@ class TestBuildGrid:
             assert not np.any(interior & (shifted == gr.EXTERIOR))
 
 
+def _bfs_connected(member):
+    """Reference: breadth-first search from the first member node."""
+    todo = np.argwhere(member)
+    if len(todo) == 0:
+        return False
+    seen = {tuple(todo[0])}
+    frontier = [tuple(todo[0])]
+    while frontier:
+        nxt = []
+        for i, j in frontier:
+            for a, b in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+                if (0 <= a < member.shape[0] and 0 <= b < member.shape[1]
+                        and member[a, b] and (a, b) not in seen):
+                    seen.add((a, b))
+                    nxt.append((a, b))
+        frontier = nxt
+    return len(seen) == len(todo)
+
+
+def _spiral(n):
+    """A one-node-wide square spiral on an n x n grid (n odd)."""
+    m = np.zeros((n, n), dtype=bool)
+    lo, hi = 0, n - 1
+    while lo <= hi:
+        m[lo, lo:hi + 1] = True
+        m[lo:hi + 1, hi] = True
+        m[hi, lo:hi + 1] = True
+        m[lo + 2:hi + 1, lo] = True
+        if lo + 2 <= hi:
+            m[lo + 2, lo:lo + 3] = True
+        lo, hi = lo + 2, hi - 2
+    return m
+
+
+class TestConnected:
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12)))
+    def test_matches_bfs(self, member):
+        assert gr._connected(member) == _bfs_connected(member)
+
+    def test_u_shape_joined_by_distant_row(self):
+        # each arm is a separate chain of runs until the base row joins them
+        m = np.zeros((30, 9), dtype=bool)
+        m[:, 1] = m[:, 7] = True
+        m[-1, 1:8] = True
+        assert gr._connected(m)
+        m[-1, 4] = False
+        assert not gr._connected(m)
+
+    @pytest.mark.parametrize("n", [5, 9, 21])
+    def test_spiral(self, n):
+        m = _spiral(n)
+        assert _bfs_connected(m)
+        assert gr._connected(m)
+        m[0, n // 2] = False        # cut the outer arm
+        assert not _bfs_connected(m)
+        assert not gr._connected(m)
+
+
 class TestSolveDirichlet:
     def test_discrete_harmonic_polynomial_exact(self):
         # x^2 - y^2 is in the kernel of the 5-point stencil, so the solve
@@ -98,10 +159,50 @@ class TestSolveDirichlet:
         assert sol.values[interior].max() <= data[boundary].max()
         assert sol.values[interior].min() >= data[boundary].min()
 
-    def test_iteration_cap_raises(self, strip_grid):
-        src = np.ones(strip_grid.shape)
-        with pytest.raises(gr.SolverError):
-            gr.solve_dirichlet(strip_grid, source=src, tol=1e-13, maxiter=3)
+    def test_iteration_cap_raises(self, ring_solution):
+        # on the strip the preconditioner is exact, so the cap is exercised
+        # on the ring, where 3 iterations leave a relative residual ~9e-2
+        grid, _ = ring_solution
+        src = np.ones(grid.shape)
+        with pytest.raises(gr.SolverError, match="iteration cap"):
+            gr.solve_dirichlet(grid, source=src, tol=1e-13, maxiter=3)
+
+    def test_rectangle_solve_needs_one_iteration(self, strip_grid, monkeypatch):
+        # the strip interior fills the window's inner rectangle, where the
+        # fast-Poisson preconditioner is the exact inverse
+        calls = []
+        apply = gr._apply_neg_laplacian
+
+        def counted(*args):
+            calls.append(1)
+            return apply(*args)
+
+        monkeypatch.setattr(gr, "_apply_neg_laplacian", counted)
+        gr.green_function(strip_grid, (2.0, 0.0))
+        assert 1 <= len(calls) <= 2
+
+
+class TestFastPoisson:
+    @pytest.mark.parametrize("shape", [(7, 5), (8, 6), (33, 2 * gr._DST_BLOCK + 3),
+                                       (2 * gr._DST_BLOCK + 2, 31)])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_dst1_matches_scipy(self, shape, axis):
+        scipy_fft = pytest.importorskip("scipy.fft")
+        x = np.random.default_rng(3).standard_normal(shape)
+        got = gr._dst1(x, axis)
+        want = scipy_fft.dst(x, type=1, axis=axis)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("shape, hx, hy", [((40, 23), 0.1, 0.07), ((17, 130), 1 / 32, 1 / 16)])
+    def test_rectangle_inverse(self, shape, hx, hy):
+        interior = np.zeros(shape, dtype=bool)
+        interior[1:-1, 1:-1] = True
+        v = np.where(interior, np.random.default_rng(4).standard_normal(shape), 0.0)
+        inverse = gr._fast_poisson(shape, hx, hy)
+        back = inverse(gr._apply_neg_laplacian(v, interior, hx, hy))
+        assert np.abs(back - v).max() <= 1e-12 * np.abs(v).max()
+        there = gr._apply_neg_laplacian(inverse(v), interior, hx, hy)
+        assert np.abs(there - v).max() <= 1e-12 * np.abs(v).max()
 
 
 class TestGreenFunction:

@@ -101,6 +101,37 @@ class TestRescale:
             assert r.mode_coefficients[0] >= 0.0 and r.mode_coefficients[1] >= 0.0
             assert r.hausdorff_to_cylinder <= 1e-9   # constant profile is the cylinder
 
+    @pytest.mark.parametrize("s", [6.0, 10.0])
+    def test_matches_pointwise_reference(self, s):
+        # the lattice evaluation written one point at a time
+        fld = flds.strip_martin()
+        window = geo.WindowBox((-2.0, -2.0), (2.0, 2.0))
+        mode = flds.interval_mode()
+        got = sa.rescale_and_compare(fld, s, window, mode)
+        zoomed = geo.rescaled_domain(geo.strip_as_profile(), s)
+        M = sa.slice_scan(fld, s).max_value
+
+        def v_s(ti, yi):
+            return float(fld.value(np.array([s + zoomed.f_s * ti, zoomed.f_s * yi]))) / M
+
+        ts = np.linspace(-2.0, 2.0, 41)
+        rt = math.sqrt(mode.lam)
+        axis_ts = [ti for ti in ts if abs(ti) < zoomed.s / 2.0]
+        E = np.array([[math.exp(rt * ti), math.exp(-rt * ti)] for ti in axis_ts])
+        A, B = sa._nonnegative_mode_fit(E, np.array([v_s(ti, 0.0) for ti in axis_ts]))
+        sup_err, scale = 0.0, 0.0
+        for ti in ts:
+            for yi in ts:
+                if zoomed.contains(np.array([ti, yi])):
+                    model = (A * math.exp(rt * ti) + B * math.exp(-rt * ti)) * float(mode.phi(yi))
+                    sup_err = max(sup_err, abs(v_s(ti, yi) - model))
+                    scale = max(scale, abs(v_s(ti, yi)))
+        # the error is a difference of lattice values, and np.exp may round
+        # differently from math.exp in the last bit: compare on their scale
+        assert abs(got.sup_mode_error - sup_err) <= 1e-14 * scale
+        assert got.mode_coefficients == pytest.approx((A, B), rel=1e-14, abs=0.0)
+        assert got.center_value == pytest.approx(v_s(0.0, 0.0), rel=1e-14, abs=0.0)
+
     def test_strip_limit_is_pure_growth_mode(self):
         fld = flds.strip_martin()
         window = geo.WindowBox((-2.0, -2.0), (2.0, 2.0))
