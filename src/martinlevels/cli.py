@@ -167,6 +167,8 @@ def _check_harmonicity(fld, rng, params):
         for p in pts:
             try:
                 worst = max(worst, abs(fields.harmonicity_residual(fld, p, h)))
+            except fields.PrecisionError:
+                raise
             except fields.FieldError:
                 continue
         maxres.append(worst)

@@ -32,6 +32,10 @@ class SingularPointError(FieldError):
     """Evaluation requested on or too close to a branch/singular point."""
 
 
+class PrecisionError(FieldError):
+    """The platform lacks the floating-point precision a check relies on."""
+
+
 #: half-width of the excluded tube around the branch segment of sqrt(z^4 - 1)
 BRANCH_GUARD = 1e-8
 
@@ -256,8 +260,11 @@ def disk_mode(A=1.0, B=0.0):
     lam = j0 * j0
 
     def phi(y):
-        r = np.linalg.norm(np.atleast_1d(np.asarray(y, dtype=float)), axis=-1)
-        return bessel_j0(j0 * r)
+        y = np.asarray(y, dtype=float)
+        if y.ndim == 0 or y.shape[-1] != 2:
+            raise FieldError(f"disk mode takes cross-section points of shape (..., 2), "
+                             f"got {y.shape}")
+        return bessel_j0(j0 * np.linalg.norm(y, axis=-1))
 
     return CylinderMode(lam=lam, phi=phi, dphi=None, d2phi=None, A=A, B=B)
 
@@ -335,27 +342,37 @@ def field_from_name(name) -> ScalarField:
 # Pointwise checks
 # ---------------------------------------------------------------------------
 
+#: stencil offsets of the 5-point Laplacian, the center last
+_STENCIL = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 0.0]])
+#: largest long-double epsilon with which the stencil resolves O(h^2) at h = 1e-4
+LONGDOUBLE_EPS_MAX = 1e-18
+
+
+def _longdouble_eps():
+    return float(np.finfo(np.longdouble).eps)
+
+
 def harmonicity_residual(field, p, h):
     """5-point discrete Laplacian of the value oracle at p, step h.
 
-    The stencil is evaluated in extended precision when available; in plain
-    float64 the per-value rounding of ~1e-16/h^2 would swamp the O(h^2)
-    truncation term already at h = 1e-4.
+    The stencil of an analytic field is evaluated in extended precision; in
+    plain float64 the per-value rounding of ~1e-16/h^2 would swamp the
+    O(h^2) truncation term already at h = 1e-4, so a platform whose long
+    double is no wider than float64 is rejected.
     """
     p = np.asarray(p, dtype=float)
-    ex = np.array([1.0, 0.0])
-    ey = np.array([0.0, 1.0])
-    for q in (p + 2 * h * ex, p - 2 * h * ex, p + 2 * h * ey, p - 2 * h * ey):
-        if not field.domain.contains(q):
-            raise FieldError(f"stencil of radius 2h around {p} leaves the domain")
-    dtype = np.longdouble if field.derivative_kind == "analytic" else float
-    pl = p.astype(dtype)
-    hl = dtype(h)
-    exl, eyl = ex.astype(dtype), ey.astype(dtype)
-    total = (field.value(pl + hl * exl, check=False) + field.value(pl - hl * exl, check=False)
-             + field.value(pl + hl * eyl, check=False) + field.value(pl - hl * eyl, check=False)
-             - 4.0 * field.value(pl, check=False))
-    return float(total / hl ** 2)
+    if not np.all(field.domain.contains(p + 2 * h * _STENCIL[:4])):
+        raise FieldError(f"stencil of radius 2h around {p} leaves the domain")
+    dtype = float
+    if field.derivative_kind == "analytic":
+        eps = _longdouble_eps()
+        if eps > LONGDOUBLE_EPS_MAX:
+            raise PrecisionError(f"long double eps {eps:.3g} > {LONGDOUBLE_EPS_MAX:g}: the "
+                                 "harmonicity stencil needs 80-bit extended precision")
+        dtype = np.longdouble
+    v = field.value(p.astype(dtype) + dtype(h) * _STENCIL.astype(dtype), check=False)
+    total = v[0] + v[1] + v[2] + v[3] - 4.0 * v[4]
+    return float(total / dtype(h) ** 2)
 
 
 @dataclass
@@ -374,12 +391,10 @@ def boundary_vanishing(field, n_samples=200, tol=1e-8, window=None):
     """Max |u| over boundary samples, via the continuous extension of u."""
     window = window or field.default_window
     pts = field.domain.boundary_points(window, n_samples)
-    worst, worst_p = -1.0, None
-    for q in pts:
-        v = abs(float(field.boundary_value(q)))
-        if v > worst:
-            worst, worst_p = v, tuple(q)
-    return BoundaryReport(max_abs=worst, worst_point=worst_p, n_samples=len(pts), tol=tol)
+    vals = np.abs(np.asarray(field.boundary_value(pts), dtype=float))
+    k = int(np.argmax(vals))
+    return BoundaryReport(max_abs=float(vals[k]), worst_point=tuple(pts[k]),
+                          n_samples=len(pts), tol=tol)
 
 
 def fd_gradient(field, p, h=None):

@@ -11,7 +11,6 @@ Two certificates are provided for a superlevel region {u > c}:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,14 +57,30 @@ class StrictnessClassification:
 # Marching squares
 # ---------------------------------------------------------------------------
 
-def _field_values_on_lattice(fld, xs, ys):
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    mask = np.asarray(fld.domain.contains(np.stack([X, Y], axis=-1)))
-    vals = np.full(X.shape, np.nan)
-    pts = np.stack([X[mask], Y[mask]], axis=-1)
-    if pts.size:
-        vals[mask] = np.asarray(fld.value(pts, check=False), dtype=float)
-    return vals, mask
+# (fld, window, h) and the read-only (xs, ys, vals, mask) of the last lattice
+# evaluated; fields and windows are immutable, so the key decides the values.
+_last_lattice = None
+
+
+def _lattice(fld, window, h):
+    """The window's lattice of spacing h with the field's values (NaN off
+    the domain) and the domain mask, evaluated once for a run of calls
+    with the same field, window and h."""
+    global _last_lattice
+    key = (fld, window, float(h))
+    last = _last_lattice
+    if last is None or last[0] != key:
+        xs, ys = window.lattice(h)
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        mask = np.asarray(fld.domain.contains(np.stack([X, Y], axis=-1)))
+        vals = np.full(X.shape, np.nan)
+        if mask.any():
+            vals[mask] = np.asarray(fld.value(np.stack([X[mask], Y[mask]], axis=-1),
+                                              check=False), dtype=float)
+        for a in (xs, ys, vals, mask):
+            a.setflags(write=False)
+        last = _last_lattice = (key, (xs, ys, vals, mask))
+    return last[1]
 
 
 def extract_level_curve(fld, c, window, h):
@@ -73,67 +88,68 @@ def extract_level_curve(fld, c, window, h):
 
     Returns a list of :class:`LevelCurve`; vertices interpolate linearly
     along cell edges, so each satisfies |u - c| = O(h * |grad u|) locally.
-    An unattained level yields an empty list.
+    An unattained level yields an empty list.  Successive calls with the
+    same field, window and h share one lattice evaluation.
     """
-    xs, ys = window.lattice(h)
-    vals, mask = _field_values_on_lattice(fld, xs, ys)
+    xs, ys, vals, mask = _lattice(fld, window, h)
     segments, positions = _marching_squares(vals, mask, xs, ys, float(c))
-    curves = []
-    for chain, closed in _stitch(segments):
-        verts = np.asarray([positions[e] for e in chain])
-        curves.append(LevelCurve(level=float(c), vertices=verts, closed=closed, window=window))
-    return curves
+    return [LevelCurve(level=float(c), vertices=positions[chain], closed=closed, window=window)
+            for chain, closed in _stitch(segments)]
+
+
+# Segments of each cell case as pairs of cell edges, numbered 0: x-edge (i, j),
+# 1: y-edge (i+1, j), 2: x-edge (i, j+1), 3: y-edge (i, j); -1 pads the
+# single-segment cases.  _CASES[k, cut] splits the saddles 5 and 10 by
+# cutting off corners (i, j) and (i+1, j+1) (cut 0) or the other two (cut 1).
+_CASES = np.full((16, 2, 2, 2), -1, dtype=np.intp)
+for _ks, _seg in (((1, 14), (0, 3)), ((2, 13), (0, 1)), ((3, 12), (3, 1)),
+                  ((4, 11), (1, 2)), ((6, 9), (0, 2)), ((7, 8), (3, 2))):
+    _CASES[list(_ks), :, 0] = _seg
+_CASES[[5, 10], 0] = [(0, 3), (1, 2)]
+_CASES[[5, 10], 1] = [(0, 1), (2, 3)]
 
 
 def _marching_squares(vals, mask, xs, ys, c):
+    """Level-c segments of the lattice, cell by cell in row-major order.
+
+    Returns ``(segments, positions)``: a list of node pairs, each node an
+    index into the ``(m, 2)`` array of edge-crossing positions.  A saddle
+    cell (cases 5 and 10) keeps the corners on the side of c that its
+    center value lies on connected.
+    """
     above = np.where(mask, vals > c, False)
-    ok = mask
-    cell_ok = ok[:-1, :-1] & ok[1:, :-1] & ok[:-1, 1:] & ok[1:, 1:]
+    cell_ok = mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
     idx = (above[:-1, :-1].astype(np.int8)
            + 2 * above[1:, :-1]
            + 4 * above[1:, 1:]
            + 8 * above[:-1, 1:])
-    active = cell_ok & (idx > 0) & (idx < 15)
-
-    positions = {}
-
-    def xedge(i, j):
-        key = ("x", i, j)
-        if key not in positions:
-            t = (c - vals[i, j]) / (vals[i + 1, j] - vals[i, j])
-            positions[key] = (xs[i] + t * (xs[i + 1] - xs[i]), ys[j])
-        return key
-
-    def yedge(i, j):
-        key = ("y", i, j)
-        if key not in positions:
-            t = (c - vals[i, j]) / (vals[i, j + 1] - vals[i, j])
-            positions[key] = (xs[i], ys[j] + t * (ys[j + 1] - ys[j]))
-        return key
-
-    segments = []
-    for i, j in zip(*np.nonzero(active)):
-        k = int(idx[i, j])
-        if k in (1, 14):
-            segs = [(xedge(i, j), yedge(i, j))]
-        elif k in (2, 13):
-            segs = [(xedge(i, j), yedge(i + 1, j))]
-        elif k in (3, 12):
-            segs = [(yedge(i, j), yedge(i + 1, j))]
-        elif k in (4, 11):
-            segs = [(yedge(i + 1, j), xedge(i, j + 1))]
-        elif k in (6, 9):
-            segs = [(xedge(i, j), xedge(i, j + 1))]
-        elif k in (7, 8):
-            segs = [(yedge(i, j), xedge(i, j + 1))]
-        else:  # saddle cases 5 and 10: split by the cell-center value
-            center_above = 0.25 * (vals[i, j] + vals[i + 1, j] + vals[i, j + 1] + vals[i + 1, j + 1]) > c
-            if (k == 5) == center_above:
-                segs = [(xedge(i, j), yedge(i + 1, j)), (xedge(i, j + 1), yedge(i, j))]
-            else:
-                segs = [(xedge(i, j), yedge(i, j)), (yedge(i + 1, j), xedge(i, j + 1))]
-        segments.extend(segs)
-    return segments, positions
+    i, j = np.nonzero(cell_ok & (idx > 0) & (idx < 15))
+    k = idx[i, j]
+    cut = np.zeros(len(k), dtype=np.intp)
+    saddle = (k == 5) | (k == 10)
+    si, sj = i[saddle], j[saddle]
+    center_above = 0.25 * (vals[si, sj] + vals[si + 1, sj] + vals[si, sj + 1]
+                           + vals[si + 1, sj + 1]) > c
+    cut[saddle] = (k[saddle] == 5) == center_above
+    # edge id: 2 * node for the x-edge, 2 * node + 1 for the y-edge leaving it
+    ny = len(ys)
+    node = i * ny + j
+    edges = np.column_stack([2 * node, 2 * (node + ny) + 1, 2 * (node + 1), 2 * node + 1])
+    local = _CASES[k, cut].reshape(-1, 2)
+    keep = local[:, 0] >= 0
+    ids = np.take_along_axis(np.repeat(edges, 2, axis=0), np.maximum(local, 0), axis=1)[keep]
+    uniq, inverse = np.unique(ids.ravel(), return_inverse=True)
+    ei, ej = np.divmod(uniq // 2, ny)
+    on_y = (uniq % 2).astype(bool)
+    v0 = vals[ei, ej]
+    t = (c - v0) / (vals[ei + ~on_y, ej + on_y] - v0)
+    positions = np.column_stack([xs[ei], ys[ej]])
+    on_x = ~on_y
+    x0 = positions[on_x, 0]
+    positions[on_x, 0] = x0 + t[on_x] * (xs[ei[on_x] + 1] - x0)
+    y0 = positions[on_y, 1]
+    positions[on_y, 1] = y0 + t[on_y] * (ys[ej[on_y] + 1] - y0)
+    return list(map(tuple, inverse.reshape(-1, 2).tolist())), positions
 
 
 def _stitch(segments):
@@ -170,23 +186,38 @@ def _stitch(segments):
 # Hull-based convexity certificate
 # ---------------------------------------------------------------------------
 
+# points x edges per block of the point-to-hull distance matrix
+_BLOCK = 1 << 16
+
+
+def _edge_distances(pts, hull):
+    """(n, m) distances from each point to each hull edge (k, k+1)."""
+    (ax, ay), (bx, by) = hull.T, (np.roll(hull, -1, axis=0) - hull).T
+    L2 = bx * bx + by * by
+    dx = pts[:, None, 0] - ax
+    dy = pts[:, None, 1] - ay
+    t = np.divide(dx * bx + dy * by, L2, out=np.zeros_like(dx), where=L2 != 0.0)
+    np.clip(t, 0.0, 1.0, out=t)
+    ex = pts[:, None, 0] - (ax + t * bx)
+    ey = pts[:, None, 1] - (ay + t * by)
+    return np.sqrt(ex * ex + ey * ey)
+
+
 def hull_boundary_deviation(points, hull):
-    """Distance from each point to the hull boundary polyline."""
+    """Distance from each point to the hull boundary polyline.
+
+    Hull vertices score exactly 0; the other points are measured against
+    every edge, a bounded block of points at a time.
+    """
     pts = np.asarray(points, dtype=float)
-    m = len(hull)
-    dmin = np.full(len(pts), np.inf)
-    for k in range(m):
-        a = hull[k]
-        b = hull[(k + 1) % m]
-        ab = b - a
-        L2 = float(ab @ ab)
-        if L2 == 0.0:
-            d = np.linalg.norm(pts - a, axis=1)
-        else:
-            t = np.clip((pts - a) @ ab / L2, 0.0, 1.0)
-            d = np.linalg.norm(pts - (a + t[:, None] * ab), axis=1)
-        dmin = np.minimum(dmin, d)
-    return dmin
+    hull = np.asarray(hull, dtype=float)
+    dev = np.zeros(len(pts))
+    off = np.flatnonzero(~np.isin(pts[:, 0] + 1j * pts[:, 1], hull[:, 0] + 1j * hull[:, 1]))
+    step = max(1, _BLOCK // len(hull))
+    for s in range(0, len(off), step):
+        rows = off[s:s + step]
+        dev[rows] = _edge_distances(pts[rows], hull).min(axis=1)
+    return dev
 
 
 def _gather_points(curve_or_cloud):
@@ -252,25 +283,18 @@ def _geometric_witness(deepest, pts, hull):
 
 
 def _nearest_hull_edge(p, hull):
-    best, best_k = math.inf, 0
-    m = len(hull)
-    for k in range(m):
-        a, b = hull[k], hull[(k + 1) % m]
-        ab = b - a
-        L2 = float(ab @ ab)
-        t = 0.0 if L2 == 0.0 else float(np.clip((p - a) @ ab / L2, 0.0, 1.0))
-        d = float(np.linalg.norm(p - (a + t * ab)))
-        if d < best:
-            best, best_k = d, k
-    return best_k
+    return int(np.argmin(_edge_distances(np.asarray(p, dtype=float)[None, :], hull)[0]))
 
 
-def _excluded(fld, c, p):
-    """True when p is certainly not in the open superlevel set {u > c}."""
-    p = np.asarray(p, dtype=float)
-    if not fld.domain.contains(p):
-        return True
-    return float(fld.value(p, check=False)) <= c
+def _excluded(fld, c, pts):
+    """Per point of ``(n, 2)`` pts: True when it is certainly not in the open
+    superlevel set {u > c} (outside the domain, or u <= c there)."""
+    pts = np.asarray(pts, dtype=float)
+    out = ~np.asarray(fld.domain.contains(pts), dtype=bool)
+    inside = ~out
+    if inside.any():
+        out[inside] = np.asarray(fld.value(pts[inside], check=False)) <= c
+    return out
 
 
 def _nudge_inward(fld, c, p, scales):
@@ -284,11 +308,9 @@ def _nudge_inward(fld, c, p, scales):
     if n == 0.0:
         return None
     g = g / n
-    for s in scales:
-        q = p + s * g
-        if not _excluded(fld, c, q):
-            return q
-    return None
+    qs = p + np.asarray(scales)[:, None] * g
+    ok = np.flatnonzero(~_excluded(fld, c, qs))
+    return qs[ok[0]] if len(ok) else None
 
 
 def _verified_witness(fld, c, deepest, hull, scale):
@@ -296,7 +318,9 @@ def _verified_witness(fld, c, deepest, hull, scale):
     midpoint is excluded.
 
     Hull vertices sit on the level itself, so the chord endpoints are first
-    nudged into the region along the gradient.
+    nudged into the region along the gradient.  Each chord, and the
+    midpoints of the pairs around each excluded chord point, are probed in
+    one call; pairs are tried by increasing distance from that point.
     """
     k = _nearest_hull_edge(deepest, hull)
     a, b = hull[k], hull[(k + 1) % len(hull)]
@@ -308,28 +332,32 @@ def _verified_witness(fld, c, deepest, hull, scale):
     for a2 in reversed(ends_a):
         for b2 in reversed(ends_b):
             chord = a2[None, :] + ts[:, None] * (b2 - a2)[None, :]
-            bad = [i for i in range(n_scan) if _excluded(fld, c, chord[i])]
-            for i in bad:
-                for r in range(1, min(i, n_scan - 1 - i) + 1):
-                    p, q = chord[i - r], chord[i + r]
-                    if not _excluded(fld, c, p) and not _excluded(fld, c, q):
-                        mid = 0.5 * (p + q)
-                        if _excluded(fld, c, mid):
-                            return (tuple(p), tuple(q), tuple(mid))
+            excl = _excluded(fld, c, chord)
+            for i in np.flatnonzero(excl):
+                r = np.arange(1, min(i, n_scan - 1 - i) + 1)
+                r = r[~excl[i - r] & ~excl[i + r]]
+                if not len(r):
+                    continue
+                mids = 0.5 * (chord[i - r] + chord[i + r])
+                hit = np.flatnonzero(_excluded(fld, c, mids))
+                if len(hit):
+                    m = hit[0]
+                    return (tuple(chord[i - r[m]]), tuple(chord[i + r[m]]), tuple(mids[m]))
     return None
 
 
 def midpoint_witness_search(fld, c, candidate_pairs):
     """First pair (p, q) with u > c at both and u((p+q)/2) <= c, else None."""
-    for p, q in candidate_pairs:
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        if _excluded(fld, c, p) or _excluded(fld, c, q):
-            continue
-        mid = 0.5 * (p + q)
-        if _excluded(fld, c, mid):
-            return (tuple(p), tuple(q), tuple(mid))
-    return None
+    pairs = np.asarray(candidate_pairs, dtype=float).reshape(-1, 2, 2)
+    ends_out = _excluded(fld, c, pairs.reshape(-1, 2)).reshape(-1, 2)
+    ok = np.flatnonzero(~ends_out.any(axis=1))
+    p, q = pairs[ok, 0], pairs[ok, 1]
+    mids = 0.5 * (p + q)
+    hit = np.flatnonzero(_excluded(fld, c, mids))
+    if not len(hit):
+        return None
+    m = hit[0]
+    return (tuple(p[m]), tuple(q[m]), tuple(mids[m]))
 
 
 def window_closure_points(curves, window, fld, c, n=33):
@@ -340,16 +368,12 @@ def window_closure_points(curves, window, fld, c, n=33):
     of :func:`convexity_test` for unbounded regions.
     """
     (x0, y0), (x1, y1) = window.lower, window.upper
-    edges = [np.column_stack([np.linspace(x0, x1, n), np.full(n, y0)]),
-             np.column_stack([np.linspace(x0, x1, n), np.full(n, y1)]),
-             np.column_stack([np.full(n, x0), np.linspace(y0, y1, n)]),
-             np.column_stack([np.full(n, x1), np.linspace(y0, y1, n)])]
-    keep = []
-    for edge in edges:
-        for p in edge:
-            if not _excluded(fld, c, p):
-                keep.append(p)
-    return np.asarray(keep) if keep else None
+    edges = np.vstack([np.column_stack([np.linspace(x0, x1, n), np.full(n, y0)]),
+                       np.column_stack([np.linspace(x0, x1, n), np.full(n, y1)]),
+                       np.column_stack([np.full(n, x0), np.linspace(y0, y1, n)]),
+                       np.column_stack([np.full(n, x1), np.linspace(y0, y1, n)])])
+    keep = edges[~_excluded(fld, c, edges)]
+    return keep if len(keep) else None
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,10 @@ def _slice_of(fld, t):
     return fld.domain.slice_at(t)
 
 
+def _slice_points(t, ys):
+    return np.column_stack([np.full(len(ys), float(t)), ys])
+
+
 def slice_scan(fld, t, n_samples=512, span=None, check_rays=False):
     """Locate the maximum of the field on the slice at axial coordinate t.
 
@@ -77,7 +81,7 @@ def slice_scan(fld, t, n_samples=512, span=None, check_rays=False):
     sl = _slice_of(fld, t)
     ys = sl.sample(n_samples, span=span)
     ys = np.append(ys, 0.0) if sl.contains(0.0) else ys
-    vals = np.asarray([float(fld.value(np.array([t, y]))) for y in ys])
+    vals = np.asarray(fld.value(_slice_points(t, ys)), dtype=float)
     k = int(np.argmax(vals))
     y_best = float(ys[k])
     step = float(np.min(np.diff(np.sort(ys)))) if len(ys) > 1 else 1e-3
@@ -136,7 +140,7 @@ def ray_monotonicity(fld, t, direction, n_steps=512, length=None, eq_tol=1e-12):
             raise GeometryError("unbounded slice ray needs an explicit length")
         length = abs(ends[0])
     ys = direction * length * (np.arange(n_steps) / n_steps)   # endpoint excluded
-    vals = np.asarray([float(fld.value(np.array([t, y]))) for y in ys])
+    vals = np.asarray(fld.value(_slice_points(t, ys)), dtype=float)
     scale = float(np.abs(vals).max())
     tol = eq_tol * scale
     for k in range(len(vals) - 1):

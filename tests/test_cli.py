@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from martinlevels import cli
+from martinlevels import cli, fields
 from martinlevels._rng import XorShift64Star
 
 
@@ -115,6 +115,14 @@ class TestAudit:
         report = json.load(open(tmp_path / "report.json"))
         conv = report["verdicts"]["convexity"]
         assert conv["passed"] is False and conv["expected"] is False and conv["ok"] is True
+
+    def test_narrow_long_double_fails_the_harmonicity_check(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fields, "_longdouble_eps", lambda: 2.220446049250313e-16)
+        cfg = write_config(tmp_path, "audit.json", {"field": "strip", "checks": ["harmonicity"]})
+        assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path)]) == 1
+        verdict = json.load(open(tmp_path / "report.json"))["verdicts"]["harmonicity"]
+        assert verdict["passed"] is False
+        assert "long double eps 2.22e-16" in verdict["error"]
 
     def test_required_failure_sets_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "audit.json", {

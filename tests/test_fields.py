@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -115,6 +116,39 @@ class TestHarmonicity:
         res = flds.harmonicity_residual(Probe(), (1.0, 0.5), 1e-3)
         assert res == pytest.approx(4.0, abs=1e-6)
 
+    @pytest.mark.parametrize("name", ALL_MARTIN + ["halfplane_v"])
+    def test_matches_pointwise_reference(self, name):
+        """The stencil check and the stencil values in one call each give
+        the residual of the per-point evaluation, bit for bit."""
+        def reference(field, p, h):
+            p = np.asarray(p, dtype=float)
+            ex, ey = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+            pl, hl = p.astype(np.longdouble), np.longdouble(h)
+            exl, eyl = ex.astype(np.longdouble), ey.astype(np.longdouble)
+            total = (field.value(pl + hl * exl, check=False) + field.value(pl - hl * exl, check=False)
+                     + field.value(pl + hl * eyl, check=False) + field.value(pl - hl * eyl, check=False)
+                     - 4.0 * field.value(pl, check=False))
+            return float(total / hl ** 2)
+
+        fld = flds.field_from_name(name)
+        for p in random_interior_points(fld, 10, seed=5):
+            for h in (1e-2, 1e-3, 1e-4):
+                assert flds.harmonicity_residual(fld, p, h) == reference(fld, p, h)
+
+    def test_narrow_long_double_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(flds, "_longdouble_eps", lambda: 2.220446049250313e-16)
+        with pytest.raises(flds.FieldError, match="2.22e-16"):
+            flds.harmonicity_residual(flds.strip_martin(), (1.0, 0.0), 1e-3)
+        # a finite-difference field evaluates in float64 and is unaffected
+        fd = flds.conformal_pullback(dataclasses.replace(flds.map_strip_to_halfplane(),
+                                                         d2forward=None))
+        assert fd.derivative_kind == "finite-difference"
+        assert np.isfinite(flds.harmonicity_residual(fd, (1.0, 0.0), 1e-3))
+
+    def test_platform_long_double_is_extended(self):
+        # the precision the check relies on; 80-bit long double gives 1.08e-19
+        assert flds._longdouble_eps() <= flds.LONGDOUBLE_EPS_MAX
+
     def test_stencil_leaving_domain_raises(self):
         with pytest.raises(flds.FieldError):
             flds.harmonicity_residual(flds.strip_martin(), (1e-4, 0.0), 1e-3)
@@ -130,6 +164,31 @@ class TestHarmonicity:
 
 
 class TestBoundaryAndPositivity:
+    @pytest.mark.parametrize("name", ALL_MARTIN)
+    def test_boundary_vanishing_matches_pointwise_reference(self, name):
+        fld = flds.field_from_name(name)
+        pts = fld.domain.boundary_points(fld.default_window, 200)
+        worst, worst_p = -1.0, None
+        for q in pts:
+            v = abs(float(fld.boundary_value(q)))
+            if v > worst:
+                worst, worst_p = v, tuple(q)
+        rep = flds.boundary_vanishing(fld, n_samples=200, tol=1e-8)
+        assert (rep.max_abs, rep.worst_point, rep.n_samples) == (worst, worst_p, len(pts))
+
+    def test_boundary_vanishing_keeps_the_first_maximum(self):
+        class Ties(flds.ScalarField):
+            name = "ties"
+            domain = geo.Strip()
+            default_window = geo.WindowBox((0.0, -1.0), (3.0, 1.0))
+
+            def value(self, p, check=True):
+                return np.ones(np.shape(p)[:-1])[()]
+
+        rep = flds.boundary_vanishing(Ties(), n_samples=50)
+        first = Ties.domain.boundary_points(Ties.default_window, 50)[0]
+        assert rep.max_abs == 1.0 and rep.worst_point == tuple(first)
+
     @pytest.mark.parametrize("name", ALL_MARTIN)
     def test_boundary_vanishing(self, name):
         rep = flds.boundary_vanishing(flds.field_from_name(name), n_samples=200, tol=1e-8)
@@ -183,6 +242,16 @@ class TestCylinderMode:
         assert mode.lam == pytest.approx(j0 ** 2)
         assert mode.phi(np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
         assert mode.phi(np.array([0.3, 0.4])) > 0.0
+
+    def test_disk_mode_maps_points_of_the_cross_section(self):
+        mode = flds.disk_mode()
+        ys = np.array([[0.1, 0.0], [0.3, 0.4], [0.0, 0.9]])
+        got = mode.phi(ys)
+        assert got.shape == (3,)
+        assert list(got) == [mode.phi(y) for y in ys]
+        for bad in (np.array([0.1, 0.5, 0.9]), 0.5, np.zeros((3, 3))):
+            with pytest.raises(flds.FieldError, match="shape"):
+                mode.phi(bad)
 
     def test_axial_second_derivative_positive(self):
         fld = flds.cylinder_martin(1.0, 1.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from martinlevels import fields as flds
 from martinlevels import geometry as geo
@@ -348,3 +350,302 @@ class TestProductDirection:
         e = ls.product_direction_detect(ExpField(), self._samples())
         assert e is not None
         assert abs(e[1]) == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The per-cell, per-edge and per-point loops the array passes replaced,
+# kept here as references.
+# ---------------------------------------------------------------------------
+
+def reference_marching_squares(vals, mask, xs, ys, c):
+    above = np.where(mask, vals > c, False)
+    ok = mask
+    cell_ok = ok[:-1, :-1] & ok[1:, :-1] & ok[:-1, 1:] & ok[1:, 1:]
+    idx = (above[:-1, :-1].astype(np.int8)
+           + 2 * above[1:, :-1]
+           + 4 * above[1:, 1:]
+           + 8 * above[:-1, 1:])
+    active = cell_ok & (idx > 0) & (idx < 15)
+
+    positions = {}
+
+    def xedge(i, j):
+        key = ("x", i, j)
+        if key not in positions:
+            t = (c - vals[i, j]) / (vals[i + 1, j] - vals[i, j])
+            positions[key] = (xs[i] + t * (xs[i + 1] - xs[i]), ys[j])
+        return key
+
+    def yedge(i, j):
+        key = ("y", i, j)
+        if key not in positions:
+            t = (c - vals[i, j]) / (vals[i, j + 1] - vals[i, j])
+            positions[key] = (xs[i], ys[j] + t * (ys[j + 1] - ys[j]))
+        return key
+
+    segments = []
+    for i, j in zip(*np.nonzero(active)):
+        k = int(idx[i, j])
+        if k in (1, 14):
+            segs = [(xedge(i, j), yedge(i, j))]
+        elif k in (2, 13):
+            segs = [(xedge(i, j), yedge(i + 1, j))]
+        elif k in (3, 12):
+            segs = [(yedge(i, j), yedge(i + 1, j))]
+        elif k in (4, 11):
+            segs = [(yedge(i + 1, j), xedge(i, j + 1))]
+        elif k in (6, 9):
+            segs = [(xedge(i, j), xedge(i, j + 1))]
+        elif k in (7, 8):
+            segs = [(yedge(i, j), xedge(i, j + 1))]
+        else:
+            center_above = 0.25 * (vals[i, j] + vals[i + 1, j] + vals[i, j + 1] + vals[i + 1, j + 1]) > c
+            if (k == 5) == center_above:
+                segs = [(xedge(i, j), yedge(i + 1, j)), (xedge(i, j + 1), yedge(i, j))]
+            else:
+                segs = [(xedge(i, j), yedge(i, j)), (yedge(i + 1, j), xedge(i, j + 1))]
+        segments.extend(segs)
+    return segments, positions
+
+
+def reference_hull_boundary_deviation(points, hull):
+    pts = np.asarray(points, dtype=float)
+    m = len(hull)
+    dmin = np.full(len(pts), np.inf)
+    for k in range(m):
+        a = hull[k]
+        b = hull[(k + 1) % m]
+        ab = b - a
+        L2 = float(ab @ ab)
+        if L2 == 0.0:
+            d = np.linalg.norm(pts - a, axis=1)
+        else:
+            t = np.clip((pts - a) @ ab / L2, 0.0, 1.0)
+            d = np.linalg.norm(pts - (a + t[:, None] * ab), axis=1)
+        dmin = np.minimum(dmin, d)
+    return dmin
+
+
+def reference_nearest_hull_edge(p, hull):
+    best, best_k = math.inf, 0
+    m = len(hull)
+    for k in range(m):
+        a, b = hull[k], hull[(k + 1) % m]
+        ab = b - a
+        L2 = float(ab @ ab)
+        t = 0.0 if L2 == 0.0 else float(np.clip((p - a) @ ab / L2, 0.0, 1.0))
+        d = float(np.linalg.norm(p - (a + t * ab)))
+        if d < best:
+            best, best_k = d, k
+    return best_k
+
+
+def reference_excluded(fld, c, p):
+    p = np.asarray(p, dtype=float)
+    if not fld.domain.contains(p):
+        return True
+    return float(fld.value(p, check=False)) <= c
+
+
+def reference_nudge_inward(fld, c, p, scales):
+    p = np.asarray(p, dtype=float)
+    try:
+        g = np.asarray(fld.gradient(p), dtype=float)
+    except Exception:
+        return None
+    n = np.linalg.norm(g)
+    if n == 0.0:
+        return None
+    g = g / n
+    for s in scales:
+        q = p + s * g
+        if not reference_excluded(fld, c, q):
+            return q
+    return None
+
+
+def reference_verified_witness(fld, c, deepest, hull, scale):
+    k = reference_nearest_hull_edge(deepest, hull)
+    a, b = hull[k], hull[(k + 1) % len(hull)]
+    scales = [0.25 * scale, scale, 4.0 * scale]
+    ends_a = [a] + [p for p in [reference_nudge_inward(fld, c, a, scales)] if p is not None]
+    ends_b = [b] + [p for p in [reference_nudge_inward(fld, c, b, scales)] if p is not None]
+    n_scan = 129
+    ts = np.linspace(0.0, 1.0, n_scan)
+    for a2 in reversed(ends_a):
+        for b2 in reversed(ends_b):
+            chord = a2[None, :] + ts[:, None] * (b2 - a2)[None, :]
+            bad = [i for i in range(n_scan) if reference_excluded(fld, c, chord[i])]
+            for i in bad:
+                for r in range(1, min(i, n_scan - 1 - i) + 1):
+                    p, q = chord[i - r], chord[i + r]
+                    if not reference_excluded(fld, c, p) and not reference_excluded(fld, c, q):
+                        mid = 0.5 * (p + q)
+                        if reference_excluded(fld, c, mid):
+                            return (tuple(p), tuple(q), tuple(mid))
+    return None
+
+
+def reference_window_closure_points(window, fld, c, n=33):
+    (x0, y0), (x1, y1) = window.lower, window.upper
+    edges = [np.column_stack([np.linspace(x0, x1, n), np.full(n, y0)]),
+             np.column_stack([np.linspace(x0, x1, n), np.full(n, y1)]),
+             np.column_stack([np.full(n, x0), np.linspace(y0, y1, n)]),
+             np.column_stack([np.full(n, x1), np.linspace(y0, y1, n)])]
+    keep = [p for edge in edges for p in edge if not reference_excluded(fld, c, p)]
+    return np.asarray(keep) if keep else None
+
+
+@st.composite
+def masked_lattices(draw):
+    """Small lattices of small integer values (so that saddles of both kinds
+    and exact ties with the level are common) with NaN-masked nodes."""
+    nx = draw(st.integers(2, 7))
+    ny = draw(st.integers(2, 7))
+    vals = np.array(draw(st.lists(st.integers(-2, 2), min_size=nx * ny, max_size=nx * ny)),
+                    dtype=float).reshape(nx, ny)
+    mask = np.array(draw(st.lists(st.sampled_from([True, True, True, False]),
+                                  min_size=nx * ny, max_size=nx * ny))).reshape(nx, ny)
+    vals[~mask] = np.nan
+    c = draw(st.sampled_from([0.0, 0.5, -0.5, 1.25]))
+    xs = np.linspace(0.0, 1.0, nx) ** 1.3
+    ys = -1.0 + np.cumsum(np.linspace(0.5, 1.5, ny))
+    return vals, mask, xs, ys, c
+
+
+def _saddles(center):
+    """2x2 lattices in saddle cases 5 and 10 with the given center value sign."""
+    hi, lo = (2.0, -1.0) if center > 0 else (1.0, -2.0)
+    case5 = np.array([[hi, lo], [lo, hi]])
+    return [(case5, np.ones((2, 2), bool), np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.0),
+            (case5[::-1].copy(), np.ones((2, 2), bool), np.array([0.0, 1.0]),
+             np.array([0.0, 1.0]), 0.0)]
+
+
+class TestArrayPassesMatchReferences:
+    @settings(max_examples=300, deadline=None)
+    @given(masked_lattices())
+    @example(_saddles(+1)[0]).via("saddle 5, center above")
+    @example(_saddles(+1)[1]).via("saddle 10, center above")
+    @example(_saddles(-1)[0]).via("saddle 5, center below")
+    @example(_saddles(-1)[1]).via("saddle 10, center below")
+    def test_marching_squares(self, lattice):
+        vals, mask, xs, ys, c = lattice
+        ref_segments, ref_positions = reference_marching_squares(vals, mask, xs, ys, c)
+        segments, positions = ls._marching_squares(vals, mask, xs, ys, c)
+        assert len(segments) == len(ref_segments)
+        node_of = {}
+        for (a, b), (ra, rb) in zip(segments, ref_segments):
+            for node, key in ((a, ra), (b, rb)):
+                assert node_of.setdefault(key, node) == node
+                assert tuple(positions[node]) == ref_positions[key]
+        assert len(set(node_of.values())) == len(node_of) == len(positions)
+        relabeled = [(node_of[a], node_of[b]) for a, b in ref_segments]
+        assert ls._stitch(relabeled) == ls._stitch(segments)
+
+    def test_saddle_examples_cover_both_splits(self):
+        cuts = set()
+        for center in (+1, -1):
+            for vals, mask, xs, ys, c in _saddles(center):
+                segments, _ = ls._marching_squares(vals, mask, xs, ys, c)
+                assert len(segments) == 2
+                cuts.add(tuple(sorted(map(tuple, map(sorted, segments)))))
+        assert len(cuts) == 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hull_boundary_deviation(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 400))
+        pts = rng.normal(size=(n, 2)) * rng.uniform(0.1, 10.0, size=2)
+        pts = np.vstack([pts, pts[: n // 4]])             # duplicate points
+        hull = geo.convex_hull_2d(pts)
+        on_hull = (pts[:, None, :] == hull[None, :, :]).all(axis=2).any(axis=1)
+        for h in (hull, np.insert(hull, 2, hull[2], axis=0)):   # with a zero-length edge
+            dev = ls.hull_boundary_deviation(pts, h)
+            ref = reference_hull_boundary_deviation(pts, h)
+            assert np.all(dev[on_hull] == 0.0)
+            assert np.all(ref[on_hull] == 0.0)
+            # the reference projects through BLAS gemv, which may fuse the
+            # multiply-add: the two agree to an ulp of the coordinates
+            assert np.max(np.abs(dev - ref)) <= 1e-15 * max(1.0, np.abs(pts).max())
+            for p in pts[:: max(1, n // 20)]:
+                assert ls._nearest_hull_edge(p, h) == reference_nearest_hull_edge(p, h)
+
+    def test_hull_deviation_blocks(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(-1.0, 1.0, size=(500, 2))
+        hull = geo.convex_hull_2d(pts)
+        whole = ls.hull_boundary_deviation(pts, hull)
+        monkeypatch.setattr(ls, "_BLOCK", 1)
+        assert np.array_equal(ls.hull_boundary_deviation(pts, hull), whole)
+
+    @pytest.mark.parametrize("c", [1.5, 3.0])
+    def test_verified_witness_on_exterior(self, c):
+        e = flds.exterior_martin()
+        w, h = e.default_window, 0.02
+        curves = ls.extract_level_curve(e, c, w, h)
+        closure = ls.window_closure_points(curves, w, e, c)
+        ref_closure = reference_window_closure_points(w, e, c)
+        assert np.array_equal(closure, ref_closure)
+        pts = np.vstack([cv.vertices for cv in curves])
+        hull = geo.convex_hull_2d(np.vstack([pts, closure]))
+        dev = ls.hull_boundary_deviation(pts, hull)
+        deepest = pts[int(np.argmax(dev))]
+        assert dev.max() > 2 * 2 * h
+        got = ls._verified_witness(e, c, deepest, hull, scale=2 * h)
+        assert got is not None
+        assert got == reference_verified_witness(e, c, deepest, hull, scale=2 * h)
+
+
+class CountingField(flds.ScalarField):
+    """Wraps a field and counts its value calls."""
+
+    def __init__(self, base):
+        self.base = base
+        self.domain = base.domain
+        self.name = base.name
+        self.default_window = base.default_window
+        self.calls = 0
+
+    def value(self, p, check=True):
+        self.calls += 1
+        return self.base.value(p, check=check)
+
+
+class TestLatticeMemo:
+    def test_levels_share_one_evaluation(self):
+        fld = CountingField(flds.strip_martin())
+        w = geo.WindowBox((0.0, -np.pi / 2), (4.0, np.pi / 2))
+        fresh = [ls.extract_level_curve(flds.strip_martin(), c, w, 0.02)
+                 for c in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)]
+        got = [ls.extract_level_curve(fld, c, w, 0.02) for c in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)]
+        assert fld.calls == 1
+        for a, b in zip(got, fresh):
+            assert [cv.vertices.tolist() for cv in a] == [cv.vertices.tolist() for cv in b]
+
+    def test_a_new_field_window_or_h_evaluates_again(self):
+        fld = CountingField(flds.strip_martin())
+        w = geo.WindowBox((0.0, -np.pi / 2), (3.0, np.pi / 2))
+        ls.extract_level_curve(fld, 1.0, w, 0.02)
+        ls.extract_level_curve(fld, 1.0, geo.WindowBox((0.0, -np.pi / 2), (3.0, np.pi / 2)), 0.02)
+        assert fld.calls == 1                        # equal windows share the lattice
+        ls.extract_level_curve(fld, 1.0, w, 0.05)
+        ls.extract_level_curve(fld, 1.0, geo.WindowBox((0.0, -1.0), (3.0, 1.0)), 0.05)
+        assert fld.calls == 3
+
+    def test_two_fields_on_one_window_get_their_own_curves(self):
+        w = geo.WindowBox((0.0, -3.0), (6.0, 3.0))
+        s, e = flds.strip_martin(), flds.exterior_martin()
+        for _ in range(2):
+            strip_pts = np.vstack([cv.vertices for cv in ls.extract_level_curve(s, 1.0, w, 0.05)])
+            ext_pts = np.vstack([cv.vertices for cv in ls.extract_level_curve(e, 1.0, w, 0.05)])
+            assert np.allclose(np.sinh(strip_pts[:, 0]) * np.cos(strip_pts[:, 1]), 1.0, atol=0.02)
+            assert np.allclose(e.value(ext_pts, check=False), 1.0, atol=0.02)
+
+    def test_memo_arrays_are_read_only(self):
+        s = flds.strip_martin()
+        xs, ys, vals, mask = ls._lattice(s, s.default_window, 0.05)
+        for a in (xs, ys, vals, mask):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[0]

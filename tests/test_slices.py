@@ -40,6 +40,46 @@ class TestSliceScan:
             sa.slice_scan(flds.exterior_martin(), 2.0)
 
 
+class TestSlicesMatchPointwiseReference:
+    """Slice samples are evaluated in one call; the reports equal those of
+    the per-point loop they replaced."""
+
+    @pytest.mark.parametrize("fld, t, span", [(flds.strip_martin(), 1.0, None),
+                                              (flds.strip_martin(), 5.0, None),
+                                              (flds.exterior_martin(), 2.0, 2.0),
+                                              (flds.cylinder_martin(1.0, 1.0), 0.5, None)])
+    def test_slice_scan(self, fld, t, span):
+        sl = fld.domain.slice_at(t)
+        ys = sl.sample(512, span=span)
+        ys = np.append(ys, 0.0) if sl.contains(0.0) else ys
+        vals = np.asarray([float(fld.value(np.array([t, y]))) for y in ys])
+        k = int(np.argmax(vals))
+        step = float(np.min(np.diff(np.sort(ys))))
+        lo = max(float(ys[k]) - step, float(ys.min()))
+        hi = min(float(ys[k]) + step, float(ys.max()))
+        y_star = sa._golden_max(lambda y: float(fld.value(np.array([t, y]))), lo, hi, tol=1e-8)
+        u_star = float(fld.value(np.array([t, y_star])))
+        if u_star < vals[k]:
+            y_star, u_star = float(ys[k]), float(vals[k])
+        rep = sa.slice_scan(fld, t, span=span)
+        assert (rep.argmax, rep.max_value) == ((t, y_star), u_star)
+
+    @pytest.mark.parametrize("fld, t, length", [(flds.strip_martin(), 1.0, None),
+                                                (flds.exterior_martin(), 2.0, 2.0)])
+    def test_ray_monotonicity(self, fld, t, length):
+        for direction in (+1.0, -1.0):
+            rep = sa.ray_monotonicity(fld, t, direction, length=length)
+            n = length or math.pi / 2
+            ys = direction * n * (np.arange(512) / 512)
+            vals = [float(fld.value(np.array([t, y]))) for y in ys]
+            tol = 1e-12 * max(abs(v) for v in vals)
+            bad = [k for k in range(511) if not vals[k + 1] < vals[k] - tol]
+            assert rep.decreasing == (not bad)
+            if bad:
+                k = bad[0]
+                assert rep.first_violation == (float(ys[k + 1]), vals[k], vals[k + 1])
+
+
 class TestRayMonotonicity:
     def test_strip_strictly_decreasing(self):
         for direction in (+1, -1):
