@@ -332,6 +332,8 @@ def _green_ring_mode(cfg, domain, raw, args):
         "h": h,
         "levels": levels,
         "interior_nodes": grid.interior_count(),
+        "cg_iterations": sol.stats.iterations,
+        "cg_residual": sol.stats.residual,
         "value_range": [float(sol.values[interior].min()), float(sol.values[interior].max())],
         "max_principle": bool(sol.values[interior].min() >= 0.0
                               and sol.values[interior].max() <= 1.0),
@@ -391,7 +393,9 @@ def cmd_green(args):
         "probe_values": [float(v) for v in probe_vals_final],
         "iterates": [{"pole": it.pole,
                       "window": [list(it.grid.window.lower), list(it.grid.window.upper)],
-                      "interior_nodes": it.grid.interior_count()}
+                      "interior_nodes": it.grid.interior_count(),
+                      "cg_iterations": it.ratio.stats.iterations,
+                      "cg_residual": it.ratio.stats.residual}
                      for it in result.iterates],
     }
     oracle = _RATIO_ORACLES.get(domain.kind)

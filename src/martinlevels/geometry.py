@@ -187,7 +187,8 @@ def convex_hull_2d(points):
     pts = np.unique(np.asarray(points, dtype=float), axis=0)
     if len(pts) <= 2:
         return pts
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    # Python floats: the same IEEE double arithmetic as numpy scalars, faster
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])

@@ -25,6 +25,14 @@ class SolverError(RuntimeError):
     pass
 
 
+@dataclass(frozen=True)
+class SolveStats:
+    """Conjugate-gradient iterations and final relative residual of a solve."""
+
+    iterations: int
+    residual: float
+
+
 @dataclass
 class Grid2D:
     """Uniform grid on a window with a per-node domain mask.
@@ -147,16 +155,20 @@ def _connected(interior):
 
 
 class GridField(ScalarField):
-    """Node values on a grid; bilinear interpolation between nodes."""
+    """Node values on a grid; bilinear interpolation between nodes.
+
+    ``stats`` describes the solve that produced the values, if any.
+    """
 
     derivative_kind = "finite-difference"
 
-    def __init__(self, grid: Grid2D, values, name="grid"):
+    def __init__(self, grid: Grid2D, values, name="grid", stats=None):
         self.grid = grid
         self.domain = grid.domain
         self.values = np.asarray(values, dtype=float)
         self.name = name
         self.default_window = grid.window
+        self.stats = stats
 
     def value(self, p, check=True):
         """Bilinear interpolation at points of shape ``(..., 2)``."""
@@ -233,21 +245,37 @@ def _fast_poisson(shape, hx, hy):
 
     Returns a function that maps a right-hand side on the window's nodes to
     the solution on ``[1:-1, 1:-1]`` with zero data on the window edge (the
-    edge entries of the result are 0).  A DST-I along each axis
-    diagonalizes the operator, with eigenvalues (2 - 2 cos(pi k / (n + 1))) / h^2
-    per axis.
+    edge entries of the result are 0).  This is Hockney's FACR(0): a DST-I
+    along axis 1 splits the operator into one tridiagonal system per sine
+    mode k, tridiag(-1, 2 + lam_k hx^2, -1) / hx^2 along axis 0 with
+    lam_k = (2 - 2 cos(pi k / (ny + 1))) / hy^2; a Thomas sweep solves them
+    all at once and the inverse DST maps back.  The systems are diagonally
+    dominant, so the sweep needs no pivoting, and its pivots depend only on
+    the shape and the spacings, so they are computed once here.
     """
     nx, ny = shape[0] - 2, shape[1] - 2
-    lam_x = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, nx + 1) / (nx + 1))) / hx ** 2
     lam_y = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, ny + 1) / (ny + 1))) / hy ** 2
-    # the two inverse transforms contribute 1 / (2 (nx + 1) * 2 (ny + 1))
-    scale = 1.0 / (4.0 * (nx + 1) * (ny + 1) * (lam_x[:, None] + lam_y[None, :]))
+    diag = 2.0 + lam_y * hx ** 2
+    # inverse pivots of the forward elimination, one per axis-0 node
+    inv_pivots = [1.0 / diag]
+    for _ in range(nx - 1):
+        inv_pivots.append(1.0 / (diag - inv_pivots[-1]))
+    # hx^2 from the scaled systems, 1 / (2 (ny + 1)) from the inverse transform
+    scale = hx ** 2 / (2.0 * (ny + 1))
 
     def solve(r):
-        t = _dst1(_dst1(r[1:-1, 1:-1], 0), 1)
+        # C order, so that the modes of one axis-0 node are one contiguous row
+        t = np.ascontiguousarray(_dst1(r[1:-1, 1:-1], 1))
         t *= scale
+        rows = list(t)                  # views: the sweep updates t in place
+        rows[0] *= inv_pivots[0]
+        for prev, row, w in zip(rows, rows[1:], inv_pivots[1:]):
+            row += prev
+            row *= w
+        for nxt, row, w in zip(rows[:0:-1], rows[-2::-1], inv_pivots[-2::-1]):
+            row += w * nxt
         z = np.zeros(shape)
-        z[1:-1, 1:-1] = _dst1(_dst1(t, 0), 1)
+        z[1:-1, 1:-1] = _dst1(t, 1)
         return z
 
     return solve
@@ -256,13 +284,15 @@ def _fast_poisson(shape, hx, hy):
 def solve_dirichlet(grid, boundary_values=None, source=None, tol=1e-10, maxiter=10 ** 6):
     """Solve the 5-point Laplace problem -lap u = source with Dirichlet data.
 
-    DST-I fast-Poisson preconditioned conjugate gradients on the interior
+    Fast-Poisson preconditioned conjugate gradients on the interior
     unknowns: the preconditioner is the exact inverse of the operator on the
-    window's inner rectangle, restricted to the interior, so a domain that
-    fills that rectangle converges in one iteration.  Stops at relative
-    residual <= tol or raises :class:`SolverError` with the residual at the
-    iteration cap.  With zero source the discrete maximum principle bounds
-    interior values by the boundary data.
+    window's inner rectangle (a DST along axis 1 and a tridiagonal sweep
+    along axis 0), restricted to the interior, so a domain that fills that
+    rectangle converges in one iteration.  Stops at relative residual <= tol
+    or raises :class:`SolverError` naming the iteration cap and the residual.
+    The returned field's ``stats`` hold the iteration count and the final
+    relative residual.  With zero source the discrete maximum principle
+    bounds interior values by the boundary data.
     """
     interior = grid.mask == INTERIOR
     boundary = grid.mask == BOUNDARY
@@ -282,42 +312,47 @@ def solve_dirichlet(grid, boundary_values=None, source=None, tol=1e-10, maxiter=
                         + (bdata[1:-1, 2:] + bdata[1:-1, :-2]) / hy ** 2)
     rhs[~interior] = 0.0
 
-    u = _cg(rhs, interior, hx, hy, tol=tol, maxiter=maxiter)
+    u, stats = _cg(rhs, interior, hx, hy, tol=tol, maxiter=maxiter)
     u[boundary] = bdata[boundary]
-    return GridField(grid, u)
+    return GridField(grid, u, stats=stats)
 
 
 def _cg(b, interior, hx, hy, tol, maxiter):
     """Preconditioned conjugate gradients for -lap u = b on the interior.
 
     ``b`` is zero off the interior and becomes the residual in place.
+    Returns the solution and its :class:`SolveStats`.  The residual is tested
+    right after each update, so a converged solve makes no preconditioner
+    call whose result would go unused.
     """
     u = np.zeros_like(b)
     r = b
     b_norm = float(np.sqrt(np.vdot(r, r)))
     if b_norm == 0.0:
-        return u
+        return u, SolveStats(iterations=0, residual=0.0)
     exterior = ~interior
     precondition = _fast_poisson(b.shape, hx, hy)
     z = precondition(r)
     z[exterior] = 0.0
     p = z
     rz = float(np.vdot(r, z))
-    for _ in range(maxiter):
-        if float(np.sqrt(np.vdot(r, r))) <= tol * b_norm:
-            return u
+    r_norm = b_norm
+    for it in range(1, maxiter + 1):
         ap = _apply_neg_laplacian(p, interior, hx, hy)
         alpha = rz / float(np.vdot(p, ap))
         u += alpha * p
         r -= alpha * ap
+        r_norm = float(np.sqrt(np.vdot(r, r)))
+        if r_norm <= tol * b_norm:
+            return u, SolveStats(iterations=it, residual=r_norm / b_norm)
         z = precondition(r)
         z[exterior] = 0.0
         rz_new = float(np.vdot(r, z))
         p *= rz_new / rz
         p += z
         rz = rz_new
-    res = float(np.sqrt(np.vdot(r, r))) / b_norm
-    raise SolverError(f"conjugate gradients hit the iteration cap; relative residual {res:.3e}")
+    raise SolverError(f"conjugate gradients hit the iteration cap of {maxiter} iterations; "
+                      f"relative residual {r_norm / b_norm:.3e}")
 
 
 def green_function(grid, pole, tol=1e-12):
@@ -413,7 +448,7 @@ def martin_ratio(domain, cfg: MartinApproxConfig, h):
         g0 = G.value(np.asarray(cfg.x0, dtype=float))
         if g0 <= 0.0:
             raise SolverError(f"nonpositive Green value at the reference point for pole {s}")
-        ratio = GridField(grid, G.values / g0, name=f"ratio[{s}]")
+        ratio = GridField(grid, G.values / g0, name=f"ratio[{s}]", stats=G.stats)
         iterates.append(MartinIterate(index=n, pole=s, ratio=ratio, grid=grid))
         samples.append(ratio.value(probes))
     cauchy = [float(np.max(np.abs(b - a))) for a, b in zip(samples, samples[1:])]

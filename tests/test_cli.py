@@ -185,17 +185,39 @@ class TestGreen:
         assert len(payload["probe_values"]) == nx * ny
         assert "row-major" in payload["probe_order"]
 
+    def test_strip_reports_solver_stats_deterministically(self, tmp_path):
+        # the strip fills its window's inner rectangle: one iteration per pole
+        argv = ["green", "--domain", "strip", "--x0", "0.5,0", "--poles", "2,3",
+                "--h", "0.0628", "--probe", "0.4,1.5,-1,1"]
+        reports = []
+        for sub in ("a", "b"):
+            assert cli.main(argv + ["--out", str(tmp_path / sub)]) == 0
+            reports.append((tmp_path / sub / "ratio.json").read_bytes())
+        assert reports[0] == reports[1]
+        iterates = json.loads(reports[0])["iterates"]
+        assert [it["cg_iterations"] for it in iterates] == [1, 1]
+        assert all(0.0 < it["cg_residual"] <= 1e-12 for it in iterates)
+        timings = json.load(open(tmp_path / "a" / "ratio.timings.json"))
+        assert "cg_iterations" not in timings
+
     def test_ring_mode(self, tmp_path):
         cfg = write_config(tmp_path, "ring.json", {
             "domain": {"kind": "convex_ring",
                        "A": {"vertices": [[-2, -2], [2, -2], [2, 2], [-2, 2]]},
                        "B": {"vertices": [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]}},
             "h": 0.1, "levels": [0.25, 0.5, 0.75]})
-        assert cli.main(["green", "--config", cfg, "--out", str(tmp_path)]) == 0
-        payload = json.load(open(tmp_path / "ring.json"))
+        reports = []
+        for sub in ("a", "b"):
+            assert cli.main(["green", "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+            reports.append((tmp_path / sub / "ring.json").read_bytes())
+        assert reports[0] == reports[1]
+        payload = json.loads(reports[0])
         assert payload["mode"] == "ring"
         assert payload["max_principle"] is True
         assert all(v["verdict"] == "convex" for v in payload["convexity"].values())
+        # the inner body leaves the rectangle preconditioner inexact
+        assert payload["cg_iterations"] > 1
+        assert 0.0 < payload["cg_residual"] <= 1e-10
 
     def test_profile_domain_config(self, tmp_path):
         cfg = write_config(tmp_path, "profile.json", {
@@ -225,6 +247,16 @@ class TestGreen:
                                       "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "ratio.json").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only extra: the runtime, the solver included, is numpy only
+    code = ("import sys, martinlevels.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 class TestSliceScanAndAsymptotics:

@@ -240,6 +240,54 @@ class TestRescaledDomain:
             geo.rescaled_domain(sqrt_profile, 0.0)
 
 
+def _hull_over_rows(points):
+    """Reference: the monotone chain over numpy rows and numpy scalars."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if len(pts) <= 2:
+        return pts
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def build(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    lower = build(pts)
+    upper = build(pts[::-1])
+    return np.array(lower[:-1] + upper[:-1])
+
+
+class TestConvexHull:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_row_reference(self, seed):
+        # duplicates and collinear runs exercise the `<= 0` pops; the float
+        # chain must give the same vertices bit for bit
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-3, 4)
+        cloud = rng.normal(size=(400, 2)) * scale
+        t = rng.uniform(-1.0, 1.0, size=(60, 1))
+        line = np.array([0.3, -0.7]) * scale + t * np.array([1.0, 2.0]) * scale
+        grid = rng.integers(-4, 5, size=(80, 2)) * 0.25 * scale
+        pts = np.vstack([cloud, cloud[:50], line, grid, grid[:20]])
+        pts = pts[rng.permutation(len(pts))]
+        got = geo.convex_hull_2d(pts)
+        want = _hull_over_rows(pts)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("pts", [[[1.0, 2.0]], [[1.0, 2.0], [1.0, 2.0]],
+                                     [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],
+                                     [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.0]]])
+    def test_degenerate_inputs_match(self, pts):
+        assert np.array_equal(geo.convex_hull_2d(pts), _hull_over_rows(pts))
+
+
 class TestHausdorff:
     def test_identical_clouds(self):
         pts = np.random.default_rng(0).normal(size=(40, 2))

@@ -164,22 +164,44 @@ class TestSolveDirichlet:
         # on the ring, where 3 iterations leave a relative residual ~9e-2
         grid, _ = ring_solution
         src = np.ones(grid.shape)
-        with pytest.raises(gr.SolverError, match="iteration cap"):
+        with pytest.raises(gr.SolverError, match="iteration cap of 3 iterations"):
             gr.solve_dirichlet(grid, source=src, tol=1e-13, maxiter=3)
 
     def test_rectangle_solve_needs_one_iteration(self, strip_grid, monkeypatch):
         # the strip interior fills the window's inner rectangle, where the
-        # fast-Poisson preconditioner is the exact inverse
-        calls = []
+        # fast-Poisson preconditioner is the exact inverse; a converged solve
+        # makes no preconditioner call after its last update
+        matvecs, preconditions = [], []
         apply = gr._apply_neg_laplacian
+        fast_poisson = gr._fast_poisson
 
-        def counted(*args):
-            calls.append(1)
+        def counted_apply(*args):
+            matvecs.append(1)
             return apply(*args)
 
-        monkeypatch.setattr(gr, "_apply_neg_laplacian", counted)
-        gr.green_function(strip_grid, (2.0, 0.0))
-        assert 1 <= len(calls) <= 2
+        def counted_fast_poisson(*args):
+            solve = fast_poisson(*args)
+
+            def counted_solve(r):
+                preconditions.append(1)
+                return solve(r)
+
+            return counted_solve
+
+        monkeypatch.setattr(gr, "_apply_neg_laplacian", counted_apply)
+        monkeypatch.setattr(gr, "_fast_poisson", counted_fast_poisson)
+        G = gr.green_function(strip_grid, (2.0, 0.0))
+        assert len(matvecs) == 1
+        assert len(preconditions) == 1
+        assert G.stats.iterations == 1
+        assert G.stats.residual <= 1e-12
+
+    def test_stats_report_the_solve(self, strip_grid, ring_solution):
+        _, ring = ring_solution
+        assert ring.stats.iterations > 1
+        assert 0.0 < ring.stats.residual <= 1e-10
+        zero = gr.solve_dirichlet(strip_grid, boundary_values=None)
+        assert zero.stats == gr.SolveStats(iterations=0, residual=0.0)
 
 
 class TestFastPoisson:
@@ -193,7 +215,10 @@ class TestFastPoisson:
         want = scipy_fft.dst(x, type=1, axis=axis)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("shape, hx, hy", [((40, 23), 0.1, 0.07), ((17, 130), 1 / 32, 1 / 16)])
+    @pytest.mark.parametrize("shape, hx, hy", [
+        ((40, 23), 0.1, 0.07), ((17, 130), 1 / 32, 1 / 16), ((130, 17), 1 / 32, 1 / 16),
+        # strip grids whose axis-0 interval counts 509 and 1019 are prime
+        ((510, 201), 8 / 509, np.pi / 200), ((1020, 201), 16 / 1019, np.pi / 200)])
     def test_rectangle_inverse(self, shape, hx, hy):
         interior = np.zeros(shape, dtype=bool)
         interior[1:-1, 1:-1] = True
