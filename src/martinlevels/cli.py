@@ -19,6 +19,7 @@ import sys
 import time
 import zlib
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -113,6 +114,19 @@ def _write_report(out_dir, name, report: RunReport, timings):
 # levelsets
 # ---------------------------------------------------------------------------
 
+def _rounded_pairs(curve):
+    """Vertex (x, y) pairs rounded to 12 decimals by Python's ``round``."""
+    r = list(map(round, curve.vertices.ravel().tolist(), repeat(12)))
+    return list(zip(r[0::2], r[1::2]))
+
+
+def _csv_rows(k, curve):
+    """``(curve, level, x, y)`` per vertex of curve number k; the csv module
+    writes floats by their repr."""
+    xs, ys = curve.vertices.T.tolist()
+    return zip(repeat(k), repeat(curve.level), xs, ys)
+
+
 def cmd_levelsets(args):
     cfg = ExperimentConfig.load(args.config, out_dir=args.out, seed=args.seed)
     fld = cfg.field()
@@ -129,15 +143,12 @@ def cmd_levelsets(args):
     out = cfg.out_dir
     payload = {"field": fld.name, "h": h,
                "window": [list(window.lower), list(window.upper)],
-               "curves": [{"level": c.level, "closed": c.closed,
-                           "points": [[round(float(x), 12), round(float(y), 12)]
-                                      for x, y in c.vertices]}
+               "curves": [{"level": c.level, "closed": c.closed, "points": _rounded_pairs(c)}
                           for c in curves]}
     export.write_json(os.path.join(out, "levels.json"), payload)
     export.write_csv(os.path.join(out, "levels.csv"),
                      ["curve", "level", "x", "y"],
-                     [(k, c.level, repr(float(x)), repr(float(y)))
-                      for k, c in enumerate(curves) for x, y in c.vertices])
+                     chain.from_iterable(_csv_rows(k, c) for k, c in enumerate(curves)))
     export.write_svg_levels(os.path.join(out, "levels.svg"), curves, window,
                             title=f"level sets of {fld.name}")
     if args.verbose:

@@ -9,9 +9,12 @@ byte-level determinism checks.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import tempfile
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_str
 
 TOOL_VERSION = "martinlevels 0.1.0"
 
@@ -31,7 +34,50 @@ def _atomic_write(path, text, mode="w", newline=None):
 
 
 def canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=True) + "\n"
+    """The bytes of ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=True)``
+    plus a newline, for objects with str keys only (any other key raises
+    TypeError).  Lists of floats and lists of float pairs are written with
+    one join each."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _all_float(items):
+    return all(issubclass(k, float) for k in set(map(type, items)))
+
+
+def _float_list(items, inner):
+    """Body of a nonempty list of floats or of float pairs at the line prefix
+    ``inner``, or None for any other list."""
+    if _all_float(items):
+        text = ("," + inner).join(map(float.__repr__, items))
+    elif (all(issubclass(k, (list, tuple)) for k in set(map(type, items)))
+          and set(map(len, items)) == {2}):
+        flat = list(chain.from_iterable(items))
+        if not _all_float(flat):
+            return None
+        pair = inner + "  "
+        reprs = map(float.__repr__, flat)
+        text = ("[" + pair + (inner + "]," + inner + "[" + pair).join(
+            map(("," + pair).join, zip(reprs, reprs))) + inner + "]")
+    else:
+        return None
+    return None if "n" in text else text        # NaN and the infinities: element by element
+
+
+def _encode(obj, indent):
+    """JSON text of obj whose first line follows the line prefix ``indent``."""
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        body = _float_list(obj, inner)
+        if body is None:
+            body = ("," + inner).join([_encode(v, inner) for v in obj])
+        return "[" + inner + body + indent + "]"
+    if isinstance(obj, dict) and obj:
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError(f"JSON keys must be str, got {sorted({type(k).__name__ for k in obj})}")
+        return ("{" + inner + ("," + inner).join([_json_str(k) + ": " + _encode(obj[k], inner)
+                                                  for k in sorted(obj)]) + indent + "}")
+    return json.dumps(obj)                  # scalars and empty containers
 
 
 def write_json(path, obj):
@@ -39,20 +85,18 @@ def write_json(path, obj):
 
 
 def write_csv(path, header, rows):
-    import io
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\r\n")
     w.writerow(header)
-    for row in rows:
-        w.writerow(row)
+    w.writerows(rows)
     _atomic_write(path, buf.getvalue(), newline="")
 
 
 def _svg_path(points, sx, sy, tx, ty):
-    cmds = []
-    for k, (x, y) in enumerate(points):
-        cmds.append(f"{'M' if k == 0 else 'L'} {sx * x + tx:.3f} {ty - sy * y:.3f}")
-    return " ".join(cmds)
+    """``M x y L x y ...`` of the (n, 2) points mapped to the canvas, 3 decimals."""
+    xs = (sx * points[:, 0] + tx).tolist()
+    ys = (ty - sy * points[:, 1]).tolist()
+    return "M " + " L ".join(map("%.3f %.3f".__mod__, zip(xs, ys)))
 
 
 def write_svg_levels(path, curves, window, title="level sets", size=640):

@@ -64,10 +64,17 @@ class ScalarField:
         return self.value(p, check=False)
 
     def gradient(self, p):
+        """Gradient at points ``(..., 2)``, shape ``(..., 2)``."""
         raise NotImplementedError
 
     def hessian(self, p):
+        """Hessian at points ``(..., 2)``, shape ``(..., 2, 2)``."""
         raise NotImplementedError
+
+    def regular(self, p):
+        """Per point of ``(..., 2)`` p: True where ``gradient`` and ``hessian``
+        are defined, False where they raise."""
+        return np.asarray(self.domain.contains(np.asarray(p, dtype=float)), dtype=bool)
 
     def __call__(self, p):
         return self.value(p)
@@ -79,16 +86,20 @@ class ScalarField:
 
 
 class HolomorphicReField(ScalarField):
-    """u = Re(F) for holomorphic F with explicit first and second derivatives."""
+    """u = Re(F) for holomorphic F with explicit first and second derivatives.
 
-    def __init__(self, domain, F, dF, d2F, name, default_window=None, guard=None):
+    ``tube``, if given, maps complex points to a mask of the points too close
+    to a branch or singular point for the derivatives to be trusted.
+    """
+
+    def __init__(self, domain, F, dF, d2F, name, default_window=None, tube=None):
         self.domain = domain
         self._F = F
         self._dF = dF
         self._d2F = d2F
         self.name = name
         self.default_window = default_window
-        self._guard = guard
+        self._tube = tube
 
     def value(self, p, check=True):
         if check:
@@ -96,34 +107,45 @@ class HolomorphicReField(ScalarField):
         z = _complex_of(p)
         return np.real(self._F(z))[()]
 
-    def gradient(self, p):
+    def _guard(self, z):
+        """Raise :class:`SingularPointError` if a complex point lies in the tube."""
+        if self._tube is not None:
+            bad = np.asarray(self._tube(z))
+            if bad.any():
+                raise SingularPointError(f"z={complex(np.asarray(z)[bad].flat[0]):g} is within "
+                                         "the branch guard tube")
+
+    def regular(self, p):
+        ok = super().regular(p)
+        if self._tube is not None:
+            ok &= ~self._tube(_complex_of(np.asarray(p, dtype=float)))
+        return ok
+
+    def _derivative(self, dF, p):
         self._require_inside(p)
-        if self._guard is not None:
-            self._guard(_complex_of(np.asarray(p, dtype=float)))
-        w = self._dF(_complex_of(p))
-        return np.array([np.real(w), -np.imag(w)], dtype=float)
+        self._guard(_complex_of(np.asarray(p, dtype=float)))
+        w = dF(_complex_of(p))
+        return np.asarray(np.real(w), dtype=float), np.asarray(-np.imag(w), dtype=float)
+
+    def gradient(self, p):
+        return np.stack(self._derivative(self._dF, p), axis=-1)
 
     def hessian(self, p):
-        self._require_inside(p)
-        if self._guard is not None:
-            self._guard(_complex_of(np.asarray(p, dtype=float)))
-        w = self._d2F(_complex_of(p))
-        a, b = float(np.real(w)), float(-np.imag(w))
-        return np.array([[a, b], [b, -a]])
+        a, b = self._derivative(self._d2F, p)
+        return _symmetric(a, b, -a)
 
 
-def _slit_guard(z):
-    """Reject points whose z^4 lies within BRANCH_GUARD of the segment [0, 1]."""
+def _symmetric(a, b, c):
+    """Stack entries of shape ``(...)`` into ``[[a, b], [b, c]]`` of shape ``(..., 2, 2)``."""
+    return np.stack([np.stack([a, b], axis=-1), np.stack([b, c], axis=-1)], axis=-2)
+
+
+def _slit_tube(z):
+    """Mask of the points whose z^4 lies within BRANCH_GUARD of the segment [0, 1]."""
     w = z ** 4
-    x, y = float(np.real(w)), float(np.imag(w))
-    if x < 0.0:
-        d = math.hypot(x, y)
-    elif x > 1.0:
-        d = math.hypot(x - 1.0, y)
-    else:
-        d = abs(y)
-    if d < BRANCH_GUARD:
-        raise SingularPointError(f"z={complex(z):g} is within the branch guard tube (z^4 near [0, 1])")
+    x, y = np.real(w), np.imag(w)
+    d = np.where(x < 0.0, np.hypot(x, y), np.where(x > 1.0, np.hypot(x - 1.0, y), np.abs(y)))
+    return d < BRANCH_GUARD
 
 
 def strip_martin():
@@ -161,7 +183,7 @@ def slit_sector_martin():
 
     return HolomorphicReField(SectorMinusSlit(), F, dF, d2F, "slit_sector",
                               default_window=WindowBox((0.0, -4.0), (4.0, 4.0)),
-                              guard=_slit_guard)
+                              tube=_slit_tube)
 
 
 def halfplane_v():
@@ -187,29 +209,6 @@ def halfplane_coordinate():
 # ---------------------------------------------------------------------------
 # Cylinder modes
 # ---------------------------------------------------------------------------
-
-def bessel_j0(x, terms=40):
-    """J_0 by its power series; accurate for |x| <= ~10 at these term counts."""
-    x = np.asarray(x, dtype=float)
-    s = np.ones_like(x)
-    term = np.ones_like(x)
-    for k in range(1, terms):
-        term = term * (-(x / 2.0) ** 2) / k ** 2
-        s = s + term
-    return s[()]
-
-
-def first_j0_zero(lo=2.0, hi=3.0, iters=80):
-    """First zero of J_0 by bisection on the series evaluation."""
-    flo = bessel_j0(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if flo * bessel_j0(mid) <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, bessel_j0(mid)
-    return 0.5 * (lo + hi)
-
 
 @dataclass(frozen=True)
 class CylinderMode:
@@ -250,25 +249,6 @@ def interval_mode(A=1.0, B=0.0):
                         A=A, B=B)
 
 
-def disk_mode(A=1.0, B=0.0):
-    """d = 2 eigenpair on the unit disk: lam = j0^2, phi = J_0(j0 |Y|).
-
-    The pair carries no derivatives, so it builds no :class:`CylinderModeField`
-    (whose domain is the planar cylinder R x (-1, 1)).
-    """
-    j0 = first_j0_zero()
-    lam = j0 * j0
-
-    def phi(y):
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 0 or y.shape[-1] != 2:
-            raise FieldError(f"disk mode takes cross-section points of shape (..., 2), "
-                             f"got {y.shape}")
-        return bessel_j0(j0 * np.linalg.norm(y, axis=-1))
-
-    return CylinderMode(lam=lam, phi=phi, dphi=None, d2phi=None, A=A, B=B)
-
-
 class CylinderModeField(ScalarField):
     """(A e^{sqrt(lam) t} + B e^{-sqrt(lam) t}) phi(y) on R x (-1, 1)."""
 
@@ -291,20 +271,21 @@ class CylinderModeField(ScalarField):
         y = p[..., 1].astype(dtype)
         return (self.mode.axial(t, dtype=dtype) * self.mode.phi(y))[()]
 
-    def gradient(self, p):
+    def _split(self, p):
         self._require_inside(p)
-        t, y = float(p[0]), float(p[1])
-        return np.array([self.mode.axial_d(t) * self.mode.phi(y),
-                         self.mode.axial(t) * self.mode.dphi(y)], dtype=float)
+        p = np.asarray(p, dtype=float)
+        return p[..., 0], p[..., 1]
+
+    def gradient(self, p):
+        t, y = self._split(p)
+        m = self.mode
+        return np.stack([m.axial_d(t) * m.phi(y), m.axial(t) * m.dphi(y)], axis=-1)
 
     def hessian(self, p):
-        self._require_inside(p)
-        t, y = float(p[0]), float(p[1])
-        v = self.mode.axial(t) * self.mode.phi(y)
-        vtt = self.mode.lam * v
-        vty = self.mode.axial_d(t) * self.mode.dphi(y)
-        vyy = self.mode.axial(t) * self.mode.d2phi(y)
-        return np.array([[vtt, vty], [vty, vyy]])
+        t, y = self._split(p)
+        m = self.mode
+        v = m.axial(t) * m.phi(y)
+        return _symmetric(m.lam * v, m.axial_d(t) * m.dphi(y), m.axial(t) * m.d2phi(y))
 
 
 def cylinder_martin(A=1.0, B=0.0):
@@ -330,10 +311,16 @@ def field_from_name(name) -> ScalarField:
         return registry[base]()
     if base == "cylinder":
         kw = {"A": 1.0, "B": 0.0}
-        if params:
-            for item in params.split(","):
-                key, _, val = item.partition("=")
-                kw[key.strip()] = float(val)
+        for item in params.split(",") if params else ():
+            key, _, val = (part.strip() for part in item.partition("="))
+            if key not in kw:
+                raise FieldError(f"unknown cylinder coefficient {key!r} in {item!r}; known: A, B")
+            try:
+                kw[key] = float(val)
+            except ValueError:
+                raise FieldError(f"cannot parse cylinder coefficient {item!r}") from None
+            if not math.isfinite(kw[key]):
+                raise FieldError(f"cylinder coefficient {item!r} is not finite")
         return cylinder_martin(**kw)
     raise FieldError(f"unknown field name {name!r}")
 
@@ -526,7 +513,7 @@ def conformal_pullback(cmap: ConformalMap, domain=None, name=None) -> ScalarFiel
         kind = "finite-difference"
 
         def d2(z, _d=cmap.dforward):
-            h = 1e-6 * (1.0 + abs(complex(z)))
+            h = 1e-6 * (1.0 + np.abs(z))
             return (_d(z + h) - _d(z - h)) / (2.0 * h)
 
     fld = HolomorphicReField(domain, cmap.forward, cmap.dforward, d2,

@@ -157,13 +157,8 @@ class ConvexBody:
 
     def boundary_distance(self, w, scale=1.0):
         """Euclidean distance from a planar point ``w`` to the boundary of ``scale * D``."""
-        w = np.asarray(w, dtype=float).reshape(-1)
-        v = self.vertices * scale
-        n = len(v)
-        best = math.inf
-        for k in range(n):
-            best = min(best, _point_segment_distance(w, v[k], v[(k + 1) % n]))
-        return best
+        w = np.asarray(w, dtype=float).reshape(1, 2)
+        return float(edge_distances(w, self.vertices * scale).min())
 
     def boundary_points(self, n, scale=1.0):
         """~n points sampled uniformly by arc length along the boundary."""
@@ -184,11 +179,15 @@ class ConvexBody:
 
 def convex_hull_2d(points):
     """Convex hull of 2-d points, counter-clockwise, via monotone chain."""
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    distinct = np.ones(len(pts), dtype=bool)
+    distinct[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+    pts = pts[distinct]
     if len(pts) <= 2:
         return pts
     # Python floats: the same IEEE double arithmetic as numpy scalars, faster
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
+    pts = pts.tolist()
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -206,11 +205,17 @@ def convex_hull_2d(points):
     return np.array(lower[:-1] + upper[:-1])
 
 
-def _point_segment_distance(p, a, b):
-    ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom == 0.0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * ab)))
+def edge_distances(pts, vertices):
+    """(n, m) distances from each of n points to each polygon edge (k, k+1 mod m)."""
+    (ax, ay), (bx, by) = vertices.T, (np.roll(vertices, -1, axis=0) - vertices).T
+    L2 = bx * bx + by * by
+    dx = pts[:, None, 0] - ax
+    dy = pts[:, None, 1] - ay
+    t = np.divide(dx * bx + dy * by, L2, out=np.zeros_like(dx), where=L2 != 0.0)
+    np.clip(t, 0.0, 1.0, out=t)
+    ex = pts[:, None, 0] - (ax + t * bx)
+    ey = pts[:, None, 1] - (ay + t * by)
+    return np.sqrt(ex * ex + ey * ey)
 
 
 def regular_polygon(n=64, radius=1.0):
@@ -467,6 +472,10 @@ class Sector(Domain):
         return np.vstack([np.column_stack([xs, xs]), np.column_stack([xs, -xs])])
 
 
+#: the slit [0, 1] as a two-vertex polygon, both of whose edges are the segment
+_SLIT = np.array([[0.0, 0.0], [1.0, 0.0]])
+
+
 class SectorMinusSlit(Sector):
     """{x > 0, |y| < x} minus the segment [0, 1] on the real axis."""
 
@@ -482,7 +491,7 @@ class SectorMinusSlit(Sector):
         if not self.contains(p):
             raise GeometryError(f"point {p} outside domain")
         d_rays = (x - abs(y)) / math.sqrt(2.0)
-        d_slit = _point_segment_distance(np.array([x, y]), np.array([0.0, 0.0]), np.array([1.0, 0.0]))
+        d_slit = edge_distances(np.array([[x, y]]), _SLIT)[0, 0]
         return float(min(d_rays, d_slit))
 
     def slice_at(self, t):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField
+from .fields import ScalarField, _symmetric
 from .geometry import ConvexRing, Domain, GeometryError, WindowBox
 
 EXTERIOR, INTERIOR, BOUNDARY = 0, 1, 2
@@ -170,17 +170,23 @@ class GridField(ScalarField):
         self.default_window = grid.window
         self.stats = stats
 
+    def _in_window(self, p):
+        """Grid coordinates of points ``(..., 2)`` and the mask of those inside
+        the window (to 1e-9 of a cell)."""
+        g = self.grid
+        fx = (p[..., 0] - g.xs[0]) / g.hx
+        fy = (p[..., 1] - g.ys[0]) / g.hy
+        inside = ((-1e-9 <= fx) & (fx <= len(g.xs) - 1 + 1e-9)
+                  & (-1e-9 <= fy) & (fy <= len(g.ys) - 1 + 1e-9))
+        return fx, fy, inside
+
     def value(self, p, check=True):
         """Bilinear interpolation at points of shape ``(..., 2)``."""
         p = np.asarray(p, dtype=float)
         g = self.grid
-        fx = (p[..., 0] - g.xs[0]) / g.hx
-        fy = (p[..., 1] - g.ys[0]) / g.hy
-        if check:
-            inside = ((-1e-9 <= fx) & (fx <= len(g.xs) - 1 + 1e-9)
-                      & (-1e-9 <= fy) & (fy <= len(g.ys) - 1 + 1e-9))
-            if not np.all(inside):
-                raise GeometryError(f"point {p[~inside][0]} outside grid window")
+        fx, fy, inside = self._in_window(p)
+        if check and not np.all(inside):
+            raise GeometryError(f"point {p[~inside][0]} outside grid window")
         i = np.clip(np.floor(fx), 0, len(g.xs) - 2).astype(int)
         j = np.clip(np.floor(fy), 0, len(g.ys) - 2).astype(int)
         tx, ty = fx - i, fy - j
@@ -188,14 +194,26 @@ class GridField(ScalarField):
         return ((1 - tx) * (1 - ty) * v[i, j] + tx * (1 - ty) * v[i + 1, j]
                 + (1 - tx) * ty * v[i, j + 1] + tx * ty * v[i + 1, j + 1])[()]
 
+    def regular(self, p):
+        """True where every difference stencil node lies in the window."""
+        p = np.asarray(p, dtype=float)
+        h = self.grid.h
+        ok = np.ones(p.shape[:-1], dtype=bool)
+        for dx in (-h, 0.0, h):
+            for dy in (-h, 0.0, h):
+                ok &= self._in_window(p + [dx, dy])[2]
+        return ok
+
     def gradient(self, p):
+        """Centered differences of step h at points ``(..., 2)``."""
         h = self.grid.h
         p = np.asarray(p, dtype=float)
-        return np.array([
-            (self.value(p + [h, 0.0]) - self.value(p - [h, 0.0])) / (2 * h),
-            (self.value(p + [0.0, h]) - self.value(p - [0.0, h])) / (2 * h)])
+        return np.stack([(self.value(p + [h, 0.0]) - self.value(p - [h, 0.0])) / (2 * h),
+                         (self.value(p + [0.0, h]) - self.value(p - [0.0, h])) / (2 * h)],
+                        axis=-1)
 
     def hessian(self, p):
+        """Second differences of step h at points ``(..., 2)``."""
         h = self.grid.h
         p = np.asarray(p, dtype=float)
         v0 = self.value(p)
@@ -203,7 +221,7 @@ class GridField(ScalarField):
         fyy = (self.value(p + [0, h]) - 2 * v0 + self.value(p - [0, h])) / h ** 2
         fxy = (self.value(p + [h, h]) - self.value(p + [h, -h])
                - self.value(p + [-h, h]) + self.value(p + [-h, -h])) / (4 * h ** 2)
-        return np.array([[fxx, fxy], [fxy, fyy]])
+        return _symmetric(fxx, fxy, fyy)
 
 
 def _apply_neg_laplacian(v, interior, hx, hy):

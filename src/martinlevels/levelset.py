@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import WindowBox, convex_hull_2d
+from .geometry import WindowBox, convex_hull_2d, edge_distances
 
 
 class LevelSetError(ValueError):
@@ -117,14 +117,15 @@ def _marching_squares(vals, mask, xs, ys, c):
     cell (cases 5 and 10) keeps the corners on the side of c that its
     center value lies on connected.
     """
-    above = np.where(mask, vals > c, False)
-    cell_ok = mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
-    idx = (above[:-1, :-1].astype(np.int8)
-           + 2 * above[1:, :-1]
-           + 4 * above[1:, 1:]
-           + 8 * above[:-1, 1:])
-    i, j = np.nonzero(cell_ok & (idx > 0) & (idx < 15))
-    k = idx[i, j]
+    above = vals > c                  # read only at cells with all corners in the mask
+    # a cell is active when its corners differ, that is when the level
+    # crosses one of its x-edges or its first y-edge
+    cross_x = above[1:] != above[:-1]
+    active = cross_x[:, :-1] | cross_x[:, 1:]
+    active |= above[:-1, 1:] != above[:-1, :-1]
+    active &= mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
+    i, j = np.divmod(np.flatnonzero(active), active.shape[1])    # row-major
+    k = above[i, j] + 2 * above[i + 1, j] + 4 * above[i + 1, j + 1] + 8 * above[i, j + 1]
     cut = np.zeros(len(k), dtype=np.intp)
     saddle = (k == 5) | (k == 10)
     si, sj = i[saddle], j[saddle]
@@ -153,32 +154,43 @@ def _marching_squares(vals, mask, xs, ys, c):
 
 
 def _stitch(segments):
-    adj = {}
-    for a, b in segments:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    used = set()
+    """Chains of the graph whose edges are the node pairs ``segments``, in
+    which every node has degree 1 or 2.
+
+    Open chains come first, each walked from the end node met first in the
+    segment list; then the loops, each walked from its node met first,
+    towards the neighbor that node first met.  Returns a list of
+    ``(nodes, closed)``.
+    """
+    ends = np.asarray(segments, dtype=np.intp).reshape(-1)    # segment k: ends 2k, 2k + 1
+    by_node = np.argsort(ends, kind="stable")
+    pair = ends[by_node[1:]] == ends[by_node[:-1]]
+    other = np.full(len(ends), -1)                              # the node's other end
+    other[by_node[1:][pair]] = by_node[:-1][pair]
+    other[by_node[:-1][pair]] = by_node[1:][pair]
+    # leaving through end t and crossing segment t // 2, the walk goes on
+    # from the other end of the node it reaches (-1: a degree-1 node)
+    nxt = other[np.arange(len(ends)) ^ 1].tolist()
+    used = np.zeros(len(ends), dtype=bool)
     chains = []
 
-    def walk(start):
-        chain = [start]
-        used.add(start)
-        cur, prev = start, None
-        while True:
-            nxt = [n for n in adj[cur] if n != prev and n not in used]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            chain.append(cur)
-            used.add(cur)
-        return chain
+    def walk(t0):
+        ts = [t0]
+        t = nxt[t0]
+        while t >= 0 and t != t0:
+            ts.append(t)
+            t = nxt[t]
+        ts = np.array(ts)
+        used[ts] = used[ts ^ 1] = True
+        closed = t >= 0
+        nodes = ends[ts] if closed else np.append(ends[ts], ends[ts[-1] ^ 1])
+        chains.append((nodes.tolist(), closed))
 
-    for node in list(adj):             # open chains first, from degree-1 nodes
-        if node not in used and len(adj[node]) == 1:
-            chains.append((walk(node), False))
-    for node in list(adj):             # remaining components are loops
-        if node not in used:
-            chains.append((walk(node), True))
+    for t0 in np.flatnonzero(other < 0).tolist():              # degree-1 nodes in order
+        if not used[t0]:
+            walk(t0)
+    while not used.all():               # the first unused end starts the next loop
+        walk(int(np.argmin(used)))
     return chains
 
 
@@ -190,19 +202,6 @@ def _stitch(segments):
 _BLOCK = 1 << 16
 
 
-def _edge_distances(pts, hull):
-    """(n, m) distances from each point to each hull edge (k, k+1)."""
-    (ax, ay), (bx, by) = hull.T, (np.roll(hull, -1, axis=0) - hull).T
-    L2 = bx * bx + by * by
-    dx = pts[:, None, 0] - ax
-    dy = pts[:, None, 1] - ay
-    t = np.divide(dx * bx + dy * by, L2, out=np.zeros_like(dx), where=L2 != 0.0)
-    np.clip(t, 0.0, 1.0, out=t)
-    ex = pts[:, None, 0] - (ax + t * bx)
-    ey = pts[:, None, 1] - (ay + t * by)
-    return np.sqrt(ex * ex + ey * ey)
-
-
 def hull_boundary_deviation(points, hull):
     """Distance from each point to the hull boundary polyline.
 
@@ -212,11 +211,13 @@ def hull_boundary_deviation(points, hull):
     pts = np.asarray(points, dtype=float)
     hull = np.asarray(hull, dtype=float)
     dev = np.zeros(len(pts))
-    off = np.flatnonzero(~np.isin(pts[:, 0] + 1j * pts[:, 1], hull[:, 0] + 1j * hull[:, 1]))
+    keys = np.sort(hull[:, 0] + 1j * hull[:, 1])
+    z = pts[:, 0] + 1j * pts[:, 1]
+    off = np.flatnonzero(keys[np.searchsorted(keys, z).clip(max=len(keys) - 1)] != z)
     step = max(1, _BLOCK // len(hull))
     for s in range(0, len(off), step):
         rows = off[s:s + step]
-        dev[rows] = _edge_distances(pts[rows], hull).min(axis=1)
+        dev[rows] = edge_distances(pts[rows], hull).min(axis=1)
     return dev
 
 
@@ -283,7 +284,7 @@ def _geometric_witness(deepest, pts, hull):
 
 
 def _nearest_hull_edge(p, hull):
-    return int(np.argmin(_edge_distances(np.asarray(p, dtype=float)[None, :], hull)[0]))
+    return int(np.argmin(edge_distances(np.asarray(p, dtype=float)[None, :], hull)[0]))
 
 
 def _excluded(fld, c, pts):
@@ -380,26 +381,34 @@ def window_closure_points(curves, window, fld, c, n=33):
 # Tangent-space Hessian certificate
 # ---------------------------------------------------------------------------
 
-def tangent_hessian_form(fld, p):
-    """Tangent-space second-derivative form at a level point.
+def _tangent_forms(g, H):
+    """T* H T with T = (u_y, -u_x), per point of gradients (..., 2) and
+    Hessians (..., 2, 2)."""
+    T = np.stack([g[..., 1], -g[..., 0]], axis=-1)
+    TH = T[..., 0, None] * H[..., 0, :] + T[..., 1, None] * H[..., 1, :]
+    return TH[..., 0] * T[..., 0] + TH[..., 1] * T[..., 1]
 
-    In 2-d returns T* H_u T with T = (u_y, -u_x) (unnormalized); in higher
-    dimensions returns the maximum of xi* H_u xi over unit xi orthogonal to
-    grad u.  Strict convexity of the level surface through p means the
-    result is negative.
+
+def _critical(fld, p, g):
+    """Mask of the points where |grad u| < 1e-12 * (1 + |u|)."""
+    scale = 1.0 + np.abs(np.asarray(fld.value(p, check=False), dtype=float))
+    return np.linalg.norm(g, axis=-1) < 1e-12 * scale
+
+
+def tangent_hessian_form(fld, p):
+    """Tangent-space second-derivative form T* H_u T with T = (u_y, -u_x)
+    (unnormalized) at level points ``(..., 2)``.
+
+    Strict convexity of the level line through a point means the form is
+    negative there.  Raises :class:`LevelSetError` at a critical point.
     """
     p = np.asarray(p, dtype=float)
     g = np.asarray(fld.gradient(p), dtype=float)
-    scale = 1.0 + abs(float(fld.value(p, check=False)))
-    if np.linalg.norm(g) < 1e-12 * scale:
-        raise LevelSetError(f"critical point at {p}: |grad u| < 1e-12 * scale")
-    H = np.asarray(fld.hessian(p), dtype=float)
-    if p.size == 2:
-        T = np.array([g[1], -g[0]])
-        return float(T @ H @ T)
-    # rows 1.. of V^T in the SVD of g as a 1 x n matrix span g's complement
-    Q = np.linalg.svd(g[None, :])[2][1:].T
-    return float(np.linalg.eigvalsh(Q.T @ H @ Q).max())
+    crit = _critical(fld, p, g)
+    if np.any(crit):
+        raise LevelSetError(f"critical point at {p.reshape(-1, 2)[np.ravel(crit)][0]}: "
+                            "|grad u| < 1e-12 * scale")
+    return _tangent_forms(g, np.asarray(fld.hessian(p), dtype=float))[()]
 
 
 def classify_strictness(fld, levels, window=None, h=0.02, samples_per_level=64, band_scale=1e-7):
@@ -410,6 +419,8 @@ def classify_strictness(fld, levels, window=None, h=0.02, samples_per_level=64, 
     band means nowhere strict (flat level lines); anything else is
     mixed/inconclusive.  The band is ``band_scale * (1 + ||H_u||)`` per
     point, separating exact product-case zeros from numerical noise.
+    Samples where the derivatives are undefined (see ``fld.regular``) or
+    the gradient vanishes are skipped.
     """
     window = window or fld.default_window
     tags, diags = {}, {}
@@ -419,20 +430,16 @@ def classify_strictness(fld, levels, window=None, h=0.02, samples_per_level=64, 
         if len(pts) > samples_per_level:
             step = len(pts) // samples_per_level
             pts = pts[::step]
-        forms, bands = [], []
-        for p in pts:
-            try:
-                H = np.asarray(fld.hessian(p), dtype=float)
-                forms.append(tangent_hessian_form(fld, p))
-                bands.append(band_scale * (1.0 + float(np.abs(H).max())))
-            except (LevelSetError, ValueError):
-                continue
+        pts = pts[fld.regular(pts)]
+        g = np.asarray(fld.gradient(pts), dtype=float)
+        keep = ~_critical(fld, pts, g)
+        H = np.asarray(fld.hessian(pts[keep]), dtype=float)
+        forms = _tangent_forms(g[keep], H)
+        bands = band_scale * (1.0 + np.abs(H).max(axis=(-2, -1), initial=0.0))
         if len(forms) < 8:
             tags[c] = "mixed/inconclusive"
             diags[c] = {"n_samples": len(forms), "note": "too few valid samples"}
             continue
-        forms = np.asarray(forms)
-        bands = np.asarray(bands)
         if np.all(forms < -bands):
             tags[c] = "strictly_convex_everywhere"
         elif np.all(np.abs(forms) <= bands):

@@ -3,11 +3,12 @@ import math
 import os
 import subprocess
 import sys
+from itertools import chain
 
 import numpy as np
 import pytest
 
-from martinlevels import cli, fields
+from martinlevels import cli, export, fields, levelset
 from martinlevels._rng import XorShift64Star
 
 
@@ -81,6 +82,22 @@ class TestLevelsets:
         assert {c["level"] for c in payload["curves"]} == {0.5, 1.0, 2.0, 4.0}
         svg = open(os.path.join(out1, "levels.svg")).read()
         assert svg.startswith("<svg") and "path" in svg
+
+    def test_payload_and_csv_rows_match_per_point_writers(self, tmp_path):
+        # the per-vertex loops that the array-backed writers replaced
+        fld = fields.strip_martin()
+        curves = [cv for c in (0.5, 2.0, 8.0) for cv in
+                  levelset.extract_level_curve(fld, c, fld.default_window, 0.01)]
+        for c in curves:
+            ref = [[round(float(x), 12), round(float(y), 12)] for x, y in c.vertices]
+            assert list(map(list, cli._rounded_pairs(c))) == ref
+            assert export.canonical_json(cli._rounded_pairs(c)) == export.canonical_json(ref)
+        ref_rows = [(k, c.level, repr(float(x)), repr(float(y)))
+                    for k, c in enumerate(curves) for x, y in c.vertices]
+        export.write_csv(tmp_path / "ref.csv", ["curve", "level", "x", "y"], ref_rows)
+        export.write_csv(tmp_path / "new.csv", ["curve", "level", "x", "y"],
+                         chain.from_iterable(cli._csv_rows(k, c) for k, c in enumerate(curves)))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_contour_json_schema(self, tmp_path):
         cfg = write_config(tmp_path, "lv.json", STRIP_LEVELS)
@@ -247,6 +264,39 @@ class TestGreen:
                                       "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "ratio.json").exists()
+
+
+@pytest.mark.parametrize("name", ["cylinder:C=1", "cylinder:A=abc", "cylinder:A",
+                                  "cylinder:B=inf"],
+                         ids=["unknown-key", "unparsable", "no-value", "not-finite"])
+@pytest.mark.parametrize("command", ["levelsets", "audit"])
+def test_malformed_cylinder_name_is_a_usage_error(tmp_path, capsys, command, name):
+    cfg = write_config(tmp_path, "bad.json", {**STRIP_LEVELS, "field": name,
+                                              "checks": ["boundary_vanishing"]})
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and name.partition(":")[2] in err
+
+
+def test_certify_runs_load_no_numpy_ma(tmp_path):
+    # numpy.ma costs milliseconds per process to import; the hull, the hull
+    # deviation and the marching squares stay off the numpy paths that load it
+    strip_audit = write_config(tmp_path, "audit.json", {"field": "strip", "checks": [
+        "harmonicity", "boundary_vanishing", {"name": "convexity", "params": {"h": 0.02}},
+        {"name": "strictness", "params": {"h": 0.02}}, "slice_maxima"]})
+    ring = write_config(tmp_path, "ring.json", {
+        "domain": {"kind": "convex_ring",
+                   "A": {"vertices": [[-2, -2], [2, -2], [2, 2], [-2, 2]]},
+                   "B": {"vertices": [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]}},
+        "h": 0.05})
+    for argv in (["audit", "--config", strip_audit], ["green", "--config", ring]):
+        code = (f"import sys; from martinlevels import cli; "
+                f"rc = cli.main({argv + ['--out', str(tmp_path)]!r}); "
+                f"print(rc, 'numpy.ma' in sys.modules)")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["0", "False"], (argv, res.stdout)
 
 
 def test_cli_import_loads_no_scipy():

@@ -7,6 +7,7 @@ import pytest
 
 from martinlevels import fields as flds
 from martinlevels import geometry as geo
+from martinlevels import greenratio as gr
 
 ALL_MARTIN = ["strip", "exterior", "slit_sector"]
 
@@ -233,26 +234,6 @@ class TestCylinderMode:
             dd = (mode.phi(y + h) - 2 * mode.phi(y) + mode.phi(y - h)) / h ** 2
             assert dd == pytest.approx(-mode.lam * mode.phi(y), abs=1e-5)
 
-    def test_disk_eigenvalue_bisection(self):
-        scipy_special = pytest.importorskip("scipy.special")
-        j0 = flds.first_j0_zero()
-        assert j0 == pytest.approx(2.404826, abs=1e-6)
-        assert j0 == pytest.approx(float(scipy_special.jn_zeros(0, 1)[0]), abs=1e-12)
-        mode = flds.disk_mode()
-        assert mode.lam == pytest.approx(j0 ** 2)
-        assert mode.phi(np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
-        assert mode.phi(np.array([0.3, 0.4])) > 0.0
-
-    def test_disk_mode_maps_points_of_the_cross_section(self):
-        mode = flds.disk_mode()
-        ys = np.array([[0.1, 0.0], [0.3, 0.4], [0.0, 0.9]])
-        got = mode.phi(ys)
-        assert got.shape == (3,)
-        assert list(got) == [mode.phi(y) for y in ys]
-        for bad in (np.array([0.1, 0.5, 0.9]), 0.5, np.zeros((3, 3))):
-            with pytest.raises(flds.FieldError, match="shape"):
-                mode.phi(bad)
-
     def test_axial_second_derivative_positive(self):
         fld = flds.cylinder_martin(1.0, 1.0)
         for t in (-1.5, 0.0, 2.0):
@@ -326,3 +307,114 @@ class TestStudyCheck:
     def test_disc_must_fit(self):
         with pytest.raises(flds.FieldError):
             flds.study_convexity_check(flds.map_halfplane_identity(), 0.8 + 0j, 0.5)
+
+
+def grid_field():
+    s = flds.strip_martin()
+    grid = gr.build_grid(s.domain, s.default_window, 0.05)
+    X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    return gr.GridField(grid, np.sinh(X) * np.cos(Y))
+
+
+def fd_pullback():
+    """The strip field as a pullback whose second derivative is a difference."""
+    fld = flds.conformal_pullback(dataclasses.replace(flds.map_strip_to_halfplane(),
+                                                      d2forward=None))
+    fld.default_window = flds.strip_martin().default_window
+    return fld
+
+
+DERIVATIVE_FIELDS = {
+    **{name: (lambda name=name: flds.field_from_name(name))
+       for name in ALL_MARTIN + ["halfplane_v", "halfplane_x", "cylinder:A=1,B=0.5"]},
+    "pullback_fd": lambda: fd_pullback(),
+    "grid": grid_field,
+}
+
+
+def _probe_points(fld, n=60, seed=4):
+    """Points of the field's window and a margin around it, plus points on
+    and next to the slit, next to the window corners and on the walls."""
+    rng = np.random.default_rng(seed)
+    (x0, y0), (x1, y1) = fld.default_window.lower, fld.default_window.upper
+    mx, my = 0.1 * (x1 - x0), 0.1 * (y1 - y0)
+    pts = np.column_stack([rng.uniform(x0 - mx, x1 + mx, n), rng.uniform(y0 - my, y1 + my, n)])
+    extra = [[0.5, 0.0], [0.5, 1e-12], [1.0 + 1e-12, 1e-13], [0.7, -3e-9], [0.0, 0.0],
+             [x0, y0], [x0 + 1e-3, y0 + 1e-3], [x1 - 0.01, y1 - 0.06], [x1, 0.0]]
+    return np.vstack([pts, extra])
+
+
+def _raises(fn, p):
+    try:
+        fn(p)
+    except ValueError:
+        return True
+    return False
+
+
+class TestArrayDerivatives:
+    @pytest.mark.parametrize("name", sorted(DERIVATIVE_FIELDS))
+    def test_regular_marks_where_single_points_raise(self, name):
+        fld = DERIVATIVE_FIELDS[name]()
+        pts = _probe_points(fld)
+        ok = fld.regular(pts)
+        assert ok.shape == (len(pts),) and ok.dtype == bool
+        for p, good in zip(pts, ok):
+            assert _raises(fld.gradient, p) == _raises(fld.hessian, p) == (not good)
+            assert fld.regular(p) == good
+        assert 0 < ok.sum() < len(pts)
+
+    @pytest.mark.parametrize("name", sorted(DERIVATIVE_FIELDS))
+    def test_arrays_match_single_points(self, name):
+        fld = DERIVATIVE_FIELDS[name]()
+        pts = _probe_points(fld)
+        pts = pts[fld.regular(pts)][:24]
+        g, H = fld.gradient(pts), fld.hessian(pts)
+        assert g.shape == (len(pts), 2) and H.shape == (len(pts), 2, 2)
+        # numpy's complex powers take other code paths on 0-d arrays than on
+        # longer ones, so the two agree to a few ulps of the largest entry
+        for k, p in enumerate(pts):
+            g1, H1 = fld.gradient(p), fld.hessian(p)
+            assert g1.shape == (2,) and H1.shape == (2, 2)
+            assert np.abs(g[k] - g1).max() <= 1e-14 * np.abs(g1).max()
+            assert np.abs(H[k] - H1).max() <= 1e-14 * np.abs(H1).max()
+        grid = pts.reshape(4, 6, 2)
+        assert fld.gradient(grid).shape == (4, 6, 2)
+        assert np.array_equal(fld.hessian(grid), H.reshape(4, 6, 2, 2))
+
+    @pytest.mark.parametrize("name", sorted(DERIVATIVE_FIELDS))
+    def test_one_bad_point_raises_for_the_array(self, name):
+        fld = DERIVATIVE_FIELDS[name]()
+        pts = _probe_points(fld)
+        ok = fld.regular(pts)
+        mixed = np.vstack([pts[ok][:3], pts[~ok][:1]])
+        for fn in (fld.gradient, fld.hessian):
+            with pytest.raises(ValueError):
+                fn(mixed)
+
+    def test_slit_tube_is_a_mask(self):
+        fld = flds.slit_sector_martin()
+        z = np.array([1.0 + 1e-12, 0.5 + 1e-11j, 2.0 + 1.0j, 0.5 + 0.5j])
+        assert flds._slit_tube(z).tolist() == [True, True, False, False]
+        with pytest.raises(flds.SingularPointError, match="z=0.5"):
+            fld._guard(z[1:])
+        fld._guard(z[2:])
+
+
+class TestCylinderNames:
+    @pytest.mark.parametrize("name,match", [
+        ("cylinder:C=1", "unknown cylinder coefficient 'C'"),
+        ("cylinder:A=abc", "cannot parse cylinder coefficient 'A=abc'"),
+        ("cylinder:A", "cannot parse cylinder coefficient 'A'"),
+        ("cylinder:A=1,", "unknown cylinder coefficient ''"),
+        ("cylinder:B=inf", "'B=inf' is not finite"),
+        ("cylinder:A=nan", "'A=nan' is not finite"),
+    ])
+    def test_malformed_items_are_named(self, name, match):
+        with pytest.raises(flds.FieldError, match=match):
+            flds.field_from_name(name)
+
+    def test_well_formed_names(self):
+        assert flds.field_from_name("cylinder").mode.B == 0.0
+        fld = flds.field_from_name("cylinder: A = 0.5 , B=2")
+        assert (fld.mode.A, fld.mode.B) == (0.5, 2.0)

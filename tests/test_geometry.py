@@ -137,6 +137,58 @@ class TestBoundaryDistance:
         assert exact - reported <= 2e-2
 
 
+def reference_point_segment_distance(p, a, b):
+    """The per-segment distance that edge_distances replaced."""
+    ab = b - a
+    denom = float(ab @ ab)
+    t = 0.0 if denom == 0.0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
+    return float(np.linalg.norm(p - (a + t * ab)))
+
+
+class TestEdgeDistances:
+    # the reference's dot products and norm may run through BLAS, which can
+    # fuse a multiply-add: both agree to an ulp of the coordinate scale
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_segment_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3, 3)
+        verts = rng.normal(size=(int(rng.integers(2, 9)), 2)) * scale
+        verts[1] = verts[0]                           # a zero-length edge
+        pts = rng.normal(size=(200, 2)) * 2 * scale
+        got = geo.edge_distances(pts, verts)
+        m = len(verts)
+        ref = np.array([[reference_point_segment_distance(p, verts[k], verts[(k + 1) % m])
+                         for k in range(m)] for p in pts])
+        assert got.shape == (200, m)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * 8 * scale
+
+    def test_convex_body_distance(self):
+        rng = np.random.default_rng(7)
+        for body in (geo.regular_polygon(12, 2.0), geo.square_body(0.5)):
+            v = body.vertices
+            for p in rng.uniform(-2.5, 2.5, size=(50, 2)):
+                ref = min(reference_point_segment_distance(p, v[k], v[(k + 1) % len(v)])
+                          for k in range(len(v)))
+                assert abs(body.boundary_distance(p) - ref) <= 1e-15 * 4
+                assert abs(body.boundary_distance(p, scale=3.0)
+                           - min(reference_point_segment_distance(p, 3.0 * v[k],
+                                                                  3.0 * v[(k + 1) % len(v)])
+                                 for k in range(len(v)))) <= 1e-15 * 12
+
+    def test_slit_distance(self):
+        dom = geo.SectorMinusSlit()
+        a, b = np.zeros(2), np.array([1.0, 0.0])
+        rng = np.random.default_rng(9)
+        for x, y in rng.uniform([0.05, -1.0], [3.0, 1.0], size=(200, 2)):
+            if not dom.contains((x, y)):
+                continue
+            ref = min((x - abs(y)) / math.sqrt(2.0),
+                      reference_point_segment_distance(np.array([x, y]), a, b))
+            assert abs(dom.boundary_distance((x, y)) - ref) <= 1e-15 * 4
+        assert dom.boundary_distance((0.5, 0.1)) == pytest.approx(0.1)
+        assert dom.boundary_distance((1.2, 0.1)) == pytest.approx(math.hypot(0.2, 0.1))
+
+
 class TestSupportFunction:
     def test_square_axis(self):
         assert geo.square_body(1.0).support((1.0, 0.0)) == pytest.approx(1.0)

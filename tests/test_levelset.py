@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from martinlevels import fields as flds
 from martinlevels import geometry as geo
+from martinlevels import greenratio as gr
 from martinlevels import levelset as ls
 
 
@@ -249,39 +250,6 @@ class TestTangentForm:
 
         with pytest.raises(ls.LevelSetError):
             ls.tangent_hessian_form(Shift(v, 1.0), np.array([1.0, 0.0]))
-
-    def test_higher_dimensional_projection(self):
-        class Saddle3(flds.ScalarField):
-            """u = t^2 - y1^2/2 - y2^2/2 + y1 (3-d toy field)."""
-            name = "saddle3"
-
-            class Dom:
-                dim = 3
-
-                def contains(self, p):
-                    return True
-
-            domain = Dom()
-
-            def value(self, p, check=True):
-                t, a, b = p
-                return t * t - 0.5 * a * a - 0.5 * b * b + a
-
-            def gradient(self, p):
-                t, a, b = p
-                return np.array([2 * t, -a + 1.0, -b])
-
-            def hessian(self, p):
-                return np.diag([2.0, -1.0, -1.0])
-
-        p = np.array([1.0, 0.0, 0.0])
-        # gradient (2, 1, 0); tangent plane mixes the +2 and -1 axes, so the
-        # max projected eigenvalue sits strictly between -1 and 2
-        got = ls.tangent_hessian_form(Saddle3(), p)
-        g = np.array([2.0, 1.0, 0.0])
-        Q = np.linalg.qr(np.column_stack([g / np.linalg.norm(g), np.eye(3)[:, 1:]]))[0][:, 1:]
-        expected = np.linalg.eigvalsh(Q.T @ np.diag([2.0, -1.0, -1.0]) @ Q).max()
-        assert got == pytest.approx(expected, abs=1e-9)
 
 
 class TestStrictness:
@@ -541,7 +509,7 @@ class TestArrayPassesMatchReferences:
                 assert tuple(positions[node]) == ref_positions[key]
         assert len(set(node_of.values())) == len(node_of) == len(positions)
         relabeled = [(node_of[a], node_of[b]) for a, b in ref_segments]
-        assert ls._stitch(relabeled) == ls._stitch(segments)
+        assert ls._stitch(relabeled) == ls._stitch(segments) == reference_stitch(segments)
 
     def test_saddle_examples_cover_both_splits(self):
         cuts = set()
@@ -649,3 +617,188 @@ class TestLatticeMemo:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = a[0]
+
+
+# ---------------------------------------------------------------------------
+# References for the array stitch and strictness classification
+# ---------------------------------------------------------------------------
+
+def reference_stitch(segments):
+    """The node-by-node walk replaced by the array stitch."""
+    adj = {}
+    for a, b in segments:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    used = set()
+    chains = []
+
+    def walk(start):
+        chain = [start]
+        used.add(start)
+        cur, prev = start, None
+        while True:
+            nxt = [n for n in adj[cur] if n != prev and n not in used]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+            chain.append(cur)
+            used.add(cur)
+        return chain
+
+    for node in list(adj):
+        if node not in used and len(adj[node]) == 1:
+            chains.append((walk(node), False))
+    for node in list(adj):
+        if node not in used:
+            chains.append((walk(node), True))
+    return chains
+
+
+@st.composite
+def path_and_cycle_graphs(draw):
+    """Segment lists of disjoint paths (>= 2 nodes) and cycles (>= 3 nodes) on
+    scattered node ids, each segment in either orientation, in any order."""
+    kinds = draw(st.lists(st.tuples(st.booleans(), st.integers(2, 9)), max_size=6))
+    sizes = [n + closed for closed, n in kinds]
+    ids = draw(st.permutations(range(3 * sum(sizes) + 1)))
+    segments, k = [], 0
+    for (closed, _), n in zip(kinds, sizes):
+        nodes = ids[k:k + n]
+        k += n
+        pairs = list(zip(nodes, nodes[1:])) + ([(nodes[-1], nodes[0])] if closed else [])
+        segments += [(b, a) if draw(st.booleans()) else (a, b) for a, b in pairs]
+    return draw(st.permutations(segments))
+
+
+class TestStitchMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(path_and_cycle_graphs())
+    def test_random_paths_and_cycles(self, segments):
+        assert ls._stitch(segments) == reference_stitch(segments)
+
+    @pytest.mark.parametrize("fld,c", [(flds.strip_martin(), 1.0), (flds.exterior_martin(), 1.5),
+                                       (flds.slit_sector_martin(), 2.0),
+                                       (flds.cylinder_martin(1.0, 1.0), 2.5)])
+    def test_level_curve_segments(self, fld, c):
+        xs, ys, vals, mask = ls._lattice(fld, fld.default_window, 0.01)
+        segments, _ = ls._marching_squares(vals, mask, xs, ys, c)
+        assert ls._stitch(segments) == reference_stitch(segments)
+
+
+def reference_tangent_hessian_form(fld, p):
+    """The per-point planar tangent form replaced by the array one."""
+    p = np.asarray(p, dtype=float)
+    g = np.asarray(fld.gradient(p), dtype=float)
+    scale = 1.0 + abs(float(fld.value(p, check=False)))
+    if np.linalg.norm(g) < 1e-12 * scale:
+        raise ls.LevelSetError(f"critical point at {p}: |grad u| < 1e-12 * scale")
+    H = np.asarray(fld.hessian(p), dtype=float)
+    T = np.array([g[1], -g[0]])
+    return float(T @ H @ T)
+
+
+def reference_classify_strictness(fld, levels, window, h, samples_per_level=64, band_scale=1e-7):
+    """The per-point classification loop replaced by the array one; also
+    returns the largest |H| entry over the valid samples of each level."""
+    tags, diags, hmax = {}, {}, {}
+    for c in levels:
+        curves = ls.extract_level_curve(fld, c, window, h)
+        pts = np.vstack([cv.vertices for cv in curves]) if curves else np.empty((0, 2))
+        if len(pts) > samples_per_level:
+            step = len(pts) // samples_per_level
+            pts = pts[::step]
+        forms, bands, hs = [], [], []
+        for p in pts:
+            try:
+                H = np.asarray(fld.hessian(p), dtype=float)
+                forms.append(reference_tangent_hessian_form(fld, p))
+                bands.append(band_scale * (1.0 + float(np.abs(H).max())))
+                hs.append(float(np.abs(H).max()))
+            except (ls.LevelSetError, ValueError):
+                continue
+        hmax[c] = max(hs, default=0.0)
+        if len(forms) < 8:
+            tags[c] = "mixed/inconclusive"
+            diags[c] = {"n_samples": len(forms), "note": "too few valid samples"}
+            continue
+        forms = np.asarray(forms)
+        bands = np.asarray(bands)
+        if np.all(forms < -bands):
+            tags[c] = "strictly_convex_everywhere"
+        elif np.all(np.abs(forms) <= bands):
+            tags[c] = "nowhere_strict"
+        else:
+            tags[c] = "mixed/inconclusive"
+        diags[c] = {"n_samples": int(len(forms)), "form_min": float(forms.min()),
+                    "form_max": float(forms.max())}
+    return tags, diags, hmax
+
+
+class FlatBelow(ScaledField):
+    """The strip field with its gradient zeroed for x < 1: critical samples."""
+
+    def gradient(self, p):
+        p = np.asarray(p, dtype=float)
+        return self.base.gradient(p) * (p[..., 0] >= 1.0)[..., None]
+
+
+def strip_grid_field(h=0.05):
+    """A GridField holding the strip field at the nodes of its default window."""
+    s = flds.strip_martin()
+    grid = gr.build_grid(s.domain, s.default_window, h)
+    X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    return gr.GridField(grid, np.sinh(X) * np.cos(Y), name="strip-grid")
+
+
+STRICTNESS_CASES = {
+    "strip": (flds.strip_martin, [0.5, 1.0, 2.0, 1e9], 0.02),
+    "exterior": (flds.exterior_martin, [1.5, 3.0], 0.02),
+    "slit_sector": (flds.slit_sector_martin, [0.5, 2.0, 8.0], 0.02),
+    "halfplane_x": (flds.halfplane_coordinate, [0.5, 1.0], 0.02),
+    "cylinder": (lambda: flds.cylinder_martin(1.0, 1.0), [1.0, 2.5], 0.01),
+    "grid": (strip_grid_field, [0.5, 1.0, 2.0], 0.05),
+    "critical": (lambda: FlatBelow(flds.strip_martin(), 1.0), [0.5, 1.0, 2.0, 4.0], 0.02),
+}
+
+
+class TestStrictnessMatchesReference:
+    @pytest.mark.parametrize("name", sorted(STRICTNESS_CASES))
+    def test_tags_samples_and_extremes(self, name):
+        make, levels, h = STRICTNESS_CASES[name]
+        fld = make()
+        got = ls.classify_strictness(fld, levels, window=fld.default_window, h=h)
+        tags, diags, hmax = reference_classify_strictness(fld, levels, fld.default_window, h)
+        assert got.tags == tags
+        for c in levels:
+            assert got.diagnostics[c].keys() == diags[c].keys()
+            assert got.diagnostics[c]["n_samples"] == diags[c]["n_samples"]
+            for key in ("form_min", "form_max"):
+                if key in diags[c]:
+                    assert abs(got.diagnostics[c][key] - diags[c][key]) <= 1e-12 * (1.0 + hmax[c])
+
+    def test_cases_cover_every_skip(self):
+        # the grid field skips samples whose stencil leaves the window and
+        # the flattened strip skips critical samples
+        for name in ("grid", "critical"):
+            make, levels, h = STRICTNESS_CASES[name]
+            fld = make()
+            for c in levels:
+                curves = ls.extract_level_curve(fld, c, fld.default_window, h)
+                pts = np.vstack([cv.vertices for cv in curves])
+                pts = pts[::max(1, len(pts) // 64)]
+                n = ls.classify_strictness(fld, [c], h=h).diagnostics[c]["n_samples"]
+                if n < len(pts):
+                    break
+            else:
+                pytest.fail(f"{name}: no level skips a sample")
+
+    def test_tangent_form_on_point_arrays(self):
+        s = flds.strip_martin()
+        rng = np.random.default_rng(5)
+        pts = np.column_stack([rng.uniform(0.2, 3.0, 40), rng.uniform(-1.4, 1.4, 40)])
+        forms = ls.tangent_hessian_form(s, pts.reshape(4, 10, 2))
+        assert forms.shape == (4, 10)
+        ref = [reference_tangent_hessian_form(s, p) for p in pts]
+        assert np.allclose(forms.ravel(), ref, rtol=1e-14, atol=0.0)
+        with pytest.raises(ls.LevelSetError, match="critical point at"):
+            ls.tangent_hessian_form(FlatBelow(s, 1.0), pts)
