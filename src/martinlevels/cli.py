@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -29,6 +30,22 @@ from ._rng import XorShift64Star
 
 class ConfigError(ValueError):
     pass
+
+
+def _parse(text, what, kind=float, sep=None):
+    """``kind(text)``, or with ``sep`` the list of ``kind`` of each item of a
+    config list or of each nonempty ``sep``-separated field of a string; a
+    :class:`ConfigError` naming ``what`` when one does not parse or is not
+    finite."""
+    if sep is not None and not isinstance(text, list):
+        text = [v for v in str(text).split(sep) if v != ""]
+    try:
+        vals = [kind(text)] if sep is None else [kind(v) for v in text]
+    except (TypeError, ValueError):
+        raise ConfigError(f"cannot parse {what} {text!r}") from None
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"{what} {text!r} is not finite")
+    return vals[0] if sep is None else vals
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +70,7 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         cfg = cls(raw=raw,
-                  seed=int(raw.get("seed", 0)) if seed is None else seed,
+                  seed=_parse(raw.get("seed", 0), "seed", int) if seed is None else seed,
                   out_dir=out_dir or raw.get("out", "."))
         return cfg
 
@@ -74,17 +91,14 @@ class ExperimentConfig:
             raise ConfigError(f"config needs '{key}' [[x0, y0], [x1, y1]]")
         try:
             return geometry.WindowBox(tuple(w[0]), tuple(w[1]))
-        except (geometry.GeometryError, TypeError, IndexError) as e:
+        except (ValueError, TypeError, IndexError) as e:     # GeometryError is a ValueError
             raise ConfigError(f"bad window {w!r}: {e}")
 
     def levels(self):
         levels = self.raw.get("levels", [])
         if not levels:
             raise ConfigError("config needs a nonempty 'levels' grid")
-        try:
-            out = [float(c) for c in levels]
-        except (TypeError, ValueError):
-            raise ConfigError(f"bad level grid {levels!r}")
+        out = _parse(levels, "level grid", sep=",")
         if any(c <= 0.0 for c in out):
             raise ConfigError("levels must be positive")
         return out
@@ -132,7 +146,7 @@ def cmd_levelsets(args):
     fld = cfg.field()
     window = cfg.window(default=fld.default_window)
     levels = cfg.levels()
-    h = float(cfg.raw.get("h", 0.02))
+    h = _parse(cfg.raw.get("h", 0.02), "h")
     t0 = time.perf_counter()
     curves = []
     for c in levels:
@@ -166,23 +180,12 @@ def _check_harmonicity(fld, rng, params):
     pts = []
     while len(pts) < n:
         p = np.asarray(rng.point_in_box(window.lower, window.upper))
-        try:
-            if fld.domain.contains(p) and fld.domain.boundary_distance(p) > 0.05:
-                pts.append(p)
-        except geometry.GeometryError:
-            continue
+        if fld.domain.contains(p) and fld.domain.boundary_distance(p) > 0.05:
+            pts.append(p)
+    # every stencil of radius 2h <= 0.02 around these points lies in the domain
     hs = [1e-2, 1e-3, 1e-4]
-    maxres = []
-    for h in hs:
-        worst = 0.0
-        for p in pts:
-            try:
-                worst = max(worst, abs(fields.harmonicity_residual(fld, p, h)))
-            except fields.PrecisionError:
-                raise
-            except fields.FieldError:
-                continue
-        maxres.append(worst)
+    maxres = [max([abs(fields.harmonicity_residual(fld, p, h)) for p in pts], default=0.0)
+              for h in hs]
     order = float(np.polyfit(np.log(hs), np.log(maxres), 1)[0])
     return order >= 1.9, {"fitted_order": order, "max_residuals": maxres}
 
@@ -302,13 +305,6 @@ _RATIO_ORACLES = {
 }
 
 
-def _parse_floats(text):
-    try:
-        return [float(v) for v in str(text).split(",") if v != ""]
-    except ValueError:
-        raise ConfigError(f"cannot parse float list {text!r}")
-
-
 def _probe_half_height(domain, x0, x1, pole):
     """Smallest bounded slice half-width over [x0, x1], capped by the
     truncation window of the first pole, so a symmetric probe window of
@@ -325,8 +321,8 @@ def _probe_half_height(domain, x0, x1, pole):
 
 def _green_ring_mode(cfg, domain, raw, args):
     """Theorem-style ring run: direct solve plus per-level convexity verdicts."""
-    h = float(args.h or raw.get("h", 0.05))
-    levels = [float(c) for c in raw.get("levels", [0.25, 0.5, 0.75])]
+    h = _parse(args.h or raw.get("h", 0.05), "h")
+    levels = _parse(raw.get("levels", [0.25, 0.5, 0.75]), "levels", sep=",")
     lo = domain.outer.vertices.min(axis=0)
     hi = domain.outer.vertices.max(axis=0)
     grid = greenratio.build_grid(domain, geometry.WindowBox(tuple(lo), tuple(hi)), h)
@@ -370,13 +366,13 @@ def cmd_green(args):
     domain = geometry.domain_from_config(domain_name)
     if isinstance(domain, geometry.ConvexRing):
         return _green_ring_mode(cfg, domain, raw, args)
-    x0 = _parse_floats(args.x0 or ",".join(map(str, raw.get("x0", []))))
-    poles = _parse_floats(args.poles or ",".join(map(str, raw.get("poles", []))))
+    x0 = _parse(args.x0 or raw.get("x0", []), "x0", sep=",")
+    poles = _parse(args.poles or raw.get("poles", []), "poles", sep=",")
     if len(x0) != 2 or not poles:
         raise ConfigError("green needs --x0 x,y and --poles s1,s2,...")
-    h = float(args.h or raw.get("h", 0.05))
-    probe_vals = _parse_floats(args.probe) if args.probe else raw.get("probe")
-    if probe_vals is None:
+    h = _parse(args.h or raw.get("h", 0.05), "h")
+    probe_vals = _parse(args.probe or raw.get("probe", []), "probe", sep=",")
+    if not probe_vals:
         raise ConfigError("green needs --probe x0,x1[,y0,y1]")
     if len(probe_vals) == 2:
         half = 0.8 * _probe_half_height(domain, probe_vals[0], probe_vals[1], poles[0])
@@ -433,10 +429,10 @@ def cmd_slice_scan(args):
         fld = fields.field_from_name(args.field)
     except fields.FieldError as e:
         raise ConfigError(str(e))
-    ts = _parse_floats(args.t)
+    ts = _parse(args.t, "t", sep=",")
     if not ts:
         raise ConfigError("slice-scan needs --t t1,t2,...")
-    span = float(args.span) if args.span else None
+    span = _parse(args.span, "span") if args.span else None
     out = {}
     for t in ts:
         rep = slices.slice_scan(fld, t, span=span)
@@ -461,11 +457,10 @@ def cmd_slice_scan(args):
 # ---------------------------------------------------------------------------
 
 def _parse_radii(text):
-    parts = str(text).split(":")
-    if len(parts) != 3:
-        raise ConfigError("--radii takes lo:hi:count")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    return np.geomspace(lo, hi, n)
+    vals = _parse(text, "--radii", sep=":")
+    if len(vals) != 3 or min(vals[:2]) <= 0.0 or vals[2] < 0 or not vals[2].is_integer():
+        raise ConfigError("--radii takes lo:hi:count with positive bounds and a count >= 0")
+    return np.geomspace(vals[0], vals[1], int(vals[2]))
 
 
 def cmd_asymptotics(args):

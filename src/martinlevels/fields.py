@@ -76,9 +76,6 @@ class ScalarField:
         are defined, False where they raise."""
         return np.asarray(self.domain.contains(np.asarray(p, dtype=float)), dtype=bool)
 
-    def __call__(self, p):
-        return self.value(p)
-
     def _require_inside(self, p):
         inside = self.domain.contains(np.asarray(p, dtype=float))
         if not np.all(inside):
@@ -252,9 +249,7 @@ def interval_mode(A=1.0, B=0.0):
 class CylinderModeField(ScalarField):
     """(A e^{sqrt(lam) t} + B e^{-sqrt(lam) t}) phi(y) on R x (-1, 1)."""
 
-    def __init__(self, mode: CylinderMode = None, A=None, B=None):
-        if mode is None:
-            mode = interval_mode(A if A is not None else 1.0, B if B is not None else 1.0)
+    def __init__(self, mode: CylinderMode):
         if mode.dphi is None or mode.d2phi is None:
             raise FieldError("field evaluation needs the mode derivatives dphi and d2phi")
         self.mode = mode
@@ -329,8 +324,10 @@ def field_from_name(name) -> ScalarField:
 # Pointwise checks
 # ---------------------------------------------------------------------------
 
-#: stencil offsets of the 5-point Laplacian, the center last
-_STENCIL = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 0.0]])
+#: stencil offsets: the 5-point Laplacian's (the center last), then the
+#: diagonals of the centered mixed difference
+_STENCIL = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 0.0],
+                     [1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 #: largest long-double epsilon with which the stencil resolves O(h^2) at h = 1e-4
 LONGDOUBLE_EPS_MAX = 1e-18
 
@@ -357,7 +354,7 @@ def harmonicity_residual(field, p, h):
             raise PrecisionError(f"long double eps {eps:.3g} > {LONGDOUBLE_EPS_MAX:g}: the "
                                  "harmonicity stencil needs 80-bit extended precision")
         dtype = np.longdouble
-    v = field.value(p.astype(dtype) + dtype(h) * _STENCIL.astype(dtype), check=False)
+    v = field.value(p.astype(dtype) + dtype(h) * _STENCIL[:5].astype(dtype), check=False)
     total = v[0] + v[1] + v[2] + v[3] - 4.0 * v[4]
     return float(total / dtype(h) ** 2)
 
@@ -384,33 +381,38 @@ def boundary_vanishing(field, n_samples=200, tol=1e-8, window=None):
                           n_samples=len(pts), tol=tol)
 
 
+def _centered_gradient(value, p, h):
+    """Centered differences of step h (a scalar or one per point) of the
+    value function at points ``(..., 2)``, in one call of it."""
+    h = np.asarray(h, dtype=float)[..., None]
+    v = value(p[..., None, :] + h[..., None] * _STENCIL[:4])
+    return (v[..., 0::2] - v[..., 1::2]) / (2 * h)
+
+
+def _centered_hessian(value, p, h):
+    """Second centered differences of step h (a scalar or one per point) of
+    the value function at points ``(..., 2)``, in one call of it."""
+    h = np.asarray(h, dtype=float)[..., None]
+    v = value(p[..., None, :] + h[..., None] * _STENCIL)
+    d2 = (v[..., 0:4:2] - 2 * v[..., 4, None] + v[..., 1:4:2]) / h ** 2
+    fxy = (v[..., 5] - v[..., 6] - v[..., 7] + v[..., 8]) / (4 * h[..., 0] ** 2)
+    return _symmetric(d2[..., 0], fxy, d2[..., 1])
+
+
 def fd_gradient(field, p, h=None):
+    """Centered-difference gradient at points ``(..., 2)``, step max(1e-5, 1e-5 |p|)."""
     p = np.asarray(p, dtype=float)
-    h = h or max(1e-5, 1e-5 * float(np.linalg.norm(p)))
-    g = np.zeros(p.size)
-    for k in range(p.size):
-        e = np.zeros(p.size)
-        e[k] = h
-        g[k] = (field.value(p + e, check=False) - field.value(p - e, check=False)) / (2 * h)
-    return g
+    if h is None:
+        h = np.maximum(1e-5, 1e-5 * np.linalg.norm(p, axis=-1))
+    return _centered_gradient(lambda q: field.value(q, check=False), p, h)
 
 
 def fd_hessian(field, p, h=None):
+    """Centered-difference Hessian at points ``(..., 2)``, step max(1e-4, 1e-4 |p|)."""
     p = np.asarray(p, dtype=float)
-    h = h or max(1e-4, 1e-4 * float(np.linalg.norm(p)))
-    n = p.size
-    H = np.zeros((n, n))
-    f0 = field.value(p, check=False)
-    for i in range(n):
-        ei = np.zeros(n); ei[i] = h
-        H[i, i] = (field.value(p + ei, check=False) - 2 * f0 + field.value(p - ei, check=False)) / h ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n); ej[j] = h
-            H[i, j] = H[j, i] = (field.value(p + ei + ej, check=False)
-                                 - field.value(p + ei - ej, check=False)
-                                 - field.value(p - ei + ej, check=False)
-                                 + field.value(p - ei - ej, check=False)) / (4 * h ** 2)
-    return H
+    if h is None:
+        h = np.maximum(1e-4, 1e-4 * np.linalg.norm(p, axis=-1))
+    return _centered_hessian(lambda q: field.value(q, check=False), p, h)
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +432,11 @@ class ConformalMap:
 
     def check_roundtrip(self, points, tol=1e-10):
         """max |inverse(forward(z)) - z| over sample points."""
-        worst = 0.0
-        for z in points:
-            z = complex(z)
-            worst = max(worst, abs(self.inverse(self.forward(z)) - z))
-            if abs(self.dforward(z)) == 0.0:
-                raise FieldError(f"map derivative vanishes at {z}")
+        z = np.asarray(points, dtype=complex)
+        flat = np.abs(self.dforward(z)) == 0.0
+        if np.any(flat):
+            raise FieldError(f"map derivative vanishes at {z[flat][0]}")
+        worst = float(np.max(np.abs(self.inverse(self.forward(z)) - z), initial=0.0))
         if worst > tol:
             raise FieldError(f"inverse o forward deviates from identity by {worst:.3e}")
         return worst
@@ -531,7 +532,7 @@ def study_convexity_check(cmap: ConformalMap, center, radius, n_samples=256):
         n_samples = 256
     th = 2.0 * np.pi * np.arange(n_samples) / n_samples
     zs = center + radius * np.exp(1j * th)
-    ws = np.asarray([complex(cmap.forward(z)) for z in zs])
+    ws = np.asarray(cmap.forward(zs), dtype=complex)
     pts = np.column_stack([ws.real, ws.imag])
     if not np.all(np.isfinite(pts)):
         raise FieldError("disc image leaves the numeric window")

@@ -69,50 +69,45 @@ class WindowBox:
         return np.all(inside, axis=-1)[()]
 
     def lattice(self, h):
-        """Node coordinates of a grid of spacing ~h snapped to the corners."""
-        axes = []
-        for a, b in zip(self.lower, self.upper):
-            n = max(1, int(round((b - a) / h)))
-            axes.append(a + (b - a) * np.arange(n + 1) / n)
-        return axes
+        """Node coordinates of a grid of spacing ~h snapped to the corners.
+
+        A window symmetric in y (lower y = -upper y) gets mirror-exact y
+        nodes: an even number of intervals, a node at exactly 0 and an upper
+        half that is the negation of the lower half.
+        """
+        (x0, y0), (x1, y1) = self.lower, self.upper
+        nx, ny = (max(1, int(round((b - a) / h))) for a, b in zip(self.lower, self.upper))
+        xs = x0 + (x1 - x0) * np.arange(nx + 1) / nx
+        if y0 != -y1:
+            return xs, y0 + (y1 - y0) * np.arange(ny + 1) / ny
+        ny += ny % 2
+        half = y0 + (y1 - y0) * np.arange(ny // 2) / ny
+        return xs, np.concatenate([half, [0.0], -half[::-1]])
 
 
 # ---------------------------------------------------------------------------
-# Convex bodies (bounded convex polytopes containing the origin)
+# Convex bodies (bounded convex polygons containing the origin)
 # ---------------------------------------------------------------------------
 
 class ConvexBody:
-    """Bounded convex polytope given by its vertices, origin strictly inside.
+    """Bounded convex polygon given by its vertices, origin strictly inside.
 
-    A planar body (``dim == 2``) is reduced to its convex hull, stored in
-    counter-clockwise order; smooth bodies are approximated by polygons (see
-    :func:`regular_polygon`).  A 1-d body is the interval spanned by the
-    vertex values: the cross-section ``D`` of a profile region, which reads
-    its end points directly.  ``contains``, ``boundary_distance`` and
-    ``boundary_points`` take planar bodies only.
+    The body is reduced to its convex hull, stored in counter-clockwise
+    order; smooth bodies are approximated by polygons (see
+    :func:`regular_polygon`).
     """
 
     def __init__(self, vertices, symmetric=None):
-        v = np.atleast_2d(np.asarray(vertices, dtype=float))
-        if v.shape[1] == 1 or v.ndim == 1:
-            v = v.reshape(-1, 1)
+        v = np.asarray(vertices, dtype=float)
+        if v.ndim != 2 or v.shape[1] != 2:
+            raise GeometryError(f"body vertices must be planar points (n, 2), got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise GeometryError("body vertices must be finite")
-        self.dim = v.shape[1]
-        if self.dim == 1:
-            lo, hi = float(v.min()), float(v.max())
-            if not (lo < 0.0 < hi):
-                raise GeometryError(f"origin not strictly inside interval ({lo}, {hi})")
-            self.vertices = np.array([[lo], [hi]])
-        elif self.dim == 2:
-            hull = convex_hull_2d(v)
-            if len(hull) < 3:
-                raise GeometryError("2-d body is degenerate (collinear vertices)")
-            self.vertices = hull
-            if not self.contains(np.zeros(2)):
-                raise GeometryError("origin not strictly inside body")
-        else:
-            raise GeometryError("convex bodies are supported in dimensions 1 and 2 only")
+        self.vertices = convex_hull_2d(v)
+        if len(self.vertices) < 3:
+            raise GeometryError("body is degenerate (collinear vertices)")
+        if not self.contains(np.zeros(2)):
+            raise GeometryError("origin not strictly inside body")
         if symmetric is None:
             symmetric = self._detect_symmetry()
         elif symmetric and not self._detect_symmetry():
@@ -120,16 +115,15 @@ class ConvexBody:
         self.symmetric = bool(symmetric)
 
     def _detect_symmetry(self, tol=1e-12):
+        """Whether the negation of every vertex is a vertex, to tol * scale."""
         v = self.vertices
         scale = 1.0 + np.abs(v).max()
-        for w in v:
-            if np.min(np.linalg.norm(v + w, axis=1)) > tol * scale:
-                return False
-        return True
+        gaps = np.linalg.norm(v[:, None, :] + v[None, :, :], axis=-1).min(axis=1)
+        return bool(np.all(gaps <= tol * scale))
 
     def support(self, direction):
         """h_D(xi) = max_v <v, xi> for the direction normalized to unit length."""
-        xi = np.atleast_1d(np.asarray(direction, dtype=float))
+        xi = np.asarray(direction, dtype=float)
         nrm = np.linalg.norm(xi)
         if nrm == 0.0 or not np.isfinite(nrm):
             raise GeometryError("support direction must be nonzero")
@@ -142,8 +136,8 @@ class ConvexBody:
         The open body when ``strict``, its closure otherwise.
         """
         w = np.asarray(w, dtype=float)
-        if self.dim != 2 or w.shape[-1:] != (2,):
-            raise GeometryError(f"membership needs a planar body and points (..., 2), got {w.shape}")
+        if w.shape[-1:] != (2,):
+            raise GeometryError(f"membership needs points (..., 2), got {w.shape}")
         v = self.vertices * scale
         n = len(v)
         x, y = w[..., 0], w[..., 1]
@@ -165,16 +159,10 @@ class ConvexBody:
         v = self.vertices * scale
         edges = np.roll(v, -1, axis=0) - v
         lengths = np.linalg.norm(edges, axis=1)
-        total = lengths.sum()
-        pts = []
-        for k in range(len(v)):
-            m = max(1, int(round(n * lengths[k] / total)))
-            ts = np.arange(m) / m
-            pts.append(v[k] + ts[:, None] * edges[k])
-        return np.vstack(pts)
-
-    def as_config(self):
-        return {"vertices": self.vertices.tolist()}
+        m = np.maximum(1, np.rint(n * lengths / lengths.sum()).astype(int))   # points per edge
+        k = np.repeat(np.arange(len(v)), m)
+        ts = (np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)) / m[k]
+        return v[k] + ts[:, None] * edges[k]
 
 
 def convex_hull_2d(points):
@@ -230,10 +218,6 @@ def square_body(half=1.0):
     return ConvexBody([[-half, -half], [half, -half], [half, half], [-half, half]])
 
 
-def interval_body(lo=-1.0, hi=1.0):
-    return ConvexBody([[lo], [hi]])
-
-
 # ---------------------------------------------------------------------------
 # Profiles
 # ---------------------------------------------------------------------------
@@ -251,7 +235,8 @@ _HYPOTHESIS_GRID = 2.0 ** np.arange(-6, 21)
 
 
 class ProfileDomain:
-    """Profile function ``f`` plus convex cross-section ``D``.
+    """Profile function ``f`` plus cross-section ``D``, an interval
+    ``(lo, hi)`` with ``lo < 0 < hi``.
 
     ``f`` (and ``fprime``) must accept float arrays and act elementwise;
     membership of the closure evaluates ``f`` at ``t = 0``, where it must
@@ -262,8 +247,15 @@ class ProfileDomain:
     ``fprime`` is omitted a centered finite difference of ``f`` is used.
     """
 
-    def __init__(self, f, cross_section, fprime=None, profile_kind="lipschitz-concave-derivative",
-                 name=None):
+    def __init__(self, f, cross_section=(-1.0, 1.0), fprime=None,
+                 profile_kind="lipschitz-concave-derivative", name=None):
+        try:
+            lo, hi = map(float, cross_section)
+        except (TypeError, ValueError):
+            raise GeometryError(f"cross-section D must be an interval (lo, hi), "
+                                f"got {cross_section!r}") from None
+        if not -math.inf < lo < 0.0 < hi < math.inf:
+            raise GeometryError(f"cross-section D = ({lo}, {hi}) needs finite lo < 0 < hi")
         if isinstance(f, str):
             if f not in PROFILES:
                 raise GeometryError(f"unknown profile {f!r}; known: {sorted(PROFILES)}")
@@ -278,7 +270,7 @@ class ProfileDomain:
                 return (_f(t + h) - _f(t - h)) / (2.0 * h)
         self.f = f
         self.fprime = fprime
-        self.cross_section = cross_section
+        self.cross_section = (lo, hi)
         self.profile_kind = profile_kind
         self.name = name
         self._validate()
@@ -580,8 +572,6 @@ class ConvexRing(Domain):
     kind = "convex_ring"
 
     def __init__(self, outer, inner):
-        if outer.dim != 2 or inner.dim != 2:
-            raise GeometryError("convex ring needs planar bodies")
         if not np.all(outer.contains(inner.vertices)):
             raise GeometryError("inner body closure must sit strictly inside the outer body")
         self.outer = outer
@@ -622,16 +612,12 @@ class ConvexRing(Domain):
 
 def _polygon_vertical_section(vertices, t):
     """(ymin, ymax) of the section of a convex polygon with the line x=t."""
-    ys = []
-    m = len(vertices)
-    for k in range(m):
-        (ax, ay), (bx, by) = vertices[k], vertices[(k + 1) % m]
-        if (ax - t) * (bx - t) <= 0.0 and ax != bx:
-            ys.append(ay + (t - ax) * (by - ay) / (bx - ax))
-    if not ys:
-        return None
-    lo, hi = min(ys), max(ys)
-    return (lo, hi) if lo < hi else None
+    a, b = vertices, np.roll(vertices, -1, axis=0)
+    cut = ((a[:, 0] - t) * (b[:, 0] - t) <= 0.0) & (a[:, 0] != b[:, 0])
+    a, b = a[cut], b[cut]
+    ys = a[:, 1] + (t - a[:, 0]) * (b[:, 1] - a[:, 1]) / (b[:, 0] - a[:, 0])
+    lo, hi = ys.min(initial=np.inf), ys.max(initial=-np.inf)
+    return (float(lo), float(hi)) if lo < hi else None
 
 
 class _IntervalProfile(Domain):
@@ -643,10 +629,8 @@ class _IntervalProfile(Domain):
     """
 
     def __init__(self, profile: ProfileDomain):
-        if profile.cross_section.dim != 1:
-            raise GeometryError("profile regions need an interval cross-section D")
         self.profile = profile
-        self.lo, self.hi = profile.cross_section.vertices[:, 0]
+        self.lo, self.hi = profile.cross_section
 
     def contains(self, p):
         t, y = self._split(p)
@@ -760,8 +744,6 @@ def rescaled_domain(domain, s):
     A constant profile yields exactly the unit cylinder restricted to
     |t| < s/2.
     """
-    if s <= 0.0:
-        raise GeometryError("rescale parameter must be positive")
     if isinstance(domain, Strip):
         domain = strip_as_profile()
     if isinstance(domain, ProfileRegion):
@@ -774,7 +756,6 @@ def rescaled_domain(domain, s):
 def strip_as_profile():
     """The strip viewed as the constant-profile region (pi/2) * (-1, 1)."""
     prof = ProfileDomain(lambda t: np.full_like(np.asarray(t, dtype=float), np.pi / 2),
-                         interval_body(-1.0, 1.0),
                          fprime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
                          name="const_pi_over_2")
     return ProfileRegion(prof)
@@ -784,19 +765,21 @@ def strip_as_profile():
 # Hausdorff distance
 # ---------------------------------------------------------------------------
 
-def hausdorff_distance(cloud_a, cloud_b, chunk=2048):
+#: points per block of the Hausdorff distance matrix
+_HAUSDORFF_CHUNK = 2048
+
+
+def hausdorff_distance(cloud_a, cloud_b):
     """max of the two directed sup-min distances between point clouds."""
-    a = np.atleast_2d(np.asarray(cloud_a, dtype=float))
-    b = np.atleast_2d(np.asarray(cloud_b, dtype=float))
+    a = np.asarray(cloud_a, dtype=float).reshape(-1, 2)
+    b = np.asarray(cloud_b, dtype=float).reshape(-1, 2)
     if a.size == 0 or b.size == 0:
         raise GeometryError("hausdorff distance needs nonempty clouds")
-    if a.shape[1] != b.shape[1]:
-        raise GeometryError("clouds must share a dimension")
 
     def directed(p, q):
         worst = 0.0
-        for k in range(0, len(p), chunk):
-            blk = p[k:k + chunk]
+        for k in range(0, len(p), _HAUSDORFF_CHUNK):
+            blk = p[k:k + _HAUSDORFF_CHUNK]
             d2 = np.sum((blk[:, None, :] - q[None, :, :]) ** 2, axis=2)
             worst = max(worst, float(np.sqrt(d2.min(axis=1).max())))
         return worst
@@ -837,8 +820,13 @@ def domain_from_config(cfg) -> Domain:
         return ConvexRing(body_from_config(_required(cfg, "A")),
                           body_from_config(_required(cfg, "B")))
     if kind == "profile":
-        body = body_from_config(cfg["D"]) if "D" in cfg else interval_body()
-        prof = ProfileDomain(_required(cfg, "f"), body,
+        D = cfg.get("D", {"vertices": [[-1.0], [1.0]]})
+        try:
+            (lo,), (hi,) = D["vertices"]
+        except (KeyError, TypeError, ValueError):
+            raise GeometryError(f"a profile cross-section D is an interval "
+                                f"{{'vertices': [[lo], [hi]]}}, got {D!r}") from None
+        prof = ProfileDomain(_required(cfg, "f"), (lo, hi),
                              profile_kind=cfg.get("profile_kind", "lipschitz-concave-derivative"))
         return ProfileRegion(prof)
     raise GeometryError(f"unknown domain kind {kind!r}")

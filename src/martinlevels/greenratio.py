@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, _symmetric
+from .fields import _STENCIL, ScalarField, _centered_gradient, _centered_hessian
 from .geometry import ConvexRing, Domain, GeometryError, WindowBox
 
 EXTERIOR, INTERIOR, BOUNDARY = 0, 1, 2
@@ -197,31 +197,15 @@ class GridField(ScalarField):
     def regular(self, p):
         """True where every difference stencil node lies in the window."""
         p = np.asarray(p, dtype=float)
-        h = self.grid.h
-        ok = np.ones(p.shape[:-1], dtype=bool)
-        for dx in (-h, 0.0, h):
-            for dy in (-h, 0.0, h):
-                ok &= self._in_window(p + [dx, dy])[2]
-        return ok
+        return self._in_window(p[..., None, :] + self.grid.h * _STENCIL)[2].all(axis=-1)
 
     def gradient(self, p):
         """Centered differences of step h at points ``(..., 2)``."""
-        h = self.grid.h
-        p = np.asarray(p, dtype=float)
-        return np.stack([(self.value(p + [h, 0.0]) - self.value(p - [h, 0.0])) / (2 * h),
-                         (self.value(p + [0.0, h]) - self.value(p - [0.0, h])) / (2 * h)],
-                        axis=-1)
+        return _centered_gradient(self.value, np.asarray(p, dtype=float), self.grid.h)
 
     def hessian(self, p):
         """Second differences of step h at points ``(..., 2)``."""
-        h = self.grid.h
-        p = np.asarray(p, dtype=float)
-        v0 = self.value(p)
-        fxx = (self.value(p + [h, 0]) - 2 * v0 + self.value(p - [h, 0])) / h ** 2
-        fyy = (self.value(p + [0, h]) - 2 * v0 + self.value(p - [0, h])) / h ** 2
-        fxy = (self.value(p + [h, h]) - self.value(p + [h, -h])
-               - self.value(p + [-h, h]) + self.value(p + [-h, -h])) / (4 * h ** 2)
-        return _symmetric(fxx, fxy, fyy)
+        return _centered_hessian(self.value, np.asarray(p, dtype=float), self.grid.h)
 
 
 def _apply_neg_laplacian(v, interior, hx, hy):

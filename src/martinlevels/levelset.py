@@ -454,34 +454,25 @@ def classify_strictness(fld, levels, window=None, h=0.02, samples_per_level=64, 
 def product_direction_detect(fld, samples, tol=1e-8, span=1.0, n_span=5):
     """Unit direction along which the field is flat, or None.
 
-    Looks for a common null direction of the sampled Hessians, then checks
-    that the gradient is orthogonal to it and that values are constant
-    along +-span at the samples (points leaving the domain are skipped).
+    Looks for a common null direction of the Hessians and gradients at the
+    sample points ``(n, 2)``, then checks that the gradient is orthogonal to
+    it and that values are constant along +-span at the samples (points
+    leaving the domain are skipped).
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    n = samples.shape[1]
+    samples = np.asarray(samples, dtype=float).reshape(-1, 2)
+    H = np.asarray(fld.hessian(samples), dtype=float)
+    g = np.asarray(fld.gradient(samples), dtype=float)
     # a flat direction must annihilate every sampled Hessian and gradient
-    M = np.zeros((n, n))
-    for p in samples:
-        H = np.asarray(fld.hessian(p), dtype=float)
-        g = np.asarray(fld.gradient(p), dtype=float)
-        M += H.T @ H + np.outer(g, g)
-    eigs, vecs = np.linalg.eigh(M)
+    eigs, vecs = np.linalg.eigh(np.einsum("nki,nkj->ij", H, H) + np.einsum("ni,nj->ij", g, g))
     if eigs[0] > tol * max(1.0, eigs[-1]):
         return None
     e = vecs[:, 0]
-    scale = 1.0
-    for p in samples:
-        g = np.asarray(fld.gradient(p), dtype=float)
-        scale = max(scale, abs(float(fld.value(p, check=False))))
-        if abs(g @ e) > tol * (1.0 + np.linalg.norm(g)):
-            return None
-    for p in samples:
-        u0 = float(fld.value(p, check=False))
-        for s in np.linspace(-span, span, n_span):
-            q = p + s * e
-            if not fld.domain.contains(q):
-                continue
-            if abs(float(fld.value(q, check=False)) - u0) > tol * scale:
-                return None
-    return e
+    if np.any(np.abs(g @ e) > tol * (1.0 + np.linalg.norm(g, axis=-1))):
+        return None
+    u0 = np.asarray(fld.value(samples, check=False), dtype=float)
+    scale = float(np.abs(u0).max(initial=1.0))
+    q = samples[:, None, :] + np.linspace(-span, span, n_span)[:, None] * e
+    inside = np.asarray(fld.domain.contains(q), dtype=bool)
+    drift = (np.asarray(fld.value(q[inside], check=False), dtype=float)
+             - np.repeat(u0[:, None], n_span, axis=1)[inside])
+    return None if np.any(np.abs(drift) > tol * scale) else e

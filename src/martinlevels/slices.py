@@ -9,14 +9,13 @@ rather than asserting limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import CylinderMode, FieldError, fd_hessian
-from .geometry import (GeometryError, Strip, WindowBox, hausdorff_distance,
-                       rescaled_domain, strip_as_profile)
-from .levelset import convexity_test, extract_level_curve, window_closure_points
+from .fields import CylinderMode, FieldError
+from .geometry import GeometryError, WindowBox, hausdorff_distance, rescaled_domain
+from .levelset import _tangent_forms, convexity_test, extract_level_curve, window_closure_points
 
 
 @dataclass
@@ -33,7 +32,6 @@ class SliceReport:
     argmax: tuple
     max_value: float
     center_value: float
-    monotone_rays: list = field(default_factory=list)
 
 
 @dataclass
@@ -62,23 +60,18 @@ class ThresholdReport:
     smallest_convex: float = None
 
 
-def _slice_of(fld, t):
-    return fld.domain.slice_at(t)
-
-
 def _slice_points(t, ys):
     return np.column_stack([np.full(len(ys), float(t)), ys])
 
 
-def slice_scan(fld, t, n_samples=512, span=None, check_rays=False):
+def slice_scan(fld, t, n_samples=512, span=None):
     """Locate the maximum of the field on the slice at axial coordinate t.
 
     Dense sampling over the slice (clipped to ``span`` when unbounded)
     followed by golden-section refinement around the best sample, position
-    tolerance 1e-8.  With ``check_rays`` the report also carries the
-    monotonicity verdicts along both rays from (t, 0).
+    tolerance 1e-8.
     """
-    sl = _slice_of(fld, t)
+    sl = fld.domain.slice_at(t)
     ys = sl.sample(n_samples, span=span)
     ys = np.append(ys, 0.0) if sl.contains(0.0) else ys
     vals = np.asarray(fld.value(_slice_points(t, ys)), dtype=float)
@@ -93,13 +86,8 @@ def slice_scan(fld, t, n_samples=512, span=None, check_rays=False):
     if u_star < vals[k]:
         y_star, u_star = y_best, float(vals[k])
     center = float(fld.value(np.array([t, 0.0]))) if sl.contains(0.0) else float("nan")
-    rays = []
-    if check_rays:
-        length = span if span is not None else None
-        for direction in (+1.0, -1.0):
-            rays.append(ray_monotonicity(fld, t, direction, length=length))
     return SliceReport(t=float(t), argmax=(float(t), y_star), max_value=u_star,
-                       center_value=center, monotone_rays=rays)
+                       center_value=center)
 
 
 def _golden_max(f, lo, hi, tol=1e-8):
@@ -131,7 +119,7 @@ def ray_monotonicity(fld, t, direction, n_steps=512, length=None, eq_tol=1e-12):
     direction = float(np.sign(direction))
     if direction == 0.0:
         raise GeometryError("ray direction must be nonzero")
-    sl = _slice_of(fld, t)
+    sl = fld.domain.slice_at(t)
     if length is None:
         ends = [b if direction > 0 else a for a, b in sl.intervals if a < 0.0 < b]
         if not ends:
@@ -141,42 +129,29 @@ def ray_monotonicity(fld, t, direction, n_steps=512, length=None, eq_tol=1e-12):
         length = abs(ends[0])
     ys = direction * length * (np.arange(n_steps) / n_steps)   # endpoint excluded
     vals = np.asarray(fld.value(_slice_points(t, ys)), dtype=float)
-    scale = float(np.abs(vals).max())
-    tol = eq_tol * scale
-    for k in range(len(vals) - 1):
-        if not (vals[k + 1] < vals[k] - tol):
-            return RayReport(direction=direction, decreasing=False,
-                             first_violation=(float(ys[k + 1]), float(vals[k]), float(vals[k + 1])),
-                             n_steps=n_steps)
-    return RayReport(direction=direction, decreasing=True, n_steps=n_steps)
+    tol = eq_tol * float(np.abs(vals).max())
+    bad = np.flatnonzero(~(vals[1:] < vals[:-1] - tol))
+    if not len(bad):
+        return RayReport(direction=direction, decreasing=True, n_steps=n_steps)
+    k = int(bad[0])
+    return RayReport(direction=direction, decreasing=False,
+                     first_violation=(float(ys[k + 1]), float(vals[k]), float(vals[k + 1])),
+                     n_steps=n_steps)
 
 
-def slice_superharmonicity(fld, t, n_samples=256, span=None, fd_step=None):
+def slice_superharmonicity(fld, t, n_samples=256, span=None):
     """Minimum of the axial second derivative d_tt u over slice samples.
 
     A positive minimum certifies that the slice restriction is superharmonic
     (for one transverse dimension: u_yy = -d_tt u < 0).  Points where the
-    Hessian is unavailable (boundary or branch singularities) are skipped
-    and counted.
+    Hessian is unavailable (boundary or branch singularities, see
+    ``fld.regular``) are skipped and counted.
     """
-    sl = _slice_of(fld, t)
-    ys = sl.sample(n_samples, span=span)
-    worst = math.inf
-    skipped = 0
-    for y in ys:
-        p = np.array([t, y])
-        try:
-            if fd_step is None:
-                utt = float(fld.hessian(p)[0, 0])
-            else:
-                utt = float(fd_hessian(fld, p, h=fd_step)[0, 0])
-        except (FieldError, ValueError):
-            skipped += 1
-            continue
-        worst = min(worst, utt)
-    if not np.isfinite(worst):
+    pts = _slice_points(t, fld.domain.slice_at(t).sample(n_samples, span=span))
+    ok = fld.regular(pts)
+    if not ok.any():
         raise FieldError("no valid slice samples for the second-derivative scan")
-    return worst, skipped
+    return float(fld.hessian(pts[ok])[..., 0, 0].min()), int(len(pts) - ok.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +184,7 @@ def rescale_and_compare(fld, s, window, mode: CylinderMode, n_lattice=41):
     Hausdorff distance between boundary samples of the zoomed domain and the
     unit cylinder inside the window.
     """
-    domain = fld.domain
-    profile_view = strip_as_profile() if isinstance(domain, Strip) else domain
-    zoomed = rescaled_domain(profile_view, s)
+    zoomed = rescaled_domain(fld.domain, s)
     f_s = zoomed.f_s
 
     scan = slice_scan(fld, s)
@@ -270,46 +243,33 @@ def decay_fit(g, radii):
 
 
 def tangent_form_residual(u_field, v_field, z):
-    """r(z) = T_u* H_u T_u (z) + 8 v(z), from the exact analytic Hessians."""
-    p = np.array([z.real, z.imag]) if isinstance(z, complex) else np.asarray(z, dtype=float)
-    g = u_field.gradient(p)
-    H = u_field.hessian(p)
-    T = np.array([g[1], -g[0]])
-    form = float(T @ H @ T)
-    return form + 8.0 * float(v_field.value(p, check=False)), form
+    """r(z) = T_u* H_u T_u (z) + 8 v(z) and the form T_u* H_u T_u (z), from
+    the exact analytic Hessians, at complex points z or points ``(..., 2)``."""
+    z = np.asarray(z)
+    p = np.stack([z.real, z.imag], axis=-1) if np.iscomplexobj(z) else z.astype(float)
+    form = _tangent_forms(u_field.gradient(p), u_field.hessian(p))[()]
+    return form + 8.0 * v_field.value(p, check=False), form
 
 
-def tangent_form_asymptotic(u_field, v_field, radii, ray_angle=0.0, threshold_scan=4096):
-    """Decay fit of the tangent-form residual along a ray, plus the largest
-    radius at which the total form is still nonnegative.
+#: radii of the scan for the largest radius with a nonnegative form
+_THRESHOLD_SCAN = 4096
+
+
+def tangent_form_asymptotic(u_field, v_field, radii):
+    """Decay fit of the tangent-form residual along the positive real axis,
+    plus the largest radius there at which the total form is still
+    nonnegative (scanned on 4096 radii in (1, max radii]).
 
     The residual uses analytic Hessians only; finite differences would bury
     the O(r^-2) signal under roundoff at the outer radii.
     """
-    direction = complex(math.cos(ray_angle), math.sin(ray_angle))
-
-    def resid_mag(r):
-        z = r * direction
-        resid, _ = tangent_form_residual(u_field, v_field, z)
-        return resid
-
-    fit = decay_fit(resid_mag, radii)
-
-    r_hi = max(radii)
-    scan = 1.0 + (r_hi - 1.0) * (np.arange(1, threshold_scan + 1) / threshold_scan)
-    largest_nonneg = None
-    for r in scan:
-        z = r * direction
-        p = np.array([z.real, z.imag])
-        if not u_field.domain.contains(p):
-            continue
-        try:
-            _, form = tangent_form_residual(u_field, v_field, z)
-        except (FieldError, ValueError):
-            continue
-        if form >= 0.0:
-            largest_nonneg = float(r)
-    return fit, largest_nonneg
+    fit = decay_fit(lambda r: tangent_form_residual(u_field, v_field, complex(r))[0], radii)
+    scan = 1.0 + (max(radii) - 1.0) * (np.arange(1, _THRESHOLD_SCAN + 1) / _THRESHOLD_SCAN)
+    pts = np.column_stack([scan, np.zeros_like(scan)])
+    ok = u_field.regular(pts)
+    _, forms = tangent_form_residual(u_field, v_field, pts[ok])
+    nonneg = scan[ok][forms >= 0.0]
+    return fit, float(nonneg[-1]) if len(nonneg) else None
 
 
 # ---------------------------------------------------------------------------

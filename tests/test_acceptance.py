@@ -204,7 +204,7 @@ class TestCriterion7Rescaling:
                 mode_ok &= vtt > 0.0 and abs(vtt - lamv) <= 1e-12 * lamv
                 mode_ok &= abs(fd - vtt) <= 1e-6 * max(1.0, abs(vtt))
 
-        prof = geo.ProfileRegion(geo.ProfileDomain("sqrt", geo.interval_body()))
+        prof = geo.ProfileRegion(geo.ProfileDomain("sqrt"))
         window = geo.WindowBox((-2.0, -2.0), (2.0, 2.0))
         ts = np.linspace(-2.0, 2.0, 801)
         cyl_cloud = np.vstack([np.column_stack([ts, np.ones_like(ts)]),

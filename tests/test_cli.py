@@ -258,6 +258,20 @@ class TestGreen:
         assert y1 == -y0 == pytest.approx(0.8 * math.sqrt(0.5))
         assert min(payload["probe_values"]) > 0.0
 
+    def test_config_number_lists(self, tmp_path, capsys):
+        # lists, comma-separated strings and single numbers parse alike
+        base = {"domain": "strip", "h": 0.0628, "probe": "0.4,1.5,-1,1"}
+        reports = []
+        for sub, extra in (("a", {"x0": [0.5, 0], "poles": [3]}),
+                           ("b", {"x0": "0.5,0", "poles": 3})):
+            cfg = write_config(tmp_path, f"{sub}.json", {**base, **extra})
+            assert cli.main(["green", "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+            reports.append((tmp_path / sub / "ratio.json").read_bytes())
+        assert reports[0] == reports[1]
+        cfg = write_config(tmp_path, "c.json", {**base, "x0": [0.5, 0], "poles": [2, "x"]})
+        assert cli.main(["green", "--config", cfg, "--out", str(tmp_path / "c")]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot parse poles")
+
     def test_alias_entry_point(self, tmp_path):
         code = cli.green_martin_main(["--domain", "strip", "--x0", "0.5,0", "--poles", "2",
                                       "--h", "0.0628", "--probe", "0.4,1.5,-1,1",
@@ -276,6 +290,41 @@ def test_malformed_cylinder_name_is_a_usage_error(tmp_path, capsys, command, nam
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and name.partition(":")[2] in err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["levelsets"], {**STRIP_LEVELS, "h": "abc"}),
+    (["levelsets"], {**STRIP_LEVELS, "seed": "x"}),
+    (["levelsets"], {**STRIP_LEVELS, "window": [["a", -1], [3, 1]]}),
+    (["green", "--domain", "strip", "--x0", "0.5,0", "--poles", "2,3",
+      "--probe", "0.4,1.5,-1,1", "--h", "abc"], None),
+    (["asymptotics", "--radii", "5:80:x"], None),
+    (["slice-scan", "--field", "strip", "--t", "1", "--span", "abc"], None),
+    (["green", "--domain", "strip", "--x0", "0.5,0", "--poles", "2,3", "--h", "0.0628"],
+     {"probe": ["a", 1.5, -1, 1]}),
+], ids=["levelsets-h", "levelsets-seed", "levelsets-window", "green-h", "asymptotics-radii", "slice-scan-span",
+        "green-config-probe"])
+def test_malformed_number_is_a_usage_error(tmp_path, capsys, argv, config):
+    if config is not None:
+        argv = argv + ["--config", write_config(tmp_path, "bad.json", config)]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("config error: cannot parse", "config error: bad window"))
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("D, rc", [({"vertices": [[-1], [1]]}, 0),
+                                   ({"vertices": [[-0.8], [2]]}, 0), ({"ngon": 6}, 2),
+                                   ({"vertices": [[-1, 0], [1, 0]]}, 2),
+                                   ({"vertices": [[1], [2]]}, 2)],
+                         ids=["documented", "asymmetric", "ngon", "planar", "origin-outside"])
+def test_profile_cross_section_config(tmp_path, capsys, D, rc):
+    cfg = write_config(tmp_path, "profile.json", {
+        "domain": {"kind": "profile", "f": "sqrt", "D": D}, "x0": [1.0, 0.0],
+        "poles": [2.0, 3.0], "h": 0.05, "probe": [0.5, 1.5, -0.5, 0.5]})
+    assert cli.main(["green", "--config", cfg, "--out", str(tmp_path)]) == rc
+    if rc:
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_certify_runs_load_no_numpy_ma(tmp_path):
@@ -328,6 +377,17 @@ class TestSliceScanAndAsymptotics:
         assert payload["f-decay"]["fprime_slope"] == pytest.approx(-3.0, abs=0.1)
         assert payload["f-decay"]["fsecond_slope"] == pytest.approx(-4.0, abs=0.1)
         assert payload["hess-residual"]["slope"] <= -1.9
+
+    def test_asymptotics_bytes_deterministic(self, tmp_path):
+        reports = []
+        for sub in ("a", "b"):
+            assert cli.main(["asymptotics", "--out", str(tmp_path / sub)]) == 0
+            reports.append((tmp_path / sub / "decay.json").read_bytes())
+        assert reports[0] == reports[1]
+        payload = json.loads(reports[0])
+        assert set(payload) == {"f-decay", "hess-residual"}
+        assert payload["hess-residual"]["largest_nonnegative_radius"] == pytest.approx(
+            3.0 ** 0.25, abs=2e-2)
 
     def test_unknown_asymptotics_check(self, tmp_path):
         assert cli.main(["asymptotics", "--check", "wat", "--out", str(tmp_path)]) == 2

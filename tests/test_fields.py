@@ -401,6 +401,101 @@ class TestArrayDerivatives:
         fld._guard(z[2:])
 
 
+def reference_fd_gradient(field, p, h=None):
+    p = np.asarray(p, dtype=float)
+    h = h or max(1e-5, 1e-5 * float(np.linalg.norm(p)))
+    g = np.zeros(p.size)
+    for k in range(p.size):
+        e = np.zeros(p.size)
+        e[k] = h
+        g[k] = (field.value(p + e, check=False) - field.value(p - e, check=False)) / (2 * h)
+    return g
+
+
+def reference_fd_hessian(field, p, h=None):
+    p = np.asarray(p, dtype=float)
+    h = h or max(1e-4, 1e-4 * float(np.linalg.norm(p)))
+    n = p.size
+    H = np.zeros((n, n))
+    f0 = field.value(p, check=False)
+    for i in range(n):
+        ei = np.zeros(n); ei[i] = h
+        H[i, i] = (field.value(p + ei, check=False) - 2 * f0
+                   + field.value(p - ei, check=False)) / h ** 2
+        for j in range(i + 1, n):
+            ej = np.zeros(n); ej[j] = h
+            H[i, j] = H[j, i] = (field.value(p + ei + ej, check=False)
+                                 - field.value(p + ei - ej, check=False)
+                                 - field.value(p - ei + ej, check=False)
+                                 + field.value(p - ei - ej, check=False)) / (4 * h ** 2)
+    return H
+
+
+class TestDifferencesMatchReferences:
+    """Finite differences evaluate their stencils in one value call; the
+    results equal those of the per-coordinate loops they replaced."""
+
+    # halfplane_v is left out: numpy squares a complex 0-d array by another
+    # path than a longer one, and the second difference amplifies that ulp by
+    # 1/h^2 (1.9e-8 relative at h = 1e-4)
+    @pytest.mark.parametrize("name", ALL_MARTIN + ["cylinder:A=1,B=1"])
+    def test_fd_match_per_coordinate_loops(self, name):
+        fld = flds.field_from_name(name)
+        pts = np.array(random_interior_points(fld, 40, seed=5))
+        g, H = flds.fd_gradient(fld, pts), flds.fd_hessian(fld, pts)
+        assert g.shape == (40, 2) and H.shape == (40, 2, 2)
+        # the default step comes from |p| by a sum of squares here and by a
+        # BLAS dot product in the loops, so the two agree to a few ulps
+        for k, p in enumerate(pts):
+            g1, H1 = reference_fd_gradient(fld, p), reference_fd_hessian(fld, p)
+            assert np.abs(g[k] - g1).max() <= 1e-14 * np.abs(g1).max()
+            assert np.abs(H[k] - H1).max() <= 1e-14 * np.abs(H1).max()
+            assert flds.fd_hessian(fld, p).shape == (2, 2)
+        assert np.array_equal(flds.fd_hessian(fld, pts.reshape(4, 10, 2), h=1e-3),
+                              flds.fd_hessian(fld, pts, h=1e-3).reshape(4, 10, 2, 2))
+
+    def test_grid_field_matches_its_old_formulas(self):
+        fld = grid_field()
+        h = fld.grid.h
+        pts = _probe_points(fld, n=200)
+        ok = np.ones(len(pts), dtype=bool)
+        for dx in (-h, 0.0, h):
+            for dy in (-h, 0.0, h):
+                ok &= fld._in_window(pts + [dx, dy])[2]
+        assert np.array_equal(fld.regular(pts), ok)
+        p = pts[ok]
+        v = fld.value
+        g = np.stack([(v(p + [h, 0.0]) - v(p - [h, 0.0])) / (2 * h),
+                      (v(p + [0.0, h]) - v(p - [0.0, h])) / (2 * h)], axis=-1)
+        v0 = v(p)
+        fxx = (v(p + [h, 0]) - 2 * v0 + v(p - [h, 0])) / h ** 2
+        fyy = (v(p + [0, h]) - 2 * v0 + v(p - [0, h])) / h ** 2
+        fxy = (v(p + [h, h]) - v(p + [h, -h]) - v(p + [-h, h]) + v(p + [-h, -h])) / (4 * h ** 2)
+        assert np.array_equal(fld.gradient(p), g)
+        assert np.array_equal(fld.hessian(p), flds._symmetric(fxx, fxy, fyy))
+
+    @pytest.mark.parametrize("factory,samples", [
+        (flds.map_strip_to_halfplane, [0.5 + 0.3j, 1.5 - 1.0j, 2.5 + 0j]),
+        (flds.map_sector_slit_to_halfplane, [2.0 + 0.5j, 1.5 - 0.7j, 3.0 + 0j]),
+        (flds.map_disc_to_halfplane, [0.1 + 0.2j, -0.5 + 0.3j, 0.0j]),
+        (flds.map_disc_to_strip, [0.1 + 0.2j, -0.5 + 0.3j, 0.4 - 0.4j]),
+        (flds.map_disc_to_halfplane_minus_disk, [0.1 + 0.2j, -0.3 + 0.3j, 0.4 - 0.2j]),
+    ])
+    def test_roundtrip_matches_point_loop(self, factory, samples):
+        cmap = factory()
+        worst = max(abs(cmap.inverse(cmap.forward(complex(z))) - complex(z)) for z in samples)
+        # Python's complex division rounds differently from numpy's in the
+        # last bit: the two worst errors (both below 2e-16) differ by at most
+        # 2.1e-17, measured
+        assert abs(cmap.check_roundtrip(samples) - worst) <= 0.25 * np.finfo(float).eps
+
+    def test_roundtrip_rejects_a_critical_point(self):
+        cmap = flds.ConformalMap(forward=lambda z: z ** 2, dforward=lambda z: 2.0 * z,
+                                 inverse=np.sqrt)
+        with pytest.raises(flds.FieldError, match="derivative vanishes"):
+            cmap.check_roundtrip([0.5 + 0.5j, 0.0j])
+
+
 class TestCylinderNames:
     @pytest.mark.parametrize("name,match", [
         ("cylinder:C=1", "unknown cylinder coefficient 'C'"),

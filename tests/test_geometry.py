@@ -15,7 +15,7 @@ def strip():
 
 @pytest.fixture
 def sqrt_profile():
-    return geo.ProfileRegion(geo.ProfileDomain("sqrt", geo.interval_body()))
+    return geo.ProfileRegion(geo.ProfileDomain("sqrt"))
 
 
 class TestContainment:
@@ -88,6 +88,20 @@ class TestMembershipContract:
     def test_profile_needs_interval_cross_section(self):
         with pytest.raises(geo.GeometryError):
             geo.ProfileRegion(geo.ProfileDomain("sqrt", geo.square_body()))
+
+    @pytest.mark.parametrize("D", [(0.0, 1.0), (-1.0, 0.0), (1.0, -1.0), (-1.0, 2.0, 3.0),
+                                   (-np.inf, 1.0), (np.nan, 1.0), "ab", 1.0],
+                             ids=["lo=0", "hi=0", "reversed", "three", "unbounded", "nan",
+                                  "string", "number"])
+    def test_cross_section_is_an_interval_around_0(self, D):
+        with pytest.raises(geo.GeometryError):
+            geo.ProfileDomain("sqrt", D)
+
+    def test_cross_section_default_and_walls(self):
+        assert geo.ProfileDomain("sqrt").cross_section == (-1.0, 1.0)
+        dom = geo.ProfileRegion(geo.ProfileDomain("sqrt", (-0.5, 2)))
+        assert dom.slice_at(4.0).intervals == ((-1.0, 4.0),)
+        assert dom.contains((4.0, 3.9)) and not dom.contains((4.0, -1.1))
 
     @pytest.mark.parametrize("cfg", [{"kind": "strip"}, RING, "rescaled_sqrt"],
                              ids=["strip", "convex_ring", "rescaled_sqrt"])
@@ -197,9 +211,6 @@ class TestSupportFunction:
         d = (1 / math.sqrt(2), 1 / math.sqrt(2))
         assert geo.square_body(1.0).support(d) == pytest.approx(math.sqrt(2))
 
-    def test_segment_negative_direction(self):
-        assert geo.interval_body(-1.0, 1.0).support((-1.0,)) == pytest.approx(1.0)
-
     def test_zero_direction_raises(self):
         with pytest.raises(geo.GeometryError):
             geo.square_body().support((0.0, 0.0))
@@ -236,6 +247,40 @@ class TestSupportFunction:
         with pytest.raises(geo.GeometryError):
             geo.ConvexBody([[1.0, 1.0], [2.0, 1.0], [2.0, 2.0], [1.0, 2.0]])
 
+    @pytest.mark.parametrize("vertices", [[[-1.0], [1.0]], [-1.0, 1.0], [[[0.0, 1.0]]]],
+                             ids=["1-d column", "flat", "3-d array"])
+    def test_bodies_are_planar(self, vertices):
+        with pytest.raises(geo.GeometryError, match="planar"):
+            geo.ConvexBody(vertices)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_symmetry_and_boundary_match_vertex_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        th = np.sort(rng.uniform(0.0, np.pi, 5))
+        half = np.column_stack([np.cos(th), np.sin(th)]) * rng.uniform(0.5, 2.0, (5, 1))
+        for pts in (np.vstack([half, -half]), np.vstack([half, -half + 1e-9]),
+                    np.vstack([half, -half[1:], [[0.0, -3.0]]])):
+            body = geo.ConvexBody(pts)
+            v = body.vertices
+            scale = 1.0 + np.abs(v).max()
+            ref = all(np.min(np.linalg.norm(v + w, axis=1)) <= 1e-12 * scale for w in v)
+            assert body.symmetric == ref
+            edges = np.roll(v, -1, axis=0) - v
+            lengths = np.linalg.norm(edges, axis=1)
+            ref_pts = []
+            for k in range(len(v)):
+                m = max(1, int(round(50 * lengths[k] / lengths.sum())))
+                ref_pts.append(v[k] + (np.arange(m) / m)[:, None] * edges[k])
+            assert np.array_equal(body.boundary_points(50), np.vstack(ref_pts))
+            for t in np.linspace(-2.5, 2.5, 41):
+                ys = []
+                for k in range(len(v)):
+                    (ax, ay), (bx, by) = v[k], v[(k + 1) % len(v)]
+                    if (ax - t) * (bx - t) <= 0.0 and ax != bx:
+                        ys.append(ay + (t - ax) * (by - ay) / (bx - ax))
+                ref = (min(ys), max(ys)) if ys and min(ys) < max(ys) else None
+                assert geo._polygon_vertical_section(v, t) == ref
+
 
 class TestSlices:
     def test_strip_slice(self, strip):
@@ -269,7 +314,7 @@ class TestSlices:
 
 class TestRescaledDomain:
     def test_constant_profile_is_unit_cylinder(self):
-        prof = geo.ProfileRegion(geo.ProfileDomain("const", geo.interval_body()))
+        prof = geo.ProfileRegion(geo.ProfileDomain("const"))
         rd = geo.rescaled_domain(prof, 10.0)
         for t in np.linspace(-4.9, 4.9, 11):
             assert rd.radius(t) == pytest.approx(1.0)
@@ -376,21 +421,21 @@ class TestHausdorff:
 class TestProfiles:
     def test_registry_profiles_pass_hypotheses(self):
         for name in ("sqrt", "log1p", "const", "saturating"):
-            geo.ProfileDomain(name, geo.interval_body())
+            geo.ProfileDomain(name)
 
     def test_increasing_derivative_rejected(self):
         with pytest.raises(geo.GeometryError):
-            geo.ProfileDomain(lambda t: t * t, geo.interval_body(),
+            geo.ProfileDomain(lambda t: t * t,
                               fprime=lambda t: 2.0 * t)
 
     def test_nonpositive_profile_rejected(self):
         with pytest.raises(geo.GeometryError):
-            geo.ProfileDomain(lambda t: t - 1.0, geo.interval_body(),
+            geo.ProfileDomain(lambda t: t - 1.0,
                               fprime=lambda t: np.ones_like(np.asarray(t)),
                               profile_kind="general")
 
     def test_user_profile_fd_derivative(self):
-        prof = geo.ProfileDomain(lambda t: np.sqrt(t), geo.interval_body())
+        prof = geo.ProfileDomain(lambda t: np.sqrt(t))
         assert prof.fprime(4.0) == pytest.approx(0.25, rel=1e-6)
 
 
@@ -404,6 +449,21 @@ class TestWindowAndConfig:
         xs, ys = w.lattice(0.1)
         assert xs[0] == 0.0 and xs[-1] == 2.0
         assert ys[0] == -1.0 and ys[-1] == 1.0
+
+    @pytest.mark.parametrize("half, h", [(1.0, 0.1), (math.pi / 2, math.pi / 200),
+                                         (2.0 * math.sqrt(8.0), 0.05), (0.7, 0.3), (3.0, 0.043)])
+    def test_symmetric_window_lattice_is_mirror_exact(self, half, h):
+        xs, ys = geo.WindowBox((0.0, -half), (2.0, half)).lattice(h)
+        n = len(ys) - 1
+        assert n % 2 == 0 and abs(n - round(2 * half / h)) <= 1
+        assert ys[n // 2] == 0.0 and np.array_equal(ys[::-1], -ys)
+        assert ys[0] == -half and ys[-1] == half
+        # the lower half keeps the nodes of the plain formula
+        np.testing.assert_array_equal(ys[:n // 2], -half + 2 * half * np.arange(n // 2) / n)
+
+    def test_asymmetric_window_lattice_unchanged(self):
+        xs, ys = geo.WindowBox((0.0, -1.0), (2.0, 1.5)).lattice(0.1)
+        np.testing.assert_array_equal(ys, -1.0 + 2.5 * np.arange(26) / 25)
 
     def test_domain_from_config(self):
         assert geo.domain_from_config({"kind": "strip"}).kind == "strip"

@@ -343,6 +343,42 @@ class TestProfileRatio:
             gr.martin_ratio(dom, cfg, 0.05)
 
 
+SQUARE_RING = {"kind": "convex_ring", "A": {"vertices": [[-2, -2], [2, -2], [2, 2], [-2, 2]]},
+               "B": {"vertices": [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]}}
+
+
+class TestMirrorSymmetry:
+    """Domains symmetric under y -> -y get mirror-exact grids and Green
+    functions on y-symmetric windows."""
+
+    @pytest.mark.parametrize("cfg, window", [
+        ("strip", None), ("right_halfplane", None), ("halfplane_minus_disk", None),
+        ({"kind": "profile", "f": "sqrt"}, None), ({"kind": "profile", "f": "log1p"}, None),
+        ("sector", geo.WindowBox((0.0, -3.0), (4.0, 3.0))),
+        ("sector_minus_slit", geo.WindowBox((0.0, -3.0), (4.0, 3.0))),
+        ("cylinder", geo.WindowBox((-2.0, -1.5), (2.0, 1.5))),
+        (SQUARE_RING, geo.WindowBox((-2.0, -2.0), (2.0, 2.0)))],
+        ids=["strip", "right_halfplane", "halfplane_minus_disk", "sqrt", "log1p", "sector",
+             "sector_minus_slit", "cylinder", "ring"])
+    @pytest.mark.parametrize("h", [0.05, 0.02, 0.037])
+    def test_mask_is_mirror_symmetric(self, cfg, window, h):
+        dom = geo.domain_from_config(cfg)
+        for w in [window] if window else [dom.truncation_window(s) for s in (4.0, 8.0)]:
+            grid = gr.build_grid(dom, w, h)
+            assert grid.ys[(len(grid.ys) - 1) // 2] == 0.0
+            assert np.array_equal(grid.mask, grid.mask[:, ::-1])
+
+    def test_sqrt_profile_green_function_is_mirror_symmetric(self):
+        # y = 0 was not a node before the lattice became mirror-exact; the
+        # pole snapped to y = -hy/2 and the asymmetry was 0.29 of max u
+        dom = geo.domain_from_config({"kind": "profile", "f": "sqrt"})
+        grid = gr.build_grid(dom, dom.truncation_window(4.0), 0.05)
+        assert len(grid.ys) == 115
+        G = gr.green_function(grid, (4.0, 0.0))
+        assert G.values[grid.node_index((4.0, 0.0))] == G.values.max()
+        assert np.abs(G.values - G.values[:, ::-1]).max() <= 1e-12 * G.values.max()
+
+
 class TestSuperlevelClouds:
     def test_strip_iterate_superlevel_convex(self, strip_ratio):
         _, res = strip_ratio

@@ -280,6 +280,32 @@ class TestStrictness:
         assert cls.tags[1e9] == "mixed/inconclusive"
 
 
+class ExpField(flds.ScalarField):
+    """exp(t) on the whole plane: flat along y."""
+
+    name = "exp_t"
+
+    class Dom:
+        def contains(self, p):
+            return np.ones(np.shape(p)[:-1], dtype=bool)
+
+    domain = Dom()
+
+    def value(self, p, check=True):
+        p = np.asarray(p)
+        return np.exp(p[..., 0])[()]
+
+    def gradient(self, p):
+        ex = np.exp(np.asarray(p)[..., 0])
+        return np.stack([ex, np.zeros_like(ex)], axis=-1)
+
+    def hessian(self, p):
+        ex = np.exp(np.asarray(p)[..., 0])
+        zero = np.zeros_like(ex)
+        return np.stack([np.stack([ex, zero], axis=-1),
+                         np.stack([zero, zero], axis=-1)], axis=-2)
+
+
 class TestProductDirection:
     def _samples(self, seed=3):
         rng = np.random.default_rng(seed)
@@ -294,36 +320,55 @@ class TestProductDirection:
         assert ls.product_direction_detect(flds.strip_martin(), self._samples()) is None
 
     def test_axial_exponential(self):
-        class ExpField(flds.ScalarField):
-            name = "exp_t"
-
-            class Dom:
-                dim = 2
-
-                def contains(self, p):
-                    return True
-
-            domain = Dom()
-
-            def value(self, p, check=True):
-                p = np.asarray(p)
-                return np.exp(p[..., 0])[()]
-
-            def gradient(self, p):
-                return np.array([math.exp(p[0]), 0.0])
-
-            def hessian(self, p):
-                return np.array([[math.exp(p[0]), 0.0], [0.0, 0.0]])
-
         e = ls.product_direction_detect(ExpField(), self._samples())
         assert e is not None
         assert abs(e[1]) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("fld", [flds.halfplane_coordinate(), flds.strip_martin(),
+                                     flds.cylinder_martin(1.0, 1.0), ExpField()],
+                             ids=["halfplane_x", "strip", "cylinder", "exp"])
+    def test_matches_per_point_reference(self, fld):
+        samples = self._samples() * [1.0, 0.8]          # inside the cylinder too
+        ref = reference_product_direction(fld, samples)
+        e = ls.product_direction_detect(fld, samples)
+        assert (e is None) == (ref is None)
+        if ref is not None:
+            assert min(np.abs(e - ref).max(), np.abs(e + ref).max()) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
 # The per-cell, per-edge and per-point loops the array passes replaced,
 # kept here as references.
 # ---------------------------------------------------------------------------
+
+def reference_product_direction(fld, samples, tol=1e-8, span=1.0, n_span=5):
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    n = samples.shape[1]
+    M = np.zeros((n, n))
+    for p in samples:
+        H = np.asarray(fld.hessian(p), dtype=float)
+        g = np.asarray(fld.gradient(p), dtype=float)
+        M += H.T @ H + np.outer(g, g)
+    eigs, vecs = np.linalg.eigh(M)
+    if eigs[0] > tol * max(1.0, eigs[-1]):
+        return None
+    e = vecs[:, 0]
+    scale = 1.0
+    for p in samples:
+        g = np.asarray(fld.gradient(p), dtype=float)
+        scale = max(scale, abs(float(fld.value(p, check=False))))
+        if abs(g @ e) > tol * (1.0 + np.linalg.norm(g)):
+            return None
+    for p in samples:
+        u0 = float(fld.value(p, check=False))
+        for s in np.linspace(-span, span, n_span):
+            q = p + s * e
+            if not fld.domain.contains(q):
+                continue
+            if abs(float(fld.value(q, check=False)) - u0) > tol * scale:
+                return None
+    return e
+
 
 def reference_marching_squares(vals, mask, xs, ys, c):
     above = np.where(mask, vals > c, False)
