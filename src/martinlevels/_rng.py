@@ -31,6 +31,3 @@ class XorShift64Star:
 
     def uniforms(self, n, lo=0.0, hi=1.0):
         return [self.uniform(lo, hi) for _ in range(n)]
-
-    def point_in_box(self, lower, upper):
-        return tuple(self.uniform(a, b) for a, b in zip(lower, upper))

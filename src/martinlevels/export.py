@@ -99,11 +99,11 @@ def _svg_path(points, sx, sy, tx, ty):
     return "M " + " L ".join(map("%.3f %.3f".__mod__, zip(xs, ys)))
 
 
-def write_svg_levels(path, curves, window, title="level sets", size=640):
-    """Overlay of level polylines inside the window, one color per level."""
+def write_svg_levels(path, curves, window, title="level sets"):
+    """Overlay of level polylines inside the window, 640 pixels wide, one color per level."""
     (x0, y0), (x1, y1) = window.lower, window.upper
     aspect = (y1 - y0) / (x1 - x0)
-    width, height = size, max(64, int(size * aspect))
+    width, height = 640, max(64, int(640 * aspect))
     sx = width / (x1 - x0)
     sy = height / (y1 - y0)
     tx, ty = -sx * x0, height + sy * y0

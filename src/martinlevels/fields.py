@@ -40,10 +40,9 @@ class PrecisionError(FieldError):
 BRANCH_GUARD = 1e-8
 
 
-def _complex_of(p, dtype=None):
+def _complex_of(p):
     p = np.asarray(p)
-    if dtype is None:
-        dtype = np.clongdouble if p.dtype == np.longdouble else complex
+    dtype = np.clongdouble if p.dtype == np.longdouble else complex
     return p[..., 0].astype(dtype) + 1j * p[..., 1].astype(dtype)
 
 
@@ -209,22 +208,26 @@ def halfplane_coordinate():
 
 @dataclass(frozen=True)
 class CylinderMode:
-    """Principal Dirichlet eigenpair of the cross-section plus coefficients.
+    """Principal Dirichlet eigenpair of the cross-section (-1, 1), lam = pi^2/4
+    and phi(y) = cos(pi y / 2), plus coefficients.
 
     Cylinder positive harmonic functions have the separated form
-    ``(A e^{sqrt(lam) t} + B e^{-sqrt(lam) t}) phi(Y)`` with A, B >= 0.
+    ``(A e^{sqrt(lam) t} + B e^{-sqrt(lam) t}) phi(y)`` with A, B >= 0.
     """
 
-    lam: float
-    phi: object
-    dphi: object
-    d2phi: object
     A: float = 1.0
     B: float = 0.0
+    lam = (np.pi / 2) ** 2
 
     def __post_init__(self):
         if self.A < 0.0 or self.B < 0.0 or self.A + self.B <= 0.0:
             raise FieldError("mode coefficients need A, B >= 0 and A + B > 0")
+
+    def phi(self, y):
+        return np.cos(np.pi * np.asarray(y) / 2)
+
+    def dphi(self, y):
+        return -(np.pi / 2) * np.sin(np.pi * np.asarray(y) / 2)
 
     def axial(self, t, dtype=float):
         rt = np.sqrt(np.asarray(self.lam, dtype=dtype))
@@ -236,22 +239,10 @@ class CylinderMode:
         return rt * (self.A * np.exp(rt * t) - self.B * np.exp(-rt * t))
 
 
-def interval_mode(A=1.0, B=0.0):
-    """d = 1 eigenpair on (-1, 1): lam = pi^2/4, phi = cos(pi y / 2)."""
-    lam = (np.pi / 2) ** 2
-    return CylinderMode(lam=lam,
-                        phi=lambda y: np.cos(np.pi * np.asarray(y) / 2),
-                        dphi=lambda y: -(np.pi / 2) * np.sin(np.pi * np.asarray(y) / 2),
-                        d2phi=lambda y: -lam * np.cos(np.pi * np.asarray(y) / 2),
-                        A=A, B=B)
-
-
 class CylinderModeField(ScalarField):
     """(A e^{sqrt(lam) t} + B e^{-sqrt(lam) t}) phi(y) on R x (-1, 1)."""
 
     def __init__(self, mode: CylinderMode):
-        if mode.dphi is None or mode.d2phi is None:
-            raise FieldError("field evaluation needs the mode derivatives dphi and d2phi")
         self.mode = mode
         self.domain = CylinderDomain()
         self.name = f"cylinder:A={mode.A:g},B={mode.B:g}"
@@ -280,11 +271,11 @@ class CylinderModeField(ScalarField):
         t, y = self._split(p)
         m = self.mode
         v = m.axial(t) * m.phi(y)
-        return _symmetric(m.lam * v, m.axial_d(t) * m.dphi(y), m.axial(t) * m.d2phi(y))
+        return _symmetric(m.lam * v, m.axial_d(t) * m.dphi(y), m.axial(t) * (-m.lam * m.phi(y)))
 
 
 def cylinder_martin(A=1.0, B=0.0):
-    return CylinderModeField(interval_mode(A, B))
+    return CylinderModeField(CylinderMode(A, B))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +328,7 @@ def _longdouble_eps():
 
 
 def harmonicity_residual(field, p, h):
-    """5-point discrete Laplacian of the value oracle at p, step h.
+    """5-point discrete Laplacian of the value oracle at points ``(..., 2)``, step h.
 
     The stencil of an analytic field is evaluated in extended precision; in
     plain float64 the per-value rounding of ~1e-16/h^2 would swamp the
@@ -345,8 +336,9 @@ def harmonicity_residual(field, p, h):
     double is no wider than float64 is rejected.
     """
     p = np.asarray(p, dtype=float)
-    if not np.all(field.domain.contains(p + 2 * h * _STENCIL[:4])):
-        raise FieldError(f"stencil of radius 2h around {p} leaves the domain")
+    bad = ~np.all(field.domain.contains(p[..., None, :] + 2 * h * _STENCIL[:4]), axis=-1)
+    if bad.any():
+        raise FieldError(f"stencil of radius 2h around {p[bad][0].tolist()} leaves the domain")
     dtype = float
     if field.derivative_kind == "analytic":
         eps = _longdouble_eps()
@@ -354,9 +346,23 @@ def harmonicity_residual(field, p, h):
             raise PrecisionError(f"long double eps {eps:.3g} > {LONGDOUBLE_EPS_MAX:g}: the "
                                  "harmonicity stencil needs 80-bit extended precision")
         dtype = np.longdouble
-    v = field.value(p.astype(dtype) + dtype(h) * _STENCIL[:5].astype(dtype), check=False)
-    total = v[0] + v[1] + v[2] + v[3] - 4.0 * v[4]
-    return float(total / dtype(h) ** 2)
+    v = field.value(p[..., None, :].astype(dtype) + dtype(h) * _STENCIL[:5].astype(dtype),
+                    check=False)
+    total = v[..., 0] + v[..., 1] + v[..., 2] + v[..., 3] - 4.0 * v[..., 4]
+    return np.asarray(total / dtype(h) ** 2, dtype=float)[()]
+
+
+def interior_points(fld, n, rng):
+    """The first n points drawn uniformly from the field's default window
+    (x, then y, from the seeded generator) that lie in the domain farther
+    than 0.05 from its boundary, shape ``(n, 2)``."""
+    lower, upper = np.array(fld.default_window.lower), np.array(fld.default_window.upper)
+    pts = np.empty((0, 2))
+    while len(pts) < n:
+        p = lower + (upper - lower) * np.reshape(rng.uniforms(2 * n), (-1, 2))
+        p = p[fld.domain.contains(p)]
+        pts = np.vstack([pts, p[fld.domain.boundary_distance(p) > 0.05]])
+    return pts[:n]
 
 
 @dataclass
@@ -371,10 +377,9 @@ class BoundaryReport:
         return self.max_abs <= self.tol
 
 
-def boundary_vanishing(field, n_samples=200, tol=1e-8, window=None):
-    """Max |u| over boundary samples, via the continuous extension of u."""
-    window = window or field.default_window
-    pts = field.domain.boundary_points(window, n_samples)
+def boundary_vanishing(field, n_samples=200, tol=1e-8):
+    """Max |u| over boundary samples in the default window, via the continuous extension of u."""
+    pts = field.domain.boundary_points(field.default_window, n_samples)
     vals = np.abs(np.asarray(field.boundary_value(pts), dtype=float))
     k = int(np.argmax(vals))
     return BoundaryReport(max_abs=float(vals[k]), worst_point=tuple(pts[k]),
@@ -523,14 +528,12 @@ def conformal_pullback(cmap: ConformalMap, domain=None, name=None) -> ScalarFiel
     return fld
 
 
-def study_convexity_check(cmap: ConformalMap, center, radius, n_samples=256):
-    """Map a disc boundary inside the unit disc and test image convexity."""
+def study_convexity_check(cmap: ConformalMap, center, radius):
+    """Map 256 points of a disc boundary inside the unit disc and test image convexity."""
     center = complex(center)
     if abs(center) + radius >= 1.0:
         raise FieldError("disc closure must sit inside the unit disc")
-    if n_samples < 256:
-        n_samples = 256
-    th = 2.0 * np.pi * np.arange(n_samples) / n_samples
+    th = 2.0 * np.pi * np.arange(256) / 256
     zs = center + radius * np.exp(1j * th)
     ws = np.asarray(cmap.forward(zs), dtype=complex)
     pts = np.column_stack([ws.real, ws.imag])

@@ -25,16 +25,6 @@ class GeometryError(ValueError):
     pass
 
 
-def as_point(p):
-    """Validate and return one planar point as a finite float array of shape (2,)."""
-    q = np.asarray(p, dtype=float)
-    if q.shape != (2,):
-        raise GeometryError(f"point must be a flat sequence of 2 coords, got shape {q.shape}")
-    if not np.all(np.isfinite(q)):
-        raise GeometryError(f"point has non-finite entries: {q}")
-    return q
-
-
 # ---------------------------------------------------------------------------
 # Windows
 # ---------------------------------------------------------------------------
@@ -130,15 +120,15 @@ class ConvexBody:
         xi = xi / nrm
         return float(np.max(self.vertices @ xi))
 
-    def contains(self, w, scale=1.0, strict=True):
-        """Membership of planar points ``w`` (shape ``(..., 2)``) in ``scale * D``.
+    def contains(self, w, strict=True):
+        """Membership of planar points ``w`` (shape ``(..., 2)``) in D.
 
         The open body when ``strict``, its closure otherwise.
         """
         w = np.asarray(w, dtype=float)
         if w.shape[-1:] != (2,):
             raise GeometryError(f"membership needs points (..., 2), got {w.shape}")
-        v = self.vertices * scale
+        v = self.vertices
         n = len(v)
         x, y = w[..., 0], w[..., 1]
         inside = np.ones(np.shape(x), dtype=bool)
@@ -149,14 +139,9 @@ class ConvexBody:
             inside &= (cross > 0.0) if strict else (cross >= 0.0)
         return inside[()]
 
-    def boundary_distance(self, w, scale=1.0):
-        """Euclidean distance from a planar point ``w`` to the boundary of ``scale * D``."""
-        w = np.asarray(w, dtype=float).reshape(1, 2)
-        return float(edge_distances(w, self.vertices * scale).min())
-
-    def boundary_points(self, n, scale=1.0):
+    def boundary_points(self, n):
         """~n points sampled uniformly by arc length along the boundary."""
-        v = self.vertices * scale
+        v = self.vertices
         edges = np.roll(v, -1, axis=0) - v
         lengths = np.linalg.norm(edges, axis=1)
         m = np.maximum(1, np.rint(n * lengths / lengths.sum()).astype(int))   # points per edge
@@ -346,7 +331,14 @@ class Domain:
         raise NotImplementedError
 
     def boundary_distance(self, p):
-        raise NotImplementedError
+        """Distance to the boundary from points ``(..., 2)`` of the open set
+        (a :class:`GeometryError` if one lies outside it), on the domains
+        whose ``_distance(x, y)`` gives it in closed form."""
+        p = np.asarray(p, dtype=float)
+        outside = ~np.asarray(self.contains(p))
+        if outside.any():
+            raise GeometryError(f"point {p[outside][0].tolist()} outside domain")
+        return np.array(self._distance(*self._split(p)))[()]
 
     def slice_at(self, t):
         raise NotImplementedError
@@ -377,11 +369,8 @@ class Strip(Domain):
         x, y = self._split(p)
         return np.asarray((x >= 0.0) & (np.abs(y) <= np.pi / 2))[()]
 
-    def boundary_distance(self, p):
-        x, y = self._split(as_point(p))
-        if not self.contains(p):
-            raise GeometryError(f"point {p} outside domain")
-        return float(min(x, np.pi / 2 - abs(y)))
+    def _distance(self, x, y):
+        return np.minimum(x, np.pi / 2 - np.abs(y))
 
     def slice_at(self, t):
         if t <= 0.0:
@@ -415,11 +404,8 @@ class RightHalfplane(Domain):
         x, _ = self._split(p)
         return np.asarray(x >= 0.0)[()]
 
-    def boundary_distance(self, p):
-        x, _ = self._split(as_point(p))
-        if not self.contains(p):
-            raise GeometryError(f"point {p} outside domain")
-        return float(x)
+    def _distance(self, x, y):
+        return x
 
     def slice_at(self, t):
         if t <= 0.0:
@@ -447,11 +433,8 @@ class Sector(Domain):
         x, y = self._split(p)
         return np.asarray((x >= 0.0) & (np.abs(y) <= x))[()]
 
-    def boundary_distance(self, p):
-        x, y = self._split(as_point(p))
-        if not self.contains(p):
-            raise GeometryError(f"point {p} outside domain")
-        return float((x - abs(y)) / math.sqrt(2.0))
+    def _distance(self, x, y):
+        return (x - np.abs(y)) / math.sqrt(2.0)
 
     def slice_at(self, t):
         if t <= 0.0:
@@ -478,13 +461,9 @@ class SectorMinusSlit(Sector):
         on_slit = (y == 0.0) & (x <= 1.0)
         return np.asarray((x > 0.0) & (np.abs(y) < x) & ~on_slit)[()]
 
-    def boundary_distance(self, p):
-        x, y = self._split(as_point(p))
-        if not self.contains(p):
-            raise GeometryError(f"point {p} outside domain")
-        d_rays = (x - abs(y)) / math.sqrt(2.0)
-        d_slit = edge_distances(np.array([[x, y]]), _SLIT)[0, 0]
-        return float(min(d_rays, d_slit))
+    def _distance(self, x, y):
+        d_slit = edge_distances(np.stack([x, y], axis=-1).reshape(-1, 2), _SLIT)[:, 0]
+        return np.minimum(super()._distance(x, y), d_slit.reshape(x.shape))
 
     def slice_at(self, t):
         if t <= 0.0:
@@ -512,11 +491,8 @@ class HalfplaneMinusDisk(Domain):
         x, y = self._split(p)
         return np.asarray((x >= 0.0) & (x * x + y * y >= 1.0))[()]
 
-    def boundary_distance(self, p):
-        x, y = self._split(as_point(p))
-        if not self.contains(p):
-            raise GeometryError(f"point {p} outside domain")
-        return float(min(x, math.hypot(x, y) - 1.0))
+    def _distance(self, x, y):
+        return np.minimum(x, np.hypot(x, y) - 1.0)
 
     def slice_at(self, t):
         if t <= 0.0:
@@ -551,11 +527,8 @@ class CylinderDomain(Domain):
         _, y = self._split(p)
         return np.asarray(np.abs(y) <= 1.0)[()]
 
-    def boundary_distance(self, p):
-        _, y = self._split(as_point(p))
-        if not self.contains(p):
-            raise GeometryError(f"point {p} outside domain")
-        return float(1.0 - abs(y))
+    def _distance(self, x, y):
+        return 1.0 - np.abs(y)
 
     def slice_at(self, t):
         return SliceSet(t, ((-1.0, 1.0),))
@@ -586,12 +559,6 @@ class ConvexRing(Domain):
         p = np.asarray(p, dtype=float)
         return np.asarray(self.outer.contains(p, strict=False)
                           & ~self.inner.contains(p, strict=True))[()]
-
-    def boundary_distance(self, p):
-        q = as_point(p)
-        if not self.contains(q):
-            raise GeometryError(f"point {p} outside domain")
-        return min(self.outer.boundary_distance(q), self.inner.boundary_distance(q))
 
     def slice_at(self, t):
         outer = _polygon_vertical_section(self.outer.vertices, t)
@@ -659,29 +626,6 @@ class ProfileRegion(_IntervalProfile):
 
     def _axial(self, t, strict):
         return t > 0.0 if strict else t >= 0.0
-
-    def boundary_distance(self, p, sampling_h=None):
-        """Lower bound on the distance to the lateral boundary.
-
-        Computed from boundary samples at axial spacing ``sampling_h``
-        (default: slice_gap/64) with a Lipschitz correction, so the reported
-        value is within 2*sampling_h below the exact distance.
-        """
-        q = as_point(p)
-        if not self.contains(q):
-            raise GeometryError(f"point {p} outside domain")
-        t, y = q
-        lo, hi = self.lo, self.hi
-        r = float(self.profile.f(t))
-        d_slice = min(abs(y - r * lo), abs(r * hi - y))
-        h = sampling_h if sampling_h is not None else max(d_slice / 64.0, 1e-6)
-        ts = np.arange(max(t - d_slice, h / 2.0), t + d_slice + h, h)
-        fv = np.asarray(self.profile.f(ts), dtype=float)
-        best = min(d_slice, float(np.hypot(ts - t, fv * lo - y).min()),
-                   float(np.hypot(ts - t, fv * hi - y).min()))
-        lip = float(np.max(np.abs(np.diff(fv)), initial=0.0)) / h
-        correction = 0.5 * h * math.sqrt(1.0 + (lip * max(abs(lo), abs(hi))) ** 2)
-        return max(0.0, best - correction)
 
     def slice_at(self, t):
         if t <= 0.0:
@@ -792,17 +736,30 @@ def hausdorff_distance(cloud_a, cloud_b):
 # ---------------------------------------------------------------------------
 
 def body_from_config(cfg) -> ConvexBody:
-    if "vertices" in cfg:
-        return ConvexBody(cfg["vertices"], symmetric=cfg.get("symmetric"))
-    if "ngon" in cfg:
-        return regular_polygon(int(cfg["ngon"]), float(cfg.get("radius", 1.0)))
+    """A body from ``{"vertices": [[x, y], ...]}`` or ``{"ngon": n, "radius": r}``."""
+    if isinstance(cfg, dict) and "vertices" in cfg:
+        return ConvexBody(_config_value(cfg, "vertices", lambda v: np.asarray(v, dtype=float)),
+                          symmetric=cfg.get("symmetric"))
+    if isinstance(cfg, dict) and "ngon" in cfg:
+        return regular_polygon(_config_value(cfg, "ngon", int),
+                               _config_value(cfg, "radius", float, 1.0))
     raise GeometryError(f"cannot build a convex body from {cfg!r}")
+
+
+def _config_value(cfg, key, kind, default=None):
+    """``kind`` of ``cfg[key]`` (default if absent), or a GeometryError naming the key."""
+    try:
+        return kind(cfg.get(key, default))
+    except (TypeError, ValueError):
+        raise GeometryError(f"cannot parse {key!r}: {cfg.get(key)!r}") from None
 
 
 def domain_from_config(cfg) -> Domain:
     """Build a domain from a JSON-style mapping, e.g. {"kind": "strip"}."""
     if isinstance(cfg, str):
         cfg = {"kind": cfg}
+    if not isinstance(cfg, dict):
+        raise GeometryError(f"domain must be a kind name or a mapping with a 'kind', got {cfg!r}")
     kind = cfg.get("kind")
     if kind == "strip":
         return Strip()
@@ -817,8 +774,14 @@ def domain_from_config(cfg) -> Domain:
     if kind == "cylinder":
         return CylinderDomain()
     if kind == "convex_ring":
-        return ConvexRing(body_from_config(_required(cfg, "A")),
-                          body_from_config(_required(cfg, "B")))
+        bodies = []
+        for key in ("A", "B"):
+            body = _required(cfg, key)
+            try:
+                bodies.append(body_from_config(body))
+            except GeometryError as e:
+                raise GeometryError(f"ring body {key!r}: {e}") from None
+        return ConvexRing(*bodies)
     if kind == "profile":
         D = cfg.get("D", {"vertices": [[-1.0], [1.0]]})
         try:

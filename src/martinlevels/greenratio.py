@@ -284,7 +284,7 @@ def _fast_poisson(shape, hx, hy):
 
 
 def solve_dirichlet(grid, boundary_values=None, source=None, tol=1e-10, maxiter=10 ** 6):
-    """Solve the 5-point Laplace problem -lap u = source with Dirichlet data.
+    """Solve the 5-point Laplace problem -lap u = source with Dirichlet node values.
 
     Fast-Poisson preconditioned conjugate gradients on the interior
     unknowns: the preconditioner is the exact inverse of the operator on the
@@ -301,11 +301,7 @@ def solve_dirichlet(grid, boundary_values=None, source=None, tol=1e-10, maxiter=
     hx, hy = grid.hx, grid.hy
     bdata = np.zeros(grid.shape)
     if boundary_values is not None:
-        if callable(boundary_values):
-            for i, j in zip(*np.nonzero(boundary)):
-                bdata[i, j] = float(boundary_values((grid.xs[i], grid.ys[j])))
-        else:
-            bdata = np.where(boundary, np.asarray(boundary_values, dtype=float), 0.0)
+        bdata = np.where(boundary, np.asarray(boundary_values, dtype=float), 0.0)
     rhs = np.zeros(grid.shape)
     if source is not None:
         rhs[...] = source
@@ -357,7 +353,7 @@ def _cg(b, interior, hx, hy, tol, maxiter):
                       f"relative residual {r_norm / b_norm:.3e}")
 
 
-def green_function(grid, pole, tol=1e-12):
+def green_function(grid, pole):
     """Discrete Green field: -lap G = delta_pole / h^2, zero Dirichlet data.
 
     Solved tighter than the generic Dirichlet tolerance so that the
@@ -368,7 +364,7 @@ def green_function(grid, pole, tol=1e-12):
         raise GeometryError(f"pole {pole} does not snap to an interior node")
     source = np.zeros(grid.shape)
     source[i, j] = 1.0 / (grid.hx * grid.hy)
-    fld = solve_dirichlet(grid, boundary_values=None, source=source, tol=tol)
+    fld = solve_dirichlet(grid, boundary_values=None, source=source, tol=1e-12)
     fld.name = f"green[{pole}]"
     return fld
 
@@ -389,8 +385,6 @@ class MartinApproxConfig:
     x0: tuple
     poles: tuple
     probe_window: WindowBox
-    solver_tol: float = 1e-12
-    probe_shape: tuple = (25, 17)
 
     def __post_init__(self):
         s = tuple(float(v) for v in self.poles)
@@ -415,9 +409,13 @@ class MartinRatioResult:
     probe_points: np.ndarray
 
 
-def probe_lattice(window, shape=(25, 17)):
-    xs = np.linspace(window.lower[0], window.upper[0], shape[0])
-    ys = np.linspace(window.lower[1], window.upper[1], shape[1])
+#: probe nodes along x and along y
+PROBE_SHAPE = (25, 17)
+
+
+def probe_lattice(window):
+    xs = np.linspace(window.lower[0], window.upper[0], PROBE_SHAPE[0])
+    ys = np.linspace(window.lower[1], window.upper[1], PROBE_SHAPE[1])
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     return np.stack([X.ravel(), Y.ravel()], axis=-1)
 
@@ -431,7 +429,7 @@ def martin_ratio(domain, cfg: MartinApproxConfig, h):
     """
     if not domain.contains(np.asarray(cfg.x0, dtype=float)):
         raise GeometryError(f"reference point {cfg.x0} not inside the domain")
-    probes = probe_lattice(cfg.probe_window, cfg.probe_shape)
+    probes = probe_lattice(cfg.probe_window)
     outside = ~domain.contains_closure(probes)
     if np.any(outside):
         # the ratio reads 0 there, which would pass unnoticed into the diagnostics
@@ -446,7 +444,7 @@ def martin_ratio(domain, cfg: MartinApproxConfig, h):
         if not window.contains((s, 0.0), strict=True):
             raise GeometryError(f"pole {s} not inside its truncation window")
         grid = build_grid(domain, window, h)
-        G = green_function(grid, (s, 0.0), tol=cfg.solver_tol)
+        G = green_function(grid, (s, 0.0))
         g0 = G.value(np.asarray(cfg.x0, dtype=float))
         if g0 <= 0.0:
             raise SolverError(f"nonpositive Green value at the reference point for pole {s}")

@@ -31,9 +31,6 @@ class LevelCurve:
     closed: bool
     window: WindowBox = None
 
-    def __len__(self):
-        return len(self.vertices)
-
 
 @dataclass
 class ConvexityReport:
@@ -42,7 +39,6 @@ class ConvexityReport:
     tolerance: float
     witness: tuple = None             # (p, q, midpoint) for non_convex
     witness_verified: bool = False
-    tangent_form_max: float = None
     n_points: int = 0
     note: str = ""
 
@@ -237,7 +233,7 @@ def convexity_test(curve_or_cloud, closure=None, tol=1e-9, fld=None, level=None)
     ----------
     curve_or_cloud : LevelCurve, list of LevelCurve, or (n, 2) array
         Boundary samples of the region under test.
-    closure : None | "chord" | (m, 2) array
+    closure : None or (m, 2) array
         Extra points closing an open curve against its window (e.g. the
         window-edge path on the superlevel side); they enlarge the hull but
         are not themselves tested.
@@ -251,7 +247,7 @@ def convexity_test(curve_or_cloud, closure=None, tol=1e-9, fld=None, level=None)
     if len(pts) < 8:
         raise LevelSetError("convexity test needs at least 8 points")
     hull_input = pts
-    if closure is not None and not isinstance(closure, str):
+    if closure is not None:
         hull_input = np.vstack([pts, np.atleast_2d(np.asarray(closure, dtype=float))])
     hull = convex_hull_2d(hull_input)
     if len(hull) < 3:
@@ -361,20 +357,32 @@ def midpoint_witness_search(fld, c, candidate_pairs):
     return (tuple(p[m]), tuple(q[m]), tuple(mids[m]))
 
 
-def window_closure_points(curves, window, fld, c, n=33):
+def window_closure_points(curves, window, fld, c):
     """Window-edge path closing open level curves on the superlevel side.
 
-    Samples the window edges and keeps the points with u > c (plus the
-    window corners whose value exceeds c); used as the ``closure`` argument
-    of :func:`convexity_test` for unbounded regions.
+    Samples each window edge at 33 points and keeps those with u > c (the
+    corners included); used as the ``closure`` argument of
+    :func:`convexity_test` for unbounded regions.
     """
     (x0, y0), (x1, y1) = window.lower, window.upper
+    n = 33
     edges = np.vstack([np.column_stack([np.linspace(x0, x1, n), np.full(n, y0)]),
                        np.column_stack([np.linspace(x0, x1, n), np.full(n, y1)]),
                        np.column_stack([np.full(n, x0), np.linspace(y0, y1, n)]),
                        np.column_stack([np.full(n, x1), np.linspace(y0, y1, n)])])
     keep = edges[~_excluded(fld, c, edges)]
     return keep if len(keep) else None
+
+
+def certify_level(fld, c, window, h):
+    """Hull certificate of {u > c} in the window: the level curves on the lattice of
+    spacing h, closed along the window edges on the superlevel side, tested at
+    tolerance 2h with verified witnesses; None when the level is not attained."""
+    curves = extract_level_curve(fld, c, window, h)
+    if not curves:
+        return None
+    closure = window_closure_points(curves, window, fld, c)
+    return convexity_test(curves, closure=closure, tol=2.0 * h, fld=fld, level=c)
 
 
 # ---------------------------------------------------------------------------
@@ -411,31 +419,30 @@ def tangent_hessian_form(fld, p):
     return _tangent_forms(g, np.asarray(fld.hessian(p), dtype=float))[()]
 
 
-def classify_strictness(fld, levels, window=None, h=0.02, samples_per_level=64, band_scale=1e-7):
+def classify_strictness(fld, levels, window=None, h=0.02):
     """Sign classification of the tangent form along extracted level curves.
 
     Everywhere negative (beyond the tolerance band) means the superlevel
     boundaries are strictly convex at the samples; everywhere inside the
     band means nowhere strict (flat level lines); anything else is
-    mixed/inconclusive.  The band is ``band_scale * (1 + ||H_u||)`` per
-    point, separating exact product-case zeros from numerical noise.
-    Samples where the derivatives are undefined (see ``fld.regular``) or
-    the gradient vanishes are skipped.
+    mixed/inconclusive.  The band is ``1e-7 * (1 + ||H_u||)`` per point,
+    separating exact product-case zeros from numerical noise.  About 64
+    vertices per level are sampled; those where the derivatives are
+    undefined (see ``fld.regular``) or the gradient vanishes are skipped.
     """
     window = window or fld.default_window
     tags, diags = {}, {}
     for c in levels:
         curves = extract_level_curve(fld, c, window, h)
         pts = np.vstack([cv.vertices for cv in curves]) if curves else np.empty((0, 2))
-        if len(pts) > samples_per_level:
-            step = len(pts) // samples_per_level
-            pts = pts[::step]
+        if len(pts) > 64:
+            pts = pts[::len(pts) // 64]
         pts = pts[fld.regular(pts)]
         g = np.asarray(fld.gradient(pts), dtype=float)
         keep = ~_critical(fld, pts, g)
         H = np.asarray(fld.hessian(pts[keep]), dtype=float)
         forms = _tangent_forms(g[keep], H)
-        bands = band_scale * (1.0 + np.abs(H).max(axis=(-2, -1), initial=0.0))
+        bands = 1e-7 * (1.0 + np.abs(H).max(axis=(-2, -1), initial=0.0))
         if len(forms) < 8:
             tags[c] = "mixed/inconclusive"
             diags[c] = {"n_samples": len(forms), "note": "too few valid samples"}
@@ -451,28 +458,28 @@ def classify_strictness(fld, levels, window=None, h=0.02, samples_per_level=64, 
     return StrictnessClassification(tags=tags, diagnostics=diags)
 
 
-def product_direction_detect(fld, samples, tol=1e-8, span=1.0, n_span=5):
+def product_direction_detect(fld, samples):
     """Unit direction along which the field is flat, or None.
 
     Looks for a common null direction of the Hessians and gradients at the
     sample points ``(n, 2)``, then checks that the gradient is orthogonal to
-    it and that values are constant along +-span at the samples (points
-    leaving the domain are skipped).
+    it and that values are constant at 5 points within +-1 along it from
+    each sample (points leaving the domain are skipped), all to 1e-8 relative.
     """
     samples = np.asarray(samples, dtype=float).reshape(-1, 2)
     H = np.asarray(fld.hessian(samples), dtype=float)
     g = np.asarray(fld.gradient(samples), dtype=float)
     # a flat direction must annihilate every sampled Hessian and gradient
     eigs, vecs = np.linalg.eigh(np.einsum("nki,nkj->ij", H, H) + np.einsum("ni,nj->ij", g, g))
-    if eigs[0] > tol * max(1.0, eigs[-1]):
+    if eigs[0] > 1e-8 * max(1.0, eigs[-1]):
         return None
     e = vecs[:, 0]
-    if np.any(np.abs(g @ e) > tol * (1.0 + np.linalg.norm(g, axis=-1))):
+    if np.any(np.abs(g @ e) > 1e-8 * (1.0 + np.linalg.norm(g, axis=-1))):
         return None
     u0 = np.asarray(fld.value(samples, check=False), dtype=float)
     scale = float(np.abs(u0).max(initial=1.0))
-    q = samples[:, None, :] + np.linspace(-span, span, n_span)[:, None] * e
+    q = samples[:, None, :] + np.linspace(-1.0, 1.0, 5)[:, None] * e
     inside = np.asarray(fld.domain.contains(q), dtype=bool)
     drift = (np.asarray(fld.value(q[inside], check=False), dtype=float)
-             - np.repeat(u0[:, None], n_span, axis=1)[inside])
-    return None if np.any(np.abs(drift) > tol * scale) else e
+             - np.repeat(u0[:, None], 5, axis=1)[inside])
+    return None if np.any(np.abs(drift) > 1e-8 * scale) else e

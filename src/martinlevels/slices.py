@@ -15,7 +15,7 @@ import numpy as np
 
 from .fields import CylinderMode, FieldError
 from .geometry import GeometryError, WindowBox, hausdorff_distance, rescaled_domain
-from .levelset import _tangent_forms, convexity_test, extract_level_curve, window_closure_points
+from .levelset import _tangent_forms, certify_level
 
 
 @dataclass
@@ -64,15 +64,15 @@ def _slice_points(t, ys):
     return np.column_stack([np.full(len(ys), float(t)), ys])
 
 
-def slice_scan(fld, t, n_samples=512, span=None):
+def slice_scan(fld, t, span=None):
     """Locate the maximum of the field on the slice at axial coordinate t.
 
-    Dense sampling over the slice (clipped to ``span`` when unbounded)
+    512 samples per slice interval (clipped to ``span`` when unbounded)
     followed by golden-section refinement around the best sample, position
     tolerance 1e-8.
     """
     sl = fld.domain.slice_at(t)
-    ys = sl.sample(n_samples, span=span)
+    ys = sl.sample(512, span=span)
     ys = np.append(ys, 0.0) if sl.contains(0.0) else ys
     vals = np.asarray(fld.value(_slice_points(t, ys)), dtype=float)
     k = int(np.argmax(vals))
@@ -108,14 +108,15 @@ def _golden_max(f, lo, hi, tol=1e-8):
     return 0.5 * (a + b)
 
 
-def ray_monotonicity(fld, t, direction, n_steps=512, length=None, eq_tol=1e-12):
+def ray_monotonicity(fld, t, direction, length=None):
     """Strict-decrease check along a slice ray from (t, 0) toward the boundary.
 
-    Samples n_steps points with the boundary endpoint excluded; a violation
-    is the first step failing u_{k+1} < u_k - eq_tol * scale (differences
+    Samples 512 points with the boundary endpoint excluded; a violation
+    is the first step failing u_{k+1} < u_k - 1e-12 * max |u| (differences
     within the tolerance count as equality, hence as violations of strict
     decrease).
     """
+    n_steps = 512
     direction = float(np.sign(direction))
     if direction == 0.0:
         raise GeometryError("ray direction must be nonzero")
@@ -129,7 +130,7 @@ def ray_monotonicity(fld, t, direction, n_steps=512, length=None, eq_tol=1e-12):
         length = abs(ends[0])
     ys = direction * length * (np.arange(n_steps) / n_steps)   # endpoint excluded
     vals = np.asarray(fld.value(_slice_points(t, ys)), dtype=float)
-    tol = eq_tol * float(np.abs(vals).max())
+    tol = 1e-12 * float(np.abs(vals).max())
     bad = np.flatnonzero(~(vals[1:] < vals[:-1] - tol))
     if not len(bad):
         return RayReport(direction=direction, decreasing=True, n_steps=n_steps)
@@ -139,15 +140,15 @@ def ray_monotonicity(fld, t, direction, n_steps=512, length=None, eq_tol=1e-12):
                      n_steps=n_steps)
 
 
-def slice_superharmonicity(fld, t, n_samples=256, span=None):
-    """Minimum of the axial second derivative d_tt u over slice samples.
+def slice_superharmonicity(fld, t, span=None):
+    """Minimum of the axial second derivative d_tt u over 256 samples per slice interval.
 
     A positive minimum certifies that the slice restriction is superharmonic
     (for one transverse dimension: u_yy = -d_tt u < 0).  Points where the
     Hessian is unavailable (boundary or branch singularities, see
     ``fld.regular``) are skipped and counted.
     """
-    pts = _slice_points(t, fld.domain.slice_at(t).sample(n_samples, span=span))
+    pts = _slice_points(t, fld.domain.slice_at(t).sample(256, span=span))
     ok = fld.regular(pts)
     if not ok.any():
         raise FieldError("no valid slice samples for the second-derivative scan")
@@ -175,12 +176,12 @@ def _nonnegative_mode_fit(E, y):
     return best[1]
 
 
-def rescale_and_compare(fld, s, window, mode: CylinderMode, n_lattice=41):
+def rescale_and_compare(fld, s, window, mode: CylinderMode):
     """Zoomed field v_s(xi) = u(f(s) xi + s e1)/M(s) against the best cylinder mode.
 
     M(s) is found by a slice scan at t = s; the mode coefficients (A, B >= 0)
-    are fitted on the axis and the sup-norm error is taken over the lattice
-    of the window intersected with the zoomed domain.  Also reports the
+    are fitted on the axis and the sup-norm error is taken over the 41 x 41
+    lattice of the window intersected with the zoomed domain.  Also reports the
     Hausdorff distance between boundary samples of the zoomed domain and the
     unit cylinder inside the window.
     """
@@ -192,8 +193,8 @@ def rescale_and_compare(fld, s, window, mode: CylinderMode, n_lattice=41):
     if M <= 0.0:
         raise FieldError(f"slice maximum at s={s} is not positive")
 
-    ts = np.linspace(window.lower[0], window.upper[0], n_lattice)
-    ys = np.linspace(window.lower[1], window.upper[1], n_lattice)
+    ts = np.linspace(window.lower[0], window.upper[0], 41)
+    ys = np.linspace(window.lower[1], window.upper[1], 41)
 
     def v_s(t, y):
         return fld.value(np.stack([s + f_s * t, f_s * y], axis=-1)) / M
@@ -288,11 +289,9 @@ def convexity_threshold(fld, c_grid, window=None, h=0.02):
     per_level = {}
     largest_nc, smallest_cx = None, None
     for c in c_grid:
-        curves = extract_level_curve(fld, c, window, h)
-        if not curves:
+        report = certify_level(fld, c, window, h)
+        if report is None:
             continue
-        closure = window_closure_points(curves, window, fld, c)
-        report = convexity_test(curves, closure=closure, tol=2.0 * h, fld=fld, level=c)
         per_level[c] = report
         if report.verdict == "non_convex":
             largest_nc = c if largest_nc is None else max(largest_nc, c)

@@ -108,6 +108,21 @@ class TestLevelsets:
         assert all(len(p) == 2 for p in curve["points"])
 
 
+def reference_check_harmonicity(fld, rng, n=30):
+    """The per-point sampling and residual loop that the array check replaced."""
+    window = fld.default_window
+    pts = []
+    while len(pts) < n:
+        p = np.asarray(tuple(rng.uniform(a, b) for a, b in zip(window.lower, window.upper)))
+        if fld.domain.contains(p) and fld.domain.boundary_distance(p) > 0.05:
+            pts.append(p)
+    hs = [1e-2, 1e-3, 1e-4]
+    maxres = [max([abs(fields.harmonicity_residual(fld, p, h)) for p in pts], default=0.0)
+              for h in hs]
+    order = float(np.polyfit(np.log(hs), np.log(maxres), 1)[0])
+    return order >= 1.9, {"fitted_order": order, "max_residuals": maxres}
+
+
 class TestAudit:
     def test_strip_audit_passes(self, tmp_path):
         cfg = write_config(tmp_path, "audit.json", {
@@ -140,6 +155,30 @@ class TestAudit:
         verdict = json.load(open(tmp_path / "report.json"))["verdicts"]["harmonicity"]
         assert verdict["passed"] is False
         assert "long double eps 2.22e-16" in verdict["error"]
+
+    @pytest.mark.parametrize("name", ["halfplane_v", "halfplane_x"])
+    def test_exactly_harmonic_field_passes_the_harmonicity_check(self, tmp_path, name):
+        # x^2 - y^2 and x leave only long-double rounding in the stencil, which
+        # grows like h^-2 (x^2 - y^2) or is exactly 0 (x)
+        cfg = write_config(tmp_path, "audit.json", {"field": name, "checks": ["harmonicity"]})
+        assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path)]) == 0
+        details = json.load(open(tmp_path / "report.json"))["verdicts"]["harmonicity"]["details"]
+        assert max(details["max_residuals"]) <= 1e-9
+        if name == "halfplane_x":
+            assert details == {"fitted_order": None, "max_residuals": [0.0, 0.0, 0.0]}
+
+    def test_harmonicity_without_points_fails(self):
+        # no sample point would leave every residual at 0, inside any floor
+        with pytest.raises(cli.ConfigError, match="n_points >= 1"):
+            cli._check_harmonicity(fields.halfplane_v(), XorShift64Star(0), {"n_points": 0})
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    @pytest.mark.parametrize("name", ["strip", "exterior", "slit_sector", "cylinder:A=1,B=0.5"])
+    def test_harmonicity_details_match_per_point_reference(self, name, seed):
+        fld = fields.field_from_name(name)
+        got = cli._check_harmonicity(fld, XorShift64Star(seed), {})
+        assert got == reference_check_harmonicity(fld, XorShift64Star(seed))
+        assert got[0] is True
 
     def test_required_failure_sets_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "audit.json", {
@@ -325,6 +364,26 @@ def test_profile_cross_section_config(tmp_path, capsys, D, rc):
     assert cli.main(["green", "--config", cfg, "--out", str(tmp_path)]) == rc
     if rc:
         assert capsys.readouterr().err.startswith("config error:")
+
+
+SMALL_SQUARE = {"vertices": [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]}
+
+
+@pytest.mark.parametrize("domain, named", [
+    ({"kind": "convex_ring", "A": {"ngon": "x"}, "B": SMALL_SQUARE}, "'A': cannot parse 'ngon'"),
+    ({"kind": "convex_ring", "A": {"ngon": 8, "radius": "big"}, "B": SMALL_SQUARE},
+     "'A': cannot parse 'radius'"),
+    ({"kind": "convex_ring", "A": {"vertices": [["a", 0], [1, 0], [0, 1]]}, "B": SMALL_SQUARE},
+     "'A': cannot parse 'vertices'"),
+    ({"kind": "convex_ring", "A": 5, "B": SMALL_SQUARE}, "ring body 'A'"),
+    (5, "domain must be a kind name or a mapping"),
+], ids=["ngon", "radius", "vertices", "body-not-a-mapping", "domain-not-a-mapping"])
+def test_malformed_domain_config_is_a_usage_error(tmp_path, capsys, domain, named):
+    cfg = write_config(tmp_path, "bad.json", {"domain": domain, "h": 0.1})
+    assert cli.main(["green", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+    assert "Traceback" not in err
 
 
 def test_certify_runs_load_no_numpy_ma(tmp_path):

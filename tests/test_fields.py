@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from martinlevels import cli
 from martinlevels import fields as flds
 from martinlevels import geometry as geo
 from martinlevels import greenratio as gr
+from martinlevels._rng import XorShift64Star
 
 ALL_MARTIN = ["strip", "exterior", "slit_sector"]
 
@@ -109,6 +111,7 @@ class TestHarmonicity:
         class Probe(flds.ScalarField):
             name = "x^2+y^2"
             domain = geo.RightHalfplane()
+            default_window = geo.WindowBox((0.0, -2.0), (4.0, 2.0))
 
             def value(self, p, check=True):
                 p = np.asarray(p)
@@ -116,6 +119,9 @@ class TestHarmonicity:
 
         res = flds.harmonicity_residual(Probe(), (1.0, 0.5), 1e-3)
         assert res == pytest.approx(4.0, abs=1e-6)
+        # the residual does not shrink with h and stands far above the rounding floor
+        passed, details = cli._check_harmonicity(Probe(), XorShift64Star(3), {})
+        assert not passed and abs(details["fitted_order"]) < 1e-3
 
     @pytest.mark.parametrize("name", ALL_MARTIN + ["halfplane_v"])
     def test_matches_pointwise_reference(self, name):
@@ -132,9 +138,11 @@ class TestHarmonicity:
             return float(total / hl ** 2)
 
         fld = flds.field_from_name(name)
-        for p in random_interior_points(fld, 10, seed=5):
-            for h in (1e-2, 1e-3, 1e-4):
-                assert flds.harmonicity_residual(fld, p, h) == reference(fld, p, h)
+        pts = np.array(random_interior_points(fld, 10, seed=5))
+        for h in (1e-2, 1e-3, 1e-4):
+            ref = [reference(fld, p, h) for p in pts]
+            assert [flds.harmonicity_residual(fld, p, h) for p in pts] == ref
+            assert flds.harmonicity_residual(fld, pts, h).tolist() == ref
 
     def test_narrow_long_double_is_rejected(self, monkeypatch):
         monkeypatch.setattr(flds, "_longdouble_eps", lambda: 2.220446049250313e-16)
@@ -223,7 +231,7 @@ class TestBoundaryAndPositivity:
 
 class TestCylinderMode:
     def test_interval_eigenpair(self):
-        mode = flds.interval_mode()
+        mode = flds.CylinderMode()
         assert mode.lam == pytest.approx(np.pi ** 2 / 4)
         assert mode.phi(1.0) == pytest.approx(0.0, abs=1e-15)
         assert mode.phi(-1.0) == pytest.approx(0.0, abs=1e-15)
@@ -246,9 +254,9 @@ class TestCylinderMode:
 
     def test_coefficient_validation(self):
         with pytest.raises(flds.FieldError):
-            flds.interval_mode(A=-1.0, B=0.5)
+            flds.CylinderMode(A=-1.0, B=0.5)
         with pytest.raises(flds.FieldError):
-            flds.interval_mode(A=0.0, B=0.0)
+            flds.CylinderMode(A=0.0, B=0.0)
 
     def test_registry_parses_coefficients(self):
         fld = flds.field_from_name("cylinder:A=2,B=0.5")

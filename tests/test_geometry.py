@@ -128,9 +128,9 @@ class TestBoundaryDistance:
         with pytest.raises(geo.GeometryError):
             strip.boundary_distance((-1.0, 0.0))
 
-    def test_positive_distance_implies_containment(self, strip, sqrt_profile):
+    def test_positive_distance_implies_containment(self, strip):
         rng = np.random.default_rng(11)
-        for dom in (strip, geo.HalfplaneMinusDisk(), sqrt_profile):
+        for dom in (strip, geo.HalfplaneMinusDisk()):
             for _ in range(50):
                 p = (rng.uniform(0.1, 5.0), rng.uniform(-1.5, 1.5))
                 try:
@@ -140,15 +140,40 @@ class TestBoundaryDistance:
                 if d > 0.0:
                     assert dom.contains(p)
 
-    def test_profile_lower_bound_accuracy(self, sqrt_profile):
-        # exact distance at (4, 0): lateral walls y = +-sqrt(t); compare
-        # against a brute-force minimization over the sampled boundary
-        p = np.array([4.0, 0.0])
-        reported = sqrt_profile.boundary_distance(p)
-        ts = np.linspace(1.0, 8.0, 20001)
-        exact = np.min(np.hypot(ts - 4.0, np.sqrt(ts) - 0.0))
-        assert reported <= exact + 1e-12
-        assert exact - reported <= 2e-2
+    @pytest.mark.parametrize("kind", ["strip", "right_halfplane", "sector", "sector_minus_slit",
+                                      "halfplane_minus_disk", "cylinder"])
+    def test_array_matches_per_point_formulas(self, kind):
+        dom = geo.domain_from_config(kind)
+        rng = np.random.default_rng(17)
+        pts = np.vstack([rng.uniform([-0.5, -3.0], [4.0, 3.0], size=(4000, 2)),
+                         # around the slit [0, 1] x {0}, its tip and the corner
+                         rng.uniform([0.0, -0.05], [1.2, 0.05], size=(1000, 2)),
+                         [[0.5, 1e-12], [1.0 + 1e-9, 0.0], [1e-9, 0.0], [0.3, -1e-300]]])
+        pts = pts[dom.contains(pts)]
+        ref = np.array([reference_boundary_distance(kind, x, y) for x, y in pts])
+        got = dom.boundary_distance(pts)
+        assert got.shape == (len(pts),)
+        # np.hypot and math.hypot may round the last bit of hypot(x, y) = d + 1 apart
+        assert np.all(np.abs(got - ref) <= np.spacing(ref + 1.0))
+        if kind != "halfplane_minus_disk":
+            assert np.array_equal(got, ref)
+        grid = pts[:12].reshape(3, 4, 2)
+        assert np.array_equal(dom.boundary_distance(grid), got[:12].reshape(3, 4))
+        assert dom.boundary_distance(pts[0]) == got[0]
+        with pytest.raises(geo.GeometryError, match="outside"):
+            dom.boundary_distance(np.vstack([pts[:5], [[-1.0, 5.0]], pts[5:9]]))
+
+
+def reference_boundary_distance(kind, x, y):
+    """The per-point boundary distances the array forms replaced."""
+    rays = (x - abs(y)) / math.sqrt(2.0)
+    return float({"strip": lambda: min(x, np.pi / 2 - abs(y)),
+                  "right_halfplane": lambda: x,
+                  "sector": lambda: rays,
+                  "sector_minus_slit": lambda: min(rays, geo.edge_distances(
+                      np.array([[x, y]]), geo._SLIT)[0, 0]),
+                  "halfplane_minus_disk": lambda: min(x, math.hypot(x, y) - 1.0),
+                  "cylinder": lambda: 1.0 - abs(y)}[kind]())
 
 
 def reference_point_segment_distance(p, a, b):
@@ -175,19 +200,6 @@ class TestEdgeDistances:
                          for k in range(m)] for p in pts])
         assert got.shape == (200, m)
         assert np.max(np.abs(got - ref)) <= 1e-15 * 8 * scale
-
-    def test_convex_body_distance(self):
-        rng = np.random.default_rng(7)
-        for body in (geo.regular_polygon(12, 2.0), geo.square_body(0.5)):
-            v = body.vertices
-            for p in rng.uniform(-2.5, 2.5, size=(50, 2)):
-                ref = min(reference_point_segment_distance(p, v[k], v[(k + 1) % len(v)])
-                          for k in range(len(v)))
-                assert abs(body.boundary_distance(p) - ref) <= 1e-15 * 4
-                assert abs(body.boundary_distance(p, scale=3.0)
-                           - min(reference_point_segment_distance(p, 3.0 * v[k],
-                                                                  3.0 * v[(k + 1) % len(v)])
-                                 for k in range(len(v)))) <= 1e-15 * 12
 
     def test_slit_distance(self):
         dom = geo.SectorMinusSlit()

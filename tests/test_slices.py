@@ -190,7 +190,7 @@ class TestRescale:
     def test_strip_mode_error_decreases(self):
         fld = flds.strip_martin()
         window = geo.WindowBox((-2.0, -2.0), (2.0, 2.0))
-        mode = flds.interval_mode()
+        mode = flds.CylinderMode()
         r6 = sa.rescale_and_compare(fld, 6.0, window, mode)
         r10 = sa.rescale_and_compare(fld, 10.0, window, mode)
         assert r10.sup_mode_error < r6.sup_mode_error
@@ -204,7 +204,7 @@ class TestRescale:
         # the lattice evaluation written one point at a time
         fld = flds.strip_martin()
         window = geo.WindowBox((-2.0, -2.0), (2.0, 2.0))
-        mode = flds.interval_mode()
+        mode = flds.CylinderMode()
         got = sa.rescale_and_compare(fld, s, window, mode)
         zoomed = geo.rescaled_domain(geo.strip_as_profile(), s)
         M = sa.slice_scan(fld, s).max_value
@@ -233,7 +233,7 @@ class TestRescale:
     def test_strip_limit_is_pure_growth_mode(self):
         fld = flds.strip_martin()
         window = geo.WindowBox((-2.0, -2.0), (2.0, 2.0))
-        r = sa.rescale_and_compare(fld, 10.0, window, flds.interval_mode())
+        r = sa.rescale_and_compare(fld, 10.0, window, flds.CylinderMode())
         A, B = r.mode_coefficients
         assert A == pytest.approx(1.0, abs=1e-5)
         assert B == pytest.approx(0.0, abs=1e-8)
