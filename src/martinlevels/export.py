@@ -8,8 +8,6 @@ byte-level determinism checks.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import tempfile
@@ -85,11 +83,12 @@ def write_json(path, obj):
 
 
 def write_csv(path, header, rows):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\r\n")
-    w.writerow(header)
-    w.writerows(rows)
-    _atomic_write(path, buf.getvalue(), newline="")
+    """A header of plain names and rows of numbers, comma separated with CRLF
+    line ends, in the bytes the csv module writes for them (floats by their
+    repr, which is their str)."""
+    lines = chain([header], rows)
+    _atomic_write(path, "\r\n".join([",".join(map(str, row)) for row in lines]) + "\r\n",
+                  newline="")
 
 
 def _svg_path(points, sx, sy, tx, ty):

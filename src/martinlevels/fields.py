@@ -76,9 +76,12 @@ class ScalarField:
         return np.asarray(self.domain.contains(np.asarray(p, dtype=float)), dtype=bool)
 
     def _require_inside(self, p):
-        inside = self.domain.contains(np.asarray(p, dtype=float))
-        if not np.all(inside):
-            raise FieldError(f"point(s) {np.asarray(p, float)} outside domain of {self.name!r}")
+        p = np.asarray(p, dtype=float)
+        inside = np.asarray(self.domain.contains(p))
+        if not inside.all():
+            outside = p[~inside].reshape(-1, 2)
+            raise FieldError(f"{len(outside)} point(s) outside domain of {self.name!r}, "
+                             f"first {outside[0].tolist()}")
 
 
 class HolomorphicReField(ScalarField):

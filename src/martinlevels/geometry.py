@@ -75,6 +75,26 @@ class WindowBox:
         return xs, np.concatenate([half, [0.0], -half[::-1]])
 
 
+# lattice rows per block: bounds a lattice pass's point buffer at 64 x len(ys) x 2
+LATTICE_BLOCK = 64
+
+
+def lattice_blocks(xs, ys):
+    """Yield ``(rows, points)`` over the lattice xs x ys, 64 rows at a time.
+
+    ``rows`` is the slice of xs in the block and ``points`` the block's node
+    coordinates, shape ``(k, len(ys), 2)`` with ``points[i, j] = (xs[i], ys[j])``.
+    The points live in one buffer that the next block overwrites.
+    """
+    buf = np.empty((min(len(xs), LATTICE_BLOCK), len(ys), 2))
+    for start in range(0, len(xs), LATTICE_BLOCK):
+        rows = slice(start, start + LATTICE_BLOCK)
+        pts = buf[:len(xs[rows])]
+        pts[..., 0] = xs[rows, None]
+        pts[..., 1] = ys
+        yield rows, pts
+
+
 # ---------------------------------------------------------------------------
 # Convex bodies (bounded convex polygons containing the origin)
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import _STENCIL, ScalarField, _centered_gradient, _centered_hessian
-from .geometry import ConvexRing, Domain, GeometryError, WindowBox
+from .geometry import ConvexRing, Domain, GeometryError, WindowBox, lattice_blocks
 
 EXTERIOR, INTERIOR, BOUNDARY = 0, 1, 2
 
@@ -83,9 +83,8 @@ def build_grid(domain, window, h):
     xs, ys = window.lattice(h)
     hx = float((xs[-1] - xs[0]) / (len(xs) - 1))
     hy = float((ys[-1] - ys[0]) / (len(ys) - 1))
-    pts = _node_points(xs, ys)
-    in_closure = domain.contains_closure(pts)
-    interior = np.array(domain.contains(pts), dtype=bool)
+    in_closure = _lattice_mask(xs, ys, domain.contains_closure)
+    interior = _lattice_mask(xs, ys, domain.contains)
     interior[0, :] = interior[-1, :] = False
     interior[:, 0] = interior[:, -1] = False
     interior[1:-1, 1:-1] &= (in_closure[2:, 1:-1] & in_closure[:-2, 1:-1]
@@ -103,10 +102,12 @@ def build_grid(domain, window, h):
     return Grid2D(domain=domain, window=window, hx=hx, hy=hy, xs=xs, ys=ys, mask=mask)
 
 
-def _node_points(xs, ys):
-    """Grid node coordinates as an array of shape (len(xs), len(ys), 2)."""
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    return np.stack([X, Y], axis=-1)
+def _lattice_mask(xs, ys, member):
+    """``member(points)`` on the nodes of the lattice xs x ys, by row blocks."""
+    out = np.empty((len(xs), len(ys)), dtype=bool)
+    for rows, pts in lattice_blocks(xs, ys):
+        out[rows] = member(pts)
+    return out
 
 
 def _has_neighbor_in(member):
@@ -208,52 +209,78 @@ class GridField(ScalarField):
         return _centered_hessian(self.value, np.asarray(p, dtype=float), self.grid.h)
 
 
-def _apply_neg_laplacian(v, interior, hx, hy):
-    av = np.zeros_like(v)
-    av[1:-1, 1:-1] = ((2.0 * v[1:-1, 1:-1] - v[2:, 1:-1] - v[:-2, 1:-1]) / hx ** 2
-                      + (2.0 * v[1:-1, 1:-1] - v[1:-1, 2:] - v[1:-1, :-2]) / hy ** 2)
-    av[~interior] = 0.0
-    return av
+# grid rows per block of the matvec and of the type-I DST: bounds their
+# scratch buffers at 64 rows
+_BLOCK = 64
 
 
-# columns per type-I DST batch: bounds the odd-extension buffer at 2 (n + 1) x 64
-_DST_BLOCK = 64
+def _apply_neg_laplacian(v, interior, hx, hy, out=None):
+    """The 5-point -lap of v on the interior nodes, 0 elsewhere, into ``out``
+    (a new array when None; it must not be ``v``).
+
+    Computed 64 rows at a time as (2 v - v_E - v_W) / hx^2 + (2 v - v_N - v_S)
+    / hy^2, with the operations of that whole-array expression in its order.
+    """
+    if out is None:
+        out = np.empty_like(v)
+    hx2, hy2 = hx ** 2, hy ** 2
+    nx = v.shape[0] - 2
+    scratch = np.empty((2, min(nx, _BLOCK), v.shape[1] - 2))
+    out[0] = out[-1] = 0.0
+    out[:, 0] = out[:, -1] = 0.0
+    for i in range(1, nx + 1, _BLOCK):
+        k = min(_BLOCK, nx + 1 - i)
+        centre = v[i:i + k, 1:-1]
+        ax, ay = scratch[:, :k]
+        np.multiply(centre, 2.0, out=ax)
+        ax -= v[i + 1:i + k + 1, 1:-1]
+        ax -= v[i - 1:i + k - 1, 1:-1]
+        ax /= hx2
+        np.multiply(centre, 2.0, out=ay)
+        ay -= v[i:i + k, 2:]
+        ay -= v[i:i + k, :-2]
+        ay /= hy2
+        o = out[i:i + k, 1:-1]
+        np.add(ax, ay, out=o)
+        o[~interior[i:i + k, 1:-1]] = 0.0
+    return out
 
 
-def _dst1(x, axis):
-    """Type-I discrete sine transform of a 2-d array along axis 0 or 1.
+def _dst1(x, out):
+    """Type-I discrete sine transform of a 2-d array along axis 1, into ``out``.
 
-    Unnormalized, as ``scipy.fft.dst(x, type=1, axis=axis)``:
+    Unnormalized, as ``scipy.fft.dst(x, type=1, axis=1)``:
     y_k = 2 sum_n x_n sin(pi (k + 1)(n + 1) / (N + 1)), so applying it twice
     multiplies by 2 (N + 1).  Computed as the real FFT of the odd extension
-    [0, x, 0, -x reversed], a batch of columns at a time.
+    [0, x, 0, -x reversed] of 64 rows at a time, in one reused buffer;
+    ``out`` may be ``x``.
     """
-    if axis == 1:
-        return _dst1(x.T, 0).T
-    n, m = x.shape
-    out = np.empty((n, m))
-    ext = np.zeros((2 * n + 2, min(m, _DST_BLOCK)))
-    for c in range(0, m, _DST_BLOCK):
-        block = x[:, c:c + _DST_BLOCK]
-        e = ext[:, :block.shape[1]]
-        e[1:n + 1] = block
-        np.negative(block[::-1], out=e[n + 2:])
-        out[:, c:c + block.shape[1]] = np.fft.rfft(e, axis=0)[1:n + 1].imag
-    return np.negative(out, out=out)
+    m, n = x.shape
+    ext = np.zeros((min(m, _BLOCK), 2 * n + 2))
+    for i in range(0, m, _BLOCK):
+        block = x[i:i + _BLOCK]
+        k = len(block)
+        ext[:k, 1:n + 1] = block
+        np.negative(block[:, ::-1], out=ext[:k, n + 2:])
+        spec = np.fft.rfft(ext[:k], axis=1)
+        np.negative(spec[:, 1:n + 1].imag, out=out[i:i + k])
+    return out
 
 
 def _fast_poisson(shape, hx, hy):
     """Exact inverse of the 5-point -lap on the inner rectangle of a window.
 
-    Returns a function that maps a right-hand side on the window's nodes to
-    the solution on ``[1:-1, 1:-1]`` with zero data on the window edge (the
-    edge entries of the result are 0).  This is Hockney's FACR(0): a DST-I
-    along axis 1 splits the operator into one tridiagonal system per sine
-    mode k, tridiag(-1, 2 + lam_k hx^2, -1) / hx^2 along axis 0 with
-    lam_k = (2 - 2 cos(pi k / (ny + 1))) / hy^2; a Thomas sweep solves them
-    all at once and the inverse DST maps back.  The systems are diagonally
-    dominant, so the sweep needs no pivoting, and its pivots depend only on
-    the shape and the spacings, so they are computed once here.
+    Returns ``solve(r, out)``, which writes into ``out`` the solution on
+    ``[1:-1, 1:-1]`` for the right-hand side r on the window's nodes, with
+    zero data on the window edge (the edge entries of ``out`` are set to 0).
+    This is Hockney's FACR(0): a DST-I along axis 1 splits the operator into
+    one tridiagonal system per sine mode k, tridiag(-1, 2 + lam_k hx^2, -1)
+    / hx^2 along axis 0 with lam_k = (2 - 2 cos(pi k / (ny + 1))) / hy^2; a
+    Thomas sweep solves them all at once and the inverse DST maps back.  The
+    systems are diagonally dominant, so the sweep needs no pivoting, and its
+    pivots depend only on the shape and the spacings, so they are computed
+    once here.  The transforms and the sweep run in place on the rows of
+    ``out``, whose modes are contiguous.
     """
     nx, ny = shape[0] - 2, shape[1] - 2
     lam_y = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, ny + 1) / (ny + 1))) / hy ** 2
@@ -265,9 +292,8 @@ def _fast_poisson(shape, hx, hy):
     # hx^2 from the scaled systems, 1 / (2 (ny + 1)) from the inverse transform
     scale = hx ** 2 / (2.0 * (ny + 1))
 
-    def solve(r):
-        # C order, so that the modes of one axis-0 node are one contiguous row
-        t = np.ascontiguousarray(_dst1(r[1:-1, 1:-1], 1))
+    def solve(r, out):
+        t = _dst1(r[1:-1, 1:-1], out=out[1:-1, 1:-1])
         t *= scale
         rows = list(t)                  # views: the sweep updates t in place
         rows[0] *= inv_pivots[0]
@@ -276,9 +302,10 @@ def _fast_poisson(shape, hx, hy):
             row *= w
         for nxt, row, w in zip(rows[:0:-1], rows[-2::-1], inv_pivots[-2::-1]):
             row += w * nxt
-        z = np.zeros(shape)
-        z[1:-1, 1:-1] = _dst1(t, 1)
-        return z
+        _dst1(t, out=t)
+        out[0] = out[-1] = 0.0
+        out[:, 0] = out[:, -1] = 0.0
+        return out
 
     return solve
 
@@ -294,24 +321,28 @@ def solve_dirichlet(grid, boundary_values=None, source=None, tol=1e-10, maxiter=
     or raises :class:`SolverError` naming the iteration cap and the residual.
     The returned field's ``stats`` hold the iteration count and the final
     relative residual.  With zero source the discrete maximum principle
-    bounds interior values by the boundary data.
+    bounds interior values by the boundary data.  A given ``source``, a
+    float array of the grid's shape, is consumed: it becomes the right-hand
+    side and then the residual.  The solve keeps four grid-sized float
+    arrays.
     """
     interior = grid.mask == INTERIOR
     boundary = grid.mask == BOUNDARY
     hx, hy = grid.hx, grid.hy
-    bdata = np.zeros(grid.shape)
+    rhs = np.zeros(grid.shape) if source is None else source
+    bvals = None
     if boundary_values is not None:
         bdata = np.where(boundary, np.asarray(boundary_values, dtype=float), 0.0)
-    rhs = np.zeros(grid.shape)
-    if source is not None:
-        rhs[...] = source
-    # fold Dirichlet neighbors into the right-hand side
-    rhs[1:-1, 1:-1] += ((bdata[2:, 1:-1] + bdata[:-2, 1:-1]) / hx ** 2
-                        + (bdata[1:-1, 2:] + bdata[1:-1, :-2]) / hy ** 2)
+        # fold Dirichlet neighbors into the right-hand side
+        rhs[1:-1, 1:-1] += ((bdata[2:, 1:-1] + bdata[:-2, 1:-1]) / hx ** 2
+                            + (bdata[1:-1, 2:] + bdata[1:-1, :-2]) / hy ** 2)
+        bvals = bdata[boundary]
+        del bdata                       # only the boundary values outlive the fold
     rhs[~interior] = 0.0
 
     u, stats = _cg(rhs, interior, hx, hy, tol=tol, maxiter=maxiter)
-    u[boundary] = bdata[boundary]
+    if bvals is not None:
+        u[boundary] = bvals
     return GridField(grid, u, stats=stats)
 
 
@@ -319,35 +350,38 @@ def _cg(b, interior, hx, hy, tol, maxiter):
     """Preconditioned conjugate gradients for -lap u = b on the interior.
 
     ``b`` is zero off the interior and becomes the residual in place.
-    Returns the solution and its :class:`SolveStats`.  The residual is tested
-    right after each update, so a converged solve makes no preconditioner
-    call whose result would go unused.
+    Returns the solution and its :class:`SolveStats`.  Besides the solution
+    u, the residual r and the direction p, one work array w holds A p and
+    then the preconditioned residual M r.  The residual is tested right
+    after each update, so a converged solve makes no preconditioner call
+    whose result would go unused.
     """
-    u = np.zeros_like(b)
     r = b
     b_norm = float(np.sqrt(np.vdot(r, r)))
     if b_norm == 0.0:
-        return u, SolveStats(iterations=0, residual=0.0)
+        return np.zeros_like(b), SolveStats(iterations=0, residual=0.0)
     exterior = ~interior
     precondition = _fast_poisson(b.shape, hx, hy)
-    z = precondition(r)
-    z[exterior] = 0.0
-    p = z
-    rz = float(np.vdot(r, z))
+    u = np.zeros_like(b)
+    p = precondition(r, np.empty_like(b))
+    p[exterior] = 0.0
+    w = np.empty_like(b)
+    rz = float(np.vdot(r, p))
     r_norm = b_norm
     for it in range(1, maxiter + 1):
-        ap = _apply_neg_laplacian(p, interior, hx, hy)
-        alpha = rz / float(np.vdot(p, ap))
-        u += alpha * p
-        r -= alpha * ap
+        _apply_neg_laplacian(p, interior, hx, hy, out=w)
+        alpha = rz / float(np.vdot(p, w))
+        w *= alpha
+        r -= w
+        u += np.multiply(p, alpha, out=w)
         r_norm = float(np.sqrt(np.vdot(r, r)))
         if r_norm <= tol * b_norm:
             return u, SolveStats(iterations=it, residual=r_norm / b_norm)
-        z = precondition(r)
-        z[exterior] = 0.0
-        rz_new = float(np.vdot(r, z))
+        precondition(r, w)
+        w[exterior] = 0.0
+        rz_new = float(np.vdot(r, w))
         p *= rz_new / rz
-        p += z
+        p += w
         rz = rz_new
     raise SolverError(f"conjugate gradients hit the iteration cap of {maxiter} iterations; "
                       f"relative residual {r_norm / b_norm:.3e}")
@@ -364,6 +398,7 @@ def green_function(grid, pole):
         raise GeometryError(f"pole {pole} does not snap to an interior node")
     source = np.zeros(grid.shape)
     source[i, j] = 1.0 / (grid.hx * grid.hy)
+    # the solve consumes source as its right-hand side: no second copy
     fld = solve_dirichlet(grid, boundary_values=None, source=source, tol=1e-12)
     fld.name = f"green[{pole}]"
     return fld
@@ -514,8 +549,8 @@ def ring_dirichlet_data(grid):
     if not isinstance(grid.domain, ConvexRing):
         raise GeometryError("ring data needs a convex-ring grid")
     inner = grid.domain.inner
-    pts = _node_points(grid.xs, grid.ys)
-    near_inner = inner.contains(pts, strict=False) | _has_neighbor_in(inner.contains(pts))
+    closed = _lattice_mask(grid.xs, grid.ys, lambda pts: inner.contains(pts, strict=False))
+    near_inner = closed | _has_neighbor_in(_lattice_mask(grid.xs, grid.ys, inner.contains))
     return np.where((grid.mask == BOUNDARY) & near_inner, 1.0, 0.0)
 
 
@@ -523,4 +558,5 @@ def inner_body_nodes(grid):
     """Mask of grid nodes lying in the closed inner body of a ring grid."""
     if not isinstance(grid.domain, ConvexRing):
         raise GeometryError("needs a convex-ring grid")
-    return grid.domain.inner.contains(_node_points(grid.xs, grid.ys), strict=False)
+    inner = grid.domain.inner
+    return _lattice_mask(grid.xs, grid.ys, lambda pts: inner.contains(pts, strict=False))

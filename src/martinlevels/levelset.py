@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import WindowBox, convex_hull_2d, edge_distances
+from .geometry import WindowBox, convex_hull_2d, edge_distances, lattice_blocks
 
 
 class LevelSetError(ValueError):
@@ -67,12 +67,12 @@ def _lattice(fld, window, h):
     last = _last_lattice
     if last is None or last[0] != key:
         xs, ys = window.lattice(h)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        mask = np.asarray(fld.domain.contains(np.stack([X, Y], axis=-1)))
-        vals = np.full(X.shape, np.nan)
-        if mask.any():
-            vals[mask] = np.asarray(fld.value(np.stack([X[mask], Y[mask]], axis=-1),
-                                              check=False), dtype=float)
+        mask = np.empty((len(xs), len(ys)), dtype=bool)
+        vals = np.full(mask.shape, np.nan)
+        for rows, pts in lattice_blocks(xs, ys):
+            inside = mask[rows] = fld.domain.contains(pts)
+            if inside.any():
+                vals[rows][inside] = fld.value(pts[inside], check=False)
         for a in (xs, ys, vals, mask):
             a.setflags(write=False)
         last = _last_lattice = (key, (xs, ys, vals, mask))
@@ -357,7 +357,7 @@ def midpoint_witness_search(fld, c, candidate_pairs):
     return (tuple(p[m]), tuple(q[m]), tuple(mids[m]))
 
 
-def window_closure_points(curves, window, fld, c):
+def window_closure_points(window, fld, c):
     """Window-edge path closing open level curves on the superlevel side.
 
     Samples each window edge at 33 points and keeps those with u > c (the
@@ -381,7 +381,7 @@ def certify_level(fld, c, window, h):
     curves = extract_level_curve(fld, c, window, h)
     if not curves:
         return None
-    closure = window_closure_points(curves, window, fld, c)
+    closure = window_closure_points(window, fld, c)
     return convexity_test(curves, closure=closure, tol=2.0 * h, fld=fld, level=c)
 
 

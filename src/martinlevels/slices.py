@@ -111,23 +111,24 @@ def _golden_max(f, lo, hi, tol=1e-8):
 def ray_monotonicity(fld, t, direction, length=None):
     """Strict-decrease check along a slice ray from (t, 0) toward the boundary.
 
-    Samples 512 points with the boundary endpoint excluded; a violation
-    is the first step failing u_{k+1} < u_k - 1e-12 * max |u| (differences
-    within the tolerance count as equality, hence as violations of strict
-    decrease).
+    The ray runs to the end of the slice interval containing the axis point,
+    or for ``length`` when that is shorter.  Samples 512 points with the far
+    endpoint excluded; a violation is the first step failing
+    u_{k+1} < u_k - 1e-12 * max |u| (differences within the tolerance count
+    as equality, hence as violations of strict decrease).  Raises
+    :class:`GeometryError` when no slice interval contains the axis point.
     """
     n_steps = 512
     direction = float(np.sign(direction))
     if direction == 0.0:
         raise GeometryError("ray direction must be nonzero")
-    sl = fld.domain.slice_at(t)
-    if length is None:
-        ends = [b if direction > 0 else a for a, b in sl.intervals if a < 0.0 < b]
-        if not ends:
-            raise GeometryError(f"slice at t={t} has no interval containing the axis point")
-        if not np.isfinite(ends[0]):
-            raise GeometryError("unbounded slice ray needs an explicit length")
-        length = abs(ends[0])
+    ends = [b if direction > 0 else a for a, b in fld.domain.slice_at(t).intervals if a < 0.0 < b]
+    if not ends:
+        raise GeometryError(f"slice at t={t} has no interval containing the axis point")
+    end = abs(ends[0])
+    if length is None and not np.isfinite(end):
+        raise GeometryError("unbounded slice ray needs an explicit length")
+    length = end if length is None else min(float(length), end)
     ys = direction * length * (np.arange(n_steps) / n_steps)   # endpoint excluded
     vals = np.asarray(fld.value(_slice_points(t, ys)), dtype=float)
     tol = 1e-12 * float(np.abs(vals).max())

@@ -92,7 +92,7 @@ class TestCriterion4StripTheorems:
         worst_form = -np.inf
         for c in (0.5, 1.0, 2.0, 5.0):
             curves = ls.extract_level_curve(s, c, window, h)
-            closure = ls.window_closure_points(curves, window, s, c)
+            closure = ls.window_closure_points(window, s, c)
             rep = ls.convexity_test(curves, closure=closure, tol=2 * h, fld=s, level=c)
             convex_ok &= rep.verdict == "convex"
             pts = np.vstack([cv.vertices for cv in curves])[::7]

@@ -62,6 +62,19 @@ class TestExitCodes:
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_slice_scan_span_past_the_slice(self, tmp_path, capsys):
+        def rays(field, t, *span):
+            out = tmp_path / f"{field}{len(span)}"
+            argv = ["slice-scan", "--field", field, "--t", t, *span, "--out", str(out)]
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().err == ""
+            return json.load(open(out / "slices.json"))["slices"][t]["rays"]
+
+        # the ray from (1, 0) leaves the strip at pi / 2 < 2: it stops at the wall
+        assert rays("strip", "1", "--span", "2") == rays("strip", "1")
+        # (0.5, 0) lies in the removed unit disk: no ray, no error
+        assert [r["decreasing"] for r in rays("exterior", "0.5", "--span", "2")] == [None, None]
+
     def test_green_probe_outside_truncation_rejected(self, tmp_path):
         code = cli.main(["green", "--domain", "strip", "--x0", "0.5,0", "--poles", "1",
                          "--h", "0.0628", "--probe", "0.5,3.0,-1,1", "--out", str(tmp_path)])

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -14,6 +16,26 @@ def reference_svg_path(points, sx, sy, tx, ty):
     for k, (x, y) in enumerate(points):
         cmds.append(f"{'M' if k == 0 else 'L'} {sx * x + tx:.3f} {ty - sy * y:.3f}")
     return " ".join(cmds)
+
+
+def csv_module_bytes(header, rows):
+    """What the csv module writes, as the CSV writer did before it joined rows as text."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\r\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def test_write_csv_matches_the_csv_module(tmp_path):
+    rows = [(0, 0.5, -0.0, 1e-300), (17, 1e22, float("nan"), float("inf")),
+            (-3, -float("inf"), 5e-324, 0.1), (10 ** 20, 1.0, 2.0, -1e-7)]
+    rng = np.random.default_rng(9)
+    rows += [(k, *map(float, rng.standard_normal(3) * 10.0 ** rng.integers(-12, 12)))
+             for k in range(200)]
+    export.write_csv(tmp_path / "t.csv", ["curve", "level", "x", "y"], iter(rows))
+    assert (tmp_path / "t.csv").read_bytes() == csv_module_bytes(["curve", "level", "x", "y"],
+                                                                 rows)
 
 
 def dumps(obj):

@@ -50,6 +50,14 @@ class TestClosedFormValues:
         with pytest.raises(flds.FieldError):
             flds.exterior_martin().value(np.array([0.5, 0.0]))
 
+    def test_outside_error_names_the_count_and_the_first_point(self):
+        pts = np.column_stack([np.full(512, 0.5), np.linspace(-2.0, 2.0, 512)])
+        with pytest.raises(flds.FieldError) as err:
+            flds.exterior_martin().value(pts)
+        inside = np.hypot(pts[:, 0], pts[:, 1]) > 1.0
+        assert str(err.value) == (f"{int((~inside).sum())} point(s) outside domain of "
+                                  f"'exterior', first {pts[~inside][0].tolist()}")
+
 
 class TestDerivatives:
     def test_halfplane_v_hessian_constant(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,36 @@ class TestConnected:
         assert not gr._connected(m)
 
 
+def reference_node_points(xs, ys):
+    """The whole-lattice point stack that the row-blocked evaluation replaced."""
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    return np.stack([X, Y], axis=-1)
+
+
+class TestRowBlockedLattice:
+    @pytest.mark.parametrize("domain, window", [
+        (geo.ConvexRing(geo.square_body(2.0), geo.regular_polygon(12, 0.6)),
+         geo.WindowBox((-2.0, -2.0), (2.0, 2.0))),
+        (geo.domain_from_config({"kind": "profile", "f": "sqrt"}), None)], ids=["ring", "sqrt"])
+    def test_masks_equal_the_whole_lattice(self, domain, window):
+        window = window or domain.truncation_window(3.0)
+        xs, ys = window.lattice(0.015)
+        assert len(xs) > 2 * geo.LATTICE_BLOCK
+        pts = reference_node_points(xs, ys)
+        for member in (domain.contains, domain.contains_closure):
+            assert np.array_equal(gr._lattice_mask(xs, ys, member), member(pts))
+
+    def test_ring_data_equals_the_whole_lattice(self):
+        ring = geo.ConvexRing(geo.square_body(2.0), geo.regular_polygon(12, 0.6))
+        grid = gr.build_grid(ring, geo.WindowBox((-2.0, -2.0), (2.0, 2.0)), 0.015)
+        pts = reference_node_points(grid.xs, grid.ys)
+        closed = ring.inner.contains(pts, strict=False)
+        near = closed | gr._has_neighbor_in(ring.inner.contains(pts))
+        assert np.array_equal(gr.inner_body_nodes(grid), closed)
+        assert np.array_equal(gr.ring_dirichlet_data(grid),
+                              np.where((grid.mask == gr.BOUNDARY) & near, 1.0, 0.0))
+
+
 class TestSolveDirichlet:
     def test_discrete_harmonic_polynomial_exact(self):
         # x^2 - y^2 is in the kernel of the 5-point stencil, so the solve
@@ -174,16 +205,16 @@ class TestSolveDirichlet:
         apply = gr._apply_neg_laplacian
         fast_poisson = gr._fast_poisson
 
-        def counted_apply(*args):
+        def counted_apply(*args, **kwargs):
             matvecs.append(1)
-            return apply(*args)
+            return apply(*args, **kwargs)
 
         def counted_fast_poisson(*args):
             solve = fast_poisson(*args)
 
-            def counted_solve(r):
+            def counted_solve(r, out):
                 preconditions.append(1)
-                return solve(r)
+                return solve(r, out)
 
             return counted_solve
 
@@ -203,16 +234,47 @@ class TestSolveDirichlet:
         assert zero.stats == gr.SolveStats(iterations=0, residual=0.0)
 
 
+def reference_neg_laplacian(v, interior, hx, hy):
+    """The whole-array 5-point operator that the row-blocked one replaced."""
+    av = np.zeros_like(v)
+    av[1:-1, 1:-1] = ((2.0 * v[1:-1, 1:-1] - v[2:, 1:-1] - v[:-2, 1:-1]) / hx ** 2
+                      + (2.0 * v[1:-1, 1:-1] - v[1:-1, 2:] - v[1:-1, :-2]) / hy ** 2)
+    av[~interior] = 0.0
+    return av
+
+
+DST_SHAPES = [(7, 5), (8, 6), (33, 2 * gr._BLOCK + 3), (2 * gr._BLOCK + 2, 31)]
+
+
 class TestFastPoisson:
-    @pytest.mark.parametrize("shape", [(7, 5), (8, 6), (33, 2 * gr._DST_BLOCK + 3),
-                                       (2 * gr._DST_BLOCK + 2, 31)])
-    @pytest.mark.parametrize("axis", [0, 1])
+    # _dst1 transforms along axis 1 only; the parameter keeps the test ids
+    @pytest.mark.parametrize("shape", DST_SHAPES)
+    @pytest.mark.parametrize("axis", [1])
     def test_dst1_matches_scipy(self, shape, axis):
         scipy_fft = pytest.importorskip("scipy.fft")
         x = np.random.default_rng(3).standard_normal(shape)
-        got = gr._dst1(x, axis)
+        got = gr._dst1(x, np.empty_like(x))
         want = scipy_fft.dst(x, type=1, axis=axis)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("shape", DST_SHAPES)
+    def test_dst1_in_place(self, shape):
+        x = np.random.default_rng(3).standard_normal(shape)
+        want = gr._dst1(x, np.empty_like(x))
+        assert gr._dst1(x, out=x) is x
+        assert np.array_equal(x, want)
+
+    @pytest.mark.parametrize("rows", [2 * gr._BLOCK + 3, 5])
+    def test_blocked_matvec_is_bit_identical(self, rows):
+        rng = np.random.default_rng(6)
+        v = rng.standard_normal((rows, 47))
+        interior = rng.random(v.shape) < 0.8
+        interior[[0, -1]] = interior[:, [0, -1]] = False
+        want = reference_neg_laplacian(v, interior, 0.013, 0.029)
+        assert np.array_equal(gr._apply_neg_laplacian(v, interior, 0.013, 0.029), want)
+        out = np.full_like(v, np.nan)
+        assert gr._apply_neg_laplacian(v, interior, 0.013, 0.029, out=out) is out
+        assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("shape, hx, hy", [
         ((40, 23), 0.1, 0.07), ((17, 130), 1 / 32, 1 / 16), ((130, 17), 1 / 32, 1 / 16),
@@ -223,9 +285,11 @@ class TestFastPoisson:
         interior[1:-1, 1:-1] = True
         v = np.where(interior, np.random.default_rng(4).standard_normal(shape), 0.0)
         inverse = gr._fast_poisson(shape, hx, hy)
-        back = inverse(gr._apply_neg_laplacian(v, interior, hx, hy))
+        out = np.full(shape, np.nan)
+        back = inverse(gr._apply_neg_laplacian(v, interior, hx, hy), out)
+        assert back is out
         assert np.abs(back - v).max() <= 1e-12 * np.abs(v).max()
-        there = gr._apply_neg_laplacian(inverse(v), interior, hx, hy)
+        there = gr._apply_neg_laplacian(inverse(v, out), interior, hx, hy)
         assert np.abs(there - v).max() <= 1e-12 * np.abs(v).max()
 
 
@@ -376,6 +440,24 @@ class TestMirrorSymmetry:
         G = gr.green_function(grid, (4.0, 0.0))
         assert G.values[grid.node_index((4.0, 0.0))] == G.values.max()
         assert np.abs(G.values - G.values[:, ::-1]).max() <= 1e-12 * G.values.max()
+
+    def test_green_solve_memory(self):
+        # u, r (the delta source itself, not a copy), p, the work array, the
+        # preconditioner's pivot table and the boolean masks: about 6
+        # grid-sized float arrays (11.8 before the solve ran on four float
+        # arrays; 7 with a copy of the source)
+        dom = geo.domain_from_config({"kind": "profile", "f": "sqrt"})
+        grid = gr.build_grid(dom, dom.truncation_window(8.0), 0.02)
+        assert grid.shape == (801, 401)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            G = gr.green_function(grid, (8.0, 0.0))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert G.stats.iterations > 1
+        assert peak <= 6.5 * 8 * grid.mask.size
 
 
 class TestSuperlevelClouds:

@@ -121,7 +121,7 @@ class TestConvexityTest:
         h = 0.01
         for c in (0.5, 1.0, 2.0, 5.0):
             curves = ls.extract_level_curve(s, c, w, h)
-            closure = ls.window_closure_points(curves, w, s, c)
+            closure = ls.window_closure_points(w, s, c)
             rep = ls.convexity_test(curves, closure=closure, tol=2 * h, fld=s, level=c)
             assert rep.verdict == "convex", f"c={c}: {rep.hull_deviation}"
 
@@ -140,7 +140,7 @@ class TestConvexityTest:
         w = geo.WindowBox((0.0, -3.0), (6.0, 3.0))
         c = 1.5
         curves = ls.extract_level_curve(e, c, w, 0.02)
-        closure = ls.window_closure_points(curves, w, e, c)
+        closure = ls.window_closure_points(w, e, c)
         rep = ls.convexity_test(curves, closure=closure, tol=0.04, fld=e, level=c)
         assert rep.verdict == "non_convex"
         assert rep.witness_verified
@@ -160,7 +160,7 @@ class TestConvexityTest:
         pts = np.vstack([cv.vertices for cv in curves])
         forms = [ls.tangent_hessian_form(u, p) for p in pts[::5]]
         assert max(forms) < -1e-6
-        closure = ls.window_closure_points(curves, w, u, c)
+        closure = ls.window_closure_points(w, u, c)
         rep = ls.convexity_test(curves, closure=closure, tol=2 * h)
         assert rep.verdict == "convex"
 
@@ -597,7 +597,7 @@ class TestArrayPassesMatchReferences:
         e = flds.exterior_martin()
         w, h = e.default_window, 0.02
         curves = ls.extract_level_curve(e, c, w, h)
-        closure = ls.window_closure_points(curves, w, e, c)
+        closure = ls.window_closure_points(w, e, c)
         ref_closure = reference_window_closure_points(w, e, c)
         assert np.array_equal(closure, ref_closure)
         pts = np.vstack([cv.vertices for cv in curves])
@@ -625,6 +625,23 @@ class CountingField(flds.ScalarField):
         return self.base.value(p, check=check)
 
 
+def reference_lattice(fld, window, h):
+    """The whole-lattice evaluation that the row-blocked one replaced."""
+    xs, ys = window.lattice(h)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    mask = np.asarray(fld.domain.contains(np.stack([X, Y], axis=-1)))
+    vals = np.full(X.shape, np.nan)
+    if mask.any():
+        vals[mask] = np.asarray(fld.value(np.stack([X[mask], Y[mask]], axis=-1),
+                                          check=False), dtype=float)
+    return xs, ys, vals, mask
+
+
+def lattice_value_calls(window, h):
+    """Value calls of one lattice evaluation: one per block of lattice rows."""
+    return -(-len(window.lattice(h)[0]) // geo.LATTICE_BLOCK)
+
+
 class TestLatticeMemo:
     def test_levels_share_one_evaluation(self):
         fld = CountingField(flds.strip_martin())
@@ -632,7 +649,7 @@ class TestLatticeMemo:
         fresh = [ls.extract_level_curve(flds.strip_martin(), c, w, 0.02)
                  for c in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)]
         got = [ls.extract_level_curve(fld, c, w, 0.02) for c in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)]
-        assert fld.calls == 1
+        assert fld.calls == lattice_value_calls(w, 0.02) == 4
         for a, b in zip(got, fresh):
             assert [cv.vertices.tolist() for cv in a] == [cv.vertices.tolist() for cv in b]
 
@@ -641,10 +658,12 @@ class TestLatticeMemo:
         w = geo.WindowBox((0.0, -np.pi / 2), (3.0, np.pi / 2))
         ls.extract_level_curve(fld, 1.0, w, 0.02)
         ls.extract_level_curve(fld, 1.0, geo.WindowBox((0.0, -np.pi / 2), (3.0, np.pi / 2)), 0.02)
-        assert fld.calls == 1                        # equal windows share the lattice
+        first = lattice_value_calls(w, 0.02)
+        assert fld.calls == first                    # equal windows share the lattice
         ls.extract_level_curve(fld, 1.0, w, 0.05)
-        ls.extract_level_curve(fld, 1.0, geo.WindowBox((0.0, -1.0), (3.0, 1.0)), 0.05)
-        assert fld.calls == 3
+        w2 = geo.WindowBox((0.0, -1.0), (3.0, 1.0))
+        ls.extract_level_curve(fld, 1.0, w2, 0.05)
+        assert fld.calls == first + lattice_value_calls(w, 0.05) + lattice_value_calls(w2, 0.05)
 
     def test_two_fields_on_one_window_get_their_own_curves(self):
         w = geo.WindowBox((0.0, -3.0), (6.0, 3.0))
@@ -654,6 +673,18 @@ class TestLatticeMemo:
             ext_pts = np.vstack([cv.vertices for cv in ls.extract_level_curve(e, 1.0, w, 0.05)])
             assert np.allclose(np.sinh(strip_pts[:, 0]) * np.cos(strip_pts[:, 1]), 1.0, atol=0.02)
             assert np.allclose(e.value(ext_pts, check=False), 1.0, atol=0.02)
+
+    @pytest.mark.parametrize("make", [flds.strip_martin, flds.exterior_martin,
+                                      flds.slit_sector_martin,
+                                      lambda: flds.cylinder_martin(1.0, 1.0)],
+                             ids=["strip", "exterior", "slit_sector", "cylinder"])
+    def test_blocks_equal_the_whole_lattice(self, make):
+        fld = make()
+        got = ls._lattice(fld, fld.default_window, 0.01)
+        want = reference_lattice(fld, fld.default_window, 0.01)
+        assert len(got[0]) > 2 * geo.LATTICE_BLOCK
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
 
     def test_memo_arrays_are_read_only(self):
         s = flds.strip_martin()

@@ -162,6 +162,18 @@ class TestRayMonotonicity:
         rep = sa.ray_monotonicity(flds.cylinder_martin(1.0, 1.0), 0.0, +1)
         assert rep.decreasing
 
+    def test_length_past_the_wall_stops_at_the_wall(self):
+        fld = flds.strip_martin()
+        for direction in (+1, -1):
+            assert (sa.ray_monotonicity(fld, 1.0, direction, length=2.0)
+                    == sa.ray_monotonicity(fld, 1.0, direction))
+
+    def test_axis_point_outside_the_domain_raises(self):
+        # (0.5, 0) lies in the removed unit disk
+        for length in (None, 2.0):
+            with pytest.raises(geo.GeometryError, match="no interval containing the axis point"):
+                sa.ray_monotonicity(flds.exterior_martin(), 0.5, +1, length=length)
+
 
 class TestSliceSuperharmonicity:
     def test_cylinder_everywhere_positive(self):
