@@ -1,8 +1,9 @@
 """Command-line surface: reproducible level-set, audit, and Green-ratio runs.
 
 Subcommands: levelsets | audit | green | slice-scan | asymptotics.
-Global flags: --config PATH, --out DIR, --seed N, --verbose.  Exit codes:
-0 success, 1 runtime/solver failure, 2 invalid configuration or geometry.
+levelsets, audit and green take --config PATH, --out DIR, --seed N and
+--verbose; slice-scan and asymptotics take --out DIR.  Exit codes: 0
+success, 1 runtime/solver failure, 2 invalid configuration or geometry.
 
 All randomness used for sample placement comes from the seeded xorshift64*
 generator, and all JSON/CSV outputs are deterministic for a fixed config and
@@ -395,8 +396,9 @@ def cmd_green(args):
         "probe_order": "row-major over (x, y): x varies slowest, y fastest",
         "probe_values": [float(v) for v in probe_vals_final],
         "iterates": [{"pole": it.pole,
-                      "window": [list(it.grid.window.lower), list(it.grid.window.upper)],
-                      "interior_nodes": it.grid.interior_count(),
+                      "window": [list(it.ratio.grid.window.lower),
+                                 list(it.ratio.grid.window.upper)],
+                      "interior_nodes": it.ratio.grid.interior_count(),
                       "cg_iterations": it.ratio.stats.iterations,
                       "cg_residual": it.ratio.stats.residual}
                      for it in result.iterates],
@@ -467,18 +469,9 @@ def cmd_asymptotics(args):
     v = fields.halfplane_v()
     for check in checks:
         if check == "f-decay":
-            def fprime_mag(r):
-                z = complex(r)
-                w = np.sqrt(z ** 4 - 1.0)
-                return abs(2.0 * z - 2.0 * z ** 3 / w)
-
-            def fsecond_mag(r):
-                z = complex(r)
-                w = np.sqrt(z ** 4 - 1.0)
-                return abs(2.0 - 6.0 * z ** 2 / w + 4.0 * z ** 6 / w ** 3)
-
-            f1 = slices.decay_fit(fprime_mag, radii)
-            f2 = slices.decay_fit(fsecond_mag, radii)
+            # f = v - u on the real axis, from the two fields' holomorphic triples
+            f1 = slices.decay_fit(lambda r: abs(v.dF(complex(r)) - u.dF(complex(r))), radii)
+            f2 = slices.decay_fit(lambda r: abs(v.d2F(complex(r)) - u.d2F(complex(r))), radii)
             payload["f-decay"] = {"fprime_slope": f1.slope, "fsecond_slope": f2.slope,
                                   "radii": [float(r) for r in radii]}
         elif check == "hess-residual":
@@ -500,25 +493,24 @@ def cmd_asymptotics(args):
 def build_parser():
     p = argparse.ArgumentParser(prog="martin",
                                 description="level-set convexity and Green-ratio experiments")
-    p.add_argument("--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def run_flags(sp):
         sp.add_argument("--config", default=None)
         sp.add_argument("--out", default=".")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--verbose", action="store_true")
 
     sp = sub.add_parser("levelsets", help="extract contours and emit JSON/CSV/SVG")
-    common(sp)
+    run_flags(sp)
     sp.set_defaults(func=cmd_levelsets, needs_config=True)
 
     sp = sub.add_parser("audit", help="run a configured check suite")
-    common(sp)
+    run_flags(sp)
     sp.set_defaults(func=cmd_audit, needs_config=True)
 
     sp = sub.add_parser("green", help="Green-ratio pipeline")
-    common(sp)
+    run_flags(sp)
     sp.add_argument("--domain")
     sp.add_argument("--x0")
     sp.add_argument("--poles")
@@ -528,7 +520,7 @@ def build_parser():
     sp.set_defaults(func=cmd_green, needs_config=False)
 
     sp = sub.add_parser("slice-scan", help="slice maxima and ray monotonicity")
-    common(sp)
+    sp.add_argument("--out", default=".")
     sp.add_argument("--field", required=True)
     sp.add_argument("--t", required=True)
     sp.add_argument("--span")
@@ -536,7 +528,7 @@ def build_parser():
     sp.set_defaults(func=cmd_slice_scan, needs_config=False)
 
     sp = sub.add_parser("asymptotics", help="decay and residual slope fits")
-    common(sp)
+    sp.add_argument("--out", default=".")
     sp.add_argument("--check")
     sp.add_argument("--radii")
     sp.add_argument("--out-file", dest="out_file")

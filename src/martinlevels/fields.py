@@ -87,15 +87,17 @@ class ScalarField:
 class HolomorphicReField(ScalarField):
     """u = Re(F) for holomorphic F with explicit first and second derivatives.
 
+    The triple is public as ``F``, ``dF`` and ``d2F``, so other consumers of
+    the closed form (conformal maps, asymptotic fits) take it from here.
     ``tube``, if given, maps complex points to a mask of the points too close
     to a branch or singular point for the derivatives to be trusted.
     """
 
     def __init__(self, domain, F, dF, d2F, name, default_window=None, tube=None):
         self.domain = domain
-        self._F = F
-        self._dF = dF
-        self._d2F = d2F
+        self.F = F
+        self.dF = dF
+        self.d2F = d2F
         self.name = name
         self.default_window = default_window
         self._tube = tube
@@ -104,7 +106,7 @@ class HolomorphicReField(ScalarField):
         if check:
             self._require_inside(p)
         z = _complex_of(p)
-        return np.real(self._F(z))[()]
+        return np.real(self.F(z))[()]
 
     def _guard(self, z):
         """Raise :class:`SingularPointError` if a complex point lies in the tube."""
@@ -127,10 +129,10 @@ class HolomorphicReField(ScalarField):
         return np.asarray(np.real(w), dtype=float), np.asarray(-np.imag(w), dtype=float)
 
     def gradient(self, p):
-        return np.stack(self._derivative(self._dF, p), axis=-1)
+        return np.stack(self._derivative(self.dF, p), axis=-1)
 
     def hessian(self, p):
-        a, b = self._derivative(self._d2F, p)
+        a, b = self._derivative(self.d2F, p)
         return _symmetric(a, b, -a)
 
 
@@ -229,52 +231,25 @@ class CylinderMode:
     def phi(self, y):
         return np.cos(np.pi * np.asarray(y) / 2)
 
-    def dphi(self, y):
-        return -(np.pi / 2) * np.sin(np.pi * np.asarray(y) / 2)
 
-    def axial(self, t, dtype=float):
-        rt = np.sqrt(np.asarray(self.lam, dtype=dtype))
-        t = np.asarray(t, dtype=dtype)
-        return self.A * np.exp(rt * t) + self.B * np.exp(-rt * t)
-
-    def axial_d(self, t):
-        rt = math.sqrt(self.lam)
-        return rt * (self.A * np.exp(rt * t) - self.B * np.exp(-rt * t))
-
-
-class CylinderModeField(ScalarField):
-    """(A e^{sqrt(lam) t} + B e^{-sqrt(lam) t}) phi(y) on R x (-1, 1)."""
+class CylinderModeField(HolomorphicReField):
+    """Re F on R x (-1, 1) for F(z) = A e^{kz} + B e^{-kz}, k = pi/2: since
+    cos is even, Re F = (A e^{kt} + B e^{-kt}) cos(k y), the mode's separated
+    form, and F'' = k^2 F."""
 
     def __init__(self, mode: CylinderMode):
+        A, B, k = mode.A, mode.B, np.pi / 2
+
+        def F(z):
+            return A * np.exp(k * z) + B * np.exp(-k * z)
+
+        def dF(z):
+            return k * (A * np.exp(k * z) - B * np.exp(-k * z))
+
+        super().__init__(CylinderDomain(), F, dF, lambda z: k * k * F(z),
+                         f"cylinder:A={mode.A:g},B={mode.B:g}",
+                         default_window=WindowBox((-2.0, -1.0), (2.0, 1.0)))
         self.mode = mode
-        self.domain = CylinderDomain()
-        self.name = f"cylinder:A={mode.A:g},B={mode.B:g}"
-        self.default_window = WindowBox((-2.0, -1.0), (2.0, 1.0))
-
-    def value(self, p, check=True):
-        if check:
-            self._require_inside(p)
-        p = np.asarray(p)
-        dtype = np.longdouble if p.dtype == np.longdouble else float
-        t = p[..., 0].astype(dtype)
-        y = p[..., 1].astype(dtype)
-        return (self.mode.axial(t, dtype=dtype) * self.mode.phi(y))[()]
-
-    def _split(self, p):
-        self._require_inside(p)
-        p = np.asarray(p, dtype=float)
-        return p[..., 0], p[..., 1]
-
-    def gradient(self, p):
-        t, y = self._split(p)
-        m = self.mode
-        return np.stack([m.axial_d(t) * m.phi(y), m.axial(t) * m.dphi(y)], axis=-1)
-
-    def hessian(self, p):
-        t, y = self._split(p)
-        m = self.mode
-        v = m.axial(t) * m.phi(y)
-        return _symmetric(m.lam * v, m.axial_d(t) * m.dphi(y), m.axial(t) * (-m.lam * m.phi(y)))
 
 
 def cylinder_martin(A=1.0, B=0.0):
@@ -450,27 +425,23 @@ class ConformalMap:
         return worst
 
 
+def _map_of(fld, inverse, source):
+    """The map onto the right half-plane whose real part is the field ``fld``,
+    with the field's holomorphic triple as the map and its derivatives."""
+    return ConformalMap(forward=fld.F, dforward=fld.dF, d2forward=fld.d2F, inverse=inverse,
+                        source=source, target="right_halfplane")
+
+
 def map_sector_slit_to_halfplane():
-    return ConformalMap(forward=lambda z: np.sqrt(z ** 4 - 1.0),
-                        dforward=lambda z: 2.0 * z ** 3 / np.sqrt(z ** 4 - 1.0),
-                        d2forward=lambda z: (6.0 * z ** 2 / np.sqrt(z ** 4 - 1.0)
-                                             - 4.0 * z ** 6 / np.sqrt(z ** 4 - 1.0) ** 3),
-                        inverse=lambda w: (w ** 2 + 1.0) ** 0.25,
-                        source="sector_minus_slit", target="right_halfplane")
+    return _map_of(slit_sector_martin(), lambda w: (w ** 2 + 1.0) ** 0.25, "sector_minus_slit")
 
 
 def map_strip_to_halfplane():
-    return ConformalMap(forward=np.sinh, dforward=np.cosh, d2forward=np.sinh,
-                        inverse=np.arcsinh,
-                        source="strip", target="right_halfplane")
+    return _map_of(strip_martin(), np.arcsinh, "strip")
 
 
 def map_halfplane_identity():
-    return ConformalMap(forward=lambda z: z,
-                        dforward=lambda z: np.ones_like(np.asarray(z)) + 0j,
-                        d2forward=lambda z: np.zeros_like(np.asarray(z)) + 0j,
-                        inverse=lambda w: w,
-                        source="right_halfplane", target="right_halfplane")
+    return _map_of(halfplane_coordinate(), lambda w: w, "right_halfplane")
 
 
 def _mobius(z):

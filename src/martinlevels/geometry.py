@@ -65,6 +65,8 @@ class WindowBox:
         nodes: an even number of intervals, a node at exactly 0 and an upper
         half that is the negation of the lower half.
         """
+        if not h > 0.0:
+            raise GeometryError(f"lattice spacing h={h} must be positive")
         (x0, y0), (x1, y1) = self.lower, self.upper
         nx, ny = (max(1, int(round((b - a) / h))) for a, b in zip(self.lower, self.upper))
         xs = x0 + (x1 - x0) * np.arange(nx + 1) / nx
@@ -339,15 +341,22 @@ class Domain:
 
     ``contains`` and ``contains_closure`` take points of shape ``(..., 2)``
     and return a boolean array of shape ``(...)`` (a numpy bool for one
-    point); the open set lies inside its closure.
+    point); the open set lies inside its closure.  A domain states its
+    inequalities once, in ``_member``, and both memberships derive from it.
     """
 
     kind = None
 
     def contains(self, p):
-        raise NotImplementedError
+        return np.asarray(self._member(*self._split(p), np.less))[()]
 
     def contains_closure(self, p):
+        return np.asarray(self._member(*self._split(p), np.less_equal))[()]
+
+    def _member(self, x, y, lt):
+        """Mask of the coordinate arrays x, y satisfying the domain's
+        inequalities, each written ``lt(a, b)``: ``np.less`` for the open
+        set, ``np.less_equal`` for its closure."""
         raise NotImplementedError
 
     def boundary_distance(self, p):
@@ -381,13 +390,8 @@ class Strip(Domain):
 
     kind = "strip"
 
-    def contains(self, p):
-        x, y = self._split(p)
-        return np.asarray((x > 0.0) & (np.abs(y) < np.pi / 2))[()]
-
-    def contains_closure(self, p):
-        x, y = self._split(p)
-        return np.asarray((x >= 0.0) & (np.abs(y) <= np.pi / 2))[()]
+    def _member(self, x, y, lt):
+        return lt(0.0, x) & lt(np.abs(y), np.pi / 2)
 
     def _distance(self, x, y):
         return np.minimum(x, np.pi / 2 - np.abs(y))
@@ -416,13 +420,8 @@ class RightHalfplane(Domain):
 
     kind = "right_halfplane"
 
-    def contains(self, p):
-        x, _ = self._split(p)
-        return np.asarray(x > 0.0)[()]
-
-    def contains_closure(self, p):
-        x, _ = self._split(p)
-        return np.asarray(x >= 0.0)[()]
+    def _member(self, x, y, lt):
+        return lt(0.0, x)
 
     def _distance(self, x, y):
         return x
@@ -445,13 +444,8 @@ class Sector(Domain):
 
     kind = "sector"
 
-    def contains(self, p):
-        x, y = self._split(p)
-        return np.asarray((x > 0.0) & (np.abs(y) < x))[()]
-
-    def contains_closure(self, p):
-        x, y = self._split(p)
-        return np.asarray((x >= 0.0) & (np.abs(y) <= x))[()]
+    def _member(self, x, y, lt):
+        return lt(0.0, x) & lt(np.abs(y), x)
 
     def _distance(self, x, y):
         return (x - np.abs(y)) / math.sqrt(2.0)
@@ -479,7 +473,7 @@ class SectorMinusSlit(Sector):
     def contains(self, p):
         x, y = self._split(p)
         on_slit = (y == 0.0) & (x <= 1.0)
-        return np.asarray((x > 0.0) & (np.abs(y) < x) & ~on_slit)[()]
+        return np.asarray(self._member(x, y, np.less) & ~on_slit)[()]
 
     def _distance(self, x, y):
         d_slit = edge_distances(np.stack([x, y], axis=-1).reshape(-1, 2), _SLIT)[:, 0]
@@ -503,13 +497,8 @@ class HalfplaneMinusDisk(Domain):
 
     kind = "halfplane_minus_disk"
 
-    def contains(self, p):
-        x, y = self._split(p)
-        return np.asarray((x > 0.0) & (x * x + y * y > 1.0))[()]
-
-    def contains_closure(self, p):
-        x, y = self._split(p)
-        return np.asarray((x >= 0.0) & (x * x + y * y >= 1.0))[()]
+    def _member(self, x, y, lt):
+        return lt(0.0, x) & lt(1.0, x * x + y * y)
 
     def _distance(self, x, y):
         return np.minimum(x, np.hypot(x, y) - 1.0)
@@ -539,13 +528,8 @@ class CylinderDomain(Domain):
 
     kind = "cylinder"
 
-    def contains(self, p):
-        _, y = self._split(p)
-        return np.asarray(np.abs(y) < 1.0)[()]
-
-    def contains_closure(self, p):
-        _, y = self._split(p)
-        return np.asarray(np.abs(y) <= 1.0)[()]
+    def _member(self, x, y, lt):
+        return lt(np.abs(y), 1.0)
 
     def _distance(self, x, y):
         return 1.0 - np.abs(y)
@@ -610,25 +594,19 @@ def _polygon_vertical_section(vertices, t):
 class _IntervalProfile(Domain):
     """Region ``{t in T, y in radius(t) * D}`` for an interval ``D = (lo, hi)``.
 
-    Subclasses give the axial range ``T`` (``_axial``) and ``radius``, which
-    is NaN where the profile is undefined, so those points lie in neither
-    the open set nor its closure.
+    Subclasses give the axial range ``T`` (``_axial(t, lt)``, in the
+    comparison of ``_member``) and ``radius``, which is NaN where the profile
+    is undefined, so those points lie in neither the open set nor its
+    closure.
     """
 
     def __init__(self, profile: ProfileDomain):
         self.profile = profile
         self.lo, self.hi = profile.cross_section
 
-    def contains(self, p):
-        t, y = self._split(p)
+    def _member(self, t, y, lt):
         r = self.radius(t)
-        return np.asarray(self._axial(t, strict=True) & (r * self.lo < y) & (y < r * self.hi))[()]
-
-    def contains_closure(self, p):
-        t, y = self._split(p)
-        r = self.radius(t)
-        return np.asarray(self._axial(t, strict=False)
-                          & (r * self.lo <= y) & (y <= r * self.hi))[()]
+        return self._axial(t, lt) & lt(r * self.lo, y) & lt(y, r * self.hi)
 
     def _walls(self, ts, r):
         return np.vstack([np.column_stack([ts, r * self.hi]), np.column_stack([ts, r * self.lo])])
@@ -644,8 +622,8 @@ class ProfileRegion(_IntervalProfile):
         t = np.asarray(t, dtype=float)
         return np.where(t >= 0.0, self.profile.f(np.maximum(t, 0.0)), np.nan)
 
-    def _axial(self, t, strict):
-        return t > 0.0 if strict else t >= 0.0
+    def _axial(self, t, lt):
+        return lt(0.0, t)
 
     def slice_at(self, t):
         if t <= 0.0:
@@ -690,8 +668,8 @@ class RescaledProfile(_IntervalProfile):
             r = np.where(base > 0.0, np.asarray(self.profile.f(np.maximum(base, 1e-300))), np.nan)
         return r / self.f_s
 
-    def _axial(self, t, strict):
-        return np.abs(t) < self.s / 2.0 if strict else np.abs(t) <= self.s / 2.0
+    def _axial(self, t, lt):
+        return lt(np.abs(t), self.s / 2.0)
 
     def boundary_points(self, window, n):
         t0 = max(window.lower[0], -self.s / 2.0)

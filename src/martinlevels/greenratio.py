@@ -75,10 +75,10 @@ class Grid2D:
 def build_grid(domain, window, h):
     """Classify window nodes against the domain at spacing ~h.
 
-    Raises when the interior is empty or disconnected, or when h is too
-    coarse for the window (h must be <= extent / 16).
+    Raises when the interior is empty or disconnected, or when h is not
+    positive or too coarse for the window (h must be <= extent / 16).
     """
-    if h <= 0.0 or h > min(window.extent()) / 16.0:
+    if h > min(window.extent()) / 16.0:
         raise GeometryError(f"grid spacing h={h} too coarse for window extent {window.extent()}")
     xs, ys = window.lattice(h)
     hx = float((xs[-1] - xs[0]) / (len(xs) - 1))
@@ -430,10 +430,8 @@ class MartinApproxConfig:
 
 @dataclass
 class MartinIterate:
-    index: int
     pole: float
     ratio: GridField
-    grid: Grid2D
 
 
 @dataclass
@@ -472,7 +470,7 @@ def martin_ratio(domain, cfg: MartinApproxConfig, h):
                             f"e.g. {probes[outside][0].tolist()}")
     iterates = []
     samples = []
-    for n, s in enumerate(cfg.poles):
+    for s in cfg.poles:
         window = domain.truncation_window(s)
         if not (window.contains(cfg.probe_window.lower) and window.contains(cfg.probe_window.upper)):
             raise GeometryError(f"probe window not inside truncation window for pole {s}")
@@ -484,7 +482,7 @@ def martin_ratio(domain, cfg: MartinApproxConfig, h):
         if g0 <= 0.0:
             raise SolverError(f"nonpositive Green value at the reference point for pole {s}")
         ratio = GridField(grid, G.values / g0, name=f"ratio[{s}]", stats=G.stats)
-        iterates.append(MartinIterate(index=n, pole=s, ratio=ratio, grid=grid))
+        iterates.append(MartinIterate(pole=s, ratio=ratio))
         samples.append(ratio.value(probes))
     cauchy = [float(np.max(np.abs(b - a))) for a, b in zip(samples, samples[1:])]
     return MartinRatioResult(iterates=iterates, cauchy=cauchy,
@@ -496,20 +494,15 @@ def martin_ratio(domain, cfg: MartinApproxConfig, h):
 # ---------------------------------------------------------------------------
 
 def superlevel_nodes(fld: GridField, c, window=None):
-    """Grid nodes (interior or boundary) where the field exceeds c."""
-    g = fld.grid
-    member = (g.mask != EXTERIOR) & (fld.values > c)
-    return _clip_nodes(g, member, window)
-
-
-def superlevel_of_iterate(iterate: MartinIterate, c, window=None):
-    """Node cloud of {u_n > c} for one normalized ratio iterate.
+    """Grid nodes (interior or boundary) where the field exceeds c > 0.
 
     Empty levels return an empty cloud (reported, not an error).
     """
     if c <= 0.0:
         raise GeometryError("superlevel threshold must be positive")
-    return superlevel_nodes(iterate.ratio, c, window=window)
+    g = fld.grid
+    member = (g.mask != EXTERIOR) & (fld.values > c)
+    return _clip_nodes(g, member, window)
 
 
 def superlevel_boundary_nodes(fld: GridField, c, window=None, extra_member=None):

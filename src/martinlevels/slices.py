@@ -31,7 +31,7 @@ class SliceReport:
     t: float
     argmax: tuple
     max_value: float
-    center_value: float
+    center_value: float | None        # None when no slice interval holds y = 0
 
 
 @dataclass
@@ -85,7 +85,7 @@ def slice_scan(fld, t, span=None):
     u_star = float(fld.value(np.array([t, y_star])))
     if u_star < vals[k]:
         y_star, u_star = y_best, float(vals[k])
-    center = float(fld.value(np.array([t, 0.0]))) if sl.contains(0.0) else float("nan")
+    center = float(fld.value(np.array([t, 0.0]))) if sl.contains(0.0) else None
     return SliceReport(t=float(t), argmax=(float(t), y_star), max_value=u_star,
                        center_value=center)
 

@@ -8,7 +8,7 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from martinlevels import cli, export, fields, levelset
+from martinlevels import cli, export, fields, levelset, slices
 from martinlevels._rng import XorShift64Star
 
 
@@ -463,6 +463,79 @@ class TestSliceScanAndAsymptotics:
 
     def test_unknown_asymptotics_check(self, tmp_path):
         assert cli.main(["asymptotics", "--check", "wat", "--out", str(tmp_path)]) == 2
+
+    def test_f_decay_slopes_match_closed_form_magnitudes(self, tmp_path):
+        def fprime_mag(r):
+            z = complex(r)
+            w = np.sqrt(z ** 4 - 1.0)
+            return abs(2.0 * z - 2.0 * z ** 3 / w)
+
+        def fsecond_mag(r):
+            z = complex(r)
+            w = np.sqrt(z ** 4 - 1.0)
+            return abs(2.0 - 6.0 * z ** 2 / w + 4.0 * z ** 6 / w ** 3)
+
+        assert cli.main(["asymptotics", "--check", "f-decay", "--out", str(tmp_path)]) == 0
+        got = json.load(open(tmp_path / "decay.json"))["f-decay"]
+        radii = np.geomspace(5.0, 80.0, 12)
+        assert got["fprime_slope"] == pytest.approx(slices.decay_fit(fprime_mag, radii).slope,
+                                                    rel=0.0, abs=1e-12)
+        assert got["fsecond_slope"] == pytest.approx(slices.decay_fit(fsecond_mag, radii).slope,
+                                                     rel=0.0, abs=1e-12)
+
+    def test_slice_without_the_axis_point_has_null_center(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        argv = ["slice-scan", "--field", "exterior", "--t", "0.5", "--span", "2"]
+        assert cli.main(argv + ["--out", str(tmp_path / "e")]) == 0
+        exterior = json.loads((tmp_path / "e" / "slices.json").read_text(), parse_constant=reject)
+        assert exterior["slices"]["0.5"]["center"] is None
+        assert cli.main(["slice-scan", "--field", "strip", "--t", "1",
+                         "--out", str(tmp_path / "s")]) == 0
+        strip = json.loads((tmp_path / "s" / "slices.json").read_text(), parse_constant=reject)
+        assert strip["slices"]["1"]["center"] == fields.strip_martin().value(np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--verbose", "levelsets", "--config", "cfg.json"],
+    ["slice-scan", "--field", "strip", "--t", "1", "--config", "cfg.json"],
+    ["slice-scan", "--field", "strip", "--t", "1", "--seed", "3"],
+    ["slice-scan", "--field", "strip", "--t", "1", "--verbose"],
+    ["asymptotics", "--config", "cfg.json"],
+    ["asymptotics", "--seed", "3"],
+    ["asymptotics", "--verbose"],
+], ids=["top-level-verbose", "slice-scan-config", "slice-scan-seed", "slice-scan-verbose",
+        "asymptotics-config", "asymptotics-seed", "asymptotics-verbose"])
+def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_subcommand_verbose_prints(tmp_path, capsys):
+    cfg = write_config(tmp_path, "levels.json", STRIP_LEVELS)
+    assert cli.main(["levelsets", "--verbose", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("levelsets: 4 curves")
+
+
+@pytest.mark.parametrize("h", [0, -0.1], ids=["zero", "negative"])
+def test_nonpositive_levelsets_spacing_is_a_usage_error(tmp_path, capsys, h):
+    cfg = write_config(tmp_path, "levels.json", {**STRIP_LEVELS, "h": h})
+    assert cli.main(["levelsets", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "must be positive" in err and "Traceback" not in err
+
+
+def test_audit_records_nonpositive_convexity_spacing(tmp_path):
+    cfg = write_config(tmp_path, "audit.json", {
+        "field": "strip", "checks": [{"name": "convexity", "params": {"levels": [1.0], "h": 0}}]})
+    assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path)]) == 1
+    verdict = json.load(open(tmp_path / "report.json"))["verdicts"]["convexity"]
+    assert verdict["passed"] is False
+    assert verdict["error"].startswith("GeometryError: lattice spacing h=0.0 must be positive")
 
 
 class TestSeededGenerator:

@@ -504,3 +504,63 @@ class TestWindowAndConfig:
     def test_ngon_config(self):
         body = geo.body_from_config({"ngon": 64, "radius": 2.0})
         assert body.support((1.0, 0.0)) == pytest.approx(2.0, rel=1e-3)
+
+
+def reference_memberships(dom, p):
+    """The open-set and closure masks with each domain's inequalities written
+    out twice, once strict and once not."""
+    x, y = p[..., 0], p[..., 1]
+    if dom.kind == "strip":
+        return (x > 0.0) & (np.abs(y) < np.pi / 2), (x >= 0.0) & (np.abs(y) <= np.pi / 2)
+    if dom.kind == "right_halfplane":
+        return x > 0.0, x >= 0.0
+    if dom.kind in ("sector", "sector_minus_slit"):
+        closure = (x >= 0.0) & (np.abs(y) <= x)
+        inside = (x > 0.0) & (np.abs(y) < x)
+        if dom.kind == "sector_minus_slit":
+            inside &= ~((y == 0.0) & (x <= 1.0))
+        return inside, closure
+    if dom.kind == "halfplane_minus_disk":
+        return (x > 0.0) & (x * x + y * y > 1.0), (x >= 0.0) & (x * x + y * y >= 1.0)
+    if dom.kind == "cylinder":
+        return np.abs(y) < 1.0, np.abs(y) <= 1.0
+    r = dom.radius(x)
+    if dom.kind == "profile":
+        axial_open, axial_closed = x > 0.0, x >= 0.0
+    else:
+        axial_open, axial_closed = np.abs(x) < dom.s / 2.0, np.abs(x) <= dom.s / 2.0
+    return (axial_open & (r * dom.lo < y) & (y < r * dom.hi),
+            axial_closed & (r * dom.lo <= y) & (y <= r * dom.hi))
+
+
+#: exact boundary floats: x = 0, y = +-pi/2, |y| = x, (0.6, 0.8), (1, 0),
+#: |y| = 1, the slit, the sqrt profile's walls (4, +-2) and (0.25, +-0.5) and
+#: the rescaled slab's ends t = +-2 at s = 4
+_EDGE_VALUES = [0.0, 0.25, 0.5, 0.6, 0.8, 1.0, np.pi / 2, 2.0, 4.0]
+_EDGE_POINTS = np.array([(x, s * y) for x in _EDGE_VALUES + [-0.5, -2.0]
+                         for y in _EDGE_VALUES for s in (1.0, -1.0)])
+
+
+class TestOneInequalitySet:
+    @pytest.mark.parametrize("dom", [geo.Strip(), geo.RightHalfplane(), geo.Sector(),
+                                     geo.SectorMinusSlit(), geo.HalfplaneMinusDisk(),
+                                     geo.CylinderDomain(),
+                                     geo.ProfileRegion(geo.ProfileDomain("sqrt")),
+                                     geo.RescaledProfile(geo.ProfileDomain("sqrt"), 4.0)],
+                             ids=lambda d: d.kind)
+    def test_masks_bit_equal_to_separate_inequalities(self, dom):
+        noise = np.random.default_rng(17).uniform([-3.0, -4.0], [6.0, 4.0], size=(10 ** 4, 2))
+        pts = np.concatenate([noise, _EDGE_POINTS])
+        inside, closure = reference_memberships(dom, pts)
+        np.testing.assert_array_equal(dom.contains(pts), inside)
+        np.testing.assert_array_equal(dom.contains_closure(pts), closure)
+        # the edge points hit walls: some lie in the closure but not the open set
+        edge = slice(len(noise), None)
+        assert np.any(closure[edge] & ~inside[edge])
+
+
+class TestLatticeSpacing:
+    @pytest.mark.parametrize("h", [0.0, -0.1, math.nan])
+    def test_nonpositive_spacing_rejected(self, h):
+        with pytest.raises(geo.GeometryError, match="must be positive"):
+            geo.WindowBox((0.0, -1.0), (2.0, 1.0)).lattice(h)

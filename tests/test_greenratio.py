@@ -472,12 +472,12 @@ class TestSuperlevelClouds:
     def test_level_above_max_empty(self, strip_ratio):
         _, res = strip_ratio
         big = float(res.final.values.max()) + 1.0
-        assert len(gr.superlevel_of_iterate(res.iterates[-1], big)) == 0
+        assert len(gr.superlevel_nodes(res.iterates[-1].ratio, big)) == 0
 
     def test_iterate_superlevel_threshold_positive(self, strip_ratio):
         _, res = strip_ratio
         with pytest.raises(geo.GeometryError):
-            gr.superlevel_of_iterate(res.iterates[-1], 0.0)
+            gr.superlevel_nodes(res.iterates[-1].ratio, 0.0)
 
     def test_halfplane_low_level_nonconvex(self):
         # the unit-disk hole dents the low superlevel sets of the ratio
