@@ -49,6 +49,15 @@ def _parse(text, what, kind=float, sep=None):
     return vals[0] if sep is None else vals
 
 
+def _path(raw, key, default):
+    """The file or directory name under ``key`` of a config, or ``default``;
+    a :class:`ConfigError` when it is not a string."""
+    value = raw.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigError(f"config '{key}' must be a path string, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -72,7 +81,7 @@ class ExperimentConfig:
             raise ConfigError("config root must be a JSON object")
         cfg = cls(raw=raw,
                   seed=_parse(raw.get("seed", 0), "seed", int) if seed is None else seed,
-                  out_dir=out_dir or raw.get("out", "."))
+                  out_dir=out_dir or _path(raw, "out", "."))
         return cfg
 
     def field(self):
@@ -247,12 +256,14 @@ def cmd_audit(args):
     cfg = ExperimentConfig.load(args.config, out_dir=args.out, seed=args.seed)
     fld = cfg.field()
     spec_list = cfg.raw.get("checks")
-    if not spec_list:
+    if not spec_list or not isinstance(spec_list, list):
         raise ConfigError("audit config needs a nonempty 'checks' list")
     jobs = []
     for item in spec_list:
         if isinstance(item, str):
             item = {"name": item}
+        if not isinstance(item, dict):
+            raise ConfigError(f"a check must be a name or a mapping, got {item!r}")
         name = item.get("name")
         if name not in AUDIT_CHECKS:
             raise ConfigError(f"unknown check {name!r}; known: {sorted(AUDIT_CHECKS)}")
@@ -316,7 +327,7 @@ def _probe_half_height(domain, x0, x1, pole):
     return half
 
 
-def _green_ring_mode(cfg, domain, raw, args):
+def _green_ring_mode(domain, raw, args, out_path):
     """Theorem-style ring run: direct solve plus per-level convexity verdicts."""
     h = _parse(args.h or raw.get("h", 0.05), "h")
     levels = _parse(raw.get("levels", [0.25, 0.5, 0.75]), "levels", sep=",")
@@ -343,7 +354,6 @@ def _green_ring_mode(cfg, domain, raw, args):
                               and sol.values[interior].max() <= 1.0),
         "convexity": verdicts,
     }
-    out_path = os.path.join(cfg.out_dir, args.ratio_out or raw.get("ratio_out", "ring.json"))
     export.write_json(out_path, payload)
     if args.verbose:
         print(f"green (ring mode): {verdicts} -> {out_path}")
@@ -361,8 +371,11 @@ def cmd_green(args):
     if not domain_name:
         raise ConfigError("green needs --domain or a config 'domain'")
     domain = geometry.domain_from_config(domain_name)
-    if isinstance(domain, geometry.ConvexRing):
-        return _green_ring_mode(cfg, domain, raw, args)
+    ring = isinstance(domain, geometry.ConvexRing)
+    out_path = os.path.join(cfg.out_dir, args.ratio_out
+                            or _path(raw, "ratio_out", "ring.json" if ring else "ratio.json"))
+    if ring:
+        return _green_ring_mode(domain, raw, args, out_path)
     x0 = _parse(args.x0 or raw.get("x0", []), "x0", sep=",")
     poles = _parse(args.poles or raw.get("poles", []), "poles", sep=",")
     if len(x0) != 2 or not poles:
@@ -409,7 +422,6 @@ def cmd_green(args):
         exact = fld.value(result.probe_points) / fld.value(np.asarray(mcfg.x0))
         rel = np.abs(probe_vals_final - exact) / np.abs(exact)
         payload["closed_form"] = {"field": oracle, "max_rel_error": float(rel.max())}
-    out_path = os.path.join(cfg.out_dir, args.ratio_out or raw.get("ratio_out", "ratio.json"))
     export.write_json(out_path, payload)
     export.write_json(out_path.replace(".json", ".timings.json"),
                       {"total": time.perf_counter() - t0})
@@ -497,7 +509,7 @@ def build_parser():
 
     def run_flags(sp):
         sp.add_argument("--config", default=None)
-        sp.add_argument("--out", default=".")
+        sp.add_argument("--out")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--verbose", action="store_true")
 
@@ -549,11 +561,6 @@ def main(argv=None):
     except (greenratio.SolverError, fields.FieldError, levelset.LevelSetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-
-
-def green_martin_main(argv=None):
-    """Alias entry point: `green-martin ...` == `martin green ...`."""
-    return main(["green"] + list(sys.argv[1:] if argv is None else argv))
 
 
 if __name__ == "__main__":

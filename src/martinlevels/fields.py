@@ -1,5 +1,5 @@
 """Scalar fields: closed-form positive harmonic functions with analytic
-derivatives, cylinder modes, and conformal-map constructors.
+derivatives, and cylinder modes.
 
 All closed forms are the real part of an explicit holomorphic function, so
 values, gradients, and Hessians come from F, F', F'' via the Cauchy-Riemann
@@ -58,10 +58,6 @@ class ScalarField:
     def value(self, p, check=True):
         raise NotImplementedError
 
-    def boundary_value(self, p):
-        """Continuous extension of the value to the boundary (no domain check)."""
-        return self.value(p, check=False)
-
     def gradient(self, p):
         """Gradient at points ``(..., 2)``, shape ``(..., 2)``."""
         raise NotImplementedError
@@ -88,7 +84,7 @@ class HolomorphicReField(ScalarField):
     """u = Re(F) for holomorphic F with explicit first and second derivatives.
 
     The triple is public as ``F``, ``dF`` and ``d2F``, so other consumers of
-    the closed form (conformal maps, asymptotic fits) take it from here.
+    the closed form (the asymptotic fits) take it from here.
     ``tube``, if given, maps complex points to a mask of the points too close
     to a branch or singular point for the derivatives to be trusted.
     """
@@ -358,7 +354,7 @@ class BoundaryReport:
 def boundary_vanishing(field, n_samples=200, tol=1e-8):
     """Max |u| over boundary samples in the default window, via the continuous extension of u."""
     pts = field.domain.boundary_points(field.default_window, n_samples)
-    vals = np.abs(np.asarray(field.boundary_value(pts), dtype=float))
+    vals = np.abs(np.asarray(field.value(pts, check=False), dtype=float))
     k = int(np.argmax(vals))
     return BoundaryReport(max_abs=float(vals[k]), worst_point=tuple(pts[k]),
                           n_samples=len(pts), tol=tol)
@@ -382,139 +378,9 @@ def _centered_hessian(value, p, h):
     return _symmetric(d2[..., 0], fxy, d2[..., 1])
 
 
-def fd_gradient(field, p, h=None):
-    """Centered-difference gradient at points ``(..., 2)``, step max(1e-5, 1e-5 |p|)."""
-    p = np.asarray(p, dtype=float)
-    if h is None:
-        h = np.maximum(1e-5, 1e-5 * np.linalg.norm(p, axis=-1))
-    return _centered_gradient(lambda q: field.value(q, check=False), p, h)
-
-
 def fd_hessian(field, p, h=None):
     """Centered-difference Hessian at points ``(..., 2)``, step max(1e-4, 1e-4 |p|)."""
     p = np.asarray(p, dtype=float)
     if h is None:
         h = np.maximum(1e-4, 1e-4 * np.linalg.norm(p, axis=-1))
     return _centered_hessian(lambda q: field.value(q, check=False), p, h)
-
-
-# ---------------------------------------------------------------------------
-# Conformal maps
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ConformalMap:
-    """Forward/inverse holomorphic oracles with complex derivatives."""
-
-    forward: object
-    dforward: object
-    inverse: object
-    source: str = ""
-    target: str = ""
-    d2forward: object = None
-
-    def check_roundtrip(self, points, tol=1e-10):
-        """max |inverse(forward(z)) - z| over sample points."""
-        z = np.asarray(points, dtype=complex)
-        flat = np.abs(self.dforward(z)) == 0.0
-        if np.any(flat):
-            raise FieldError(f"map derivative vanishes at {z[flat][0]}")
-        worst = float(np.max(np.abs(self.inverse(self.forward(z)) - z), initial=0.0))
-        if worst > tol:
-            raise FieldError(f"inverse o forward deviates from identity by {worst:.3e}")
-        return worst
-
-
-def _map_of(fld, inverse, source):
-    """The map onto the right half-plane whose real part is the field ``fld``,
-    with the field's holomorphic triple as the map and its derivatives."""
-    return ConformalMap(forward=fld.F, dforward=fld.dF, d2forward=fld.d2F, inverse=inverse,
-                        source=source, target="right_halfplane")
-
-
-def map_sector_slit_to_halfplane():
-    return _map_of(slit_sector_martin(), lambda w: (w ** 2 + 1.0) ** 0.25, "sector_minus_slit")
-
-
-def map_strip_to_halfplane():
-    return _map_of(strip_martin(), np.arcsinh, "strip")
-
-
-def map_halfplane_identity():
-    return _map_of(halfplane_coordinate(), lambda w: w, "right_halfplane")
-
-
-def _mobius(z):
-    return (1.0 - z) / (1.0 + z)
-
-
-def map_disc_to_halfplane():
-    # (1 - z)/(1 + z) is an involution exchanging the unit disc and Re w > 0
-    return ConformalMap(forward=_mobius,
-                        dforward=lambda z: -2.0 / (1.0 + z) ** 2,
-                        inverse=_mobius,
-                        source="disc", target="right_halfplane")
-
-
-def map_disc_to_strip():
-    return ConformalMap(forward=lambda z: np.arcsinh(_mobius(z)),
-                        dforward=lambda z: (-2.0 / (1.0 + z) ** 2) / np.sqrt(1.0 + _mobius(z) ** 2),
-                        inverse=lambda w: _mobius(np.sinh(w)),
-                        source="disc", target="strip")
-
-
-def map_disc_to_halfplane_minus_disk():
-    # Joukowski J(z) = z - 1/z maps the exterior region onto Re w > 0
-    def j_inverse(w):
-        return 0.5 * (w + np.sqrt(w * w + 4.0))
-
-    return ConformalMap(forward=lambda z: j_inverse(_mobius(z)),
-                        dforward=lambda z: (-2.0 / (1.0 + z) ** 2) / (1.0 + j_inverse(_mobius(z)) ** -2),
-                        inverse=lambda w: _mobius(w - 1.0 / w),
-                        source="disc", target="halfplane_minus_disk")
-
-
-def conformal_pullback(cmap: ConformalMap, domain=None, name=None) -> ScalarField:
-    """Field u = Re(psi) for a map psi onto the right half-plane.
-
-    The half-plane coordinate Re(w) is the reference positive harmonic
-    function vanishing on the imaginary axis; composing with psi transports
-    it to the map's source domain.  Missing second derivatives fall back to
-    a centered difference of psi'.
-    """
-    if cmap.target != "right_halfplane":
-        raise FieldError("pullback needs a map onto the right half-plane")
-    from .geometry import domain_from_config
-    if domain is None:
-        domain = domain_from_config(cmap.source)
-    d2 = cmap.d2forward
-    kind = "analytic"
-    if d2 is None:
-        kind = "finite-difference"
-
-        def d2(z, _d=cmap.dforward):
-            h = 1e-6 * (1.0 + np.abs(z))
-            return (_d(z + h) - _d(z - h)) / (2.0 * h)
-
-    fld = HolomorphicReField(domain, cmap.forward, cmap.dforward, d2,
-                             name or f"pullback[{cmap.source}]")
-    fld.derivative_kind = kind
-    return fld
-
-
-def study_convexity_check(cmap: ConformalMap, center, radius):
-    """Map 256 points of a disc boundary inside the unit disc and test image convexity."""
-    center = complex(center)
-    if abs(center) + radius >= 1.0:
-        raise FieldError("disc closure must sit inside the unit disc")
-    th = 2.0 * np.pi * np.arange(256) / 256
-    zs = center + radius * np.exp(1j * th)
-    ws = np.asarray(cmap.forward(zs), dtype=complex)
-    pts = np.column_stack([ws.real, ws.imag])
-    if not np.all(np.isfinite(pts)):
-        raise FieldError("disc image leaves the numeric window")
-    from .levelset import LevelCurve, convexity_test
-    diam = float(np.ptp(pts, axis=0).max())
-    curve = LevelCurve(level=float("nan"), vertices=np.vstack([pts, pts[:1]]), closed=True,
-                       window=None)
-    return convexity_test(curve, tol=1e-8 * max(diam, 1.0))

@@ -133,15 +133,6 @@ class ConvexBody:
         gaps = np.linalg.norm(v[:, None, :] + v[None, :, :], axis=-1).min(axis=1)
         return bool(np.all(gaps <= tol * scale))
 
-    def support(self, direction):
-        """h_D(xi) = max_v <v, xi> for the direction normalized to unit length."""
-        xi = np.asarray(direction, dtype=float)
-        nrm = np.linalg.norm(xi)
-        if nrm == 0.0 or not np.isfinite(nrm):
-            raise GeometryError("support direction must be nonzero")
-        xi = xi / nrm
-        return float(np.max(self.vertices @ xi))
-
     def contains(self, w, strict=True):
         """Membership of planar points ``w`` (shape ``(..., 2)``) in D.
 

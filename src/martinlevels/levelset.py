@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import WindowBox, convex_hull_2d, edge_distances, lattice_blocks
+from .geometry import convex_hull_2d, edge_distances, lattice_blocks
 
 
 class LevelSetError(ValueError):
@@ -29,7 +29,6 @@ class LevelCurve:
     level: float
     vertices: np.ndarray
     closed: bool
-    window: WindowBox = None
 
 
 @dataclass
@@ -89,7 +88,7 @@ def extract_level_curve(fld, c, window, h):
     """
     xs, ys, vals, mask = _lattice(fld, window, h)
     segments, positions = _marching_squares(vals, mask, xs, ys, float(c))
-    return [LevelCurve(level=float(c), vertices=positions[chain], closed=closed, window=window)
+    return [LevelCurve(level=float(c), vertices=positions[chain], closed=closed)
             for chain, closed in _stitch(segments)]
 
 
@@ -218,8 +217,6 @@ def hull_boundary_deviation(points, hull):
 
 
 def _gather_points(curve_or_cloud):
-    if isinstance(curve_or_cloud, LevelCurve):
-        return curve_or_cloud.vertices
     if isinstance(curve_or_cloud, (list, tuple)) and curve_or_cloud \
             and isinstance(curve_or_cloud[0], LevelCurve):
         return np.vstack([c.vertices for c in curve_or_cloud])
@@ -231,7 +228,7 @@ def convexity_test(curve_or_cloud, closure=None, tol=1e-9, fld=None, level=None)
 
     Parameters
     ----------
-    curve_or_cloud : LevelCurve, list of LevelCurve, or (n, 2) array
+    curve_or_cloud : list of LevelCurve, or (n, 2) array
         Boundary samples of the region under test.
     closure : None or (m, 2) array
         Extra points closing an open curve against its window (e.g. the
@@ -456,30 +453,3 @@ def classify_strictness(fld, levels, window=None, h=0.02):
         diags[c] = {"n_samples": int(len(forms)), "form_min": float(forms.min()),
                     "form_max": float(forms.max())}
     return StrictnessClassification(tags=tags, diagnostics=diags)
-
-
-def product_direction_detect(fld, samples):
-    """Unit direction along which the field is flat, or None.
-
-    Looks for a common null direction of the Hessians and gradients at the
-    sample points ``(n, 2)``, then checks that the gradient is orthogonal to
-    it and that values are constant at 5 points within +-1 along it from
-    each sample (points leaving the domain are skipped), all to 1e-8 relative.
-    """
-    samples = np.asarray(samples, dtype=float).reshape(-1, 2)
-    H = np.asarray(fld.hessian(samples), dtype=float)
-    g = np.asarray(fld.gradient(samples), dtype=float)
-    # a flat direction must annihilate every sampled Hessian and gradient
-    eigs, vecs = np.linalg.eigh(np.einsum("nki,nkj->ij", H, H) + np.einsum("ni,nj->ij", g, g))
-    if eigs[0] > 1e-8 * max(1.0, eigs[-1]):
-        return None
-    e = vecs[:, 0]
-    if np.any(np.abs(g @ e) > 1e-8 * (1.0 + np.linalg.norm(g, axis=-1))):
-        return None
-    u0 = np.asarray(fld.value(samples, check=False), dtype=float)
-    scale = float(np.abs(u0).max(initial=1.0))
-    q = samples[:, None, :] + np.linspace(-1.0, 1.0, 5)[:, None] * e
-    inside = np.asarray(fld.domain.contains(q), dtype=bool)
-    drift = (np.asarray(fld.value(q[inside], check=False), dtype=float)
-             - np.repeat(u0[:, None], 5, axis=1)[inside])
-    return None if np.any(np.abs(drift) > 1e-8 * scale) else e

@@ -141,21 +141,6 @@ def ray_monotonicity(fld, t, direction, length=None):
                      n_steps=n_steps)
 
 
-def slice_superharmonicity(fld, t, span=None):
-    """Minimum of the axial second derivative d_tt u over 256 samples per slice interval.
-
-    A positive minimum certifies that the slice restriction is superharmonic
-    (for one transverse dimension: u_yy = -d_tt u < 0).  Points where the
-    Hessian is unavailable (boundary or branch singularities, see
-    ``fld.regular``) are skipped and counted.
-    """
-    pts = _slice_points(t, fld.domain.slice_at(t).sample(256, span=span))
-    ok = fld.regular(pts)
-    if not ok.any():
-        raise FieldError("no valid slice samples for the second-derivative scan")
-    return float(fld.hessian(pts[ok])[..., 0, 0].min()), int(len(pts) - ok.sum())
-
-
 # ---------------------------------------------------------------------------
 # Rescaling toward the cylinder
 # ---------------------------------------------------------------------------

@@ -80,6 +80,25 @@ class TestExitCodes:
                          "--h", "0.0628", "--probe", "0.5,3.0,-1,1", "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("checks", [[3], ["harmonicity", None], 3],
+                             ids=["number", "null", "not-a-list"])
+    def test_malformed_check_item_is_a_usage_error(self, tmp_path, capsys, checks):
+        cfg = write_config(tmp_path, "bad.json", {"field": "strip", "checks": checks})
+        assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("domain", ["strip", {"kind": "convex_ring",
+                                                  "A": {"ngon": 8, "radius": 2.0},
+                                                  "B": {"ngon": 8, "radius": 0.5}}],
+                             ids=["ratio", "ring"])
+    def test_non_string_ratio_out_is_a_usage_error(self, tmp_path, capsys, domain):
+        cfg = write_config(tmp_path, "bad.json", {
+            "domain": domain, "x0": [0.5, 0], "poles": [2], "h": 0.0628,
+            "probe": "0.4,1.5,-1,1", "ratio_out": 5})
+        assert cli.main(["green", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "'ratio_out' must be a path string" in capsys.readouterr().err
+
 
 class TestLevelsets:
     def test_outputs_and_determinism(self, tmp_path):
@@ -111,6 +130,17 @@ class TestLevelsets:
         export.write_csv(tmp_path / "new.csv", ["curve", "level", "x", "y"],
                          chain.from_iterable(cli._csv_rows(k, c) for k, c in enumerate(curves)))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_config_out_key_is_honoured_and_the_flag_wins(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "lv.json", {**STRIP_LEVELS, "out": "fromcfg"})
+        assert cli.main(["levelsets", "--config", cfg]) == 0
+        assert (tmp_path / "fromcfg" / "levels.json").exists()
+        assert not (tmp_path / "levels.json").exists()
+        assert cli.main(["levelsets", "--config", cfg, "--out", "fromflag"]) == 0
+        assert (tmp_path / "fromflag" / "levels.json").exists()
+        bad = write_config(tmp_path, "bad.json", {**STRIP_LEVELS, "out": 5})
+        assert cli.main(["levelsets", "--config", bad]) == 2
 
     def test_contour_json_schema(self, tmp_path):
         cfg = write_config(tmp_path, "lv.json", STRIP_LEVELS)
@@ -323,13 +353,6 @@ class TestGreen:
         cfg = write_config(tmp_path, "c.json", {**base, "x0": [0.5, 0], "poles": [2, "x"]})
         assert cli.main(["green", "--config", cfg, "--out", str(tmp_path / "c")]) == 2
         assert capsys.readouterr().err.startswith("config error: cannot parse poles")
-
-    def test_alias_entry_point(self, tmp_path):
-        code = cli.green_martin_main(["--domain", "strip", "--x0", "0.5,0", "--poles", "2",
-                                      "--h", "0.0628", "--probe", "0.4,1.5,-1,1",
-                                      "--out", str(tmp_path)])
-        assert code == 0
-        assert (tmp_path / "ratio.json").exists()
 
 
 @pytest.mark.parametrize("name", ["cylinder:C=1", "cylinder:A=abc", "cylinder:A",

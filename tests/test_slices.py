@@ -5,7 +5,6 @@ import pytest
 
 from martinlevels import fields as flds
 from martinlevels import geometry as geo
-from martinlevels import greenratio as gr
 from martinlevels import slices as sa
 
 
@@ -82,29 +81,6 @@ class TestSlicesMatchPointwiseReference:
                 assert rep.first_violation == (float(ys[k + 1]), vals[k], vals[k + 1])
 
 
-    @pytest.mark.parametrize("fld, t, span", [
-        (flds.cylinder_martin(1.0, 1.0), 0.5, None), (flds.strip_martin(), 2.0, None),
-        (flds.exterior_martin(), 1.05, 3.0), (flds.slit_sector_martin(), 0.5, None),
-        (flds.slit_sector_martin(), 2.0, None), ("grid", 1.0, None)],
-        ids=["cylinder", "strip", "exterior", "slit_sector-0.5", "slit_sector-2", "grid"])
-    def test_slice_superharmonicity(self, fld, t, span):
-        if fld == "grid":       # skips the samples whose stencil leaves the window
-            grid = gr.build_grid(geo.Strip(), geo.WindowBox((0.0, -np.pi / 2), (3.0, np.pi / 2)),
-                                 0.05)
-            X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
-            fld = gr.GridField(grid, np.sinh(X) * np.cos(Y))
-        ys = fld.domain.slice_at(t).sample(256, span=span)
-        worst, skipped = math.inf, 0
-        for y in ys:
-            try:
-                utt = float(fld.hessian(np.array([t, y]))[0, 0])
-            except (flds.FieldError, ValueError):
-                skipped += 1
-                continue
-            worst = min(worst, utt)
-        assert sa.slice_superharmonicity(fld, t, span=span) == (worst, skipped)
-        assert (skipped > 0) == isinstance(fld, gr.GridField)
-
     @pytest.mark.parametrize("radii", [np.geomspace(5, 80, 12), np.geomspace(2, 40, 9)])
     def test_tangent_form_asymptotic(self, radii):
         u, v = flds.slit_sector_martin(), flds.halfplane_v()
@@ -173,29 +149,6 @@ class TestRayMonotonicity:
         for length in (None, 2.0):
             with pytest.raises(geo.GeometryError, match="no interval containing the axis point"):
                 sa.ray_monotonicity(flds.exterior_martin(), 0.5, +1, length=length)
-
-
-class TestSliceSuperharmonicity:
-    def test_cylinder_everywhere_positive(self):
-        fld = flds.cylinder_martin(1.0, 1.0)
-        for t in (-1.0, 0.0, 2.0):
-            worst, skipped = sa.slice_superharmonicity(fld, t)
-            assert worst > 0.0
-            assert skipped == 0
-            # d_tt v = lam v exactly
-            v_edge = fld.value(np.array([t, 0.0]))
-            assert worst <= fld.mode.lam * v_edge
-
-    def test_strip_positive(self):
-        worst, _ = sa.slice_superharmonicity(flds.strip_martin(), 2.0)
-        assert worst > 0.0
-
-    def test_exterior_sign_change_near_disk(self):
-        fld = flds.exterior_martin()
-        worst, _ = sa.slice_superharmonicity(fld, 1.05, span=3.0)
-        assert worst < 0.0
-        # off-axis samples are positive, so the sign changes on the slice
-        assert fld.hessian(np.array([1.05, 2.0]))[0, 0] > 0.0
 
 
 class TestRescale:
