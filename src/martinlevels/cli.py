@@ -267,23 +267,27 @@ def cmd_audit(args):
         name = item.get("name")
         if name not in AUDIT_CHECKS:
             raise ConfigError(f"unknown check {name!r}; known: {sorted(AUDIT_CHECKS)}")
-        jobs.append((name, item))
+        params = item.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"check {name!r}: 'params' must be a JSON object")
+        expected, required = item.get("expected", True), item.get("required", True)
+        if not (isinstance(expected, bool) and isinstance(required, bool)):
+            raise ConfigError(f"check {name!r}: 'expected' and 'required' must be true or false")
+        jobs.append((name, params, expected, required))
 
     verdicts = {}
     timings = {}
     failed_required = False
-    for name, item in jobs:
+    for name, params, expected, required in jobs:
         # process-independent per-check seed (hash() is salted per process)
         rng = XorShift64Star(cfg.seed ^ zlib.crc32(name.encode()))
         t0 = time.perf_counter()
         try:
-            passed, details = AUDIT_CHECKS[name](fld, rng, item.get("params", {}))
+            passed, details = AUDIT_CHECKS[name](fld, rng, params)
             err = None
         except Exception as e:   # a failing check must not kill the audit
             passed, details, err = False, {}, f"{type(e).__name__}: {e}"
         dt = time.perf_counter() - t0
-        expected = bool(item.get("expected", True))
-        required = bool(item.get("required", True))
         ok = (passed == expected)
         verdicts[name] = {"passed": passed, "expected": expected, "ok": ok,
                           "required": required, "details": details}
@@ -409,11 +413,10 @@ def cmd_green(args):
         "probe_order": "row-major over (x, y): x varies slowest, y fastest",
         "probe_values": [float(v) for v in probe_vals_final],
         "iterates": [{"pole": it.pole,
-                      "window": [list(it.ratio.grid.window.lower),
-                                 list(it.ratio.grid.window.upper)],
-                      "interior_nodes": it.ratio.grid.interior_count(),
-                      "cg_iterations": it.ratio.stats.iterations,
-                      "cg_residual": it.ratio.stats.residual}
+                      "window": [list(it.window.lower), list(it.window.upper)],
+                      "interior_nodes": it.interior_nodes,
+                      "cg_iterations": it.stats.iterations,
+                      "cg_residual": it.stats.residual}
                      for it in result.iterates],
     }
     oracle = _RATIO_ORACLES.get(domain.kind)

@@ -246,15 +246,17 @@ def _apply_neg_laplacian(v, interior, hx, hy, out=None):
     return out
 
 
-def _dst1(x, out):
+def _dst1(x, out, scale=1.0):
     """Type-I discrete sine transform of a 2-d array along axis 1, into ``out``.
 
     Unnormalized, as ``scipy.fft.dst(x, type=1, axis=1)``:
     y_k = 2 sum_n x_n sin(pi (k + 1)(n + 1) / (N + 1)), so applying it twice
     multiplies by 2 (N + 1).  Computed as the real FFT of the odd extension
     [0, x, 0, -x reversed] of 64 rows at a time, in one reused buffer;
-    ``out`` may be ``x``.
+    ``out`` may be ``x``.  Each y_k is multiplied by ``scale`` (a scalar or
+    one factor per k) as it is written, which saves a pass over ``out``.
     """
+    neg_scale = -np.asarray(scale, dtype=float)
     m, n = x.shape
     ext = np.zeros((min(m, _BLOCK), 2 * n + 2))
     for i in range(0, m, _BLOCK):
@@ -263,7 +265,7 @@ def _dst1(x, out):
         ext[:k, 1:n + 1] = block
         np.negative(block[:, ::-1], out=ext[:k, n + 2:])
         spec = np.fft.rfft(ext[:k], axis=1)
-        np.negative(spec[:, 1:n + 1].imag, out=out[i:i + k])
+        np.multiply(spec[:, 1:n + 1].imag, neg_scale, out=out[i:i + k])
     return out
 
 
@@ -275,33 +277,63 @@ def _fast_poisson(shape, hx, hy):
     zero data on the window edge (the edge entries of ``out`` are set to 0).
     This is Hockney's FACR(0): a DST-I along axis 1 splits the operator into
     one tridiagonal system per sine mode k, tridiag(-1, 2 + lam_k hx^2, -1)
-    / hx^2 along axis 0 with lam_k = (2 - 2 cos(pi k / (ny + 1))) / hy^2; a
-    Thomas sweep solves them all at once and the inverse DST maps back.  The
-    systems are diagonally dominant, so the sweep needs no pivoting, and its
-    pivots depend only on the shape and the spacings, so they are computed
-    once here.  The transforms and the sweep run in place on the rows of
-    ``out``, whose modes are contiguous.
+    / hx^2 along axis 0 with lam_k = (2 - 2 cos(pi k / (ny + 1))) / hy^2.
+    Odd-even cyclic reduction (Buzbee, Golub and Nielson 1970) solves them
+    all at once and the inverse DST maps back.  Normalized, a system reads
+    x_i - beta (x_{i-1} + x_{i+1}) = g_i with beta = 1 / (2 + lam_k hx^2) and
+    x_{-1} = x_m = 0, except that its last row reads x_{m-1} - b x_{m-2} =
+    g_{m-1}.  Eliminating the even rows leaves a system of the same form in
+    the odd rows: beta' = beta^2 / (1 - 2 beta^2) and a new b, whose update
+    depends on the parity of m.  The systems are diagonally dominant
+    (b <= beta < 1/2 at every level), so no pivoting is needed.  The
+    coefficients depend only on the shape and the spacings and are computed
+    once here, one vector per mode and level.  The transforms, the reduction
+    and the back-substitution run in place on the rows of ``out``, whose
+    modes are contiguous; their temporaries are 64-row blocks.
     """
     nx, ny = shape[0] - 2, shape[1] - 2
     lam_y = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, ny + 1) / (ny + 1))) / hy ** 2
-    diag = 2.0 + lam_y * hx ** 2
-    # inverse pivots of the forward elimination, one per axis-0 node
-    inv_pivots = [1.0 / diag]
-    for _ in range(nx - 1):
-        inv_pivots.append(1.0 / (diag - inv_pivots[-1]))
-    # hx^2 from the scaled systems, 1 / (2 (ny + 1)) from the inverse transform
-    scale = hx ** 2 / (2.0 * (ny + 1))
+    beta = 1.0 / (2.0 + lam_y * hx ** 2)
+    # hx^2 from the scaled systems, 1 / (2 (ny + 1)) from the inverse
+    # transform, beta from the normalization
+    scale = beta * (hx ** 2 / (2.0 * (ny + 1)))
+    levels = []                         # (m, beta, b, 1 / (1 - 2 beta^2), last-row 1 / D)
+    m, b = nx, beta
+    while m > 1:
+        c = 1.0 / (1.0 - 2.0 * beta ** 2)
+        inv_d = 1.0 / (1.0 - beta * (beta + b) if m % 2 else 1.0 - b * beta)
+        levels.append((m, beta, b, c, inv_d))
+        b = (beta if m % 2 else b) * beta * inv_d
+        beta = beta ** 2 * c
+        m //= 2
 
     def solve(r, out):
-        t = _dst1(r[1:-1, 1:-1], out=out[1:-1, 1:-1])
-        t *= scale
-        rows = list(t)                  # views: the sweep updates t in place
-        rows[0] *= inv_pivots[0]
-        for prev, row, w in zip(rows, rows[1:], inv_pivots[1:]):
-            row += prev
-            row *= w
-        for nxt, row, w in zip(rows[:0:-1], rows[-2::-1], inv_pivots[-2::-1]):
-            row += w * nxt
+        t = _dst1(r[1:-1, 1:-1], out=out[1:-1, 1:-1], scale=scale)
+        w = np.empty((min(nx // 2, _BLOCK), ny))
+        # level d holds every 2^d-th row of t; its odd rows go on to level d + 1
+        halves = [(t[2 ** d - 1::2 ** d][1::2], t[2 ** d - 1::2 ** d][::2])
+                  for d in range(len(levels))]
+        for (kept, dropped), (m, beta, b, c, inv_d) in zip(halves, levels):
+            p = m // 2
+            for j in range(0, p - 1, _BLOCK):
+                k = min(_BLOCK, p - 1 - j)
+                np.add(dropped[j:j + k], dropped[j + 1:j + k + 1], out=w[:k])
+                w[:k] *= beta
+                w[:k] += kept[j:j + k]
+                np.multiply(w[:k], c, out=kept[j:j + k])
+            # the last kept row: the level's last row if m is even, its neighbor if odd
+            kept[p - 1] += beta * (dropped[p - 1] + dropped[p]) if m % 2 else b * dropped[p - 1]
+            kept[p - 1] *= inv_d
+        for (kept, dropped), (m, beta, b, c, inv_d) in zip(halves[::-1], levels[::-1]):
+            p = m // 2
+            for j in range(1, p, _BLOCK):
+                k = min(_BLOCK, p - j)
+                np.add(kept[j - 1:j + k - 1], kept[j:j + k], out=w[:k])
+                w[:k] *= beta
+                dropped[j:j + k] += w[:k]
+            dropped[0] += beta * kept[0]
+            if m % 2:
+                dropped[p] += b * kept[p - 1]
         _dst1(t, out=t)
         out[0] = out[-1] = 0.0
         out[:, 0] = out[:, -1] = 0.0
@@ -315,16 +347,18 @@ def solve_dirichlet(grid, boundary_values=None, source=None, tol=1e-10, maxiter=
 
     Fast-Poisson preconditioned conjugate gradients on the interior
     unknowns: the preconditioner is the exact inverse of the operator on the
-    window's inner rectangle (a DST along axis 1 and a tridiagonal sweep
-    along axis 0), restricted to the interior, so a domain that fills that
-    rectangle converges in one iteration.  Stops at relative residual <= tol
-    or raises :class:`SolverError` naming the iteration cap and the residual.
+    window's inner rectangle (a DST along axis 1 and cyclic reduction of
+    the tridiagonal systems along axis 0), restricted to the interior, so a
+    domain that fills that rectangle converges in one iteration.  Stops at
+    relative residual <= tol or raises :class:`SolverError` naming the
+    iteration cap and the residual.
     The returned field's ``stats`` hold the iteration count and the final
     relative residual.  With zero source the discrete maximum principle
     bounds interior values by the boundary data.  A given ``source``, a
     float array of the grid's shape, is consumed: it becomes the right-hand
     side and then the residual.  The solve keeps four grid-sized float
-    arrays.
+    arrays; the preconditioner adds only 64-row blocks and vectors of
+    length ny per reduction level.
     """
     interior = grid.mask == INTERIOR
     boundary = grid.mask == BOUNDARY
@@ -430,8 +464,14 @@ class MartinApproxConfig:
 
 @dataclass
 class MartinIterate:
+    """What outlives an iterate's grid: its truncation, its solve and the
+    ratio u_n on the probe lattice."""
+
     pole: float
-    ratio: GridField
+    window: WindowBox
+    interior_nodes: int
+    stats: SolveStats
+    samples: np.ndarray                # u_n at the probe points
 
 
 @dataclass
@@ -459,6 +499,8 @@ def martin_ratio(domain, cfg: MartinApproxConfig, h):
     Each iterate satisfies u_n(x0) = 1 exactly (normalization by the
     interpolated Green value); the final iterate is the limit approximation
     and the Cauchy diagnostics bound the observed inter-iterate movement.
+    Only the final iterate keeps its grid: each earlier one is reduced to
+    its probe samples and solve record before the next grid is built.
     """
     if not domain.contains(np.asarray(cfg.x0, dtype=float)):
         raise GeometryError(f"reference point {cfg.x0} not inside the domain")
@@ -469,24 +511,24 @@ def martin_ratio(domain, cfg: MartinApproxConfig, h):
         raise GeometryError(f"{int(outside.sum())} probe points leave the domain, "
                             f"e.g. {probes[outside][0].tolist()}")
     iterates = []
-    samples = []
     for s in cfg.poles:
         window = domain.truncation_window(s)
         if not (window.contains(cfg.probe_window.lower) and window.contains(cfg.probe_window.upper)):
             raise GeometryError(f"probe window not inside truncation window for pole {s}")
         if not window.contains((s, 0.0), strict=True):
             raise GeometryError(f"pole {s} not inside its truncation window")
-        grid = build_grid(domain, window, h)
-        G = green_function(grid, (s, 0.0))
-        g0 = G.value(np.asarray(cfg.x0, dtype=float))
+        ratio = None                    # free the previous grid before building the next
+        ratio = green_function(build_grid(domain, window, h), (s, 0.0))
+        g0 = ratio.value(np.asarray(cfg.x0, dtype=float))
         if g0 <= 0.0:
             raise SolverError(f"nonpositive Green value at the reference point for pole {s}")
-        ratio = GridField(grid, G.values / g0, name=f"ratio[{s}]", stats=G.stats)
-        iterates.append(MartinIterate(pole=s, ratio=ratio))
-        samples.append(ratio.value(probes))
-    cauchy = [float(np.max(np.abs(b - a))) for a, b in zip(samples, samples[1:])]
-    return MartinRatioResult(iterates=iterates, cauchy=cauchy,
-                             final=iterates[-1].ratio, probe_points=probes)
+        ratio.values /= g0
+        ratio.name = f"ratio[{s}]"
+        iterates.append(MartinIterate(pole=s, window=window,
+                                      interior_nodes=ratio.grid.interior_count(),
+                                      stats=ratio.stats, samples=ratio.value(probes)))
+    cauchy = [float(np.max(np.abs(b.samples - a.samples))) for a, b in zip(iterates, iterates[1:])]
+    return MartinRatioResult(iterates=iterates, cauchy=cauchy, final=ratio, probe_points=probes)
 
 
 # ---------------------------------------------------------------------------

@@ -561,6 +561,28 @@ def test_audit_records_nonpositive_convexity_spacing(tmp_path):
     assert verdict["error"].startswith("GeometryError: lattice spacing h=0.0 must be positive")
 
 
+@pytest.mark.parametrize("flag, value", [("expected", "false"), ("required", "false"),
+                                         ("expected", 0), ("required", None)])
+def test_audit_flags_must_be_json_booleans(tmp_path, capsys, flag, value):
+    # the string "false" is truthy: read with bool() it flipped the verdict
+    cfg = write_config(tmp_path, "audit.json", {
+        "field": "exterior", "checks": [{"name": "convexity", flag: value}]})
+    assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'expected' and 'required' must be true or false" in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("params", [3, [1.0], "levels"])
+def test_audit_params_must_be_a_json_object(tmp_path, capsys, params):
+    cfg = write_config(tmp_path, "audit.json", {
+        "field": "strip", "checks": ["strictness", {"name": "convexity", "params": params}]})
+    assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'params' must be a JSON object" in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
 class TestSeededGenerator:
     def test_deterministic_stream(self):
         a = XorShift64Star(42)

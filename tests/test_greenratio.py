@@ -279,7 +279,10 @@ class TestFastPoisson:
     @pytest.mark.parametrize("shape, hx, hy", [
         ((40, 23), 0.1, 0.07), ((17, 130), 1 / 32, 1 / 16), ((130, 17), 1 / 32, 1 / 16),
         # strip grids whose axis-0 interval counts 509 and 1019 are prime
-        ((510, 201), 8 / 509, np.pi / 200), ((1020, 201), 16 / 1019, np.pi / 200)])
+        ((510, 201), 8 / 509, np.pi / 200), ((1020, 201), 16 / 1019, np.pi / 200)]
+        # axis-0 interior counts that take every branch of the cyclic
+        # reduction: odd and even levels, one row, and 64 +- 1 rows
+        + [((n + 2, 13), 0.05, 0.11) for n in (1, 2, 3, 4, 7, 8, 63, 64, 65)])
     def test_rectangle_inverse(self, shape, hx, hy):
         interior = np.zeros(shape, dtype=bool)
         interior[1:-1, 1:-1] = True
@@ -291,6 +294,32 @@ class TestFastPoisson:
         assert np.abs(back - v).max() <= 1e-12 * np.abs(v).max()
         there = gr._apply_neg_laplacian(inverse(v, out), interior, hx, hy)
         assert np.abs(there - v).max() <= 1e-12 * np.abs(v).max()
+
+    @pytest.mark.parametrize("nx, ny", [(1, 4), (2, 3), (5, 4), (6, 7), (11, 2)])
+    def test_matches_dense_solve(self, nx, ny):
+        hx, hy = 0.07, 0.13
+        tx = (2 * np.eye(nx) - np.eye(nx, k=1) - np.eye(nx, k=-1)) / hx ** 2
+        ty = (2 * np.eye(ny) - np.eye(ny, k=1) - np.eye(ny, k=-1)) / hy ** 2
+        dense = np.kron(tx, np.eye(ny)) + np.kron(np.eye(nx), ty)
+        r = np.random.default_rng(5).standard_normal((nx + 2, ny + 2))
+        want = np.linalg.solve(dense, r[1:-1, 1:-1].ravel()).reshape(nx, ny)
+        got = gr._fast_poisson(r.shape, hx, hy)(r, np.empty_like(r))
+        assert np.abs(got[1:-1, 1:-1] - want).max() <= 1e-12 * np.abs(want).max()
+        assert not got[[0, -1]].any() and not got[:, [0, -1]].any()
+
+    def test_build_keeps_no_grid_sized_table(self):
+        # the Thomas sweep's pivot table was one (nx - 2) x (ny - 2) array;
+        # the reduction keeps a few vectors of length ny per level
+        shape = (1020, 201)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            solve = gr._fast_poisson(shape, 16 / 1019, np.pi / 200)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert callable(solve)
+        assert peak < 0.1 * 8 * shape[0] * shape[1]
 
 
 class TestGreenFunction:
@@ -329,8 +358,11 @@ def strip_ratio():
 class TestMartinRatio:
     def test_normalization_exact(self, strip_ratio):
         cfg, res = strip_ratio
+        # x0 = (0.5, 0) is node (0, 8) of the probe lattice
+        assert np.array_equal(res.probe_points.reshape(*gr.PROBE_SHAPE, 2)[0, 8], cfg.x0)
         for it in res.iterates:
-            assert it.ratio.value(np.asarray(cfg.x0)) == pytest.approx(1.0, abs=1e-10)
+            assert it.samples.reshape(gr.PROBE_SHAPE)[0, 8] == pytest.approx(1.0, abs=1e-10)
+        assert res.final.value(np.asarray(cfg.x0)) == pytest.approx(1.0, abs=1e-10)
 
     def test_cauchy_decreasing(self, strip_ratio):
         _, res = strip_ratio
@@ -368,9 +400,30 @@ class TestMartinRatio:
         G = gr.green_function(big, (pole, 0.0))
         ratio_big = G.values / G.value(np.asarray(cfg.x0))
         fld_big = gr.GridField(big, ratio_big)
-        base = res.iterates[0].ratio
-        moved = max(abs(fld_big.value(p) - base.value(p)) for p in res.probe_points)
+        moved = np.abs(fld_big.value(res.probe_points) - res.iterates[0].samples).max()
         assert moved <= res.cauchy[0]
+
+    def test_holds_one_grid_at_a_time(self):
+        # each iterate's grid is dropped once it is sampled, so the pipeline
+        # peaks at the last solve's working set (1.33 of it when every
+        # earlier ratio grid stayed alive)
+        dom = geo.Strip()
+        cfg = gr.MartinApproxConfig(x0=(0.5, 0.0), poles=(3.0, 4.0, 5.0),
+                                    probe_window=geo.WindowBox((0.5, -1.0), (2.0, 1.0)))
+        h = np.pi / 100
+        last = gr.build_grid(dom, dom.truncation_window(5.0), h)
+        peaks = []
+        for run in (lambda: gr.green_function(last, (5.0, 0.0)),
+                    lambda: gr.martin_ratio(dom, cfg, h)):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                result = run()
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        assert [it.stats.iterations for it in result.iterates] == [1, 1, 1]
+        assert peaks[1] <= 1.2 * peaks[0]
 
 
 class TestHalfplaneRatio:
@@ -442,10 +495,10 @@ class TestMirrorSymmetry:
         assert np.abs(G.values - G.values[:, ::-1]).max() <= 1e-12 * G.values.max()
 
     def test_green_solve_memory(self):
-        # u, r (the delta source itself, not a copy), p, the work array, the
-        # preconditioner's pivot table and the boolean masks: about 6
-        # grid-sized float arrays (11.8 before the solve ran on four float
-        # arrays; 7 with a copy of the source)
+        # u, r (the delta source itself, not a copy), p, the work array and
+        # the boolean masks: about 5 grid-sized float arrays (11.8 before the
+        # solve ran on four float arrays, 7 with a copy of the source, 5.9
+        # with the Thomas sweep's pivot table)
         dom = geo.domain_from_config({"kind": "profile", "f": "sqrt"})
         grid = gr.build_grid(dom, dom.truncation_window(8.0), 0.02)
         assert grid.shape == (801, 401)
@@ -457,7 +510,7 @@ class TestMirrorSymmetry:
         finally:
             tracemalloc.stop()
         assert G.stats.iterations > 1
-        assert peak <= 6.5 * 8 * grid.mask.size
+        assert peak <= 5.5 * 8 * grid.mask.size
 
 
 class TestSuperlevelClouds:
@@ -472,12 +525,12 @@ class TestSuperlevelClouds:
     def test_level_above_max_empty(self, strip_ratio):
         _, res = strip_ratio
         big = float(res.final.values.max()) + 1.0
-        assert len(gr.superlevel_nodes(res.iterates[-1].ratio, big)) == 0
+        assert len(gr.superlevel_nodes(res.final, big)) == 0
 
     def test_iterate_superlevel_threshold_positive(self, strip_ratio):
         _, res = strip_ratio
         with pytest.raises(geo.GeometryError):
-            gr.superlevel_nodes(res.iterates[-1].ratio, 0.0)
+            gr.superlevel_nodes(res.final, 0.0)
 
     def test_halfplane_low_level_nonconvex(self):
         # the unit-disk hole dents the low superlevel sets of the ratio
