@@ -42,7 +42,7 @@ def _parse(text, what, kind=float, sep=None):
         text = [v for v in str(text).split(sep) if v != ""]
     try:
         vals = [kind(text)] if sep is None else [kind(v) for v in text]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"cannot parse {what} {text!r}") from None
     if not all(map(math.isfinite, vals)):
         raise ConfigError(f"{what} {text!r} is not finite")
@@ -112,26 +112,6 @@ class ExperimentConfig:
         return out
 
 
-@dataclass
-class RunReport:
-    command: str
-    config: dict
-    verdicts: dict
-    seed: int
-    tool_version: str = export.TOOL_VERSION
-
-    def as_json(self):
-        return {"command": self.command, "config": self.config, "seed": self.seed,
-                "tool_version": self.tool_version, "verdicts": self.verdicts}
-
-
-def _write_report(out_dir, name, report: RunReport, timings):
-    path = os.path.join(out_dir, name)
-    export.write_json(path, report.as_json())
-    export.write_json(path.replace(".json", ".timings.json"), timings)
-    return path
-
-
 # ---------------------------------------------------------------------------
 # levelsets
 # ---------------------------------------------------------------------------
@@ -187,7 +167,7 @@ def _check_harmonicity(fld, rng, params):
     within 16 eps max |u| / h^2 (long-double eps; the weights sum to 8 in
     absolute value and each value and point is rounded once): an exactly
     harmonic field leaves only rounding, which grows like h^-2."""
-    n = int(params.get("n_points", 30))
+    n = params.get("n_points", 30)
     if n < 1:
         raise ConfigError(f"harmonicity needs n_points >= 1, got {n}")
     pts = fields.interior_points(fld, n, rng)
@@ -203,15 +183,15 @@ def _check_harmonicity(fld, rng, params):
 
 
 def _check_boundary(fld, rng, params):
-    rep = fields.boundary_vanishing(fld, n_samples=int(params.get("n_samples", 200)),
-                                    tol=float(params.get("tol", 1e-8)))
+    rep = fields.boundary_vanishing(fld, n_samples=params.get("n_samples", 200),
+                                    tol=params.get("tol", 1e-8))
     return rep.passed, {"max_abs": rep.max_abs, "worst_point": list(rep.worst_point)}
 
 
 def _check_convexity(fld, rng, params):
     window = fld.default_window
-    h = float(params.get("h", 0.02))
-    levels = [float(c) for c in params.get("levels", [0.5, 1.0, 2.0])]
+    h = params.get("h", 0.02)
+    levels = params.get("levels", [0.5, 1.0, 2.0])
     verdicts = {}
     ok = True
     for c in levels:
@@ -222,7 +202,7 @@ def _check_convexity(fld, rng, params):
 
 
 def _check_slice_maxima(fld, rng, params):
-    ts = [float(t) for t in params.get("t", [1.0, 2.0])]
+    ts = params.get("t", [1.0, 2.0])
     span = params.get("span")
     details = {}
     ok = True
@@ -235,20 +215,23 @@ def _check_slice_maxima(fld, rng, params):
 
 
 def _check_strictness(fld, rng, params):
-    levels = [float(c) for c in params.get("levels", [0.5, 1.0, 2.0])]
+    levels = params.get("levels", [0.5, 1.0, 2.0])
     cls = levelset.classify_strictness(fld, levels, window=fld.default_window,
-                                       h=float(params.get("h", 0.02)))
+                                       h=params.get("h", 0.02))
     want = params.get("expect_tag", "strictly_convex_everywhere")
     ok = all(tag == want for tag in cls.tags.values())
     return ok, {"tags": {str(k): v for k, v in cls.tags.items()}}
 
 
+#: each check and the params it reads, each with its kind and its list
+#: separator (None for one value); a param left out takes the check's default
 AUDIT_CHECKS = {
-    "harmonicity": _check_harmonicity,
-    "boundary_vanishing": _check_boundary,
-    "convexity": _check_convexity,
-    "slice_maxima": _check_slice_maxima,
-    "strictness": _check_strictness,
+    "harmonicity": (_check_harmonicity, {"n_points": (int, None)}),
+    "boundary_vanishing": (_check_boundary, {"n_samples": (int, None), "tol": (float, None)}),
+    "convexity": (_check_convexity, {"h": (float, None), "levels": (float, ",")}),
+    "slice_maxima": (_check_slice_maxima, {"t": (float, ","), "span": (float, None)}),
+    "strictness": (_check_strictness, {"h": (float, None), "levels": (float, ","),
+                                       "expect_tag": (str, None)}),
 }
 
 
@@ -273,7 +256,16 @@ def cmd_audit(args):
         expected, required = item.get("expected", True), item.get("required", True)
         if not (isinstance(expected, bool) and isinstance(required, bool)):
             raise ConfigError(f"check {name!r}: 'expected' and 'required' must be true or false")
-        jobs.append((name, params, expected, required))
+        kinds = AUDIT_CHECKS[name][1]
+        parsed = {}
+        for key, value in params.items():
+            what = f"check {name!r} param {key!r}"
+            if key not in kinds:
+                raise ConfigError(f"{what} is unknown; known: {sorted(kinds)}")
+            if kinds[key][0] is str and not isinstance(value, str):
+                raise ConfigError(f"{what} must be a string, got {value!r}")
+            parsed[key] = value if kinds[key][0] is str else _parse(value, what, *kinds[key])
+        jobs.append((name, parsed, expected, required))
 
     verdicts = {}
     timings = {}
@@ -283,12 +275,12 @@ def cmd_audit(args):
         rng = XorShift64Star(cfg.seed ^ zlib.crc32(name.encode()))
         t0 = time.perf_counter()
         try:
-            passed, details = AUDIT_CHECKS[name](fld, rng, params)
+            passed, details = AUDIT_CHECKS[name][0](fld, rng, params)
             err = None
         except Exception as e:   # a failing check must not kill the audit
             passed, details, err = False, {}, f"{type(e).__name__}: {e}"
         dt = time.perf_counter() - t0
-        ok = (passed == expected)
+        ok = err is None and passed == expected
         verdicts[name] = {"passed": passed, "expected": expected, "ok": ok,
                           "required": required, "details": details}
         if err:
@@ -300,8 +292,10 @@ def cmd_audit(args):
             flag = "ok" if ok else "FAIL"
             print(f"[{flag}] {name}: passed={passed} expected={expected} ({dt:.1f}s)")
 
-    report = RunReport(command="audit", config=cfg.raw, verdicts=verdicts, seed=cfg.seed)
-    path = _write_report(cfg.out_dir, "report.json", report, timings)
+    path = os.path.join(cfg.out_dir, "report.json")
+    export.write_json(path, {"command": "audit", "config": cfg.raw, "seed": cfg.seed,
+                             "tool_version": export.TOOL_VERSION, "verdicts": verdicts})
+    export.write_json(os.path.join(cfg.out_dir, "report.timings.json"), timings)
     if args.verbose:
         print(f"audit report -> {path}")
     return 1 if failed_required else 0

@@ -109,7 +109,7 @@ class ConvexBody:
     :func:`regular_polygon`).
     """
 
-    def __init__(self, vertices, symmetric=None):
+    def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2:
             raise GeometryError(f"body vertices must be planar points (n, 2), got shape {v.shape}")
@@ -120,18 +120,6 @@ class ConvexBody:
             raise GeometryError("body is degenerate (collinear vertices)")
         if not self.contains(np.zeros(2)):
             raise GeometryError("origin not strictly inside body")
-        if symmetric is None:
-            symmetric = self._detect_symmetry()
-        elif symmetric and not self._detect_symmetry():
-            raise GeometryError("symmetric flag set but vertex set is not closed under negation")
-        self.symmetric = bool(symmetric)
-
-    def _detect_symmetry(self, tol=1e-12):
-        """Whether the negation of every vertex is a vertex, to tol * scale."""
-        v = self.vertices
-        scale = 1.0 + np.abs(v).max()
-        gaps = np.linalg.norm(v[:, None, :] + v[None, :, :], axis=-1).min(axis=1)
-        return bool(np.all(gaps <= tol * scale))
 
     def contains(self, w, strict=True):
         """Membership of planar points ``w`` (shape ``(..., 2)``) in D.
@@ -151,16 +139,6 @@ class ConvexBody:
             cross = (bx - ax) * (y - ay) - (by - ay) * (x - ax)
             inside &= (cross > 0.0) if strict else (cross >= 0.0)
         return inside[()]
-
-    def boundary_points(self, n):
-        """~n points sampled uniformly by arc length along the boundary."""
-        v = self.vertices
-        edges = np.roll(v, -1, axis=0) - v
-        lengths = np.linalg.norm(edges, axis=1)
-        m = np.maximum(1, np.rint(n * lengths / lengths.sum()).astype(int))   # points per edge
-        k = np.repeat(np.arange(len(v)), m)
-        ts = (np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)) / m[k]
-        return v[k] + ts[:, None] * edges[k]
 
 
 def convex_hull_2d(points):
@@ -239,14 +217,12 @@ class ProfileDomain:
     ``f`` (and ``fprime``) must accept float arrays and act elementwise;
     membership of the closure evaluates ``f`` at ``t = 0``, where it must
     return its limit from the right.  ``f`` may also be a name from
-    :data:`PROFILES`.  ``profile_kind`` is ``"lipschitz-concave-derivative"``
-    when f' is non-increasing with limit 0 (checked by sampling on a
-    geometric grid, tolerance 1e-9) and ``"general"`` otherwise.  When
+    :data:`PROFILES`.  f must be positive and f' non-increasing (both
+    checked by sampling on a geometric grid, tolerance 1e-9).  When
     ``fprime`` is omitted a centered finite difference of ``f`` is used.
     """
 
-    def __init__(self, f, cross_section=(-1.0, 1.0), fprime=None,
-                 profile_kind="lipschitz-concave-derivative", name=None):
+    def __init__(self, f, cross_section=(-1.0, 1.0), fprime=None):
         try:
             lo, hi = map(float, cross_section)
         except (TypeError, ValueError):
@@ -257,7 +233,6 @@ class ProfileDomain:
         if isinstance(f, str):
             if f not in PROFILES:
                 raise GeometryError(f"unknown profile {f!r}; known: {sorted(PROFILES)}")
-            name = name or f
             f, fp = PROFILES[f]
             fprime = fprime or fp
         elif not callable(f):
@@ -269,21 +244,18 @@ class ProfileDomain:
         self.f = f
         self.fprime = fprime
         self.cross_section = (lo, hi)
-        self.profile_kind = profile_kind
-        self.name = name
         self._validate()
 
     def _validate(self, tol=1e-9):
         fv = np.asarray(self.f(_HYPOTHESIS_GRID), dtype=float)
         if not np.all(fv > 0.0):
             raise GeometryError("profile must be positive on (0, inf)")
-        if self.profile_kind == "lipschitz-concave-derivative":
-            dv = np.asarray(self.fprime(_HYPOTHESIS_GRID), dtype=float)
-            if not np.all(np.diff(dv) <= tol):
-                k = int(np.argmax(np.diff(dv) > tol))
-                raise GeometryError(
-                    f"profile derivative increases between t={_HYPOTHESIS_GRID[k]:g} "
-                    f"and t={_HYPOTHESIS_GRID[k + 1]:g}")
+        dv = np.asarray(self.fprime(_HYPOTHESIS_GRID), dtype=float)
+        if not np.all(np.diff(dv) <= tol):
+            k = int(np.argmax(np.diff(dv) > tol))
+            raise GeometryError(
+                f"profile derivative increases between t={_HYPOTHESIS_GRID[k]:g} "
+                f"and t={_HYPOTHESIS_GRID[k + 1]:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +333,10 @@ class Domain:
         return np.array(self._distance(*self._split(p)))[()]
 
     def slice_at(self, t):
-        raise NotImplementedError
+        raise GeometryError(f"domain kind {self.kind!r} has no slices")
 
     def boundary_points(self, window, n):
-        raise NotImplementedError
+        raise GeometryError(f"domain kind {self.kind!r} has no boundary samples")
 
     def truncation_window(self, s):
         raise GeometryError(f"domain kind {self.kind!r} has no axial truncation rule")
@@ -555,32 +527,6 @@ class ConvexRing(Domain):
         return np.asarray(self.outer.contains(p, strict=False)
                           & ~self.inner.contains(p, strict=True))[()]
 
-    def slice_at(self, t):
-        outer = _polygon_vertical_section(self.outer.vertices, t)
-        if outer is None:
-            raise GeometryError(f"slice at t={t} is empty")
-        inner = _polygon_vertical_section(self.inner.vertices, t)
-        if inner is None:
-            return SliceSet(t, (outer,))
-        (a, b), (c, d) = outer, inner
-        intervals = tuple(iv for iv in ((a, c), (d, b)) if iv[0] < iv[1])
-        if not intervals:
-            raise GeometryError(f"slice at t={t} is empty")
-        return SliceSet(t, intervals)
-
-    def boundary_points(self, window, n):
-        return np.vstack([self.outer.boundary_points(n), self.inner.boundary_points(n)])
-
-
-def _polygon_vertical_section(vertices, t):
-    """(ymin, ymax) of the section of a convex polygon with the line x=t."""
-    a, b = vertices, np.roll(vertices, -1, axis=0)
-    cut = ((a[:, 0] - t) * (b[:, 0] - t) <= 0.0) & (a[:, 0] != b[:, 0])
-    a, b = a[cut], b[cut]
-    ys = a[:, 1] + (t - a[:, 0]) * (b[:, 1] - a[:, 1]) / (b[:, 0] - a[:, 0])
-    lo, hi = ys.min(initial=np.inf), ys.max(initial=-np.inf)
-    return (float(lo), float(hi)) if lo < hi else None
-
 
 class _IntervalProfile(Domain):
     """Region ``{t in T, y in radius(t) * D}`` for an interval ``D = (lo, hi)``.
@@ -598,9 +544,6 @@ class _IntervalProfile(Domain):
     def _member(self, t, y, lt):
         r = self.radius(t)
         return self._axial(t, lt) & lt(r * self.lo, y) & lt(y, r * self.hi)
-
-    def _walls(self, ts, r):
-        return np.vstack([np.column_stack([ts, r * self.hi]), np.column_stack([ts, r * self.lo])])
 
 
 class ProfileRegion(_IntervalProfile):
@@ -626,10 +569,6 @@ class ProfileRegion(_IntervalProfile):
         r = float(np.max(self.profile.f(np.linspace(1e-6, 2.0 * s, 257))))
         w = max(abs(self.lo), abs(self.hi), 1.0)
         return WindowBox((0.0, -r * w), (2.0 * s, r * w))
-
-    def boundary_points(self, window, n):
-        ts = np.linspace(max(window.lower[0], 1e-9), window.upper[0], n)
-        return self._walls(ts, np.asarray(self.profile.f(ts), dtype=float))
 
 
 class RescaledProfile(_IntervalProfile):
@@ -668,7 +607,8 @@ class RescaledProfile(_IntervalProfile):
         ts = np.linspace(t0, t1, n)
         r = self.radius(ts)
         keep = np.isfinite(r)
-        return self._walls(ts[keep], r[keep])
+        ts, r = ts[keep], r[keep]
+        return np.vstack([np.column_stack([ts, r * self.hi]), np.column_stack([ts, r * self.lo])])
 
 
 def rescaled_domain(domain, s):
@@ -689,8 +629,7 @@ def rescaled_domain(domain, s):
 def strip_as_profile():
     """The strip viewed as the constant-profile region (pi/2) * (-1, 1)."""
     prof = ProfileDomain(lambda t: np.full_like(np.asarray(t, dtype=float), np.pi / 2),
-                         fprime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                         name="const_pi_over_2")
+                         fprime=lambda t: np.zeros_like(np.asarray(t, dtype=float)))
     return ProfileRegion(prof)
 
 
@@ -727,8 +666,7 @@ def hausdorff_distance(cloud_a, cloud_b):
 def body_from_config(cfg) -> ConvexBody:
     """A body from ``{"vertices": [[x, y], ...]}`` or ``{"ngon": n, "radius": r}``."""
     if isinstance(cfg, dict) and "vertices" in cfg:
-        return ConvexBody(_config_value(cfg, "vertices", lambda v: np.asarray(v, dtype=float)),
-                          symmetric=cfg.get("symmetric"))
+        return ConvexBody(_config_value(cfg, "vertices", lambda v: np.asarray(v, dtype=float)))
     if isinstance(cfg, dict) and "ngon" in cfg:
         return regular_polygon(_config_value(cfg, "ngon", int),
                                _config_value(cfg, "radius", float, 1.0))
@@ -778,8 +716,7 @@ def domain_from_config(cfg) -> Domain:
         except (KeyError, TypeError, ValueError):
             raise GeometryError(f"a profile cross-section D is an interval "
                                 f"{{'vertices': [[lo], [hi]]}}, got {D!r}") from None
-        prof = ProfileDomain(_required(cfg, "f"), (lo, hi),
-                             profile_kind=cfg.get("profile_kind", "lipschitz-concave-derivative"))
+        prof = ProfileDomain(_required(cfg, "f"), (lo, hi))
         return ProfileRegion(prof)
     raise GeometryError(f"unknown domain kind {kind!r}")
 

@@ -584,7 +584,7 @@ def ring_dirichlet_data(grid):
     if not isinstance(grid.domain, ConvexRing):
         raise GeometryError("ring data needs a convex-ring grid")
     inner = grid.domain.inner
-    closed = _lattice_mask(grid.xs, grid.ys, lambda pts: inner.contains(pts, strict=False))
+    closed = inner_body_nodes(grid)
     near_inner = closed | _has_neighbor_in(_lattice_mask(grid.xs, grid.ys, inner.contains))
     return np.where((grid.mask == BOUNDARY) & near_inner, 1.0, 0.0)
 

@@ -35,11 +35,8 @@ class LevelCurve:
 class ConvexityReport:
     verdict: str                      # convex | non_convex | inconclusive
     hull_deviation: float
-    tolerance: float
     witness: tuple = None             # (p, q, midpoint) for non_convex
     witness_verified: bool = False
-    n_points: int = 0
-    note: str = ""
 
 
 @dataclass
@@ -248,18 +245,14 @@ def convexity_test(curve_or_cloud, closure=None, tol=1e-9, fld=None, level=None)
         hull_input = np.vstack([pts, np.atleast_2d(np.asarray(closure, dtype=float))])
     hull = convex_hull_2d(hull_input)
     if len(hull) < 3:
-        return ConvexityReport(verdict="inconclusive", hull_deviation=float("nan"),
-                               tolerance=tol, n_points=len(pts), note="degenerate (collinear) input")
+        return ConvexityReport(verdict="inconclusive", hull_deviation=float("nan"))
     dev = hull_boundary_deviation(pts, hull)
     worst = float(dev.max())
     if worst <= tol:
-        return ConvexityReport(verdict="convex", hull_deviation=worst, tolerance=tol,
-                               n_points=len(pts))
+        return ConvexityReport(verdict="convex", hull_deviation=worst)
     if worst <= 2.0 * tol:
-        return ConvexityReport(verdict="inconclusive", hull_deviation=worst, tolerance=tol,
-                               n_points=len(pts), note="deviation within [1, 2] * tol band")
-    report = ConvexityReport(verdict="non_convex", hull_deviation=worst, tolerance=tol,
-                             n_points=len(pts))
+        return ConvexityReport(verdict="inconclusive", hull_deviation=worst)
+    report = ConvexityReport(verdict="non_convex", hull_deviation=worst)
     deepest = pts[int(np.argmax(dev))]
     report.witness = _geometric_witness(deepest, pts, hull)
     if fld is not None and level is not None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import CylinderMode, FieldError
-from .geometry import GeometryError, WindowBox, hausdorff_distance, rescaled_domain
+from .geometry import GeometryError, hausdorff_distance, rescaled_domain
 from .levelset import _tangent_forms, certify_level
 
 
@@ -36,8 +36,6 @@ class SliceReport:
 
 @dataclass
 class RescaleResult:
-    s: float
-    window: WindowBox
     mode_coefficients: tuple          # fitted (A, B), both >= 0
     sup_mode_error: float
     hausdorff_to_cylinder: float
@@ -46,11 +44,7 @@ class RescaleResult:
 
 @dataclass
 class DecayFit:
-    radii: np.ndarray
-    magnitudes: np.ndarray
     slope: float
-    intercept: float
-    residual: float
 
 
 @dataclass
@@ -201,7 +195,7 @@ def rescale_and_compare(fld, s, window, mode: CylinderMode):
                      np.column_stack([cyl_ts, -np.ones_like(cyl_ts)])])
     dh = hausdorff_distance(zoomed.boundary_points(window, 801), cyl)
 
-    return RescaleResult(s=float(s), window=window, mode_coefficients=(float(A), float(B)),
+    return RescaleResult(mode_coefficients=(float(A), float(B)),
                          sup_mode_error=float(sup_err), hausdorff_to_cylinder=float(dh),
                          center_value=float(v_s(0.0, 0.0)))
 
@@ -222,11 +216,8 @@ def decay_fit(g, radii):
     mags = np.asarray([abs(float(g(r))) for r in radii])
     if np.any(mags <= 0.0):
         raise FieldError("decay fit needs strictly positive magnitudes")
-    lx, ly = np.log(radii), np.log(mags)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
-    return DecayFit(radii=radii, magnitudes=mags, slope=float(slope),
-                    intercept=float(intercept), residual=resid)
+    slope, _ = np.polyfit(np.log(radii), np.log(mags), 1)
+    return DecayFit(slope=float(slope))
 
 
 def tangent_form_residual(u_field, v_field, z):

@@ -8,7 +8,7 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from martinlevels import cli, export, fields, levelset, slices
+from martinlevels import cli, export, fields, geometry, levelset, slices
 from martinlevels._rng import XorShift64Star
 
 
@@ -581,6 +581,90 @@ def test_audit_params_must_be_a_json_object(tmp_path, capsys, params):
     err = capsys.readouterr().err
     assert "'params' must be a JSON object" in err and "Traceback" not in err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_audit_check_that_raised_is_never_ok(tmp_path):
+    # a negative control that fails by raising has not shown what it controls
+    cfg = write_config(tmp_path, "audit.json", {
+        "field": "exterior", "checks": [{"name": "convexity", "expected": False,
+                                         "params": {"levels": [1.5], "h": 0}}]})
+    assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path)]) == 1
+    verdict = json.load(open(tmp_path / "report.json"))["verdicts"]["convexity"]
+    assert verdict["passed"] is False and verdict["expected"] is False
+    assert verdict["ok"] is False and verdict["error"].startswith("GeometryError")
+
+
+def test_unparsable_negative_control_does_not_pass(tmp_path, capsys):
+    cfg = write_config(tmp_path, "audit.json", {
+        "field": "exterior",
+        "checks": [{"name": "convexity", "expected": False,
+                    "params": {"levels": [1.5], "h": "abc"}},
+                   {"name": "slice_maxima", "expected": False, "params": {"t": ["two"]}}]})
+    assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "check 'convexity' param 'h'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("check, params, message", [
+    ("convexity", {"hh": 0.05}, "param 'hh' is unknown"),
+    ("harmonicity", {"h": 0.05}, "param 'h' is unknown"),
+    ("convexity", {"h": "nan"}, "param 'h' 'nan' is not finite"),
+    ("convexity", {"levels": [1.0, "x"]}, "cannot parse check 'convexity' param 'levels'"),
+    ("harmonicity", {"n_points": "many"}, "cannot parse check 'harmonicity' param 'n_points'"),
+    ("harmonicity", {"n_points": math.inf}, "cannot parse check 'harmonicity' param 'n_points'"),
+    ("boundary_vanishing", {"tol": [1e-8]}, "cannot parse check 'boundary_vanishing' param 'tol'"),
+    ("slice_maxima", {"span": "wide"}, "cannot parse check 'slice_maxima' param 'span'"),
+    ("strictness", {"expect_tag": 3}, "param 'expect_tag' must be a string"),
+], ids=["typo", "other-check-key", "nan", "level", "count", "infinite-count", "list-tol",
+        "span", "tag"])
+def test_audit_params_parse_before_any_check_runs(tmp_path, capsys, check, params, message):
+    # the valid first check must not run either: no report is written
+    cfg = write_config(tmp_path, "audit.json", {
+        "field": "strip", "checks": ["boundary_vanishing", {"name": check, "params": params}]})
+    assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def _registered_kinds():
+    """Domain kinds of every Domain subclass but the zoomed profile view."""
+    classes, kinds = [geometry.Domain], set()
+    while classes:
+        cls = classes.pop()
+        classes.extend(cls.__subclasses__())
+        kinds.add(cls.kind)
+    return kinds - {None, "rescaled_profile"}
+
+
+GREEN_DOMAINS = ["strip", "sector", "sector_minus_slit", "halfplane_minus_disk",
+                 "right_halfplane", "cylinder",
+                 {"kind": "convex_ring", "A": {"ngon": 8, "radius": 2.0},
+                  "B": {"ngon": 8, "radius": 0.5}},
+                 {"kind": "profile", "f": "sqrt"}]
+
+
+def _kind(domain):
+    return domain["kind"] if isinstance(domain, dict) else domain
+
+
+def test_green_domains_cover_every_registered_kind():
+    assert {_kind(d) for d in GREEN_DOMAINS} == _registered_kinds()
+    for d in GREEN_DOMAINS:
+        assert geometry.domain_from_config(d).kind == _kind(d)
+
+
+@pytest.mark.parametrize("domain", GREEN_DOMAINS, ids=_kind)
+def test_green_runs_or_rejects_every_domain_kind(tmp_path, domain):
+    # each kind runs through green (rc 0) or is a clean usage error (rc 2),
+    # with the two-value probe that reads the domain's slices
+    cfg = write_config(tmp_path, "green.json", {"domain": domain, "x0": [1.5, 0.0],
+                                                "poles": [2, 3], "h": 0.1, "probe": [0.5, 1.5]})
+    res = subprocess.run([sys.executable, "-m", "martinlevels.cli", "green", "--config", cfg,
+                          "--out", str(tmp_path / "out")], capture_output=True, text=True)
+    assert res.returncode in (0, 2), res.stderr
+    assert "Traceback" not in res.stderr
+    assert (res.returncode == 2) == res.stderr.startswith("config error: ")
 
 
 class TestSeededGenerator:
