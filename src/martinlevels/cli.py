@@ -20,7 +20,6 @@ import os
 import sys
 import time
 import zlib
-from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -62,54 +61,35 @@ def _path(raw, key, default):
 # Configuration
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExperimentConfig:
-    """One JSON file describing a reproducible experiment."""
+#: the config keys that every command knows
+_COMMON_KEYS = ("seed", "out")
 
-    raw: dict
-    seed: int = 0
-    out_dir: str = "."
 
-    @classmethod
-    def load(cls, path, out_dir=None, seed=None):
+def _load(args):
+    """The mapping of ``--config`` ({} without one), the seed (``--seed``,
+    else the config's, default 0) and the output directory (``--out``, else
+    the config's ``out``, default ".")."""
+    raw = {}
+    if args.config:
         try:
-            with open(path) as f:
+            with open(args.config) as f:
                 raw = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
-            raise ConfigError(f"cannot read config {path}: {e}")
+            raise ConfigError(f"cannot read config {args.config}: {e}")
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        cfg = cls(raw=raw,
-                  seed=_parse(raw.get("seed", 0), "seed", int) if seed is None else seed,
-                  out_dir=out_dir or _path(raw, "out", "."))
-        return cfg
+    seed = _parse(raw.get("seed", 0), "seed", int) if args.seed is None else args.seed
+    return raw, seed, args.out or _path(raw, "out", ".")
 
-    def field(self):
-        name = self.raw.get("field")
-        if not name:
-            raise ConfigError("config needs a 'field' registry name")
-        try:
-            return fields.field_from_name(name)
-        except fields.FieldError as e:
-            raise ConfigError(str(e))
 
-    def window(self, default):
-        w = self.raw.get("window")
-        if w is None:
-            return default
-        try:
-            return geometry.WindowBox(tuple(w[0]), tuple(w[1]))
-        except (ValueError, TypeError, IndexError) as e:     # GeometryError is a ValueError
-            raise ConfigError(f"bad window {w!r}: {e}")
-
-    def levels(self):
-        levels = self.raw.get("levels", [])
-        if not levels:
-            raise ConfigError("config needs a nonempty 'levels' grid")
-        out = _parse(levels, "level grid", sep=",")
-        if any(c <= 0.0 for c in out):
-            raise ConfigError("levels must be positive")
-        return out
+def _field(raw):
+    name = raw.get("field")
+    if not name:
+        raise ConfigError("config needs a 'field' registry name")
+    try:
+        return fields.field_from_name(name)
+    except fields.FieldError as e:
+        raise ConfigError(str(e))
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +110,21 @@ def _csv_rows(k, curve):
 
 
 def cmd_levelsets(args):
-    cfg = ExperimentConfig.load(args.config, out_dir=args.out, seed=args.seed)
-    fld = cfg.field()
-    window = cfg.window(default=fld.default_window)
-    levels = cfg.levels()
-    h = _parse(cfg.raw.get("h", 0.02), "h")
+    raw, _, out = _load(args)
+    fld = _field(raw)
+    geometry.check_keys(raw, ("field", "window", "levels", "h") + _COMMON_KEYS, "config key")
+    w = raw.get("window")
+    try:
+        window = (fld.default_window if w is None
+                  else geometry.WindowBox(tuple(w[0]), tuple(w[1])))
+    except (ValueError, TypeError, IndexError, KeyError) as e:  # GeometryError is a ValueError
+        raise ConfigError(f"bad window {w!r}: {e}")
+    if not raw.get("levels"):
+        raise ConfigError("config needs a nonempty 'levels' grid")
+    levels = _parse(raw["levels"], "level grid", sep=",")
+    if any(c <= 0.0 for c in levels):
+        raise ConfigError("levels must be positive")
+    h = _parse(raw.get("h", 0.02), "h")
     t0 = time.perf_counter()
     curves = []
     for c in levels:
@@ -142,7 +132,6 @@ def cmd_levelsets(args):
     if not curves:
         print("no level curve found in the window", file=sys.stderr)
         return 1
-    out = cfg.out_dir
     payload = {"field": fld.name, "h": h,
                "window": [list(window.lower), list(window.upper)],
                "curves": [{"level": c.level, "closed": c.closed, "points": _rounded_pairs(c)}
@@ -236,9 +225,10 @@ AUDIT_CHECKS = {
 
 
 def cmd_audit(args):
-    cfg = ExperimentConfig.load(args.config, out_dir=args.out, seed=args.seed)
-    fld = cfg.field()
-    spec_list = cfg.raw.get("checks")
+    raw, seed, out = _load(args)
+    fld = _field(raw)
+    geometry.check_keys(raw, ("field", "checks") + _COMMON_KEYS, "config key")
+    spec_list = raw.get("checks")
     if not spec_list or not isinstance(spec_list, list):
         raise ConfigError("audit config needs a nonempty 'checks' list")
     jobs = []
@@ -250,6 +240,7 @@ def cmd_audit(args):
         name = item.get("name")
         if name not in AUDIT_CHECKS:
             raise ConfigError(f"unknown check {name!r}; known: {sorted(AUDIT_CHECKS)}")
+        geometry.check_keys(item, ("name", "params", "expected", "required"), f"check {name!r} key")
         params = item.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"check {name!r}: 'params' must be a JSON object")
@@ -257,14 +248,15 @@ def cmd_audit(args):
         if not (isinstance(expected, bool) and isinstance(required, bool)):
             raise ConfigError(f"check {name!r}: 'expected' and 'required' must be true or false")
         kinds = AUDIT_CHECKS[name][1]
+        geometry.check_keys(params, kinds, f"check {name!r} param")
         parsed = {}
         for key, value in params.items():
             what = f"check {name!r} param {key!r}"
-            if key not in kinds:
-                raise ConfigError(f"{what} is unknown; known: {sorted(kinds)}")
             if kinds[key][0] is str and not isinstance(value, str):
                 raise ConfigError(f"{what} must be a string, got {value!r}")
             parsed[key] = value if kinds[key][0] is str else _parse(value, what, *kinds[key])
+        if parsed.get("span", 1.0) <= 0.0:
+            raise ConfigError(f"check {name!r} param 'span' must be > 0")
         jobs.append((name, parsed, expected, required))
 
     verdicts = {}
@@ -272,7 +264,7 @@ def cmd_audit(args):
     failed_required = False
     for name, params, expected, required in jobs:
         # process-independent per-check seed (hash() is salted per process)
-        rng = XorShift64Star(cfg.seed ^ zlib.crc32(name.encode()))
+        rng = XorShift64Star(seed ^ zlib.crc32(name.encode()))
         t0 = time.perf_counter()
         try:
             passed, details = AUDIT_CHECKS[name][0](fld, rng, params)
@@ -292,10 +284,10 @@ def cmd_audit(args):
             flag = "ok" if ok else "FAIL"
             print(f"[{flag}] {name}: passed={passed} expected={expected} ({dt:.1f}s)")
 
-    path = os.path.join(cfg.out_dir, "report.json")
-    export.write_json(path, {"command": "audit", "config": cfg.raw, "seed": cfg.seed,
+    path = os.path.join(out, "report.json")
+    export.write_json(path, {"command": "audit", "config": raw, "seed": seed,
                              "tool_version": export.TOOL_VERSION, "verdicts": verdicts})
-    export.write_json(os.path.join(cfg.out_dir, "report.timings.json"), timings)
+    export.write_json(os.path.join(out, "report.timings.json"), timings)
     if args.verbose:
         print(f"audit report -> {path}")
     return 1 if failed_required else 0
@@ -320,21 +312,24 @@ def _probe_half_height(domain, x0, x1, pole):
         if t <= 0.0:        # empty slice; martin_ratio checks these probes itself
             continue
         sl = domain.slice_at(t)
-        if sl.bounded:
+        if np.isfinite(sl.intervals).all():
             half = min(half, -sl.intervals[0][0], sl.intervals[-1][1])
     return half
 
 
-def _green_ring_mode(domain, raw, args, out_path):
+def _green_ring_mode(domain, raw, h, args, out_path):
     """Theorem-style ring run: direct solve plus per-level convexity verdicts."""
-    h = _parse(args.h or raw.get("h", 0.05), "h")
     levels = _parse(raw.get("levels", [0.25, 0.5, 0.75]), "levels", sep=",")
+    if not all(0.0 < c < 1.0 for c in levels):
+        raise ConfigError(f"ring levels must lie in (0, 1), got {levels}")
     lo = domain.outer.vertices.min(axis=0)
     hi = domain.outer.vertices.max(axis=0)
     grid = greenratio.build_grid(domain, geometry.WindowBox(tuple(lo), tuple(hi)), h)
-    sol = greenratio.solve_dirichlet(grid, boundary_values=greenratio.ring_dirichlet_data(grid))
-    interior = grid.mask == greenratio.INTERIOR
     inner = greenratio.inner_body_nodes(grid)
+    sol = greenratio.solve_dirichlet(grid,
+                                     boundary_values=greenratio.ring_dirichlet_data(grid, inner))
+    vals = sol.values[grid.mask == greenratio.INTERIOR]
+    umin, umax = float(vals.min()), float(vals.max())
     verdicts = {}
     for c in levels:
         cloud = greenratio.superlevel_boundary_nodes(sol, c, extra_member=inner)
@@ -347,9 +342,8 @@ def _green_ring_mode(domain, raw, args, out_path):
         "interior_nodes": grid.interior_count(),
         "cg_iterations": sol.stats.iterations,
         "cg_residual": sol.stats.residual,
-        "value_range": [float(sol.values[interior].min()), float(sol.values[interior].max())],
-        "max_principle": bool(sol.values[interior].min() >= 0.0
-                              and sol.values[interior].max() <= 1.0),
+        "value_range": [umin, umax],
+        "max_principle": umin >= 0.0 and umax <= 1.0,
         "convexity": verdicts,
     }
     export.write_json(out_path, payload)
@@ -359,26 +353,25 @@ def _green_ring_mode(domain, raw, args, out_path):
 
 
 def cmd_green(args):
-    if args.config:
-        cfg = ExperimentConfig.load(args.config, out_dir=args.out, seed=args.seed)
-        raw = cfg.raw
-    else:
-        raw = {}
-        cfg = ExperimentConfig(raw=raw, seed=args.seed or 0, out_dir=args.out or ".")
+    raw, _, out = _load(args)
     domain_name = args.domain or raw.get("domain")
     if not domain_name:
         raise ConfigError("green needs --domain or a config 'domain'")
     domain = geometry.domain_from_config(domain_name)
     ring = isinstance(domain, geometry.ConvexRing)
-    out_path = os.path.join(cfg.out_dir, args.ratio_out
+    out_path = os.path.join(out, args.ratio_out
                             or _path(raw, "ratio_out", "ring.json" if ring else "ratio.json"))
+    geometry.check_keys(raw, ("domain", "h", "ratio_out") + _COMMON_KEYS
+                        + (("levels",) if ring else ("x0", "poles", "probe")), "config key")
+    h = _parse(args.h or raw.get("h", 0.05), "h")
     if ring:
-        return _green_ring_mode(domain, raw, args, out_path)
+        if args.x0 or args.poles or args.probe:
+            raise ConfigError("a ring run takes no --x0, --poles or --probe")
+        return _green_ring_mode(domain, raw, h, args, out_path)
     x0 = _parse(args.x0 or raw.get("x0", []), "x0", sep=",")
     poles = _parse(args.poles or raw.get("poles", []), "poles", sep=",")
     if len(x0) != 2 or not poles:
         raise ConfigError("green needs --x0 x,y and --poles s1,s2,...")
-    h = _parse(args.h or raw.get("h", 0.05), "h")
     probe_vals = _parse(args.probe or raw.get("probe", []), "probe", sep=",")
     if not probe_vals:
         raise ConfigError("green needs --probe x0,x1[,y0,y1]")
@@ -440,6 +433,8 @@ def cmd_slice_scan(args):
     if not ts:
         raise ConfigError("slice-scan needs --t t1,t2,...")
     span = _parse(args.span, "span") if args.span else None
+    if span is not None and span <= 0.0:
+        raise ConfigError(f"--span must be > 0, got {span!r}")
     out = {}
     for t in ts:
         rep = slices.slice_scan(fld, t, span=span)

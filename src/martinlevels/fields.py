@@ -343,7 +343,6 @@ def interior_points(fld, n, rng):
 class BoundaryReport:
     max_abs: float
     worst_point: tuple
-    n_samples: int
     tol: float
 
     @property
@@ -356,8 +355,7 @@ def boundary_vanishing(field, n_samples=200, tol=1e-8):
     pts = field.domain.boundary_points(field.default_window, n_samples)
     vals = np.abs(np.asarray(field.value(pts, check=False), dtype=float))
     k = int(np.argmax(vals))
-    return BoundaryReport(max_abs=float(vals[k]), worst_point=tuple(pts[k]),
-                          n_samples=len(pts), tol=tol)
+    return BoundaryReport(max_abs=float(vals[k]), worst_point=tuple(pts[k]), tol=tol)
 
 
 def _centered_gradient(value, p, h):

@@ -274,15 +274,13 @@ class SliceSet:
         if not self.intervals:
             raise GeometryError(f"slice at t={self.t} is empty")
 
-    @property
-    def bounded(self):
-        return all(np.isfinite(a) and np.isfinite(b) for a, b in self.intervals)
-
     def contains(self, y):
         return any(a < y < b for a, b in self.intervals)
 
     def sample(self, n, span=None):
-        """n points per interval, endpoints excluded; unbounded needs span."""
+        """n points per interval, endpoints excluded; an unbounded interval
+        needs span, is clipped to [-span, span] and is skipped when that
+        leaves it empty (a GeometryError when no interval is left)."""
         out = []
         for a, b in self.intervals:
             if not (np.isfinite(a) and np.isfinite(b)):
@@ -290,8 +288,12 @@ class SliceSet:
                     raise GeometryError("unbounded slice needs an explicit span")
                 a = max(a, -span)
                 b = min(b, span)
+                if b <= a:
+                    continue
             ts = (np.arange(n) + 0.5) / n
             out.append(a + ts * (b - a))
+        if not out:
+            raise GeometryError(f"span {span} leaves no part of the slice at t={self.t}")
         return np.concatenate(out)
 
 
@@ -433,10 +435,8 @@ class SectorMinusSlit(Sector):
 
     kind = "sector_minus_slit"
 
-    def contains(self, p):
-        x, y = self._split(p)
-        on_slit = (y == 0.0) & (x <= 1.0)
-        return np.asarray(self._member(x, y, np.less) & ~on_slit)[()]
+    def _member(self, x, y, lt):
+        return super()._member(x, y, lt) & (lt(0.0, np.abs(y)) | lt(1.0, x))
 
     def _distance(self, x, y):
         d_slit = edge_distances(np.stack([x, y], axis=-1).reshape(-1, 2), _SLIT)[:, 0]
@@ -663,11 +663,21 @@ def hausdorff_distance(cloud_a, cloud_b):
 # JSON configuration
 # ---------------------------------------------------------------------------
 
+def check_keys(cfg, known, what):
+    """A GeometryError naming the first key of the mapping ``cfg`` outside
+    ``known`` as "``what`` 'key' is unknown", and the known keys."""
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise GeometryError(f"{what} {unknown[0]!r} is unknown; known: {sorted(known)}")
+
+
 def body_from_config(cfg) -> ConvexBody:
     """A body from ``{"vertices": [[x, y], ...]}`` or ``{"ngon": n, "radius": r}``."""
     if isinstance(cfg, dict) and "vertices" in cfg:
+        check_keys(cfg, ("vertices",), "vertices-form key")
         return ConvexBody(_config_value(cfg, "vertices", lambda v: np.asarray(v, dtype=float)))
     if isinstance(cfg, dict) and "ngon" in cfg:
+        check_keys(cfg, ("ngon", "radius"), "ngon-form key")
         return regular_polygon(_config_value(cfg, "ngon", int),
                                _config_value(cfg, "radius", float, 1.0))
     raise GeometryError(f"cannot build a convex body from {cfg!r}")
@@ -681,6 +691,14 @@ def _config_value(cfg, key, kind, default=None):
         raise GeometryError(f"cannot parse {key!r}: {cfg.get(key)!r}") from None
 
 
+#: the domain classes that a config names by their kind alone
+_PLAIN_DOMAINS = {cls.kind: cls for cls in (Strip, Sector, SectorMinusSlit, HalfplaneMinusDisk,
+                                            RightHalfplane, CylinderDomain)}
+#: the keys of each domain kind's config
+_DOMAIN_KEYS = {**dict.fromkeys(_PLAIN_DOMAINS, ("kind",)),
+                ConvexRing.kind: ("kind", "A", "B"), ProfileRegion.kind: ("kind", "f", "D")}
+
+
 def domain_from_config(cfg) -> Domain:
     """Build a domain from a JSON-style mapping, e.g. {"kind": "strip"}."""
     if isinstance(cfg, str):
@@ -688,18 +706,11 @@ def domain_from_config(cfg) -> Domain:
     if not isinstance(cfg, dict):
         raise GeometryError(f"domain must be a kind name or a mapping with a 'kind', got {cfg!r}")
     kind = cfg.get("kind")
-    if kind == "strip":
-        return Strip()
-    if kind == "sector":
-        return Sector()
-    if kind == "sector_minus_slit":
-        return SectorMinusSlit()
-    if kind == "halfplane_minus_disk":
-        return HalfplaneMinusDisk()
-    if kind == "right_halfplane":
-        return RightHalfplane()
-    if kind == "cylinder":
-        return CylinderDomain()
+    if not isinstance(kind, str) or kind not in _DOMAIN_KEYS:
+        raise GeometryError(f"unknown domain kind {kind!r}")
+    check_keys(cfg, _DOMAIN_KEYS[kind], f"domain kind {kind!r} key")
+    if kind in _PLAIN_DOMAINS:
+        return _PLAIN_DOMAINS[kind]()
     if kind == "convex_ring":
         bodies = []
         for key in ("A", "B"):
@@ -709,16 +720,13 @@ def domain_from_config(cfg) -> Domain:
             except GeometryError as e:
                 raise GeometryError(f"ring body {key!r}: {e}") from None
         return ConvexRing(*bodies)
-    if kind == "profile":
-        D = cfg.get("D", {"vertices": [[-1.0], [1.0]]})
-        try:
-            (lo,), (hi,) = D["vertices"]
-        except (KeyError, TypeError, ValueError):
-            raise GeometryError(f"a profile cross-section D is an interval "
-                                f"{{'vertices': [[lo], [hi]]}}, got {D!r}") from None
-        prof = ProfileDomain(_required(cfg, "f"), (lo, hi))
-        return ProfileRegion(prof)
-    raise GeometryError(f"unknown domain kind {kind!r}")
+    D = cfg.get("D", {"vertices": [[-1.0], [1.0]]})
+    try:
+        (lo,), (hi,) = D["vertices"]
+    except (KeyError, TypeError, ValueError):
+        raise GeometryError(f"a profile cross-section D is an interval "
+                            f"{{'vertices': [[lo], [hi]]}}, got {D!r}") from None
+    return ProfileRegion(ProfileDomain(_required(cfg, "f"), (lo, hi)))
 
 
 def _required(cfg, key):

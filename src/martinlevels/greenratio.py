@@ -575,17 +575,18 @@ def _clip_nodes(grid, member, window):
     return pts if window is None else pts[window.contains(pts)]
 
 
-def ring_dirichlet_data(grid):
+def ring_dirichlet_data(grid, closed=None):
     """Boundary data for a convex-ring grid: 1 on the inner wall, 0 outside.
 
     A boundary node is on the inner wall when it lies in the closed inner
-    body or has a grid neighbor in the open one.
+    body (the mask ``closed`` of :func:`inner_body_nodes`, computed when not
+    given) or has a grid neighbor in the open one.
     """
     if not isinstance(grid.domain, ConvexRing):
         raise GeometryError("ring data needs a convex-ring grid")
-    inner = grid.domain.inner
-    closed = inner_body_nodes(grid)
-    near_inner = closed | _has_neighbor_in(_lattice_mask(grid.xs, grid.ys, inner.contains))
+    closed = inner_body_nodes(grid) if closed is None else closed
+    near_inner = closed | _has_neighbor_in(_lattice_mask(grid.xs, grid.ys,
+                                                         grid.domain.inner.contains))
     return np.where((grid.mask == BOUNDARY) & near_inner, 1.0, 0.0)
 
 

@@ -11,6 +11,7 @@ Two certificates are provided for a superlevel region {u > c}:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,30 +50,22 @@ class StrictnessClassification:
 # Marching squares
 # ---------------------------------------------------------------------------
 
-# (fld, window, h) and the read-only (xs, ys, vals, mask) of the last lattice
-# evaluated; fields and windows are immutable, so the key decides the values.
-_last_lattice = None
-
-
+@functools.lru_cache(maxsize=1)
 def _lattice(fld, window, h):
     """The window's lattice of spacing h with the field's values (NaN off
-    the domain) and the domain mask, evaluated once for a run of calls
-    with the same field, window and h."""
-    global _last_lattice
-    key = (fld, window, float(h))
-    last = _last_lattice
-    if last is None or last[0] != key:
-        xs, ys = window.lattice(h)
-        mask = np.empty((len(xs), len(ys)), dtype=bool)
-        vals = np.full(mask.shape, np.nan)
-        for rows, pts in lattice_blocks(xs, ys):
-            inside = mask[rows] = fld.domain.contains(pts)
-            if inside.any():
-                vals[rows][inside] = fld.value(pts[inside], check=False)
-        for a in (xs, ys, vals, mask):
-            a.setflags(write=False)
-        last = _last_lattice = (key, (xs, ys, vals, mask))
-    return last[1]
+    the domain) and the domain mask, read-only; evaluated once for a run of
+    calls with the same field, window and h (fields and windows are
+    immutable, so the key decides the values)."""
+    xs, ys = window.lattice(h)
+    mask = np.empty((len(xs), len(ys)), dtype=bool)
+    vals = np.full(mask.shape, np.nan)
+    for rows, pts in lattice_blocks(xs, ys):
+        inside = mask[rows] = fld.domain.contains(pts)
+        if inside.any():
+            vals[rows][inside] = fld.value(pts[inside], check=False)
+    for a in (xs, ys, vals, mask):
+        a.setflags(write=False)
+    return xs, ys, vals, mask
 
 
 def extract_level_curve(fld, c, window, h):
@@ -83,7 +76,7 @@ def extract_level_curve(fld, c, window, h):
     An unattained level yields an empty list.  Successive calls with the
     same field, window and h share one lattice evaluation.
     """
-    xs, ys, vals, mask = _lattice(fld, window, h)
+    xs, ys, vals, mask = _lattice(fld, window, float(h))
     segments, positions = _marching_squares(vals, mask, xs, ys, float(c))
     return [LevelCurve(level=float(c), vertices=positions[chain], closed=closed)
             for chain, closed in _stitch(segments)]
@@ -254,19 +247,15 @@ def convexity_test(curve_or_cloud, closure=None, tol=1e-9, fld=None, level=None)
         return ConvexityReport(verdict="inconclusive", hull_deviation=worst)
     report = ConvexityReport(verdict="non_convex", hull_deviation=worst)
     deepest = pts[int(np.argmax(dev))]
-    report.witness = _geometric_witness(deepest, pts, hull)
+    k = _nearest_hull_edge(deepest, hull)
+    a, b = hull[k], hull[(k + 1) % len(hull)]
+    report.witness = (tuple(a), tuple(b), tuple(0.5 * (a + b)))
     if fld is not None and level is not None:
         w = _verified_witness(fld, float(level), deepest, hull, scale=tol)
         if w is not None:
             report.witness = w
             report.witness_verified = True
     return report
-
-
-def _geometric_witness(deepest, pts, hull):
-    k = _nearest_hull_edge(deepest, hull)
-    a, b = hull[k], hull[(k + 1) % len(hull)]
-    return (tuple(a), tuple(b), tuple(0.5 * (a + b)))
 
 
 def _nearest_hull_edge(p, hull):
@@ -305,31 +294,24 @@ def _verified_witness(fld, c, deepest, hull, scale):
     midpoint is excluded.
 
     Hull vertices sit on the level itself, so the chord endpoints are first
-    nudged into the region along the gradient.  Each chord, and the
-    midpoints of the pairs around each excluded chord point, are probed in
-    one call; pairs are tried by increasing distance from that point.
+    nudged into the region along the gradient.  On each chord the pairs
+    around each excluded chord point, by increasing distance from it, go to
+    :func:`midpoint_witness_search` in one call.
     """
     k = _nearest_hull_edge(deepest, hull)
     a, b = hull[k], hull[(k + 1) % len(hull)]
     scales = [0.25 * scale, scale, 4.0 * scale]
     ends_a = [a] + [p for p in [_nudge_inward(fld, c, a, scales)] if p is not None]
     ends_b = [b] + [p for p in [_nudge_inward(fld, c, b, scales)] if p is not None]
-    n_scan = 129
-    ts = np.linspace(0.0, 1.0, n_scan)
+    ts = np.linspace(0.0, 1.0, 129)
     for a2 in reversed(ends_a):
         for b2 in reversed(ends_b):
             chord = a2[None, :] + ts[:, None] * (b2 - a2)[None, :]
-            excl = _excluded(fld, c, chord)
-            for i in np.flatnonzero(excl):
-                r = np.arange(1, min(i, n_scan - 1 - i) + 1)
-                r = r[~excl[i - r] & ~excl[i + r]]
-                if not len(r):
-                    continue
-                mids = 0.5 * (chord[i - r] + chord[i + r])
-                hit = np.flatnonzero(_excluded(fld, c, mids))
-                if len(hit):
-                    m = hit[0]
-                    return (tuple(chord[i - r[m]]), tuple(chord[i + r[m]]), tuple(mids[m]))
+            pairs = np.array([(i - r, i + r) for i in np.flatnonzero(_excluded(fld, c, chord))
+                              for r in range(1, min(i, 128 - i) + 1)], dtype=np.intp)
+            w = midpoint_witness_search(fld, c, chord[pairs.reshape(-1, 2)])
+            if w is not None:
+                return w
     return None
 
 

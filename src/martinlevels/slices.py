@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import CylinderMode, FieldError
-from .geometry import GeometryError, hausdorff_distance, rescaled_domain
+from .geometry import GeometryError, rescaled_domain
 from .levelset import _tangent_forms, certify_level
 
 
@@ -23,7 +23,6 @@ class RayReport:
     direction: float                  # +1 or -1 along the slice coordinate
     decreasing: bool
     first_violation: tuple = None     # (y, u_prev, u_here)
-    n_steps: int = 0
 
 
 @dataclass
@@ -38,7 +37,6 @@ class SliceReport:
 class RescaleResult:
     mode_coefficients: tuple          # fitted (A, B), both >= 0
     sup_mode_error: float
-    hausdorff_to_cylinder: float
     center_value: float               # v_s(0) <= 1
 
 
@@ -112,7 +110,6 @@ def ray_monotonicity(fld, t, direction, length=None):
     as equality, hence as violations of strict decrease).  Raises
     :class:`GeometryError` when no slice interval contains the axis point.
     """
-    n_steps = 512
     direction = float(np.sign(direction))
     if direction == 0.0:
         raise GeometryError("ray direction must be nonzero")
@@ -123,16 +120,15 @@ def ray_monotonicity(fld, t, direction, length=None):
     if length is None and not np.isfinite(end):
         raise GeometryError("unbounded slice ray needs an explicit length")
     length = end if length is None else min(float(length), end)
-    ys = direction * length * (np.arange(n_steps) / n_steps)   # endpoint excluded
+    ys = direction * length * (np.arange(512) / 512)   # endpoint excluded
     vals = np.asarray(fld.value(_slice_points(t, ys)), dtype=float)
     tol = 1e-12 * float(np.abs(vals).max())
     bad = np.flatnonzero(~(vals[1:] < vals[:-1] - tol))
     if not len(bad):
-        return RayReport(direction=direction, decreasing=True, n_steps=n_steps)
+        return RayReport(direction=direction, decreasing=True)
     k = int(bad[0])
     return RayReport(direction=direction, decreasing=False,
-                     first_violation=(float(ys[k + 1]), float(vals[k]), float(vals[k + 1])),
-                     n_steps=n_steps)
+                     first_violation=(float(ys[k + 1]), float(vals[k]), float(vals[k + 1])))
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +157,7 @@ def rescale_and_compare(fld, s, window, mode: CylinderMode):
 
     M(s) is found by a slice scan at t = s; the mode coefficients (A, B >= 0)
     are fitted on the axis and the sup-norm error is taken over the 41 x 41
-    lattice of the window intersected with the zoomed domain.  Also reports the
-    Hausdorff distance between boundary samples of the zoomed domain and the
-    unit cylinder inside the window.
+    lattice of the window intersected with the zoomed domain.
     """
     zoomed = rescaled_domain(fld.domain, s)
     f_s = zoomed.f_s
@@ -189,15 +183,8 @@ def rescale_and_compare(fld, s, window, mode: CylinderMode):
     t_in, y_in = lattice[zoomed.contains(lattice)].T
     model = (A * np.exp(rt * t_in) + B * np.exp(-rt * t_in)) * mode.phi(y_in)
     sup_err = np.max(np.abs(v_s(t_in, y_in) - model), initial=0.0)
-
-    cyl_ts = np.linspace(window.lower[0], window.upper[0], 801)
-    cyl = np.vstack([np.column_stack([cyl_ts, np.ones_like(cyl_ts)]),
-                     np.column_stack([cyl_ts, -np.ones_like(cyl_ts)])])
-    dh = hausdorff_distance(zoomed.boundary_points(window, 801), cyl)
-
     return RescaleResult(mode_coefficients=(float(A), float(B)),
-                         sup_mode_error=float(sup_err), hausdorff_to_cylinder=float(dh),
-                         center_value=float(v_s(0.0, 0.0)))
+                         sup_mode_error=float(sup_err), center_value=float(v_s(0.0, 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from martinlevels import cli, export, fields, geometry, levelset, slices
+from martinlevels import cli, export, fields, geometry, greenratio, levelset, slices
 from martinlevels._rng import XorShift64Star
 
 
@@ -56,8 +56,12 @@ class TestExitCodes:
         ["green", "--domain", "cylinder", "--x0", "0.5,0", "--poles", "2,3", "--probe", "0.5,1.5"],
         ["slice-scan", "--field", "exterior", "--t", "0.5"],
         ["asymptotics", "--radii", "1:2:3"],
+        ["slice-scan", "--field", "strip", "--t", "1", "--span", "-1"],
+        ["slice-scan", "--field", "strip", "--t", "1", "--span", "0"],
+        # at t = 0.5 the exterior slice is |y| > sqrt(0.75): a span of 0.5 clips it away
+        ["slice-scan", "--field", "exterior", "--t", "0.5", "--span", "0.5"],
     ], ids=["profile-without-f", "cylinder-no-truncation", "unbounded-slice-no-span",
-            "short-radii"])
+            "short-radii", "negative-span", "zero-span", "span-clips-the-slice-away"])
     def test_geometry_errors_are_usage_errors(self, tmp_path, capsys, argv):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
@@ -371,13 +375,15 @@ def test_malformed_cylinder_name_is_a_usage_error(tmp_path, capsys, command, nam
     (["levelsets"], {**STRIP_LEVELS, "h": "abc"}),
     (["levelsets"], {**STRIP_LEVELS, "seed": "x"}),
     (["levelsets"], {**STRIP_LEVELS, "window": [["a", -1], [3, 1]]}),
+    (["levelsets"], {**STRIP_LEVELS, "window": {"lower": [0, -1], "upper": [3, 1]}}),
     (["green", "--domain", "strip", "--x0", "0.5,0", "--poles", "2,3",
       "--probe", "0.4,1.5,-1,1", "--h", "abc"], None),
     (["asymptotics", "--radii", "5:80:x"], None),
     (["slice-scan", "--field", "strip", "--t", "1", "--span", "abc"], None),
     (["green", "--domain", "strip", "--x0", "0.5,0", "--poles", "2,3", "--h", "0.0628"],
      {"probe": ["a", 1.5, -1, 1]}),
-], ids=["levelsets-h", "levelsets-seed", "levelsets-window", "green-h", "asymptotics-radii", "slice-scan-span",
+], ids=["levelsets-h", "levelsets-seed", "levelsets-window", "levelsets-window-mapping",
+        "green-h", "asymptotics-radii", "slice-scan-span",
         "green-config-probe"])
 def test_malformed_number_is_a_usage_error(tmp_path, capsys, argv, config):
     if config is not None:
@@ -413,7 +419,11 @@ SMALL_SQUARE = {"vertices": [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]
      "'A': cannot parse 'vertices'"),
     ({"kind": "convex_ring", "A": 5, "B": SMALL_SQUARE}, "ring body 'A'"),
     (5, "domain must be a kind name or a mapping"),
-], ids=["ngon", "radius", "vertices", "body-not-a-mapping", "domain-not-a-mapping"])
+    ({"kind": "convex_ring", "A": {"ngon": 8, "radious": 2.0}, "B": SMALL_SQUARE},
+     "ring body 'A': ngon-form key 'radious' is unknown; known: ['ngon', 'radius']"),
+    ({"kind": "sector", "f": "sqrt"}, "domain kind 'sector' key 'f' is unknown; known: ['kind']"),
+], ids=["ngon", "radius", "vertices", "body-not-a-mapping", "domain-not-a-mapping",
+        "unknown-body-key", "unknown-domain-key"])
 def test_malformed_domain_config_is_a_usage_error(tmp_path, capsys, domain, named):
     cfg = write_config(tmp_path, "bad.json", {"domain": domain, "h": 0.1})
     assert cli.main(["green", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -615,8 +625,10 @@ def test_unparsable_negative_control_does_not_pass(tmp_path, capsys):
     ("boundary_vanishing", {"tol": [1e-8]}, "cannot parse check 'boundary_vanishing' param 'tol'"),
     ("slice_maxima", {"span": "wide"}, "cannot parse check 'slice_maxima' param 'span'"),
     ("strictness", {"expect_tag": 3}, "param 'expect_tag' must be a string"),
+    ("slice_maxima", {"span": -1.0}, "check 'slice_maxima' param 'span' must be > 0"),
+    ("slice_maxima", {"t": [2.0], "span": 0}, "check 'slice_maxima' param 'span' must be > 0"),
 ], ids=["typo", "other-check-key", "nan", "level", "count", "infinite-count", "list-tol",
-        "span", "tag"])
+        "span", "tag", "negative-span", "zero-span"])
 def test_audit_params_parse_before_any_check_runs(tmp_path, capsys, check, params, message):
     # the valid first check must not run either: no report is written
     cfg = write_config(tmp_path, "audit.json", {
@@ -682,3 +694,57 @@ class TestSeededGenerator:
     def test_zero_seed_not_stuck(self):
         rng = XorShift64Star(0)
         assert len({rng.next_u64() for _ in range(16)}) == 16
+
+
+SMALL_RING = {"domain": {"kind": "convex_ring", "A": {"ngon": 8, "radius": 2.0},
+                         "B": {"ngon": 8, "radius": 0.5}}, "h": 0.1}
+
+
+def test_ring_run_computes_the_inner_body_mask_once(tmp_path, monkeypatch):
+    calls = []
+    inner_body_nodes = greenratio.inner_body_nodes
+    monkeypatch.setattr(greenratio, "inner_body_nodes",
+                        lambda grid: calls.append(grid) or inner_body_nodes(grid))
+    cfg = write_config(tmp_path, "ring.json", SMALL_RING)
+    assert cli.main(["green", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("levels", [[1.5, -0.2, 0.5], [0.5, 1.0], [0.0]],
+                         ids=["outside", "one", "zero"])
+def test_ring_levels_outside_the_unit_interval_are_usage_errors(tmp_path, capsys, levels):
+    cfg = write_config(tmp_path, "ring.json", {**SMALL_RING, "levels": levels})
+    assert cli.main(["green", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "ring levels must lie in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--x0", "1,0"), ("--poles", "2,3"),
+                                         ("--probe", "0.5,1.5")])
+def test_ratio_flags_on_a_ring_run_are_usage_errors(tmp_path, capsys, flag, value):
+    cfg = write_config(tmp_path, "ring.json", SMALL_RING)
+    assert cli.main(["green", "--config", cfg, flag, value, "--out", str(tmp_path / "o")]) == 2
+    assert "a ring run takes no --x0, --poles or --probe" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (["levelsets"], {**STRIP_LEVELS, "level": [1.0]}, "config key 'level' is unknown"),
+    (["audit"], {"field": "strip", "checks": ["harmonicity"], "check": []},
+     "config key 'check' is unknown; known: ['checks', 'field', 'out', 'seed']"),
+    (["audit"], {"field": "strip", "checks": [{"name": "convexity", "param": {"h": 0.05}}]},
+     "check 'convexity' key 'param' is unknown; "
+     "known: ['expected', 'name', 'params', 'required']"),
+    (["green"], {"domain": "strip", "x0": [0.5, 0], "poles": [2], "hh": 0.1},
+     "config key 'hh' is unknown"),
+    (["green"], {**SMALL_RING, "poles": [2]}, "config key 'poles' is unknown; "
+     "known: ['domain', 'h', 'levels', 'out', 'ratio_out', 'seed']"),
+    (["green"], {"domain": "strip", "x0": [0.5, 0], "poles": [2], "levels": [0.5]},
+     "config key 'levels' is unknown"),
+], ids=["levelsets", "audit", "audit-check", "green-ratio", "green-ring", "green-ratio-levels"])
+def test_unknown_config_keys_are_usage_errors(tmp_path, capsys, argv, config, named):
+    cfg = write_config(tmp_path, "cfg.json", {**config, "seed": 1, "out": "unused"})
+    assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert not (tmp_path / "o").exists()

@@ -444,6 +444,32 @@ class TestWindowAndConfig:
         with pytest.raises(geo.GeometryError, match=key):
             geo.domain_from_config(cfg)
 
+    @pytest.mark.parametrize("cfg, named", [
+        ({"kind": "strip", "f": "sqrt"}, "domain kind 'strip' key 'f' is unknown; known: ['kind']"),
+        ({"kind": "profile", "f": "sqrt", "d": {}}, "key 'd' is unknown"),
+        ({"kind": "convex_ring", "A": {"ngon": 6, "radius": 2.0},
+          "B": {"vertices": [[-0.5, -0.5], [0.5, -0.5], [0, 0.5]], "ngon": 6}},
+         "ring body 'B': vertices-form key 'ngon' is unknown"),
+        ({"kind": ["strip"]}, "unknown domain kind"),
+    ], ids=["plain-kind", "profile", "vertices-body", "unhashable-kind"])
+    def test_domain_config_rejects_unknown_keys(self, cfg, named):
+        with pytest.raises(geo.GeometryError) as exc:
+            geo.domain_from_config(cfg)
+        assert named in str(exc.value)
+
+    def test_sector_minus_slit_states_the_slit_as_an_inequality(self):
+        dom, sector = geo.SectorMinusSlit(), geo.Sector()
+        pts = np.array([[0.5, 0.0], [1.0, 0.0], [1.0 + 1e-12, 0.0], [0.5, 1e-12], [0.5, -0.4],
+                        [0.0, 0.0], [2.0, 0.0], [0.5, 0.6]])
+        assert dom.contains(pts).tolist() == [False, False, True, True, True, False, True, False]
+        assert np.array_equal(dom.contains_closure(pts), sector.contains_closure(pts))
+        classes, overriding = [geo.Domain], []
+        while classes:
+            cls = classes.pop()
+            classes.extend(cls.__subclasses__())
+            overriding += [cls] if cls is not geo.Domain and "contains" in vars(cls) else []
+        assert overriding == [geo.ConvexRing]
+
     def test_ngon_config(self):
         body = geo.body_from_config({"ngon": 64, "radius": 2.0})
         assert len(body.vertices) == 64

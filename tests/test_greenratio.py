@@ -162,6 +162,12 @@ class TestRowBlockedLattice:
         assert np.array_equal(gr.ring_dirichlet_data(grid),
                               np.where((grid.mask == gr.BOUNDARY) & near, 1.0, 0.0))
 
+    def test_ring_data_takes_the_inner_body_mask(self):
+        ring = geo.ConvexRing(geo.square_body(2.0), geo.regular_polygon(12, 0.6))
+        grid = gr.build_grid(ring, geo.WindowBox((-2.0, -2.0), (2.0, 2.0)), 0.05)
+        assert np.array_equal(gr.ring_dirichlet_data(grid, gr.inner_body_nodes(grid)),
+                              gr.ring_dirichlet_data(grid))
+
 
 class TestSolveDirichlet:
     def test_discrete_harmonic_polynomial_exact(self):
