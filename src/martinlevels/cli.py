@@ -156,10 +156,7 @@ def _check_harmonicity(fld, rng, params):
     within 16 eps max |u| / h^2 (long-double eps; the weights sum to 8 in
     absolute value and each value and point is rounded once): an exactly
     harmonic field leaves only rounding, which grows like h^-2."""
-    n = params.get("n_points", 30)
-    if n < 1:
-        raise ConfigError(f"harmonicity needs n_points >= 1, got {n}")
-    pts = fields.interior_points(fld, n, rng)
+    pts = fields.interior_points(fld, params.get("n_points", 30), rng)
     # every stencil of radius 2h <= 0.02 around these points lies in the domain
     hs = [1e-2, 1e-3, 1e-4]
     maxres = [float(np.abs(fields.harmonicity_residual(fld, pts, h)).max(initial=0.0))
@@ -222,6 +219,8 @@ AUDIT_CHECKS = {
     "strictness": (_check_strictness, {"h": (float, None), "levels": (float, ","),
                                        "expect_tag": (str, None)}),
 }
+#: the bound that each of these params must exceed
+_PARAM_BOUNDS = {"span": 0, "n_points": 0, "n_samples": 1}
 
 
 def cmd_audit(args):
@@ -255,8 +254,8 @@ def cmd_audit(args):
             if kinds[key][0] is str and not isinstance(value, str):
                 raise ConfigError(f"{what} must be a string, got {value!r}")
             parsed[key] = value if kinds[key][0] is str else _parse(value, what, *kinds[key])
-        if parsed.get("span", 1.0) <= 0.0:
-            raise ConfigError(f"check {name!r} param 'span' must be > 0")
+            if key in _PARAM_BOUNDS and parsed[key] <= _PARAM_BOUNDS[key]:
+                raise ConfigError(f"{what} must be > {_PARAM_BOUNDS[key]}")
         jobs.append((name, parsed, expected, required))
 
     verdicts = {}

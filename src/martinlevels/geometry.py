@@ -97,6 +97,19 @@ def lattice_blocks(xs, ys):
         yield rows, pts
 
 
+def lattice_mask(xs, ys, member):
+    """``member(points)`` on the nodes of the lattice xs x ys, by row blocks."""
+    out = np.empty((len(xs), len(ys)), dtype=bool)
+    for rows, pts in lattice_blocks(xs, ys):
+        out[rows] = member(pts)
+    return out
+
+
+def _float_keys(bits):
+    """float64 bit patterns as int64 keys in numeric order, and back."""
+    return bits ^ ((bits >> 63) & 0x7FFFFFFFFFFFFFFF)
+
+
 # ---------------------------------------------------------------------------
 # Convex bodies (bounded convex polygons containing the origin)
 # ---------------------------------------------------------------------------
@@ -338,7 +351,30 @@ class Domain:
         raise GeometryError(f"domain kind {self.kind!r} has no slices")
 
     def boundary_points(self, window, n):
-        raise GeometryError(f"domain kind {self.kind!r} has no boundary samples")
+        """Boundary points in the window from membership alone: on its lattice
+        with about n nodes along the longer side, the nodes in the closure but
+        not in the open set, then on each edge whose ends differ in
+        ``contains`` (along x, then y) the first float outside the open set,
+        by bisection in float order (one float past a rounded wall that no
+        float lies on).  A zero-width wall (the slit) is found only on a
+        lattice row, as the mirror-exact lattice of a y-symmetric window gives."""
+        xs, ys = window.lattice(max(window.extent()) / (n - 1))
+        inside = lattice_mask(xs, ys, self.contains)
+        ii, jj = np.nonzero(lattice_mask(xs, ys, self.contains_closure) & ~inside)
+        out = [np.column_stack([xs[ii], ys[jj]])]
+        for axis, nodes in enumerate((xs, ys)):
+            ii, jj = np.nonzero(np.diff(inside, axis=axis))
+            k = (ii, jj)[axis]
+            keys = _float_keys(np.stack([nodes[k], nodes[k + 1]]).view(np.int64))
+            a, b = np.where(inside[ii, jj], keys, keys[::-1])
+            pts = np.column_stack([xs[ii], ys[jj]])
+            for _ in range(64):
+                mid = (a >> 1) + (b >> 1) + (a & b & 1)
+                pts[:, axis] = _float_keys(mid).view(float)
+                a, b = np.where(self.contains(pts), (mid, b), (a, mid))
+            pts[:, axis] = _float_keys(b).view(float)
+            out.append(pts)
+        return np.vstack(out)
 
     def truncation_window(self, s):
         raise GeometryError(f"domain kind {self.kind!r} has no axial truncation rule")
@@ -369,16 +405,6 @@ class Strip(Domain):
     def truncation_window(self, s):
         return WindowBox((0.0, -np.pi / 2), (2.0 * s, np.pi / 2))
 
-    def boundary_points(self, window, n):
-        (x0, y0), (x1, y1) = window.lower, window.upper
-        xs = np.linspace(max(x0, 0.0), x1, n)
-        ys = np.linspace(max(y0, -np.pi / 2), min(y1, np.pi / 2), n)
-        walls = [np.column_stack([xs, np.full_like(xs, np.pi / 2)]),
-                 np.column_stack([xs, np.full_like(xs, -np.pi / 2)])]
-        if x0 <= 0.0:
-            walls.append(np.column_stack([np.zeros_like(ys), ys]))
-        return np.vstack(walls)
-
 
 class RightHalfplane(Domain):
     """{x > 0}."""
@@ -399,10 +425,6 @@ class RightHalfplane(Domain):
     def truncation_window(self, s):
         return WindowBox((0.0, -s), (2.0 * s, s))
 
-    def boundary_points(self, window, n):
-        ys = np.linspace(window.lower[1], window.upper[1], n)
-        return np.column_stack([np.zeros_like(ys), ys])
-
 
 class Sector(Domain):
     """{x > 0, |y| < x}."""
@@ -419,11 +441,6 @@ class Sector(Domain):
         if t <= 0.0:
             raise GeometryError(f"slice at t={t} is empty")
         return SliceSet(t, ((-t, t),))
-
-    def boundary_points(self, window, n):
-        x1 = window.upper[0]
-        xs = np.linspace(0.0, x1, n)
-        return np.vstack([np.column_stack([xs, xs]), np.column_stack([xs, -xs])])
 
 
 #: the slit [0, 1] as a two-vertex polygon, both of whose edges are the segment
@@ -449,11 +466,6 @@ class SectorMinusSlit(Sector):
             return SliceSet(t, ((-t, 0.0), (0.0, t)))
         return SliceSet(t, ((-t, t),))
 
-    def boundary_points(self, window, n):
-        pts = super().boundary_points(window, n)
-        xs = np.linspace(0.0, 1.0, n)
-        return np.vstack([pts, np.column_stack([xs, np.zeros_like(xs)])])
-
 
 class HalfplaneMinusDisk(Domain):
     """{x > 0, ||(x, y)|| > 1}."""
@@ -477,14 +489,6 @@ class HalfplaneMinusDisk(Domain):
     def truncation_window(self, s):
         return WindowBox((0.0, -s), (2.0 * s, s))
 
-    def boundary_points(self, window, n):
-        th = np.linspace(-np.pi / 2, np.pi / 2, n)
-        arc = np.column_stack([np.cos(th), np.sin(th)])
-        ys = np.linspace(window.lower[1], window.upper[1], n)
-        ys = ys[np.abs(ys) >= 1.0]
-        wall = np.column_stack([np.zeros_like(ys), ys])
-        return np.vstack([arc, wall]) if len(wall) else arc
-
 
 class CylinderDomain(Domain):
     """R x (-1, 1)."""
@@ -499,11 +503,6 @@ class CylinderDomain(Domain):
 
     def slice_at(self, t):
         return SliceSet(t, ((-1.0, 1.0),))
-
-    def boundary_points(self, window, n):
-        ts = np.linspace(window.lower[0], window.upper[0], n)
-        return np.vstack([np.column_stack([ts, np.ones_like(ts)]),
-                          np.column_stack([ts, -np.ones_like(ts)])])
 
 
 class ConvexRing(Domain):
@@ -600,15 +599,6 @@ class RescaledProfile(_IntervalProfile):
 
     def _axial(self, t, lt):
         return lt(np.abs(t), self.s / 2.0)
-
-    def boundary_points(self, window, n):
-        t0 = max(window.lower[0], -self.s / 2.0)
-        t1 = min(window.upper[0], self.s / 2.0)
-        ts = np.linspace(t0, t1, n)
-        r = self.radius(ts)
-        keep = np.isfinite(r)
-        ts, r = ts[keep], r[keep]
-        return np.vstack([np.column_stack([ts, r * self.hi]), np.column_stack([ts, r * self.lo])])
 
 
 def rescaled_domain(domain, s):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import _STENCIL, ScalarField, _centered_gradient, _centered_hessian
-from .geometry import ConvexRing, Domain, GeometryError, WindowBox, lattice_blocks
+from .geometry import ConvexRing, Domain, GeometryError, WindowBox, lattice_mask
 
 EXTERIOR, INTERIOR, BOUNDARY = 0, 1, 2
 
@@ -83,8 +83,8 @@ def build_grid(domain, window, h):
     xs, ys = window.lattice(h)
     hx = float((xs[-1] - xs[0]) / (len(xs) - 1))
     hy = float((ys[-1] - ys[0]) / (len(ys) - 1))
-    in_closure = _lattice_mask(xs, ys, domain.contains_closure)
-    interior = _lattice_mask(xs, ys, domain.contains)
+    in_closure = lattice_mask(xs, ys, domain.contains_closure)
+    interior = lattice_mask(xs, ys, domain.contains)
     interior[0, :] = interior[-1, :] = False
     interior[:, 0] = interior[:, -1] = False
     interior[1:-1, 1:-1] &= (in_closure[2:, 1:-1] & in_closure[:-2, 1:-1]
@@ -100,14 +100,6 @@ def build_grid(domain, window, h):
     if not _connected(interior):
         raise GeometryError("grid interior is disconnected")
     return Grid2D(domain=domain, window=window, hx=hx, hy=hy, xs=xs, ys=ys, mask=mask)
-
-
-def _lattice_mask(xs, ys, member):
-    """``member(points)`` on the nodes of the lattice xs x ys, by row blocks."""
-    out = np.empty((len(xs), len(ys)), dtype=bool)
-    for rows, pts in lattice_blocks(xs, ys):
-        out[rows] = member(pts)
-    return out
 
 
 def _has_neighbor_in(member):
@@ -585,8 +577,8 @@ def ring_dirichlet_data(grid, closed=None):
     if not isinstance(grid.domain, ConvexRing):
         raise GeometryError("ring data needs a convex-ring grid")
     closed = inner_body_nodes(grid) if closed is None else closed
-    near_inner = closed | _has_neighbor_in(_lattice_mask(grid.xs, grid.ys,
-                                                         grid.domain.inner.contains))
+    near_inner = closed | _has_neighbor_in(lattice_mask(grid.xs, grid.ys,
+                                                        grid.domain.inner.contains))
     return np.where((grid.mask == BOUNDARY) & near_inner, 1.0, 0.0)
 
 
@@ -595,4 +587,4 @@ def inner_body_nodes(grid):
     if not isinstance(grid.domain, ConvexRing):
         raise GeometryError("needs a convex-ring grid")
     inner = grid.domain.inner
-    return _lattice_mask(grid.xs, grid.ys, lambda pts: inner.contains(pts, strict=False))
+    return lattice_mask(grid.xs, grid.ys, lambda pts: inner.contains(pts, strict=False))

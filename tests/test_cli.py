@@ -214,11 +214,6 @@ class TestAudit:
         if name == "halfplane_x":
             assert details == {"fitted_order": None, "max_residuals": [0.0, 0.0, 0.0]}
 
-    def test_harmonicity_without_points_fails(self):
-        # no sample point would leave every residual at 0, inside any floor
-        with pytest.raises(cli.ConfigError, match="n_points >= 1"):
-            cli._check_harmonicity(fields.halfplane_v(), XorShift64Star(0), {"n_points": 0})
-
     @pytest.mark.parametrize("seed", [0, 5, 11])
     @pytest.mark.parametrize("name", ["strip", "exterior", "slit_sector", "cylinder:A=1,B=0.5"])
     def test_harmonicity_details_match_per_point_reference(self, name, seed):
@@ -627,8 +622,16 @@ def test_unparsable_negative_control_does_not_pass(tmp_path, capsys):
     ("strictness", {"expect_tag": 3}, "param 'expect_tag' must be a string"),
     ("slice_maxima", {"span": -1.0}, "check 'slice_maxima' param 'span' must be > 0"),
     ("slice_maxima", {"t": [2.0], "span": 0}, "check 'slice_maxima' param 'span' must be > 0"),
+    # no sample point would leave every residual at 0, inside any floor
+    ("harmonicity", {"n_points": 0}, "check 'harmonicity' param 'n_points' must be > 0"),
+    ("harmonicity", {"n_points": -3}, "check 'harmonicity' param 'n_points' must be > 0"),
+    ("boundary_vanishing", {"n_samples": 0},
+     "check 'boundary_vanishing' param 'n_samples' must be > 1"),
+    ("boundary_vanishing", {"n_samples": 1},
+     "check 'boundary_vanishing' param 'n_samples' must be > 1"),
 ], ids=["typo", "other-check-key", "nan", "level", "count", "infinite-count", "list-tol",
-        "span", "tag", "negative-span", "zero-span"])
+        "span", "tag", "negative-span", "zero-span", "no-points", "negative-points",
+        "no-samples", "one-sample"])
 def test_audit_params_parse_before_any_check_runs(tmp_path, capsys, check, params, message):
     # the valid first check must not run either: no report is written
     cfg = write_config(tmp_path, "audit.json", {
@@ -664,6 +667,32 @@ def test_green_domains_cover_every_registered_kind():
     assert {_kind(d) for d in GREEN_DOMAINS} == _registered_kinds()
     for d in GREEN_DOMAINS:
         assert geometry.domain_from_config(d).kind == _kind(d)
+
+
+#: kinds with a wall that is a rounded function of the point (a circle, a
+#: polygon edge, a profile), which can pass between two adjacent floats
+ROUNDED_WALLS = {"halfplane_minus_disk", "convex_ring", "profile", "rescaled_profile"}
+
+
+@pytest.mark.parametrize("kind", sorted(_registered_kinds()) + ["rescaled_profile"])
+@pytest.mark.parametrize("window", [((-2.5, -2.5), (3.0, 2.5)), ((-1.0, -3.0), (5.0, 2.2))],
+                         ids=["symmetric", "asymmetric"])
+def test_boundary_samples_lie_on_the_boundary(kind, window):
+    # x = 0 lies between lattice lines, and y = 0 too in the asymmetric window
+    if kind == "rescaled_profile":
+        domain = geometry.rescaled_domain(geometry.domain_from_config(GREEN_DOMAINS[-1]), 4.0)
+    else:
+        domain = geometry.domain_from_config(next(d for d in GREEN_DOMAINS if _kind(d) == kind))
+    for n in (50, 200):
+        pts = domain.boundary_points(geometry.WindowBox(*window), n)
+        assert len(pts) > 0 and not np.any(domain.contains(pts))
+        off = pts[~domain.contains_closure(pts)]
+        assert len(off) == 0 or kind in ROUNDED_WALLS
+        # where no float lies on a rounded wall, the sample is one float
+        # step along a lattice line from the open set
+        steps = [domain.contains(np.nextafter(off, off + d))
+                 for d in np.concatenate([np.eye(2), -np.eye(2)])]
+        assert np.all(np.any(steps, axis=0))
 
 
 @pytest.mark.parametrize("domain", GREEN_DOMAINS, ids=_kind)

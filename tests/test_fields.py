@@ -204,10 +204,33 @@ class TestBoundaryAndPositivity:
         first = Ties.domain.boundary_points(Ties.default_window, 50)[0]
         assert rep.max_abs == 1.0 and rep.worst_point == tuple(first)
 
-    @pytest.mark.parametrize("name", ALL_MARTIN)
+    @pytest.mark.parametrize("name", ALL_MARTIN + ["halfplane_v", "halfplane_x",
+                                                   "cylinder:A=1,B=1"])
     def test_boundary_vanishing(self, name):
         rep = flds.boundary_vanishing(flds.field_from_name(name), n_samples=200, tol=1e-8)
         assert rep.passed, f"max |u| on boundary = {rep.max_abs} at {rep.worst_point}"
+
+    @pytest.mark.parametrize("name, walls", [
+        ("strip", [lambda s: (3 * s, np.full_like(s, np.pi / 2)),
+                   lambda s: (3 * s, np.full_like(s, -np.pi / 2)),
+                   lambda s: (0 * s, np.pi * (s - 0.5))]),
+        ("exterior", [lambda s: (np.cos(np.pi * (s - 0.5)), np.sin(np.pi * (s - 0.5))),
+                      lambda s: (0 * s, 1 + 2 * s), lambda s: (0 * s, -1 - 2 * s)]),
+        ("slit_sector", [lambda s: (4 * s, 4 * s), lambda s: (4 * s, -4 * s),
+                         lambda s: (s, 0 * s)])], ids=["strip", "exterior", "slit_sector"])
+    def test_boundary_samples_cover_every_wall(self, name, walls):
+        # every point of each wall in the default window lies within one
+        # lattice spacing of a sample
+        fld = flds.field_from_name(name)
+        window = fld.default_window
+        xs, ys = window.lattice(max(window.extent()) / 199)
+        spacing = max(np.diff(xs).max(), np.diff(ys).max())
+        samples = fld.domain.boundary_points(window, 200)
+        s = np.linspace(0.0, 1.0, 2001)
+        for wall in walls:
+            pts = np.column_stack(wall(s))
+            gap = np.linalg.norm(pts[:, None] - samples[None], axis=-1).min(axis=1)
+            assert gap.max() <= spacing
 
     @pytest.mark.parametrize("name", ALL_MARTIN)
     def test_interior_positivity(self, name):

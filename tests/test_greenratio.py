@@ -150,7 +150,7 @@ class TestRowBlockedLattice:
         assert len(xs) > 2 * geo.LATTICE_BLOCK
         pts = reference_node_points(xs, ys)
         for member in (domain.contains, domain.contains_closure):
-            assert np.array_equal(gr._lattice_mask(xs, ys, member), member(pts))
+            assert np.array_equal(geo.lattice_mask(xs, ys, member), member(pts))
 
     def test_ring_data_equals_the_whole_lattice(self):
         ring = geo.ConvexRing(geo.square_body(2.0), geo.regular_polygon(12, 0.6))
