@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -30,31 +29,6 @@ from ._rng import XorShift64Star
 
 class ConfigError(ValueError):
     pass
-
-
-def _parse(text, what, kind=float, sep=None):
-    """``kind(text)``, or with ``sep`` the list of ``kind`` of each item of a
-    config list or of each nonempty ``sep``-separated field of a string; a
-    :class:`ConfigError` naming ``what`` when one does not parse or is not
-    finite."""
-    if sep is not None and not isinstance(text, list):
-        text = [v for v in str(text).split(sep) if v != ""]
-    try:
-        vals = [kind(text)] if sep is None else [kind(v) for v in text]
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"cannot parse {what} {text!r}") from None
-    if not all(map(math.isfinite, vals)):
-        raise ConfigError(f"{what} {text!r} is not finite")
-    return vals[0] if sep is None else vals
-
-
-def _path(raw, key, default):
-    """The file or directory name under ``key`` of a config, or ``default``;
-    a :class:`ConfigError` when it is not a string."""
-    value = raw.get(key, default)
-    if not isinstance(value, str):
-        raise ConfigError(f"config '{key}' must be a path string, got {value!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -78,16 +52,15 @@ def _load(args):
             raise ConfigError(f"cannot read config {args.config}: {e}")
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-    seed = _parse(raw.get("seed", 0), "seed", int) if args.seed is None else args.seed
-    return raw, seed, args.out or _path(raw, "out", ".")
+    seed = geometry.parse_value(raw.get("seed", 0), "seed", int) if args.seed is None else args.seed
+    return raw, seed, args.out or geometry.parse_value(raw.get("out", "."), "config 'out'", str)
 
 
-def _field(raw):
-    name = raw.get("field")
+def _field(name):
     if not name:
         raise ConfigError("config needs a 'field' registry name")
     try:
-        return fields.field_from_name(name)
+        return fields.field_from_name(geometry.parse_value(name, "config 'field'", str))
     except fields.FieldError as e:
         raise ConfigError(str(e))
 
@@ -111,7 +84,7 @@ def _csv_rows(k, curve):
 
 def cmd_levelsets(args):
     raw, _, out = _load(args)
-    fld = _field(raw)
+    fld = _field(raw.get("field"))
     geometry.check_keys(raw, ("field", "window", "levels", "h") + _COMMON_KEYS, "config key")
     w = raw.get("window")
     try:
@@ -119,12 +92,8 @@ def cmd_levelsets(args):
                   else geometry.WindowBox(tuple(w[0]), tuple(w[1])))
     except (ValueError, TypeError, IndexError, KeyError) as e:  # GeometryError is a ValueError
         raise ConfigError(f"bad window {w!r}: {e}")
-    if not raw.get("levels"):
-        raise ConfigError("config needs a nonempty 'levels' grid")
-    levels = _parse(raw["levels"], "level grid", sep=",")
-    if any(c <= 0.0 for c in levels):
-        raise ConfigError("levels must be positive")
-    h = _parse(raw.get("h", 0.02), "h")
+    levels = geometry.parse_value(raw.get("levels", []), "level grid", sep=",", above=0.0)
+    h = geometry.parse_value(raw.get("h", 0.02), "h")
     t0 = time.perf_counter()
     curves = []
     for c in levels:
@@ -209,23 +178,23 @@ def _check_strictness(fld, rng, params):
     return ok, {"tags": {str(k): v for k, v in cls.tags.items()}}
 
 
-#: each check and the params it reads, each with its kind and its list
-#: separator (None for one value); a param left out takes the check's default
+#: each check and the params it reads, each with the arguments of
+#: :func:`geometry.parse_value` after the value and its name: the kind, then
+#: the list separator (None for one value) and the bound it must exceed; a
+#: param left out takes the check's default
 AUDIT_CHECKS = {
-    "harmonicity": (_check_harmonicity, {"n_points": (int, None)}),
-    "boundary_vanishing": (_check_boundary, {"n_samples": (int, None), "tol": (float, None)}),
-    "convexity": (_check_convexity, {"h": (float, None), "levels": (float, ",")}),
-    "slice_maxima": (_check_slice_maxima, {"t": (float, ","), "span": (float, None)}),
-    "strictness": (_check_strictness, {"h": (float, None), "levels": (float, ","),
-                                       "expect_tag": (str, None)}),
+    "harmonicity": (_check_harmonicity, {"n_points": (int, None, 0)}),
+    "boundary_vanishing": (_check_boundary, {"n_samples": (int, None, 1), "tol": (float,)}),
+    "convexity": (_check_convexity, {"h": (float,), "levels": (float, ",")}),
+    "slice_maxima": (_check_slice_maxima, {"t": (float, ","), "span": (float, None, 0)}),
+    "strictness": (_check_strictness, {"h": (float,), "levels": (float, ","),
+                                       "expect_tag": (str,)}),
 }
-#: the bound that each of these params must exceed
-_PARAM_BOUNDS = {"span": 0, "n_points": 0, "n_samples": 1}
 
 
 def cmd_audit(args):
     raw, seed, out = _load(args)
-    fld = _field(raw)
+    fld = _field(raw.get("field"))
     geometry.check_keys(raw, ("field", "checks") + _COMMON_KEYS, "config key")
     spec_list = raw.get("checks")
     if not spec_list or not isinstance(spec_list, list):
@@ -248,14 +217,8 @@ def cmd_audit(args):
             raise ConfigError(f"check {name!r}: 'expected' and 'required' must be true or false")
         kinds = AUDIT_CHECKS[name][1]
         geometry.check_keys(params, kinds, f"check {name!r} param")
-        parsed = {}
-        for key, value in params.items():
-            what = f"check {name!r} param {key!r}"
-            if kinds[key][0] is str and not isinstance(value, str):
-                raise ConfigError(f"{what} must be a string, got {value!r}")
-            parsed[key] = value if kinds[key][0] is str else _parse(value, what, *kinds[key])
-            if key in _PARAM_BOUNDS and parsed[key] <= _PARAM_BOUNDS[key]:
-                raise ConfigError(f"{what} must be > {_PARAM_BOUNDS[key]}")
+        parsed = {key: geometry.parse_value(value, f"check {name!r} param {key!r}", *kinds[key])
+                  for key, value in params.items()}
         jobs.append((name, parsed, expected, required))
 
     verdicts = {}
@@ -316,9 +279,9 @@ def _probe_half_height(domain, x0, x1, pole):
     return half
 
 
-def _green_ring_mode(domain, raw, h, args, out_path):
+def _green_ring_mode(domain, raw, h, args, out):
     """Theorem-style ring run: direct solve plus per-level convexity verdicts."""
-    levels = _parse(raw.get("levels", [0.25, 0.5, 0.75]), "levels", sep=",")
+    levels = geometry.parse_value(raw.get("levels", [0.25, 0.5, 0.75]), "levels", sep=",")
     if not all(0.0 < c < 1.0 for c in levels):
         raise ConfigError(f"ring levels must lie in (0, 1), got {levels}")
     lo = domain.outer.vertices.min(axis=0)
@@ -345,6 +308,7 @@ def _green_ring_mode(domain, raw, h, args, out_path):
         "max_principle": umin >= 0.0 and umax <= 1.0,
         "convexity": verdicts,
     }
+    out_path = os.path.join(out, "ring.json")
     export.write_json(out_path, payload)
     if args.verbose:
         print(f"green (ring mode): {verdicts} -> {out_path}")
@@ -358,22 +322,18 @@ def cmd_green(args):
         raise ConfigError("green needs --domain or a config 'domain'")
     domain = geometry.domain_from_config(domain_name)
     ring = isinstance(domain, geometry.ConvexRing)
-    out_path = os.path.join(out, args.ratio_out
-                            or _path(raw, "ratio_out", "ring.json" if ring else "ratio.json"))
-    geometry.check_keys(raw, ("domain", "h", "ratio_out") + _COMMON_KEYS
+    geometry.check_keys(raw, ("domain", "h") + _COMMON_KEYS
                         + (("levels",) if ring else ("x0", "poles", "probe")), "config key")
-    h = _parse(args.h or raw.get("h", 0.05), "h")
+    h = geometry.parse_value(args.h or raw.get("h", 0.05), "h")
     if ring:
         if args.x0 or args.poles or args.probe:
             raise ConfigError("a ring run takes no --x0, --poles or --probe")
-        return _green_ring_mode(domain, raw, h, args, out_path)
-    x0 = _parse(args.x0 or raw.get("x0", []), "x0", sep=",")
-    poles = _parse(args.poles or raw.get("poles", []), "poles", sep=",")
-    if len(x0) != 2 or not poles:
-        raise ConfigError("green needs --x0 x,y and --poles s1,s2,...")
-    probe_vals = _parse(args.probe or raw.get("probe", []), "probe", sep=",")
-    if not probe_vals:
-        raise ConfigError("green needs --probe x0,x1[,y0,y1]")
+        return _green_ring_mode(domain, raw, h, args, out)
+    x0 = geometry.parse_value(args.x0 or raw.get("x0", []), "x0", sep=",")
+    if len(x0) != 2:
+        raise ConfigError(f"green needs --x0 x,y, got {x0}")
+    poles = geometry.parse_value(args.poles or raw.get("poles", []), "poles", sep=",")
+    probe_vals = geometry.parse_value(args.probe or raw.get("probe", []), "probe", sep=",")
     if len(probe_vals) == 2:
         half = 0.8 * _probe_half_height(domain, probe_vals[0], probe_vals[1], poles[0])
         probe = geometry.WindowBox((probe_vals[0], -half), (probe_vals[1], half))
@@ -411,8 +371,9 @@ def cmd_green(args):
         exact = fld.value(result.probe_points) / fld.value(np.asarray(mcfg.x0))
         rel = np.abs(probe_vals_final - exact) / np.abs(exact)
         payload["closed_form"] = {"field": oracle, "max_rel_error": float(rel.max())}
+    out_path = os.path.join(out, "ratio.json")
     export.write_json(out_path, payload)
-    export.write_json(out_path.replace(".json", ".timings.json"),
+    export.write_json(os.path.join(out, "ratio.timings.json"),
                       {"total": time.perf_counter() - t0})
     if args.verbose:
         print(f"green: {len(poles)} poles, cauchy={result.cauchy} -> {out_path}")
@@ -424,16 +385,9 @@ def cmd_green(args):
 # ---------------------------------------------------------------------------
 
 def cmd_slice_scan(args):
-    try:
-        fld = fields.field_from_name(args.field)
-    except fields.FieldError as e:
-        raise ConfigError(str(e))
-    ts = _parse(args.t, "t", sep=",")
-    if not ts:
-        raise ConfigError("slice-scan needs --t t1,t2,...")
-    span = _parse(args.span, "span") if args.span else None
-    if span is not None and span <= 0.0:
-        raise ConfigError(f"--span must be > 0, got {span!r}")
+    fld = _field(args.field)
+    ts = geometry.parse_value(args.t, "--t", sep=",")
+    span = geometry.parse_value(args.span, "--span", above=0.0) if args.span else None
     out = {}
     for t in ts:
         rep = slices.slice_scan(fld, t, span=span)
@@ -448,8 +402,7 @@ def cmd_slice_scan(args):
                              "first_violation": None})
         out[f"{t:g}"] = {"argmax": list(rep.argmax), "max": rep.max_value,
                          "center": rep.center_value, "rays": rays}
-    path = args.out_file or "slices.json"
-    export.write_json(os.path.join(args.out or ".", path), {"field": fld.name, "slices": out})
+    export.write_json(os.path.join(args.out, "slices.json"), {"field": fld.name, "slices": out})
     return 0
 
 
@@ -458,14 +411,14 @@ def cmd_slice_scan(args):
 # ---------------------------------------------------------------------------
 
 def _parse_radii(text):
-    vals = _parse(text, "--radii", sep=":")
+    vals = geometry.parse_value(text, "--radii", sep=":")
     if len(vals) != 3 or min(vals[:2]) <= 0.0 or vals[2] < 0 or not vals[2].is_integer():
         raise ConfigError("--radii takes lo:hi:count with positive bounds and a count >= 0")
     return np.geomspace(vals[0], vals[1], int(vals[2]))
 
 
 def cmd_asymptotics(args):
-    checks = [c.strip() for c in (args.check or "f-decay,hess-residual").split(",") if c.strip()]
+    checks = geometry.parse_value(args.check or "f-decay,hess-residual", "--check", str, sep=",")
     radii = _parse_radii(args.radii or "5:80:12")
     payload = {}
     u = fields.slit_sector_martin()
@@ -484,8 +437,7 @@ def cmd_asymptotics(args):
                                         "radii": [float(r) for r in radii]}
         else:
             raise ConfigError(f"unknown asymptotics check {check!r}")
-    path = os.path.join(args.out or ".", args.out_file or "decay.json")
-    export.write_json(path, payload)
+    export.write_json(os.path.join(args.out, "decay.json"), payload)
     return 0
 
 
@@ -519,7 +471,6 @@ def build_parser():
     sp.add_argument("--poles")
     sp.add_argument("--h")
     sp.add_argument("--probe")
-    sp.add_argument("--ratio-out", dest="ratio_out")
     sp.set_defaults(func=cmd_green, needs_config=False)
 
     sp = sub.add_parser("slice-scan", help="slice maxima and ray monotonicity")
@@ -527,14 +478,12 @@ def build_parser():
     sp.add_argument("--field", required=True)
     sp.add_argument("--t", required=True)
     sp.add_argument("--span")
-    sp.add_argument("--out-file", dest="out_file")
     sp.set_defaults(func=cmd_slice_scan, needs_config=False)
 
     sp = sub.add_parser("asymptotics", help="decay and residual slope fits")
     sp.add_argument("--out", default=".")
     sp.add_argument("--check")
     sp.add_argument("--radii")
-    sp.add_argument("--out-file", dest="out_file")
     sp.set_defaults(func=cmd_asymptotics, needs_config=False)
     return p
 

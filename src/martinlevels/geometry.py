@@ -142,16 +142,18 @@ class ConvexBody:
         w = np.asarray(w, dtype=float)
         if w.shape[-1:] != (2,):
             raise GeometryError(f"membership needs points (..., 2), got {w.shape}")
-        v = self.vertices
-        n = len(v)
-        x, y = w[..., 0], w[..., 1]
-        inside = np.ones(np.shape(x), dtype=bool)
-        for k in range(n):
-            ax, ay = v[k]
-            bx, by = v[(k + 1) % n]
-            cross = (bx - ax) * (y - ay) - (by - ay) * (x - ax)
-            inside &= (cross > 0.0) if strict else (cross >= 0.0)
-        return inside[()]
+        lt = np.less if strict else np.less_equal
+        return self._edges(w[..., 0], w[..., 1], lambda cross: lt(0.0, cross))[()]
+
+    def _edges(self, x, y, test, join=np.logical_and):
+        """``test(cross)`` joined by ``join`` over the edges, where cross is the
+        cross product of an edge with the points x, y (positive on the body's
+        side): with ``np.logical_and`` it holds on every edge, with
+        ``np.logical_or`` on some edge."""
+        out = np.full(np.shape(x), join.identity, dtype=bool)
+        for (ax, ay), (bx, by) in zip(self.vertices, np.roll(self.vertices, -1, axis=0)):
+            join(out, test((bx - ax) * (y - ay) - (by - ay) * (x - ax)), out=out)
+        return out
 
 
 def convex_hull_2d(points):
@@ -211,12 +213,12 @@ def square_body(half=1.0):
 # Profiles
 # ---------------------------------------------------------------------------
 
-#: closed-form (f, f') pairs usable as profile functions
+#: closed-form profile functions, by name
 PROFILES = {
-    "sqrt": (np.sqrt, lambda t: 0.5 / np.sqrt(t)),
-    "log1p": (np.log1p, lambda t: 1.0 / (1.0 + t)),
-    "const": (lambda t: np.ones_like(np.asarray(t, dtype=float)), lambda t: np.zeros_like(np.asarray(t, dtype=float))),
-    "saturating": (lambda t: t / (1.0 + t), lambda t: 1.0 / (1.0 + t) ** 2),
+    "sqrt": np.sqrt,
+    "log1p": np.log1p,
+    "const": lambda t: np.ones_like(np.asarray(t, dtype=float)),
+    "saturating": lambda t: t / (1.0 + t),
 }
 
 #: geometric sampling grid on which profile hypotheses are checked
@@ -227,15 +229,14 @@ class ProfileDomain:
     """Profile function ``f`` plus cross-section ``D``, an interval
     ``(lo, hi)`` with ``lo < 0 < hi``.
 
-    ``f`` (and ``fprime``) must accept float arrays and act elementwise;
-    membership of the closure evaluates ``f`` at ``t = 0``, where it must
-    return its limit from the right.  ``f`` may also be a name from
-    :data:`PROFILES`.  f must be positive and f' non-increasing (both
-    checked by sampling on a geometric grid, tolerance 1e-9).  When
-    ``fprime`` is omitted a centered finite difference of ``f`` is used.
+    ``f`` must accept float arrays and act elementwise; membership of the
+    closure evaluates ``f`` at ``t = 0``, where it must return its limit
+    from the right.  ``f`` may also be a name from :data:`PROFILES`.  f must
+    be positive and concave: both are checked on a geometric grid, where
+    the secant slopes of f must not increase (tolerance 1e-9).
     """
 
-    def __init__(self, f, cross_section=(-1.0, 1.0), fprime=None):
+    def __init__(self, f, cross_section=(-1.0, 1.0)):
         try:
             lo, hi = map(float, cross_section)
         except (TypeError, ValueError):
@@ -246,16 +247,10 @@ class ProfileDomain:
         if isinstance(f, str):
             if f not in PROFILES:
                 raise GeometryError(f"unknown profile {f!r}; known: {sorted(PROFILES)}")
-            f, fp = PROFILES[f]
-            fprime = fprime or fp
+            f = PROFILES[f]
         elif not callable(f):
             raise GeometryError(f"profile must be a callable or a name from {sorted(PROFILES)}")
-        if fprime is None:
-            def fprime(t, _f=f):
-                h = 1e-6 * (1.0 + np.abs(t))
-                return (_f(t + h) - _f(t - h)) / (2.0 * h)
         self.f = f
-        self.fprime = fprime
         self.cross_section = (lo, hi)
         self._validate()
 
@@ -263,12 +258,12 @@ class ProfileDomain:
         fv = np.asarray(self.f(_HYPOTHESIS_GRID), dtype=float)
         if not np.all(fv > 0.0):
             raise GeometryError("profile must be positive on (0, inf)")
-        dv = np.asarray(self.fprime(_HYPOTHESIS_GRID), dtype=float)
-        if not np.all(np.diff(dv) <= tol):
-            k = int(np.argmax(np.diff(dv) > tol))
+        rise = np.diff(np.diff(fv) / np.diff(_HYPOTHESIS_GRID))
+        if not np.all(rise <= tol):
+            k = int(np.argmax(~(rise <= tol)))
             raise GeometryError(
-                f"profile derivative increases between t={_HYPOTHESIS_GRID[k]:g} "
-                f"and t={_HYPOTHESIS_GRID[k + 1]:g}")
+                f"profile is not concave: its secant slope increases between "
+                f"t={_HYPOTHESIS_GRID[k]:g} and t={_HYPOTHESIS_GRID[k + 2]:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +352,10 @@ class Domain:
         ``contains`` (along x, then y) the first float outside the open set,
         by bisection in float order (one float past a rounded wall that no
         float lies on).  A zero-width wall (the slit) is found only on a
-        lattice row, as the mirror-exact lattice of a y-symmetric window gives."""
+        lattice row, as the mirror-exact lattice of a y-symmetric window gives.
+        A GeometryError for n < 2."""
+        if not n >= 2:
+            raise GeometryError(f"boundary sampling needs n >= 2, got {n}")
         xs, ys = window.lattice(max(window.extent()) / (n - 1))
         inside = lattice_mask(xs, ys, self.contains)
         ii, jj = np.nonzero(lattice_mask(xs, ys, self.contains_closure) & ~inside)
@@ -516,15 +514,9 @@ class ConvexRing(Domain):
         self.outer = outer
         self.inner = inner
 
-    def contains(self, p):
-        p = np.asarray(p, dtype=float)
-        return np.asarray(self.outer.contains(p, strict=True)
-                          & ~self.inner.contains(p, strict=False))[()]
-
-    def contains_closure(self, p):
-        p = np.asarray(p, dtype=float)
-        return np.asarray(self.outer.contains(p, strict=False)
-                          & ~self.inner.contains(p, strict=True))[()]
+    def _member(self, x, y, lt):
+        return (self.outer._edges(x, y, lambda cross: lt(0.0, cross))
+                & self.inner._edges(x, y, lambda cross: lt(cross, 0.0), np.logical_or))
 
 
 class _IntervalProfile(Domain):
@@ -618,8 +610,7 @@ def rescaled_domain(domain, s):
 
 def strip_as_profile():
     """The strip viewed as the constant-profile region (pi/2) * (-1, 1)."""
-    prof = ProfileDomain(lambda t: np.full_like(np.asarray(t, dtype=float), np.pi / 2),
-                         fprime=lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+    prof = ProfileDomain(lambda t: np.full_like(np.asarray(t, dtype=float), np.pi / 2))
     return ProfileRegion(prof)
 
 
@@ -661,24 +652,55 @@ def check_keys(cfg, known, what):
         raise GeometryError(f"{what} {unknown[0]!r} is unknown; known: {sorted(known)}")
 
 
+def parse_value(value, what, kind=float, sep=None, above=None):
+    """``value`` read as ``kind`` (float, int or str), or with ``sep`` the
+    list of ``kind`` of each item of a config list or of each field of a
+    string split at ``sep``, stripped, blank fields dropped.  A GeometryError
+    naming ``what`` when a value does not parse (an int must be integral:
+    8.0 reads as 8, 8.5 is an error), a string is not a string, a number is
+    not finite, the list is empty or a number is not above ``above``."""
+    if sep is not None and not isinstance(value, list):
+        value = [v.strip() for v in str(value).split(sep) if v.strip()]
+    items = [value] if sep is None else value
+    if kind is str:
+        if not all(isinstance(v, str) for v in items):
+            raise GeometryError(f"{what} must be a string, got {value!r}")
+        vals = items
+    else:
+        try:
+            vals = [_integral(v) if kind is int else kind(v) for v in items]
+        except (TypeError, ValueError, OverflowError):
+            raise GeometryError(f"cannot parse {what} {value!r}") from None
+    if kind is float and not all(map(math.isfinite, vals)):
+        raise GeometryError(f"{what} {value!r} is not finite")
+    if not vals:
+        raise GeometryError(f"{what} must not be empty")
+    if above is not None and not all(v > above for v in vals):
+        raise GeometryError(f"{what} must be > {above}, got {value!r}")
+    return vals[0] if sep is None else vals
+
+
+def _integral(v):
+    """``int(v)``, a ValueError for a float with a fraction (or not finite)."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError
+    return int(v)
+
+
 def body_from_config(cfg) -> ConvexBody:
     """A body from ``{"vertices": [[x, y], ...]}`` or ``{"ngon": n, "radius": r}``."""
     if isinstance(cfg, dict) and "vertices" in cfg:
         check_keys(cfg, ("vertices",), "vertices-form key")
-        return ConvexBody(_config_value(cfg, "vertices", lambda v: np.asarray(v, dtype=float)))
+        try:
+            vertices = np.asarray(cfg["vertices"], dtype=float)
+        except (TypeError, ValueError):
+            raise GeometryError(f"cannot parse 'vertices' {cfg['vertices']!r}") from None
+        return ConvexBody(vertices)
     if isinstance(cfg, dict) and "ngon" in cfg:
         check_keys(cfg, ("ngon", "radius"), "ngon-form key")
-        return regular_polygon(_config_value(cfg, "ngon", int),
-                               _config_value(cfg, "radius", float, 1.0))
+        return regular_polygon(parse_value(cfg["ngon"], "'ngon'", int),
+                               parse_value(cfg.get("radius", 1.0), "'radius'"))
     raise GeometryError(f"cannot build a convex body from {cfg!r}")
-
-
-def _config_value(cfg, key, kind, default=None):
-    """``kind`` of ``cfg[key]`` (default if absent), or a GeometryError naming the key."""
-    try:
-        return kind(cfg.get(key, default))
-    except (TypeError, ValueError):
-        raise GeometryError(f"cannot parse {key!r}: {cfg.get(key)!r}") from None
 
 
 #: the domain classes that a config names by their kind alone

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import json
 import math
 import os
@@ -60,8 +62,11 @@ class TestExitCodes:
         ["slice-scan", "--field", "strip", "--t", "1", "--span", "0"],
         # at t = 0.5 the exterior slice is |y| > sqrt(0.75): a span of 0.5 clips it away
         ["slice-scan", "--field", "exterior", "--t", "0.5", "--span", "0.5"],
+        # no check would write an empty decay.json
+        ["asymptotics", "--check", " , "],
     ], ids=["profile-without-f", "cylinder-no-truncation", "unbounded-slice-no-span",
-            "short-radii", "negative-span", "zero-span", "span-clips-the-slice-away"])
+            "short-radii", "negative-span", "zero-span", "span-clips-the-slice-away",
+            "no-asymptotics-check"])
     def test_geometry_errors_are_usage_errors(self, tmp_path, capsys, argv):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
@@ -91,17 +96,6 @@ class TestExitCodes:
         assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "report.json").exists()
-
-    @pytest.mark.parametrize("domain", ["strip", {"kind": "convex_ring",
-                                                  "A": {"ngon": 8, "radius": 2.0},
-                                                  "B": {"ngon": 8, "radius": 0.5}}],
-                             ids=["ratio", "ring"])
-    def test_non_string_ratio_out_is_a_usage_error(self, tmp_path, capsys, domain):
-        cfg = write_config(tmp_path, "bad.json", {
-            "domain": domain, "x0": [0.5, 0], "poles": [2], "h": 0.0628,
-            "probe": "0.4,1.5,-1,1", "ratio_out": 5})
-        assert cli.main(["green", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "'ratio_out' must be a path string" in capsys.readouterr().err
 
 
 class TestLevelsets:
@@ -366,6 +360,16 @@ def test_malformed_cylinder_name_is_a_usage_error(tmp_path, capsys, command, nam
     assert err.startswith("config error:") and name.partition(":")[2] in err
 
 
+@pytest.mark.parametrize("command", ["levelsets", "audit"])
+def test_non_string_field_name_is_a_usage_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "bad.json", {**STRIP_LEVELS, "field": 5,
+                                              "checks": ["boundary_vanishing"]})
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config 'field' must be a string, got 5")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, config", [
     (["levelsets"], {**STRIP_LEVELS, "h": "abc"}),
     (["levelsets"], {**STRIP_LEVELS, "seed": "x"}),
@@ -408,6 +412,10 @@ SMALL_SQUARE = {"vertices": [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]
 
 @pytest.mark.parametrize("domain, named", [
     ({"kind": "convex_ring", "A": {"ngon": "x"}, "B": SMALL_SQUARE}, "'A': cannot parse 'ngon'"),
+    ({"kind": "convex_ring", "A": {"ngon": math.inf}, "B": SMALL_SQUARE},
+     "'A': cannot parse 'ngon' inf"),
+    ({"kind": "convex_ring", "A": {"ngon": 8.5}, "B": SMALL_SQUARE},
+     "'A': cannot parse 'ngon' 8.5"),
     ({"kind": "convex_ring", "A": {"ngon": 8, "radius": "big"}, "B": SMALL_SQUARE},
      "'A': cannot parse 'radius'"),
     ({"kind": "convex_ring", "A": {"vertices": [["a", 0], [1, 0], [0, 1]]}, "B": SMALL_SQUARE},
@@ -417,7 +425,7 @@ SMALL_SQUARE = {"vertices": [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]
     ({"kind": "convex_ring", "A": {"ngon": 8, "radious": 2.0}, "B": SMALL_SQUARE},
      "ring body 'A': ngon-form key 'radious' is unknown; known: ['ngon', 'radius']"),
     ({"kind": "sector", "f": "sqrt"}, "domain kind 'sector' key 'f' is unknown; known: ['kind']"),
-], ids=["ngon", "radius", "vertices", "body-not-a-mapping", "domain-not-a-mapping",
+], ids=["ngon", "infinite-ngon", "fractional-ngon", "radius", "vertices", "body-not-a-mapping", "domain-not-a-mapping",
         "unknown-body-key", "unknown-domain-key"])
 def test_malformed_domain_config_is_a_usage_error(tmp_path, capsys, domain, named):
     cfg = write_config(tmp_path, "bad.json", {"domain": domain, "h": 0.1})
@@ -533,8 +541,12 @@ class TestSliceScanAndAsymptotics:
     ["asymptotics", "--config", "cfg.json"],
     ["asymptotics", "--seed", "3"],
     ["asymptotics", "--verbose"],
+    ["green", "--domain", "strip", "--ratio-out", "x"],
+    ["slice-scan", "--field", "strip", "--t", "1", "--out-file", "x.json"],
+    ["asymptotics", "--out-file", "x.json"],
 ], ids=["top-level-verbose", "slice-scan-config", "slice-scan-seed", "slice-scan-verbose",
-        "asymptotics-config", "asymptotics-seed", "asymptotics-verbose"])
+        "asymptotics-config", "asymptotics-seed", "asymptotics-verbose", "green-ratio-out",
+        "slice-scan-out-file", "asymptotics-out-file"])
 def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--out", str(tmp_path)])
@@ -629,9 +641,15 @@ def test_unparsable_negative_control_does_not_pass(tmp_path, capsys):
      "check 'boundary_vanishing' param 'n_samples' must be > 1"),
     ("boundary_vanishing", {"n_samples": 1},
      "check 'boundary_vanishing' param 'n_samples' must be > 1"),
+    # an audit with no level certifies nothing
+    ("convexity", {"levels": []}, "check 'convexity' param 'levels' must not be empty"),
+    ("strictness", {"levels": []}, "check 'strictness' param 'levels' must not be empty"),
+    ("slice_maxima", {"t": []}, "check 'slice_maxima' param 't' must not be empty"),
+    ("harmonicity", {"n_points": 2.5}, "cannot parse check 'harmonicity' param 'n_points'"),
 ], ids=["typo", "other-check-key", "nan", "level", "count", "infinite-count", "list-tol",
         "span", "tag", "negative-span", "zero-span", "no-points", "negative-points",
-        "no-samples", "one-sample"])
+        "no-samples", "one-sample", "no-levels", "no-strictness-levels", "no-t",
+        "fractional-count"])
 def test_audit_params_parse_before_any_check_runs(tmp_path, capsys, check, params, message):
     # the valid first check must not run either: no report is written
     cfg = write_config(tmp_path, "audit.json", {
@@ -739,12 +757,18 @@ def test_ring_run_computes_the_inner_body_mask_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("levels", [[1.5, -0.2, 0.5], [0.5, 1.0], [0.0]],
-                         ids=["outside", "one", "zero"])
-def test_ring_levels_outside_the_unit_interval_are_usage_errors(tmp_path, capsys, levels):
+@pytest.mark.parametrize("levels, message", [
+    ([1.5, -0.2, 0.5], "ring levels must lie in (0, 1)"),
+    ([0.5, 1.0], "ring levels must lie in (0, 1)"),
+    ([0.0], "ring levels must lie in (0, 1)"),
+    ([], "levels must not be empty"),
+], ids=["outside", "one", "zero", "none"])
+def test_ring_levels_outside_the_unit_interval_are_usage_errors(tmp_path, capsys, levels,
+                                                                message):
     cfg = write_config(tmp_path, "ring.json", {**SMALL_RING, "levels": levels})
     assert cli.main(["green", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "ring levels must lie in (0, 1)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -767,7 +791,7 @@ def test_ratio_flags_on_a_ring_run_are_usage_errors(tmp_path, capsys, flag, valu
     (["green"], {"domain": "strip", "x0": [0.5, 0], "poles": [2], "hh": 0.1},
      "config key 'hh' is unknown"),
     (["green"], {**SMALL_RING, "poles": [2]}, "config key 'poles' is unknown; "
-     "known: ['domain', 'h', 'levels', 'out', 'ratio_out', 'seed']"),
+     "known: ['domain', 'h', 'levels', 'out', 'seed']"),
     (["green"], {"domain": "strip", "x0": [0.5, 0], "poles": [2], "levels": [0.5]},
      "config key 'levels' is unknown"),
 ], ids=["levelsets", "audit", "audit-check", "green-ratio", "green-ring", "green-ratio-levels"])
@@ -777,3 +801,58 @@ def test_unknown_config_keys_are_usage_errors(tmp_path, capsys, argv, config, na
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and named in err
     assert not (tmp_path / "o").exists()
+
+
+#: every subcommand's option strings (from build_parser), every command's
+#: known config keys and each audit check's params: a knob added or removed
+#: is an edit here
+KNOB_CENSUS = {
+    "options": {
+        "levelsets": ["--config", "--out", "--seed", "--verbose"],
+        "audit": ["--config", "--out", "--seed", "--verbose"],
+        "green": ["--config", "--domain", "--h", "--out", "--poles", "--probe", "--seed",
+                  "--verbose", "--x0"],
+        "slice-scan": ["--field", "--out", "--span", "--t"],
+        "asymptotics": ["--check", "--out", "--radii"],
+    },
+    "config keys": {
+        "levelsets": ["field", "h", "levels", "out", "seed", "window"],
+        "audit": ["checks", "field", "out", "seed"],
+        "audit check": ["expected", "name", "params", "required"],
+        "green ratio": ["domain", "h", "out", "poles", "probe", "seed", "x0"],
+        "green ring": ["domain", "h", "levels", "out", "seed"],
+    },
+    "audit params": {
+        "harmonicity": ["n_points"],
+        "boundary_vanishing": ["n_samples", "tol"],
+        "convexity": ["h", "levels"],
+        "slice_maxima": ["span", "t"],
+        "strictness": ["expect_tag", "h", "levels"],
+    },
+}
+
+
+def test_knob_census(tmp_path, capsys):
+    def known_keys(command, config):
+        # the unknown-key error lists the keys that the mapping may hold
+        cfg = write_config(tmp_path, "knobs.json", config)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        return ast.literal_eval(capsys.readouterr().err.rpartition("known: ")[2])
+
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    census = {
+        "options": {name: sorted(s for a in sp._actions for s in a.option_strings
+                                 if s not in ("-h", "--help"))
+                    for name, sp in sub.choices.items()},
+        "config keys": {
+            "levelsets": known_keys("levelsets", {**STRIP_LEVELS, "zz": 0}),
+            "audit": known_keys("audit", {"field": "strip", "checks": [], "zz": 0}),
+            "audit check": known_keys("audit", {"field": "strip",
+                                                "checks": [{"name": "convexity", "zz": 0}]}),
+            "green ratio": known_keys("green", {"domain": "strip", "zz": 0}),
+            "green ring": known_keys("green", {**SMALL_RING, "zz": 0}),
+        },
+        "audit params": {name: sorted(params) for name, (_, params) in cli.AUDIT_CHECKS.items()},
+    }
+    assert census == KNOB_CENSUS
