@@ -185,9 +185,9 @@ def _check_strictness(fld, rng, params):
 AUDIT_CHECKS = {
     "harmonicity": (_check_harmonicity, {"n_points": (int, None, 0)}),
     "boundary_vanishing": (_check_boundary, {"n_samples": (int, None, 1), "tol": (float,)}),
-    "convexity": (_check_convexity, {"h": (float,), "levels": (float, ",")}),
+    "convexity": (_check_convexity, {"h": (float, None, 0), "levels": (float, ",", 0)}),
     "slice_maxima": (_check_slice_maxima, {"t": (float, ","), "span": (float, None, 0)}),
-    "strictness": (_check_strictness, {"h": (float,), "levels": (float, ","),
+    "strictness": (_check_strictness, {"h": (float, None, 0), "levels": (float, ",", 0),
                                        "expect_tag": (str,)}),
 }
 
@@ -422,7 +422,7 @@ def cmd_asymptotics(args):
     radii = _parse_radii(args.radii or "5:80:12")
     payload = {}
     u = fields.slit_sector_martin()
-    v = fields.halfplane_v()
+    v = fields.sector_martin(2)
     for check in checks:
         if check == "f-decay":
             # f = v - u on the real axis, from the two fields' holomorphic triples

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (CylinderDomain, HalfplaneMinusDisk, RightHalfplane,
-                       Sector, SectorMinusSlit, Strip, WindowBox)
+from .geometry import (CylinderDomain, HalfplaneMinusDisk, Sector, SectorMinusSlit, Strip,
+                       WindowBox)
 
 
 class FieldError(ValueError):
@@ -183,58 +183,42 @@ def slit_sector_martin():
                               tube=_slit_tube)
 
 
-def halfplane_v():
-    """Re(z^2) = x^2 - y^2, the comparison field on the quarter sector."""
-    return HolomorphicReField(Sector(),
-                              lambda z: z ** 2,
-                              lambda z: 2.0 * z,
-                              lambda z: 2.0 * np.ones_like(z),
-                              "halfplane_v",
-                              default_window=WindowBox((0.0, -4.0), (4.0, 4.0)))
+#: registry name, wall slope and default window half-height of Re z^k, by k
+_SECTOR_FIELDS = {2: ("halfplane_v", 1.0, 4.0), 1: ("halfplane_x", math.inf, 2.0)}
 
 
-def halfplane_coordinate():
-    """u = x on the right half-plane (flat level lines, product structure)."""
-    return HolomorphicReField(RightHalfplane(),
-                              lambda z: z,
-                              lambda z: np.ones_like(z),
-                              lambda z: np.zeros_like(z),
-                              "halfplane_x",
-                              default_window=WindowBox((0.0, -2.0), (4.0, 2.0)))
+def sector_martin(k):
+    """Re z^k on the sector of half-angle pi/(2k), where it is the Martin
+    function: k = 2 on the quarter sector (halfplane_v, the comparison field
+    of the slit sector), k = 1 on the right half-plane (halfplane_x, flat
+    level lines).  F'' = k(k - 1) is constant for both."""
+    name, slope, half = _SECTOR_FIELDS[k]
+    return HolomorphicReField(Sector(slope),
+                              lambda z: z ** k,
+                              lambda z: k * z ** (k - 1),
+                              lambda z: k * (k - 1) * np.ones_like(z),
+                              name,
+                              default_window=WindowBox((0.0, -half), (4.0, half)))
 
 
 # ---------------------------------------------------------------------------
 # Cylinder modes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CylinderMode:
-    """Principal Dirichlet eigenpair of the cross-section (-1, 1), lam = pi^2/4
-    and phi(y) = cos(pi y / 2), plus coefficients.
+class CylinderModeField(HolomorphicReField):
+    """(A e^{kt} + B e^{-kt}) phi(y) on R x (-1, 1) with A, B >= 0 and
+    A + B > 0, over the principal Dirichlet eigenpair of the cross-section
+    (-1, 1): lam = k^2 = pi^2/4 and phi(y) = cos(k y).  Every positive
+    harmonic function on the cylinder has this separated form.  It is Re F
+    for F(z) = A e^{kz} + B e^{-kz}, since cos is even, and F'' = k^2 F."""
 
-    Cylinder positive harmonic functions have the separated form
-    ``(A e^{sqrt(lam) t} + B e^{-sqrt(lam) t}) phi(y)`` with A, B >= 0.
-    """
-
-    A: float = 1.0
-    B: float = 0.0
     lam = (np.pi / 2) ** 2
 
-    def __post_init__(self):
-        if self.A < 0.0 or self.B < 0.0 or self.A + self.B <= 0.0:
+    def __init__(self, A=1.0, B=0.0):
+        if A < 0.0 or B < 0.0 or A + B <= 0.0:
             raise FieldError("mode coefficients need A, B >= 0 and A + B > 0")
-
-    def phi(self, y):
-        return np.cos(np.pi * np.asarray(y) / 2)
-
-
-class CylinderModeField(HolomorphicReField):
-    """Re F on R x (-1, 1) for F(z) = A e^{kz} + B e^{-kz}, k = pi/2: since
-    cos is even, Re F = (A e^{kt} + B e^{-kt}) cos(k y), the mode's separated
-    form, and F'' = k^2 F."""
-
-    def __init__(self, mode: CylinderMode):
-        A, B, k = mode.A, mode.B, np.pi / 2
+        self.A, self.B = A, B
+        k = np.pi / 2
 
         def F(z):
             return A * np.exp(k * z) + B * np.exp(-k * z)
@@ -243,13 +227,15 @@ class CylinderModeField(HolomorphicReField):
             return k * (A * np.exp(k * z) - B * np.exp(-k * z))
 
         super().__init__(CylinderDomain(), F, dF, lambda z: k * k * F(z),
-                         f"cylinder:A={mode.A:g},B={mode.B:g}",
+                         f"cylinder:A={A:g},B={B:g}",
                          default_window=WindowBox((-2.0, -1.0), (2.0, 1.0)))
-        self.mode = mode
+
+    @staticmethod
+    def phi(y):
+        return np.cos(np.pi * np.asarray(y) / 2)
 
 
-def cylinder_martin(A=1.0, B=0.0):
-    return CylinderModeField(CylinderMode(A, B))
+cylinder_martin = CylinderModeField
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +250,8 @@ def field_from_name(name) -> ScalarField:
         "strip": strip_martin,
         "exterior": exterior_martin,
         "slit_sector": slit_sector_martin,
-        "halfplane_v": halfplane_v,
-        "halfplane_x": halfplane_coordinate,
+        "halfplane_v": lambda: sector_martin(2),
+        "halfplane_x": lambda: sector_martin(1),
     }
     if base in registry:
         return registry[base]()

@@ -6,7 +6,7 @@ its closure on arrays of shape ``(..., 2)`` in one call.  Every object here
 is immutable after construction and every operation is pure, so values can
 be shared freely between threads.
 
-Domains are built either from the named registry (``strip``,
+Domains are built either from the named registry (``strip``, ``sector``,
 ``sector_minus_slit``, ``halfplane_minus_disk``, ``right_halfplane``,
 ``cylinder``, ``convex_ring``) or as profile regions
 ``{(t, y): t > 0, y in f(t) * D}`` for a positive profile ``f`` and a bounded
@@ -41,6 +41,8 @@ class WindowBox:
         hi = tuple(float(v) for v in self.upper)
         if len(lo) != 2 or len(hi) != 2:
             raise GeometryError("window corners must be planar points")
+        if not all(map(math.isfinite, lo + hi)):
+            raise GeometryError(f"window corners must be finite: lower={lo}, upper={hi}")
         if not all(a < b for a, b in zip(lo, hi)):
             raise GeometryError(f"window has empty interior: lower={lo}, upper={hi}")
         object.__setattr__(self, "lower", lo)
@@ -225,47 +227,6 @@ PROFILES = {
 _HYPOTHESIS_GRID = 2.0 ** np.arange(-6, 21)
 
 
-class ProfileDomain:
-    """Profile function ``f`` plus cross-section ``D``, an interval
-    ``(lo, hi)`` with ``lo < 0 < hi``.
-
-    ``f`` must accept float arrays and act elementwise; membership of the
-    closure evaluates ``f`` at ``t = 0``, where it must return its limit
-    from the right.  ``f`` may also be a name from :data:`PROFILES`.  f must
-    be positive and concave: both are checked on a geometric grid, where
-    the secant slopes of f must not increase (tolerance 1e-9).
-    """
-
-    def __init__(self, f, cross_section=(-1.0, 1.0)):
-        try:
-            lo, hi = map(float, cross_section)
-        except (TypeError, ValueError):
-            raise GeometryError(f"cross-section D must be an interval (lo, hi), "
-                                f"got {cross_section!r}") from None
-        if not -math.inf < lo < 0.0 < hi < math.inf:
-            raise GeometryError(f"cross-section D = ({lo}, {hi}) needs finite lo < 0 < hi")
-        if isinstance(f, str):
-            if f not in PROFILES:
-                raise GeometryError(f"unknown profile {f!r}; known: {sorted(PROFILES)}")
-            f = PROFILES[f]
-        elif not callable(f):
-            raise GeometryError(f"profile must be a callable or a name from {sorted(PROFILES)}")
-        self.f = f
-        self.cross_section = (lo, hi)
-        self._validate()
-
-    def _validate(self, tol=1e-9):
-        fv = np.asarray(self.f(_HYPOTHESIS_GRID), dtype=float)
-        if not np.all(fv > 0.0):
-            raise GeometryError("profile must be positive on (0, inf)")
-        rise = np.diff(np.diff(fv) / np.diff(_HYPOTHESIS_GRID))
-        if not np.all(rise <= tol):
-            k = int(np.argmax(~(rise <= tol)))
-            raise GeometryError(
-                f"profile is not concave: its secant slope increases between "
-                f"t={_HYPOTHESIS_GRID[k]:g} and t={_HYPOTHESIS_GRID[k + 2]:g}")
-
-
 # ---------------------------------------------------------------------------
 # Cross-sections (slices)
 # ---------------------------------------------------------------------------
@@ -404,41 +365,32 @@ class Strip(Domain):
         return WindowBox((0.0, -np.pi / 2), (2.0 * s, np.pi / 2))
 
 
-class RightHalfplane(Domain):
-    """{x > 0}."""
-
-    kind = "right_halfplane"
-
-    def _member(self, x, y, lt):
-        return lt(0.0, x)
-
-    def _distance(self, x, y):
-        return x
-
-    def slice_at(self, t):
-        if t <= 0.0:
-            raise GeometryError(f"slice at t={t} is empty")
-        return SliceSet(t, ((-np.inf, np.inf),))
-
-    def truncation_window(self, s):
-        return WindowBox((0.0, -s), (2.0 * s, s))
-
-
 class Sector(Domain):
-    """{x > 0, |y| < x}."""
+    """{x > 0, |y| < m x}: the sector of half-angle alpha about the positive
+    x-axis, given by its wall slope m = tan(alpha), stated exactly: m = 1 is
+    the quarter sector (kind "sector"), m = inf the right half-plane (kind
+    "right_halfplane").  Re z^(pi / (2 alpha)) is its Martin function."""
 
     kind = "sector"
 
+    def __init__(self, slope=1.0):
+        self.slope = float(slope)
+        if self.slope == math.inf:
+            self.kind = "right_halfplane"
+
     def _member(self, x, y, lt):
-        return lt(0.0, x) & lt(np.abs(y), x)
+        return lt(np.abs(y) / self.slope, x)
 
     def _distance(self, x, y):
-        return (x - np.abs(y)) / math.sqrt(2.0)
+        return (x - np.abs(y) / self.slope) / math.sqrt(1.0 + 1.0 / self.slope ** 2)
 
     def slice_at(self, t):
         if t <= 0.0:
             raise GeometryError(f"slice at t={t} is empty")
-        return SliceSet(t, ((-t, t),))
+        return SliceSet(t, ((-self.slope * t, self.slope * t),))
+
+    def truncation_window(self, s):
+        return WindowBox((0.0, -s), (2.0 * s, s))
 
 
 #: the slit [0, 1] as a two-vertex polygon, both of whose edges are the segment
@@ -458,11 +410,9 @@ class SectorMinusSlit(Sector):
         return np.minimum(super()._distance(x, y), d_slit.reshape(x.shape))
 
     def slice_at(self, t):
-        if t <= 0.0:
-            raise GeometryError(f"slice at t={t} is empty")
-        if t <= 1.0:
+        if 0.0 < t <= 1.0:
             return SliceSet(t, ((-t, 0.0), (0.0, t)))
-        return SliceSet(t, ((-t, t),))
+        return super().slice_at(t)
 
 
 class HalfplaneMinusDisk(Domain):
@@ -479,13 +429,12 @@ class HalfplaneMinusDisk(Domain):
     def slice_at(self, t):
         if t <= 0.0:
             raise GeometryError(f"slice at t={t} is empty")
-        if t >= 1.0:
+        if t > 1.0:
             return SliceSet(t, ((-np.inf, np.inf),))
         yb = math.sqrt(1.0 - t * t)
         return SliceSet(t, ((-np.inf, -yb), (yb, np.inf)))
 
-    def truncation_window(self, s):
-        return WindowBox((0.0, -s), (2.0 * s, s))
+    truncation_window = Sector.truncation_window
 
 
 class CylinderDomain(Domain):
@@ -520,7 +469,8 @@ class ConvexRing(Domain):
 
 
 class _IntervalProfile(Domain):
-    """Region ``{t in T, y in radius(t) * D}`` for an interval ``D = (lo, hi)``.
+    """Region ``{t in T, y in radius(t) * D}`` for a profile ``f`` and an
+    interval ``D = (lo, hi)``.
 
     Subclasses give the axial range ``T`` (``_axial(t, lt)``, in the
     comparison of ``_member``) and ``radius``, which is NaN where the profile
@@ -528,24 +478,54 @@ class _IntervalProfile(Domain):
     closure.
     """
 
-    def __init__(self, profile: ProfileDomain):
-        self.profile = profile
-        self.lo, self.hi = profile.cross_section
-
     def _member(self, t, y, lt):
         r = self.radius(t)
         return self._axial(t, lt) & lt(r * self.lo, y) & lt(y, r * self.hi)
 
 
 class ProfileRegion(_IntervalProfile):
-    """{(t, y): t > 0, y in f(t) * D} for a profile f and an interval D."""
+    """{(t, y): t > 0, y in f(t) * D} for a profile f and a cross-section D,
+    an interval ``(lo, hi)`` with ``lo < 0 < hi``.
+
+    ``f`` must accept float arrays and act elementwise; membership of the
+    closure evaluates ``f`` at ``t = 0``, where it must return its limit
+    from the right.  ``f`` may also be a name from :data:`PROFILES`.  f must
+    be positive and concave: both are checked on a geometric grid, where
+    the secant slopes of f must not increase (tolerance 1e-9).
+    """
 
     kind = "profile"
+
+    def __init__(self, f, cross_section=(-1.0, 1.0)):
+        try:
+            lo, hi = map(float, cross_section)
+        except (TypeError, ValueError):
+            raise GeometryError(f"cross-section D must be an interval (lo, hi), "
+                                f"got {cross_section!r}") from None
+        if not -math.inf < lo < 0.0 < hi < math.inf:
+            raise GeometryError(f"cross-section D = ({lo}, {hi}) needs finite lo < 0 < hi")
+        if isinstance(f, str):
+            if f not in PROFILES:
+                raise GeometryError(f"unknown profile {f!r}; known: {sorted(PROFILES)}")
+            f = PROFILES[f]
+        elif not callable(f):
+            raise GeometryError(f"profile must be a callable or a name from {sorted(PROFILES)}")
+        fv = np.asarray(f(_HYPOTHESIS_GRID), dtype=float)
+        if not np.all(fv > 0.0):
+            raise GeometryError("profile must be positive on (0, inf)")
+        rise = np.diff(np.diff(fv) / np.diff(_HYPOTHESIS_GRID))
+        if not np.all(rise <= 1e-9):
+            k = int(np.argmax(~(rise <= 1e-9)))
+            raise GeometryError(
+                f"profile is not concave: its secant slope increases between "
+                f"t={_HYPOTHESIS_GRID[k]:g} and t={_HYPOTHESIS_GRID[k + 2]:g}")
+        self.f = f
+        self.lo, self.hi = self.cross_section = (lo, hi)
 
     def radius(self, t):
         """Transverse scale f(t) for t >= 0 (NaN for t < 0)."""
         t = np.asarray(t, dtype=float)
-        return np.where(t >= 0.0, self.profile.f(np.maximum(t, 0.0)), np.nan)
+        return np.where(t >= 0.0, self.f(np.maximum(t, 0.0)), np.nan)
 
     def _axial(self, t, lt):
         return lt(0.0, t)
@@ -553,11 +533,11 @@ class ProfileRegion(_IntervalProfile):
     def slice_at(self, t):
         if t <= 0.0:
             raise GeometryError(f"slice at t={t} is empty")
-        scale = float(self.profile.f(t))
+        scale = float(self.f(t))
         return SliceSet(t, ((scale * self.lo, scale * self.hi),))
 
     def truncation_window(self, s):
-        r = float(np.max(self.profile.f(np.linspace(1e-6, 2.0 * s, 257))))
+        r = float(np.max(self.f(np.linspace(1e-6, 2.0 * s, 257))))
         w = max(abs(self.lo), abs(self.hi), 1.0)
         return WindowBox((0.0, -r * w), (2.0 * s, r * w))
 
@@ -572,12 +552,12 @@ class RescaledProfile(_IntervalProfile):
 
     kind = "rescaled_profile"
 
-    def __init__(self, profile: ProfileDomain, s):
+    def __init__(self, region: ProfileRegion, s):
         if s <= 0.0:
             raise GeometryError("rescale parameter must be positive")
-        super().__init__(profile)
+        self.f, self.lo, self.hi = region.f, region.lo, region.hi
         self.s = float(s)
-        self.f_s = float(profile.f(s))
+        self.f_s = float(self.f(s))
         if not self.f_s > 0.0:
             raise GeometryError("profile must be positive at the zoom point")
 
@@ -586,7 +566,7 @@ class RescaledProfile(_IntervalProfile):
         t = np.asarray(t, dtype=float)
         base = self.s + t * self.f_s
         with np.errstate(invalid="ignore"):
-            r = np.where(base > 0.0, np.asarray(self.profile.f(np.maximum(base, 1e-300))), np.nan)
+            r = np.where(base > 0.0, np.asarray(self.f(np.maximum(base, 1e-300))), np.nan)
         return r / self.f_s
 
     def _axial(self, t, lt):
@@ -602,16 +582,13 @@ def rescaled_domain(domain, s):
     if isinstance(domain, Strip):
         domain = strip_as_profile()
     if isinstance(domain, ProfileRegion):
-        return RescaledProfile(domain.profile, s)
-    if isinstance(domain, ProfileDomain):
         return RescaledProfile(domain, s)
     raise GeometryError(f"cannot rescale domain kind {getattr(domain, 'kind', None)!r}")
 
 
 def strip_as_profile():
     """The strip viewed as the constant-profile region (pi/2) * (-1, 1)."""
-    prof = ProfileDomain(lambda t: np.full_like(np.asarray(t, dtype=float), np.pi / 2))
-    return ProfileRegion(prof)
+    return ProfileRegion(lambda t: np.full_like(np.asarray(t, dtype=float), np.pi / 2))
 
 
 # ---------------------------------------------------------------------------
@@ -703,9 +680,10 @@ def body_from_config(cfg) -> ConvexBody:
     raise GeometryError(f"cannot build a convex body from {cfg!r}")
 
 
-#: the domain classes that a config names by their kind alone
-_PLAIN_DOMAINS = {cls.kind: cls for cls in (Strip, Sector, SectorMinusSlit, HalfplaneMinusDisk,
-                                            RightHalfplane, CylinderDomain)}
+#: the domains that a config names by their kind alone
+_PLAIN_DOMAINS = {"strip": Strip, "sector": Sector, "sector_minus_slit": SectorMinusSlit,
+                  "halfplane_minus_disk": HalfplaneMinusDisk,
+                  "right_halfplane": lambda: Sector(math.inf), "cylinder": CylinderDomain}
 #: the keys of each domain kind's config
 _DOMAIN_KEYS = {**dict.fromkeys(_PLAIN_DOMAINS, ("kind",)),
                 ConvexRing.kind: ("kind", "A", "B"), ProfileRegion.kind: ("kind", "f", "D")}
@@ -738,7 +716,7 @@ def domain_from_config(cfg) -> Domain:
     except (KeyError, TypeError, ValueError):
         raise GeometryError(f"a profile cross-section D is an interval "
                             f"{{'vertices': [[lo], [hi]]}}, got {D!r}") from None
-    return ProfileRegion(ProfileDomain(_required(cfg, "f"), (lo, hi)))
+    return ProfileRegion(_required(cfg, "f"), (lo, hi))
 
 
 def _required(cfg, key):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import CylinderMode, FieldError
+from .fields import CylinderModeField, FieldError
 from .geometry import GeometryError, rescaled_domain
 from .levelset import _tangent_forms, certify_level
 
@@ -152,7 +152,7 @@ def _nonnegative_mode_fit(E, y):
     return best[1]
 
 
-def rescale_and_compare(fld, s, window, mode: CylinderMode):
+def rescale_and_compare(fld, s, window):
     """Zoomed field v_s(xi) = u(f(s) xi + s e1)/M(s) against the best cylinder mode.
 
     M(s) is found by a slice scan at t = s; the mode coefficients (A, B >= 0)
@@ -173,7 +173,7 @@ def rescale_and_compare(fld, s, window, mode: CylinderMode):
     def v_s(t, y):
         return fld.value(np.stack([s + f_s * t, f_s * y], axis=-1)) / M
 
-    rt = math.sqrt(mode.lam)
+    rt = math.sqrt(CylinderModeField.lam)
     axis_ts = ts[np.abs(ts) < zoomed.s / 2.0]
     axis_vals = v_s(axis_ts, np.zeros_like(axis_ts))
     E = np.column_stack([np.exp(rt * axis_ts), np.exp(-rt * axis_ts)])
@@ -181,7 +181,7 @@ def rescale_and_compare(fld, s, window, mode: CylinderMode):
 
     lattice = np.stack(np.meshgrid(ts, ys, indexing="ij"), axis=-1)
     t_in, y_in = lattice[zoomed.contains(lattice)].T
-    model = (A * np.exp(rt * t_in) + B * np.exp(-rt * t_in)) * mode.phi(y_in)
+    model = (A * np.exp(rt * t_in) + B * np.exp(-rt * t_in)) * CylinderModeField.phi(y_in)
     sup_err = np.max(np.abs(v_s(t_in, y_in) - model), initial=0.0)
     return RescaleResult(mode_coefficients=(float(A), float(B)),
                          sup_mode_error=float(sup_err), center_value=float(v_s(0.0, 0.0)))

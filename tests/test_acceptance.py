@@ -134,7 +134,7 @@ class TestCriterion5ExteriorNegativeControl:
 class TestCriterion6SlitSectorAsymptotics:
     def test_decay_residual_identity_threshold(self):
         u = flds.slit_sector_martin()
-        v = flds.halfplane_v()
+        v = flds.sector_martin(2)
         radii = np.geomspace(5.0, 80.0, 12)
 
         def fp(r):
@@ -176,12 +176,12 @@ class TestCriterion7Rescaling:
             for y in (-0.6, 0.0, 0.7):
                 p = np.array([t, y])
                 vtt = cyl.hessian(p)[0, 0]
-                lamv = cyl.mode.lam * cyl.value(p)
+                lamv = cyl.lam * cyl.value(p)
                 fd = flds.fd_hessian(cyl, p, h=1e-3)[0, 0]
                 mode_ok &= vtt > 0.0 and abs(vtt - lamv) <= 1e-12 * lamv
                 mode_ok &= abs(fd - vtt) <= 1e-6 * max(1.0, abs(vtt))
 
-        prof = geo.ProfileRegion(geo.ProfileDomain("sqrt"))
+        prof = geo.ProfileRegion("sqrt")
         window = geo.WindowBox((-2.0, -2.0), (2.0, 2.0))
         ts = np.linspace(-2.0, 2.0, 801)
         cyl_cloud = np.vstack([np.column_stack([ts, np.ones_like(ts)]),
@@ -193,9 +193,8 @@ class TestCriterion7Rescaling:
         hausdorff_ok = ds[1] <= 0.052 and ds[0] >= ds[1] >= ds[2]
 
         strip = flds.strip_martin()
-        mode = flds.CylinderMode()
-        r6 = sa.rescale_and_compare(strip, 6.0, window, mode)
-        r10 = sa.rescale_and_compare(strip, 10.0, window, mode)
+        r6 = sa.rescale_and_compare(strip, 6.0, window)
+        r10 = sa.rescale_and_compare(strip, 10.0, window)
         strip_ok = (r10.sup_mode_error < r6.sup_mode_error
                     and r6.center_value <= 1.0 + 1e-12
                     and r10.center_value <= 1.0 + 1e-12)
@@ -216,7 +215,7 @@ class TestCriterion8Infrastructure:
         gba = Gb.values[grid.node_index((2.0, 0.0))]
         sym = abs(gab - gba) / abs(gab)
 
-        sq = gr.build_grid(geo.RightHalfplane(), geo.WindowBox((0.0, -0.5), (1.0, 0.5)), 1 / 32)
+        sq = gr.build_grid(geo.Sector(math.inf), geo.WindowBox((0.0, -0.5), (1.0, 0.5)), 1 / 32)
         X, Y = np.meshgrid(sq.xs, sq.ys, indexing="ij")
         sol = gr.solve_dirichlet(sq, boundary_values=X ** 2 - Y ** 2)
         poly_err = float(np.abs(sol.values - (X ** 2 - Y ** 2))[sq.mask == gr.INTERIOR].max())

@@ -375,6 +375,7 @@ def test_non_string_field_name_is_a_usage_error(tmp_path, capsys, command):
     (["levelsets"], {**STRIP_LEVELS, "seed": "x"}),
     (["levelsets"], {**STRIP_LEVELS, "window": [["a", -1], [3, 1]]}),
     (["levelsets"], {**STRIP_LEVELS, "window": {"lower": [0, -1], "upper": [3, 1]}}),
+    (["levelsets"], {**STRIP_LEVELS, "window": [[0, -math.inf], [3, 1]]}),
     (["green", "--domain", "strip", "--x0", "0.5,0", "--poles", "2,3",
       "--probe", "0.4,1.5,-1,1", "--h", "abc"], None),
     (["asymptotics", "--radii", "5:80:x"], None),
@@ -382,6 +383,7 @@ def test_non_string_field_name_is_a_usage_error(tmp_path, capsys, command):
     (["green", "--domain", "strip", "--x0", "0.5,0", "--poles", "2,3", "--h", "0.0628"],
      {"probe": ["a", 1.5, -1, 1]}),
 ], ids=["levelsets-h", "levelsets-seed", "levelsets-window", "levelsets-window-mapping",
+        "levelsets-window-infinite",
         "green-h", "asymptotics-radii", "slice-scan-span",
         "green-config-probe"])
 def test_malformed_number_is_a_usage_error(tmp_path, capsys, argv, config):
@@ -569,15 +571,6 @@ def test_nonpositive_levelsets_spacing_is_a_usage_error(tmp_path, capsys, h):
     assert "must be positive" in err and "Traceback" not in err
 
 
-def test_audit_records_nonpositive_convexity_spacing(tmp_path):
-    cfg = write_config(tmp_path, "audit.json", {
-        "field": "strip", "checks": [{"name": "convexity", "params": {"levels": [1.0], "h": 0}}]})
-    assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path)]) == 1
-    verdict = json.load(open(tmp_path / "report.json"))["verdicts"]["convexity"]
-    assert verdict["passed"] is False
-    assert verdict["error"].startswith("GeometryError: lattice spacing h=0.0 must be positive")
-
-
 @pytest.mark.parametrize("flag, value", [("expected", "false"), ("required", "false"),
                                          ("expected", 0), ("required", None)])
 def test_audit_flags_must_be_json_booleans(tmp_path, capsys, flag, value):
@@ -602,11 +595,12 @@ def test_audit_params_must_be_a_json_object(tmp_path, capsys, params):
 
 def test_audit_check_that_raised_is_never_ok(tmp_path):
     # a negative control that fails by raising has not shown what it controls
+    # (the exterior's slice at t = 2 is unbounded: a scan without a span raises)
     cfg = write_config(tmp_path, "audit.json", {
-        "field": "exterior", "checks": [{"name": "convexity", "expected": False,
-                                         "params": {"levels": [1.5], "h": 0}}]})
+        "field": "exterior", "checks": [{"name": "slice_maxima", "expected": False,
+                                         "params": {"t": [2.0]}}]})
     assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path)]) == 1
-    verdict = json.load(open(tmp_path / "report.json"))["verdicts"]["convexity"]
+    verdict = json.load(open(tmp_path / "report.json"))["verdicts"]["slice_maxima"]
     assert verdict["passed"] is False and verdict["expected"] is False
     assert verdict["ok"] is False and verdict["error"].startswith("GeometryError")
 
@@ -646,10 +640,16 @@ def test_unparsable_negative_control_does_not_pass(tmp_path, capsys):
     ("strictness", {"levels": []}, "check 'strictness' param 'levels' must not be empty"),
     ("slice_maxima", {"t": []}, "check 'slice_maxima' param 't' must not be empty"),
     ("harmonicity", {"n_points": 2.5}, "cannot parse check 'harmonicity' param 'n_points'"),
+    ("convexity", {"h": -1}, "check 'convexity' param 'h' must be > 0"),
+    ("convexity", {"h": 0}, "check 'convexity' param 'h' must be > 0"),
+    ("convexity", {"levels": [-1]}, "check 'convexity' param 'levels' must be > 0"),
+    ("strictness", {"h": 0}, "check 'strictness' param 'h' must be > 0"),
+    ("strictness", {"levels": [1.0, 0]}, "check 'strictness' param 'levels' must be > 0"),
 ], ids=["typo", "other-check-key", "nan", "level", "count", "infinite-count", "list-tol",
         "span", "tag", "negative-span", "zero-span", "no-points", "negative-points",
         "no-samples", "one-sample", "no-levels", "no-strictness-levels", "no-t",
-        "fractional-count"])
+        "fractional-count", "negative-h", "zero-h", "negative-level", "zero-strictness-h",
+        "zero-strictness-level"])
 def test_audit_params_parse_before_any_check_runs(tmp_path, capsys, check, params, message):
     # the valid first check must not run either: no report is written
     cfg = write_config(tmp_path, "audit.json", {
@@ -661,13 +661,14 @@ def test_audit_params_parse_before_any_check_runs(tmp_path, capsys, check, param
 
 
 def _registered_kinds():
-    """Domain kinds of every Domain subclass but the zoomed profile view."""
-    classes, kinds = [geometry.Domain], set()
+    """Domain kinds of the config table; every Domain subclass but the
+    zoomed profile view must have its kind there."""
+    classes, kinds = [geometry.Domain], set(geometry._DOMAIN_KEYS)
     while classes:
         cls = classes.pop()
         classes.extend(cls.__subclasses__())
-        kinds.add(cls.kind)
-    return kinds - {None, "rescaled_profile"}
+        assert cls.kind in kinds | {None, "rescaled_profile"}, f"{cls.__name__} not in the table"
+    return kinds
 
 
 GREEN_DOMAINS = ["strip", "sector", "sector_minus_slit", "halfplane_minus_disk",
@@ -713,17 +714,28 @@ def test_boundary_samples_lie_on_the_boundary(kind, window):
         assert np.all(np.any(steps, axis=0))
 
 
+#: the kinds that green rejects with the config below, each by its message:
+#: the cylinder has no axial truncation rule, no slice of the exterior at
+#: t < 1 holds the axis, so the probe crosses the disk, and a ring run takes
+#: no poles
+GREEN_REJECTS = {"cylinder": "has no axial truncation rule",
+                 "halfplane_minus_disk": "probe points leave the domain",
+                 "convex_ring": "config key 'poles' is unknown"}
+
+
 @pytest.mark.parametrize("domain", GREEN_DOMAINS, ids=_kind)
 def test_green_runs_or_rejects_every_domain_kind(tmp_path, domain):
-    # each kind runs through green (rc 0) or is a clean usage error (rc 2),
-    # with the two-value probe that reads the domain's slices
+    # each other kind runs through green, with the two-value probe that
+    # reads the domain's slices
     cfg = write_config(tmp_path, "green.json", {"domain": domain, "x0": [1.5, 0.0],
                                                 "poles": [2, 3], "h": 0.1, "probe": [0.5, 1.5]})
     res = subprocess.run([sys.executable, "-m", "martinlevels.cli", "green", "--config", cfg,
                           "--out", str(tmp_path / "out")], capture_output=True, text=True)
-    assert res.returncode in (0, 2), res.stderr
+    rejected = GREEN_REJECTS.get(_kind(domain))
+    assert res.returncode == (2 if rejected else 0), res.stderr
     assert "Traceback" not in res.stderr
-    assert (res.returncode == 2) == res.stderr.startswith("config error: ")
+    assert res.stderr.startswith("config error: ") == bool(rejected)
+    assert rejected is None or rejected in res.stderr
 
 
 class TestSeededGenerator:

@@ -60,7 +60,7 @@ class TestClosedFormValues:
 
 class TestDerivatives:
     def test_halfplane_v_hessian_constant(self):
-        v = flds.halfplane_v()
+        v = flds.sector_martin(2)
         rng = np.random.default_rng(1)
         for _ in range(10):
             x = rng.uniform(0.2, 3.0)
@@ -117,7 +117,7 @@ class TestHarmonicity:
     def test_non_harmonic_probe(self):
         class Probe(flds.ScalarField):
             name = "x^2+y^2"
-            domain = geo.RightHalfplane()
+            domain = geo.Sector(math.inf)
             default_window = geo.WindowBox((0.0, -2.0), (4.0, 2.0))
 
             def value(self, p, check=True):
@@ -260,7 +260,7 @@ class TestBoundaryAndPositivity:
 
 class TestCylinderMode:
     def test_interval_eigenpair(self):
-        mode = flds.CylinderMode()
+        mode = flds.cylinder_martin()
         assert mode.lam == pytest.approx(np.pi ** 2 / 4)
         assert mode.phi(1.0) == pytest.approx(0.0, abs=1e-15)
         assert mode.phi(-1.0) == pytest.approx(0.0, abs=1e-15)
@@ -278,7 +278,7 @@ class TestCylinderMode:
                 p = np.array([t, y])
                 v = fld.value(p)
                 vtt = fld.hessian(p)[0, 0]
-                assert vtt == pytest.approx(fld.mode.lam * v, rel=1e-12)
+                assert vtt == pytest.approx(fld.lam * v, rel=1e-12)
                 assert vtt > 0.0
 
     @pytest.mark.parametrize("A,B", [(1.0, 0.0), (1.0, 0.5), (0.0, 2.0)])
@@ -306,13 +306,13 @@ class TestCylinderMode:
 
     def test_coefficient_validation(self):
         with pytest.raises(flds.FieldError):
-            flds.CylinderMode(A=-1.0, B=0.5)
+            flds.cylinder_martin(A=-1.0, B=0.5)
         with pytest.raises(flds.FieldError):
-            flds.CylinderMode(A=0.0, B=0.0)
+            flds.cylinder_martin(A=0.0, B=0.0)
 
     def test_registry_parses_coefficients(self):
         fld = flds.field_from_name("cylinder:A=2,B=0.5")
-        assert fld.mode.A == 2.0 and fld.mode.B == 0.5
+        assert fld.A == 2.0 and fld.B == 0.5
         with pytest.raises(flds.FieldError):
             flds.field_from_name("nonexistent")
 
@@ -487,6 +487,6 @@ class TestCylinderNames:
             flds.field_from_name(name)
 
     def test_well_formed_names(self):
-        assert flds.field_from_name("cylinder").mode.B == 0.0
+        assert flds.field_from_name("cylinder").B == 0.0
         fld = flds.field_from_name("cylinder: A = 0.5 , B=2")
-        assert (fld.mode.A, fld.mode.B) == (0.5, 2.0)
+        assert (fld.A, fld.B) == (0.5, 2.0)

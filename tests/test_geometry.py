@@ -15,7 +15,7 @@ def strip():
 
 @pytest.fixture
 def sqrt_profile():
-    return geo.ProfileRegion(geo.ProfileDomain("sqrt"))
+    return geo.ProfileRegion("sqrt")
 
 
 class TestContainment:
@@ -87,7 +87,7 @@ class TestMembershipContract:
 
     def test_profile_needs_interval_cross_section(self):
         with pytest.raises(geo.GeometryError):
-            geo.ProfileRegion(geo.ProfileDomain("sqrt", geo.square_body()))
+            geo.ProfileRegion("sqrt", geo.square_body())
 
     @pytest.mark.parametrize("D", [(0.0, 1.0), (-1.0, 0.0), (1.0, -1.0), (-1.0, 2.0, 3.0),
                                    (-np.inf, 1.0), (np.nan, 1.0), "ab", 1.0],
@@ -95,11 +95,11 @@ class TestMembershipContract:
                                   "string", "number"])
     def test_cross_section_is_an_interval_around_0(self, D):
         with pytest.raises(geo.GeometryError):
-            geo.ProfileDomain("sqrt", D)
+            geo.ProfileRegion("sqrt", D)
 
     def test_cross_section_default_and_walls(self):
-        assert geo.ProfileDomain("sqrt").cross_section == (-1.0, 1.0)
-        dom = geo.ProfileRegion(geo.ProfileDomain("sqrt", (-0.5, 2)))
+        assert geo.ProfileRegion("sqrt").cross_section == (-1.0, 1.0)
+        dom = geo.ProfileRegion("sqrt", (-0.5, 2))
         assert dom.slice_at(4.0).intervals == ((-1.0, 4.0),)
         assert dom.contains((4.0, 3.9)) and not dom.contains((4.0, -1.1))
 
@@ -255,6 +255,21 @@ class TestSlices:
         assert b == pytest.approx(math.sqrt(0.75))
         assert not sl.contains(0.0)
 
+    @pytest.mark.parametrize("cfg", [c for c in REGISTRY if c not in (RING, "rescaled_sqrt")],
+                             ids=lambda c: "-".join(str(c[k]) for k in ("kind", "f") if k in c))
+    @pytest.mark.parametrize("t", [0.3, 1.0, 2.5])
+    def test_slice_agrees_with_membership(self, cfg, t):
+        # on a y-lattice, farther than 1e-6 from the interval ends: near them
+        # the rounding of a wall (1 + y^2 on the circle) decides membership
+        dom = _registry_domain(cfg)
+        intervals = dom.slice_at(t).intervals
+        ends = np.array([e for interval in intervals for e in interval if np.isfinite(e)])
+        ys = np.linspace(-4.0, 4.0, 8001)
+        ys = ys[np.all(np.abs(ys[:, None] - ends) > 1e-6, axis=1)]
+        in_slice = np.any([(a < ys) & (ys < b) for a, b in intervals], axis=0)
+        pts = np.column_stack([np.full_like(ys, t), ys])
+        np.testing.assert_array_equal(dom.contains(pts), in_slice)
+
     def test_empty_slice_raises(self, strip):
         with pytest.raises(geo.GeometryError):
             strip.slice_at(-1.0)
@@ -278,7 +293,7 @@ class TestSlices:
 
 class TestRescaledDomain:
     def test_constant_profile_is_unit_cylinder(self):
-        prof = geo.ProfileRegion(geo.ProfileDomain("const"))
+        prof = geo.ProfileRegion("const")
         rd = geo.rescaled_domain(prof, 10.0)
         for t in np.linspace(-4.9, 4.9, 11):
             assert rd.radius(t) == pytest.approx(1.0)
@@ -385,16 +400,16 @@ class TestHausdorff:
 class TestProfiles:
     def test_registry_profiles_pass_hypotheses(self):
         for name in ("sqrt", "log1p", "const", "saturating"):
-            geo.ProfileDomain(name)
+            geo.ProfileRegion(name)
 
     def test_increasing_derivative_rejected(self):
         # concavity is checked on f itself: t^2 is convex
         with pytest.raises(geo.GeometryError, match="not concave"):
-            geo.ProfileDomain(lambda t: t * t)
+            geo.ProfileRegion(lambda t: t * t)
 
     def test_nonpositive_profile_rejected(self):
         with pytest.raises(geo.GeometryError, match="positive"):
-            geo.ProfileDomain(lambda t: t - 1.0)
+            geo.ProfileRegion(lambda t: t - 1.0)
 
 
 class TestWindowAndConfig:
@@ -517,11 +532,11 @@ _EDGE_POINTS = np.array([(x, s * y) for x in _EDGE_VALUES + [-0.5, -2.0]
 
 
 class TestOneInequalitySet:
-    @pytest.mark.parametrize("dom", [geo.Strip(), geo.RightHalfplane(), geo.Sector(),
+    @pytest.mark.parametrize("dom", [geo.Strip(), geo.Sector(math.inf), geo.Sector(),
                                      geo.SectorMinusSlit(), geo.HalfplaneMinusDisk(),
                                      geo.CylinderDomain(),
-                                     geo.ProfileRegion(geo.ProfileDomain("sqrt")),
-                                     geo.RescaledProfile(geo.ProfileDomain("sqrt"), 4.0)],
+                                     geo.ProfileRegion("sqrt"),
+                                     geo.RescaledProfile(geo.ProfileRegion("sqrt"), 4.0)],
                              ids=lambda d: d.kind)
     def test_masks_bit_equal_to_separate_inequalities(self, dom):
         noise = np.random.default_rng(17).uniform([-3.0, -4.0], [6.0, 4.0], size=(10 ** 4, 2))

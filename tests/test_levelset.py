@@ -74,7 +74,7 @@ class TestExtraction:
     def test_closed_loop_detected(self):
         class Bump(flds.ScalarField):
             name = "bump"
-            domain = geo.RightHalfplane()
+            domain = geo.Sector(math.inf)
             default_window = None
 
             def value(self, p, check=True):
@@ -209,7 +209,7 @@ class TestMidpointWitness:
 
 class TestTangentForm:
     def test_halfplane_v_identity(self):
-        v = flds.halfplane_v()
+        v = flds.sector_martin(2)
         rng = np.random.default_rng(23)
         for _ in range(100):
             x = rng.uniform(0.2, 4.0)
@@ -242,7 +242,7 @@ class TestTangentForm:
         assert ls.tangent_hessian_form(e, np.array([2.0, 0.0])) > 0.0
 
     def test_critical_point_raises(self):
-        v = flds.halfplane_v()
+        v = flds.sector_martin(2)
 
         class Shift(ScaledField):
             def gradient(self, p):
@@ -259,7 +259,7 @@ class TestStrictness:
         assert all(tag == "strictly_convex_everywhere" for tag in cls.tags.values())
 
     def test_flat_field_nowhere_strict(self):
-        hx = flds.halfplane_coordinate()
+        hx = flds.sector_martin(1)
         cls = ls.classify_strictness(hx, [0.5, 1.0], window=hx.default_window, h=0.02)
         assert all(tag == "nowhere_strict" for tag in cls.tags.values())
 
@@ -745,7 +745,7 @@ STRICTNESS_CASES = {
     "strip": (flds.strip_martin, [0.5, 1.0, 2.0, 1e9], 0.02),
     "exterior": (flds.exterior_martin, [1.5, 3.0], 0.02),
     "slit_sector": (flds.slit_sector_martin, [0.5, 2.0, 8.0], 0.02),
-    "halfplane_x": (flds.halfplane_coordinate, [0.5, 1.0], 0.02),
+    "halfplane_x": (lambda: flds.sector_martin(1), [0.5, 1.0], 0.02),
     "cylinder": (lambda: flds.cylinder_martin(1.0, 1.0), [1.0, 2.5], 0.01),
     "grid": (strip_grid_field, [0.5, 1.0, 2.0], 0.05),
     "critical": (lambda: FlatBelow(flds.strip_martin(), 1.0), [0.5, 1.0, 2.0, 4.0], 0.02),

@@ -94,7 +94,7 @@ class TestSlicesMatchPointwiseReference:
 
     @pytest.mark.parametrize("radii", [np.geomspace(5, 80, 12), np.geomspace(2, 40, 9)])
     def test_tangent_form_asymptotic(self, radii):
-        u, v = flds.slit_sector_martin(), flds.halfplane_v()
+        u, v = flds.slit_sector_martin(), flds.sector_martin(2)
 
         def residual(z):
             p = np.array([z.real, z.imag])
@@ -119,7 +119,7 @@ class TestSlicesMatchPointwiseReference:
         assert (got.slope, got_largest) == (fit.slope, largest)
 
     def test_tangent_form_residual_takes_arrays(self):
-        u, v = flds.slit_sector_martin(), flds.halfplane_v()
+        u, v = flds.slit_sector_martin(), flds.sector_martin(2)
         z = np.array([[1.5 + 0.2j, 3.0 - 0.4j], [10.0 + 0.0j, 2.0 + 1.0j]])
         pts = np.stack([z.real, z.imag], axis=-1)
         resid, form = sa.tangent_form_residual(u, v, z)
@@ -165,9 +165,8 @@ class TestRescale:
     def test_strip_mode_error_decreases(self):
         fld = flds.strip_martin()
         window = geo.WindowBox((-2.0, -2.0), (2.0, 2.0))
-        mode = flds.CylinderMode()
-        r6 = sa.rescale_and_compare(fld, 6.0, window, mode)
-        r10 = sa.rescale_and_compare(fld, 10.0, window, mode)
+        r6 = sa.rescale_and_compare(fld, 6.0, window)
+        r10 = sa.rescale_and_compare(fld, 10.0, window)
         assert r10.sup_mode_error < r6.sup_mode_error
         for r in (r6, r10):
             assert r.center_value <= 1.0 + 1e-12
@@ -178,8 +177,8 @@ class TestRescale:
         # the lattice evaluation written one point at a time
         fld = flds.strip_martin()
         window = geo.WindowBox((-2.0, -2.0), (2.0, 2.0))
-        mode = flds.CylinderMode()
-        got = sa.rescale_and_compare(fld, s, window, mode)
+        mode = flds.cylinder_martin()
+        got = sa.rescale_and_compare(fld, s, window)
         zoomed = geo.rescaled_domain(geo.strip_as_profile(), s)
         M = sa.slice_scan(fld, s).max_value
 
@@ -207,13 +206,13 @@ class TestRescale:
     def test_strip_limit_is_pure_growth_mode(self):
         fld = flds.strip_martin()
         window = geo.WindowBox((-2.0, -2.0), (2.0, 2.0))
-        r = sa.rescale_and_compare(fld, 10.0, window, flds.CylinderMode())
+        r = sa.rescale_and_compare(fld, 10.0, window)
         A, B = r.mode_coefficients
         assert A == pytest.approx(1.0, abs=1e-5)
         assert B == pytest.approx(0.0, abs=1e-8)
 
     def test_sqrt_profile_hausdorff_monotone(self):
-        prof = geo.ProfileRegion(geo.ProfileDomain("sqrt"))
+        prof = geo.ProfileRegion("sqrt")
         window = geo.WindowBox((-2.0, -2.0), (2.0, 2.0))
         ts = np.linspace(-2.0, 2.0, 801)
         cyl = np.vstack([np.column_stack([ts, np.ones_like(ts)]),
@@ -267,7 +266,7 @@ class TestDecayFit:
 class TestTangentFormAsymptotics:
     def test_residual_slope(self):
         u = flds.slit_sector_martin()
-        v = flds.halfplane_v()
+        v = flds.sector_martin(2)
         fit, largest = sa.tangent_form_asymptotic(u, v, np.geomspace(5, 80, 12))
         assert fit.slope <= -1.9
         # empirical convexity threshold on the axis: form >= 0 up to 3^(1/4)
@@ -275,12 +274,12 @@ class TestTangentFormAsymptotics:
 
     def test_form_negative_at_10(self):
         u = flds.slit_sector_martin()
-        v = flds.halfplane_v()
+        v = flds.sector_martin(2)
         _, form = sa.tangent_form_residual(u, v, 10.0 + 0.0j)
         assert form < 0.0
 
     def test_control_field_residual_identically_zero(self):
-        v = flds.halfplane_v()
+        v = flds.sector_martin(2)
         for r in np.geomspace(5, 80, 8):
             resid, form = sa.tangent_form_residual(v, v, complex(r, 0.3))
             assert abs(resid) <= 1e-9 * (1.0 + abs(form))
