@@ -266,16 +266,18 @@ _RATIO_ORACLES = {
 
 
 def _probe_half_height(domain, x0, x1, pole):
-    """Smallest bounded slice half-width over [x0, x1], capped by the
-    truncation window of the first pole, so a symmetric probe window of
-    that half-height stays inside the region."""
+    """Smallest half-width over [x0, x1] of the slice intervals whose closure
+    holds y = 0, capped by the first pole's truncation window, so a symmetric
+    probe of that half-height stays inside; a slice missing y = 0 is an error."""
     half = domain.truncation_window(pole).upper[1]
     for t in np.linspace(x0, x1, 65):
         if t <= 0.0:        # empty slice; martin_ratio checks these probes itself
             continue
-        sl = domain.slice_at(t)
-        if np.isfinite(sl.intervals).all():
-            half = min(half, -sl.intervals[0][0], sl.intervals[-1][1])
+        axis = [(a, b) for a, b in domain.slice_at(t).intervals if a <= 0.0 <= b]
+        if not axis:
+            raise ConfigError(f"probe points leave the domain: the slice at t = {t:g} "
+                              f"does not reach the axis y = 0")
+        half = min(half, -axis[0][0], axis[-1][1])
     return half
 
 
@@ -360,9 +362,14 @@ def cmd_green(args):
         "probe_values": [float(v) for v in probe_vals_final],
         "iterates": [{"pole": it.pole,
                       "window": [list(it.window.lower), list(it.window.upper)],
+                      "fine_window": [list(it.fine_window.lower), list(it.fine_window.upper)],
                       "interior_nodes": it.interior_nodes,
                       "cg_iterations": it.stats.iterations,
-                      "cg_residual": it.stats.residual}
+                      "cg_residual": it.stats.residual,
+                      "coarse": it.coarse and {
+                          "h": it.coarse.h, "interior_nodes": it.coarse.interior_nodes,
+                          "cg_iterations": it.coarse.stats.iterations,
+                          "cg_residual": it.coarse.stats.residual}}
                      for it in result.iterates],
     }
     oracle = _RATIO_ORACLES.get(domain.kind)

@@ -454,15 +454,26 @@ class MartinApproxConfig:
         object.__setattr__(self, "poles", s)
 
 
+@dataclass(frozen=True)
+class CoarseSolve:
+    """The coarse level of a two-level iterate: spacing H, interior nodes, solve."""
+
+    h: float
+    interior_nodes: int
+    stats: SolveStats
+
+
 @dataclass
 class MartinIterate:
-    """What outlives an iterate's grid: its truncation, its solve and the
-    ratio u_n on the probe lattice."""
+    """What outlives an iterate's grids: its truncation and fine windows, its
+    solves (no coarse one for one level) and the ratio u_n on the probes."""
 
     pole: float
     window: WindowBox
+    fine_window: WindowBox
     interior_nodes: int
     stats: SolveStats
+    coarse: CoarseSolve | None
     samples: np.ndarray                # u_n at the probe points
 
 
@@ -485,14 +496,55 @@ def probe_lattice(window):
     return np.stack([X.ravel(), Y.ravel()], axis=-1)
 
 
+#: the fine window W's margin around x0 and the probe; a pole this near W gets one level
+ZOOM_MARGIN = 2.0
+#: the coarse spacing is H = s / COARSE_STEPS for the pole s
+COARSE_STEPS = 160
+
+
+def _solve_pole(domain, cfg, window, s, h):
+    """The Green field of the pole s on its fine window W, and the coarse solve.
+
+    W is the box around x0 and the probe window grown by ZOOM_MARGIN and
+    clipped to the truncation window.  A Green solve on the truncation window
+    at H = s / COARSE_STEPS (at most 1/16 of its smaller extent), bilinearly
+    interpolated, gives W's edges inside the domain their data (walls get
+    zero) and is freed before the Dirichlet solve at h on W.  A pole within
+    the margin of W, or H <= h, gets one Green solve at h on the whole window.
+    """
+    lo = np.maximum(np.minimum(cfg.x0, cfg.probe_window.lower) - ZOOM_MARGIN, window.lower)
+    hi = np.minimum(np.maximum(cfg.x0, cfg.probe_window.upper) + ZOOM_MARGIN, window.upper)
+    H = min(s / COARSE_STEPS, min(window.extent()) / 16.0)
+    stage = fine = f"pole {s:g}, fine grid (h = {h:.3g})"
+    try:
+        if np.all((lo - ZOOM_MARGIN < (s, 0.0)) & ((s, 0.0) < hi + ZOOM_MARGIN)) or H <= h:
+            return green_function(build_grid(domain, window, h), (s, 0.0)), None
+        stage = f"pole {s:g}, coarse grid (H = {H:.3g})"
+        G = green_function(build_grid(domain, window, H), (s, 0.0))
+        coarse = CoarseSolve(h=H, interior_nodes=G.grid.interior_count(), stats=G.stats)
+        grid = build_grid(domain, WindowBox(tuple(lo), tuple(hi)), h)
+        data = np.ones(grid.shape)
+        data[1:-1, 1:-1] = 0.0
+        ii, jj = np.nonzero(data)       # the window's edge nodes
+        pts = np.column_stack([grid.xs[ii], grid.ys[jj]])
+        data[ii, jj] = np.where(domain.contains(pts), G.value(pts), 0.0)
+        del G                           # one grid's solve at a time
+        stage = fine
+        return solve_dirichlet(grid, data, tol=1e-12), coarse
+    except SolverError as e:
+        raise SolverError(f"{stage}: {e}") from None
+
+
 def martin_ratio(domain, cfg: MartinApproxConfig, h):
     """Normalized Green ratios along the pole sequence plus diagnostics.
 
     Each iterate satisfies u_n(x0) = 1 exactly (normalization by the
     interpolated Green value); the final iterate is the limit approximation
     and the Cauchy diagnostics bound the observed inter-iterate movement.
-    Only the final iterate keeps its grid: each earlier one is reduced to
-    its probe samples and solve record before the next grid is built.
+    A far pole's fine grid covers only the box around x0 and the probe
+    window (see :func:`_solve_pole`).  Only the final iterate keeps its
+    grid: each earlier one is reduced to its probe samples and solve record
+    before the next grid is built.
     """
     if not domain.contains(np.asarray(cfg.x0, dtype=float)):
         raise GeometryError(f"reference point {cfg.x0} not inside the domain")
@@ -510,15 +562,16 @@ def martin_ratio(domain, cfg: MartinApproxConfig, h):
         if not window.contains((s, 0.0), strict=True):
             raise GeometryError(f"pole {s} not inside its truncation window")
         ratio = None                    # free the previous grid before building the next
-        ratio = green_function(build_grid(domain, window, h), (s, 0.0))
+        ratio, coarse = _solve_pole(domain, cfg, window, s, h)
         g0 = ratio.value(np.asarray(cfg.x0, dtype=float))
         if g0 <= 0.0:
             raise SolverError(f"nonpositive Green value at the reference point for pole {s}")
         ratio.values /= g0
         ratio.name = f"ratio[{s}]"
-        iterates.append(MartinIterate(pole=s, window=window,
+        iterates.append(MartinIterate(pole=s, window=window, fine_window=ratio.grid.window,
                                       interior_nodes=ratio.grid.interior_count(),
-                                      stats=ratio.stats, samples=ratio.value(probes)))
+                                      stats=ratio.stats, coarse=coarse,
+                                      samples=ratio.value(probes)))
     cauchy = [float(np.max(np.abs(b.samples - a.samples))) for a, b in zip(iterates, iterates[1:])]
     return MartinRatioResult(iterates=iterates, cauchy=cauchy, final=ratio, probe_points=probes)
 

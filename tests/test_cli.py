@@ -333,6 +333,38 @@ class TestGreen:
         assert y1 == -y0 == pytest.approx(0.8 * math.sqrt(0.5))
         assert min(payload["probe_values"]) > 0.0
 
+    @pytest.mark.parametrize("probe, half", [("1.5,3", 3.2), ("0.5,1.5", None)])
+    def test_exterior_two_value_probe_reads_the_axis_interval(self, tmp_path, capsys,
+                                                              probe, half):
+        # past the disk the axis interval is unbounded, so the pole's cap
+        # holds; a slice at t < 1 does not reach the axis
+        argv = ["green", "--domain", "halfplane_minus_disk", "--x0", "2,0", "--poles", "4",
+                "--h", "0.1", "--probe", probe, "--out", str(tmp_path)]
+        assert cli.main(argv) == (0 if half else 2)
+        if half:
+            (_, y0), (_, y1) = json.load(open(tmp_path / "ratio.json"))["probe_window"]
+            assert y1 == -y0 == pytest.approx(half)
+        else:
+            assert ("probe points leave the domain: the slice at t = 0.5 does not reach "
+                    "the axis y = 0") in capsys.readouterr().err
+
+    def test_two_level_report(self, tmp_path):
+        # pole 3 lies within the margin of W = [0, 3.5] x [-pi/2, pi/2], pole 6 does not
+        argv = ["green", "--domain", "strip", "--x0", "0.5,0", "--poles", "3,6",
+                "--h", "0.0314", "--probe", "0.4,1.5,-1,1"]
+        reports = []
+        for sub in ("a", "b"):
+            assert cli.main(argv + ["--out", str(tmp_path / sub)]) == 0
+            reports.append((tmp_path / sub / "ratio.json").read_bytes())
+        assert reports[0] == reports[1]
+        near, far = json.loads(reports[0])["iterates"]
+        assert near["coarse"] is None and near["fine_window"] == near["window"]
+        assert far["fine_window"] == [[0.0, -math.pi / 2], [3.5, math.pi / 2]]
+        assert far["coarse"]["h"] == 6 / greenratio.COARSE_STEPS
+        assert far["coarse"]["interior_nodes"] > 0
+        assert far["coarse"]["cg_iterations"] == far["cg_iterations"] == 1
+        assert 0.0 < far["coarse"]["cg_residual"] <= 1e-12
+
     def test_config_number_lists(self, tmp_path, capsys):
         # lists, comma-separated strings and single numbers parse alike
         base = {"domain": "strip", "h": 0.0628, "probe": "0.4,1.5,-1,1"}
@@ -716,8 +748,8 @@ def test_boundary_samples_lie_on_the_boundary(kind, window):
 
 #: the kinds that green rejects with the config below, each by its message:
 #: the cylinder has no axial truncation rule, no slice of the exterior at
-#: t < 1 holds the axis, so the probe crosses the disk, and a ring run takes
-#: no poles
+#: t < 1 reaches the axis, so no probe half-height keeps off the disk, and a
+#: ring run takes no poles
 GREEN_REJECTS = {"cylinder": "has no axial truncation rule",
                  "halfplane_minus_disk": "probe points leave the domain",
                  "convex_ring": "config key 'poles' is unknown"}

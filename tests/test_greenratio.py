@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -430,6 +431,114 @@ class TestMartinRatio:
                 tracemalloc.stop()
         assert [it.stats.iterations for it in result.iterates] == [1, 1, 1]
         assert peaks[1] <= 1.2 * peaks[0]
+
+
+def strip_probe_error(res):
+    """Largest relative error of the final ratio on the probe lattice against
+    sinh(x) cos(y) / sinh(0.5)."""
+    x, y = res.probe_points.T
+    exact = np.sinh(x) * np.cos(y) / np.sinh(0.5)
+    return float(np.max(np.abs(res.final.value(res.probe_points) - exact) / exact))
+
+
+GREEN_STRIP = gr.MartinApproxConfig(x0=(0.5, 0.0), poles=(4.0, 6.0, 8.0),
+                                    probe_window=geo.WindowBox((0.5, -1.0), (2.0, 1.0)))
+
+
+class TestTwoLevelRatio:
+    def test_fine_window_and_fallback(self, monkeypatch):
+        # W = [0.5, 2] x [-1, 1] grown by the margin 2 and clipped to the
+        # strip; pole 4 lies within the margin of W, poles 6 and 8 do not
+        res = gr.martin_ratio(geo.Strip(), GREEN_STRIP, np.pi / 200)
+        first, *far = res.iterates
+        assert first.coarse is None and first.fine_window == first.window
+        assert first.interior_nodes == 101092
+        for it in far:
+            assert it.fine_window == geo.WindowBox((0.0, -np.pi / 2), (4.0, np.pi / 2))
+            assert it.interior_nodes == 50546
+            assert it.coarse.h == it.pole / gr.COARSE_STEPS
+            assert it.stats.iterations == it.coarse.stats.iterations == 1
+        assert all(b < a for a, b in zip(res.cauchy, res.cauchy[1:]))
+        # no worse than one grid over every truncation window
+        monkeypatch.setattr(gr, "ZOOM_MARGIN", math.inf)
+        one_grid = gr.martin_ratio(geo.Strip(), GREEN_STRIP, np.pi / 200)
+        assert all(it.coarse is None for it in one_grid.iterates)
+        assert strip_probe_error(res) <= strip_probe_error(one_grid)
+
+    def test_margin_matters(self, monkeypatch):
+        # at h = 1/64 every fine window snaps to the one-grid spacing, so the
+        # zoomed probe values differ from the one-grid ones only through the
+        # cap data: that difference falls as the margin grows, and at the
+        # stated margin it is a small part of the discretization error
+        assert gr.ZOOM_MARGIN == 2.0
+        runs = {}
+        for margin in (math.inf, 3.0, 2.0, 1.0):
+            monkeypatch.setattr(gr, "ZOOM_MARGIN", margin)
+            runs[margin] = gr.martin_ratio(geo.Strip(), GREEN_STRIP, 1 / 64)
+        one_grid = runs.pop(math.inf)
+        base = one_grid.final.value(one_grid.probe_points)
+        moved = {m: np.max(np.abs(r.final.value(r.probe_points) - base) / base)
+                 for m, r in runs.items()}
+        assert moved[3.0] < moved[2.0] < moved[1.0]
+        assert moved[2.0] <= 3e-3 * strip_probe_error(one_grid)
+
+    def test_large_poles_cost_the_same(self):
+        cfg = dataclasses.replace(GREEN_STRIP, poles=(8.0, 16.0, 32.0))
+        res = gr.martin_ratio(geo.Strip(), cfg, np.pi / 100)
+        assert len({it.interior_nodes for it in res.iterates}) == 1
+        # H = s / 160 on a window of fixed height: the coarse grid does not grow
+        coarse = [it.coarse.interior_nodes for it in res.iterates]
+        assert coarse == sorted(coarse, reverse=True)
+        assert all(it.stats.iterations == it.coarse.stats.iterations == 1 for it in res.iterates)
+
+    @pytest.mark.parametrize("failing_call, stage", [(1, "pole 8, coarse grid (H = 0.05): "),
+                                                     (2, "pole 8, fine grid (h = 0.0314): ")])
+    def test_solver_error_names_its_stage(self, monkeypatch, failing_call, stage):
+        calls = []
+        cg = gr._cg
+
+        def failing_cg(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == failing_call:
+                raise gr.SolverError("iteration cap")
+            return cg(*args, **kwargs)
+
+        monkeypatch.setattr(gr, "_cg", failing_cg)
+        with pytest.raises(gr.SolverError) as err:
+            gr.martin_ratio(geo.Strip(), dataclasses.replace(GREEN_STRIP, poles=(8.0,)),
+                            np.pi / 100)
+        assert str(err.value) == stage + "iteration cap"
+
+    def test_holds_less_than_the_full_grid(self):
+        # the far poles' fine grids cover only the probe box, so the run peaks
+        # at pole 4's full grid, half the size of pole 8's
+        h = np.pi / 200
+        full = gr.build_grid(geo.Strip(), geo.Strip().truncation_window(8.0), h)
+        peaks = []
+        for run in (lambda: gr.green_function(full, (8.0, 0.0)),
+                    lambda: gr.martin_ratio(geo.Strip(), GREEN_STRIP, h)):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 0.6 * peaks[0]
+
+    def test_exterior_within_10pct_of_the_full_grid(self, monkeypatch):
+        dom = geo.HalfplaneMinusDisk()
+        cfg = gr.MartinApproxConfig(x0=(2.0, 0.0), poles=(16.0,),
+                                    probe_window=geo.WindowBox((1.5, -1.0), (3.0, 1.0)))
+        x, y = gr.probe_lattice(cfg.probe_window).T
+        exact = (x - x / (x * x + y * y)) / 1.5      # x - x / r^2, normalized at (2, 0)
+        errors = []
+        for margin, levels in ((gr.ZOOM_MARGIN, 2), (math.inf, 1)):
+            monkeypatch.setattr(gr, "ZOOM_MARGIN", margin)
+            res = gr.martin_ratio(dom, cfg, 0.05)
+            assert (res.iterates[0].coarse is not None) == (levels == 2)
+            errors.append(np.max(np.abs(res.final.value(res.probe_points) - exact) / exact))
+        assert errors[0] <= 1.1 * errors[1]
 
 
 class TestHalfplaneRatio:
