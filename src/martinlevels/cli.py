@@ -5,10 +5,10 @@ levelsets, audit and green take --config PATH, --out DIR, --seed N and
 --verbose; slice-scan and asymptotics take --out DIR.  Exit codes: 0
 success, 1 runtime/solver failure, 2 invalid configuration or geometry.
 
-All randomness used for sample placement comes from the seeded xorshift64*
-generator, and all JSON/CSV outputs are deterministic for a fixed config and
-seed; wall-clock timings go to a separate ``*.timings.json`` sidecar so the
-main reports stay byte-reproducible.
+All randomness used for sample placement comes from Python's seeded
+``random.Random``, and all JSON/CSV outputs are deterministic for a fixed
+config and seed; wall-clock timings go to a separate ``*.timings.json``
+sidecar so the main reports stay byte-reproducible.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 import time
 import zlib
@@ -24,7 +25,6 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import export, fields, geometry, greenratio, levelset, slices
-from ._rng import XorShift64Star
 
 
 class ConfigError(ValueError):
@@ -226,7 +226,7 @@ def cmd_audit(args):
     failed_required = False
     for name, params, expected, required in jobs:
         # process-independent per-check seed (hash() is salted per process)
-        rng = XorShift64Star(seed ^ zlib.crc32(name.encode()))
+        rng = random.Random(seed ^ zlib.crc32(name.encode()))
         t0 = time.perf_counter()
         try:
             passed, details = AUDIT_CHECKS[name][0](fld, rng, params)
@@ -290,8 +290,10 @@ def _green_ring_mode(domain, raw, h, args, out):
     hi = domain.outer.vertices.max(axis=0)
     grid = greenratio.build_grid(domain, geometry.WindowBox(tuple(lo), tuple(hi)), h)
     inner = greenratio.inner_body_nodes(grid)
-    sol = greenratio.solve_dirichlet(grid,
-                                     boundary_values=greenratio.ring_dirichlet_data(grid, inner))
+    try:
+        sol = greenratio.solve_dirichlet(grid, greenratio.ring_dirichlet_data(grid, inner))
+    except greenratio.SolverError as e:
+        raise greenratio.SolverError(f"ring solve (h = {h:.3g}): {e}") from None
     vals = sol.values[grid.mask == greenratio.INTERIOR]
     umin, umax = float(vals.min()), float(vals.max())
     verdicts = {}
@@ -348,7 +350,7 @@ def cmd_green(args):
 
     t0 = time.perf_counter()
     result = greenratio.martin_ratio(domain, mcfg, h)
-    probe_vals_final = result.final.value(result.probe_points)
+    probe_vals_final = result.iterates[-1].samples
 
     payload = {
         "domain": domain.kind,
@@ -419,8 +421,9 @@ def cmd_slice_scan(args):
 
 def _parse_radii(text):
     vals = geometry.parse_value(text, "--radii", sep=":")
-    if len(vals) != 3 or min(vals[:2]) <= 0.0 or vals[2] < 0 or not vals[2].is_integer():
-        raise ConfigError("--radii takes lo:hi:count with positive bounds and a count >= 0")
+    if len(vals) != 3 or min(vals[:2]) <= 1.0 or vals[2] < 0 or not vals[2].is_integer():
+        raise ConfigError("--radii takes lo:hi:count with both bounds above 1, the slit tip, "
+                          "and a count >= 0")
     return np.geomspace(vals[0], vals[1], int(vals[2]))
 
 

@@ -314,12 +314,12 @@ def harmonicity_residual(field, p, h):
 
 def interior_points(fld, n, rng):
     """The first n points drawn uniformly from the field's default window
-    (x, then y, from the seeded generator) that lie in the domain farther
-    than 0.05 from its boundary, shape ``(n, 2)``."""
+    (x, then y, from the seeded ``random.Random`` rng) that lie in the domain
+    farther than 0.05 from its boundary, shape ``(n, 2)``."""
     lower, upper = np.array(fld.default_window.lower), np.array(fld.default_window.upper)
     pts = np.empty((0, 2))
     while len(pts) < n:
-        p = lower + (upper - lower) * np.reshape(rng.uniforms(2 * n), (-1, 2))
+        p = lower + (upper - lower) * np.reshape([rng.random() for _ in range(2 * n)], (-1, 2))
         p = p[fld.domain.contains(p)]
         pts = np.vstack([pts, p[fld.domain.boundary_distance(p) > 0.05]])
     return pts[:n]

@@ -70,13 +70,19 @@ class WindowBox:
         if not h > 0.0:
             raise GeometryError(f"lattice spacing h={h} must be positive")
         (x0, y0), (x1, y1) = self.lower, self.upper
-        nx, ny = (max(1, int(round((b - a) / h))) for a, b in zip(self.lower, self.upper))
-        xs = x0 + (x1 - x0) * np.arange(nx + 1) / nx
-        if y0 != -y1:
-            return xs, y0 + (y1 - y0) * np.arange(ny + 1) / ny
-        ny += ny % 2
-        half = y0 + (y1 - y0) * np.arange(ny // 2) / ny
-        return xs, np.concatenate([half, [0.0], -half[::-1]])
+        steps = [(b - a) / h for a, b in zip(self.lower, self.upper)]
+        try:
+            nx, ny = (max(1, int(round(n))) for n in steps)
+            xs = x0 + (x1 - x0) * np.arange(nx + 1) / nx
+            if y0 != -y1:
+                return xs, y0 + (y1 - y0) * np.arange(ny + 1) / ny
+            ny += ny % 2
+            half = y0 + (y1 - y0) * np.arange(ny // 2) / ny
+            return xs, np.concatenate([half, [0.0], -half[::-1]])
+        except (OverflowError, ValueError, MemoryError) as e:
+            raise GeometryError(f"cannot build the lattice of window lower={self.lower}, "
+                                f"upper={self.upper} at h={h}: {steps[0] + 1:.3g} x "
+                                f"{steps[1] + 1:.3g} nodes ({e})") from None
 
 
 # lattice rows per block: bounds a lattice pass's point buffer at 64 x len(ys) x 2

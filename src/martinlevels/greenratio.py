@@ -87,8 +87,7 @@ def build_grid(domain, window, h):
     interior = lattice_mask(xs, ys, domain.contains)
     interior[0, :] = interior[-1, :] = False
     interior[:, 0] = interior[:, -1] = False
-    interior[1:-1, 1:-1] &= (in_closure[2:, 1:-1] & in_closure[:-2, 1:-1]
-                             & in_closure[1:-1, 2:] & in_closure[1:-1, :-2])
+    interior &= ~_has_neighbor_in(~in_closure)
     boundary = in_closure & ~interior & _has_neighbor_in(interior)
 
     mask = np.zeros(interior.shape, dtype=np.int8)
@@ -359,9 +358,8 @@ def solve_dirichlet(grid, boundary_values=None, source=None, tol=1e-10, maxiter=
     bvals = None
     if boundary_values is not None:
         bdata = np.where(boundary, np.asarray(boundary_values, dtype=float), 0.0)
-        # fold Dirichlet neighbors into the right-hand side
-        rhs[1:-1, 1:-1] += ((bdata[2:, 1:-1] + bdata[:-2, 1:-1]) / hx ** 2
-                            + (bdata[1:-1, 2:] + bdata[1:-1, :-2]) / hy ** 2)
+        # fold Dirichlet neighbors into the right-hand side (bdata is 0 on the interior)
+        rhs -= _apply_neg_laplacian(bdata, interior, hx, hy)
         bvals = bdata[boundary]
         del bdata                       # only the boundary values outlive the fold
     rhs[~interior] = 0.0
@@ -580,7 +578,7 @@ def martin_ratio(domain, cfg: MartinApproxConfig, h):
 # Superlevel node clouds
 # ---------------------------------------------------------------------------
 
-def superlevel_nodes(fld: GridField, c, window=None):
+def superlevel_nodes(fld: GridField, c):
     """Grid nodes (interior or boundary) where the field exceeds c > 0.
 
     Empty levels return an empty cloud (reported, not an error).
@@ -588,36 +586,26 @@ def superlevel_nodes(fld: GridField, c, window=None):
     if c <= 0.0:
         raise GeometryError("superlevel threshold must be positive")
     g = fld.grid
-    member = (g.mask != EXTERIOR) & (fld.values > c)
-    return _clip_nodes(g, member, window)
+    ii, jj = np.nonzero((g.mask != EXTERIOR) & (fld.values > c))
+    return np.column_stack([g.xs[ii], g.ys[jj]])
 
 
-def superlevel_boundary_nodes(fld: GridField, c, window=None, extra_member=None):
+def superlevel_boundary_nodes(fld: GridField, c, extra_member=None):
     """Region-boundary nodes of {values > c} (union an extra node mask).
 
     A member node belongs to the discrete region boundary when one of its
-    4-neighbors is not a member; these are the points tested by the hull
-    certificate.
+    4-neighbors is not a member or it lies on the grid's border; these are
+    the points tested by the hull certificate.
     """
     g = fld.grid
     member = (g.mask != EXTERIOR) & (fld.values > c)
     if extra_member is not None:
         member = member | extra_member
-    edge = np.zeros_like(member)
-    inner = member[1:-1, 1:-1]
-    edge[1:-1, 1:-1] = inner & ~(member[2:, 1:-1] & member[:-2, 1:-1]
-                                 & member[1:-1, 2:] & member[1:-1, :-2])
-    edge[0, :] = member[0, :]
-    edge[-1, :] = member[-1, :]
-    edge[:, 0] |= member[:, 0]
-    edge[:, -1] |= member[:, -1]
-    return _clip_nodes(g, edge, window)
-
-
-def _clip_nodes(grid, member, window):
-    ii, jj = np.nonzero(member)
-    pts = np.column_stack([grid.xs[ii], grid.ys[jj]])
-    return pts if window is None else pts[window.contains(pts)]
+    edge = member & _has_neighbor_in(~member)
+    edge[[0, -1]] = member[[0, -1]]
+    edge[:, [0, -1]] = member[:, [0, -1]]
+    ii, jj = np.nonzero(edge)
+    return np.column_stack([g.xs[ii], g.ys[jj]])
 
 
 def ring_dirichlet_data(grid, closed=None):

@@ -8,6 +8,7 @@ within 0.1, Hausdorff 0.052, identity checks at 1e-9.
 import json
 import math
 import os
+import random
 import time
 
 import numpy as np
@@ -19,7 +20,6 @@ from martinlevels import geometry as geo
 from martinlevels import greenratio as gr
 from martinlevels import levelset as ls
 from martinlevels import slices as sa
-from martinlevels._rng import XorShift64Star
 
 
 def verdict(num, ok, text):
@@ -31,7 +31,7 @@ class TestCriterion1ClosedFormHarmonicity:
     @pytest.mark.parametrize("name", ["strip", "exterior", "slit_sector"])
     def test_residual_order_and_boundary(self, name):
         fld = flds.field_from_name(name)
-        pts = flds.interior_points(fld, 100, XorShift64Star(101))
+        pts = flds.interior_points(fld, 100, random.Random(101))
         hs = [1e-2, 1e-3, 1e-4]
         # the points lie > 0.05 from the boundary, so no stencil leaves the domain
         worst = [float(np.abs(flds.harmonicity_residual(fld, pts, h)).max()) for h in hs]
@@ -149,7 +149,7 @@ class TestCriterion6SlitSectorAsymptotics:
         s1 = sa.decay_fit(fp, radii).slope
         s2 = sa.decay_fit(fpp, radii).slope
         fit, _ = sa.tangent_form_asymptotic(u, v, radii)
-        rng = XorShift64Star(606)
+        rng = random.Random(606)
         identity_ok = True
         for _ in range(100):
             x = rng.uniform(0.3, 4.0)

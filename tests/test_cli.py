@@ -3,6 +3,7 @@ import ast
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from itertools import chain
@@ -11,7 +12,6 @@ import numpy as np
 import pytest
 
 from martinlevels import cli, export, fields, geometry, greenratio, levelset, slices
-from martinlevels._rng import XorShift64Star
 
 
 def write_config(tmp_path, name, payload):
@@ -64,9 +64,20 @@ class TestExitCodes:
         ["slice-scan", "--field", "exterior", "--t", "0.5", "--span", "0.5"],
         # no check would write an empty decay.json
         ["asymptotics", "--check", " , "],
+        # the strip's coarse spacing is capped at pi/16, so its grid grows like s
+        ["green", "--domain", "strip", "--x0", "0.5,0", "--poles", "1e300", "--h", "0.1",
+         "--probe", "0.5,1.5,-0.5,0.5"],
+        # (b - a) / h overflows to inf
+        ["green", "--domain", "strip", "--x0", "0.5,0", "--poles", "4,6", "--h", "1e-320",
+         "--probe", "0.5,1.5,-0.5,0.5"],
+        # u = 0 on the slit, which ends at r = 1: no slope can be fitted there
+        ["asymptotics", "--check", "f-decay", "--radii", "1:80:12"],
+        ["asymptotics", "--radii", "0.5:80:12"],
+        ["asymptotics", "--check", "hess-residual", "--radii", "1:80:12"],
     ], ids=["profile-without-f", "cylinder-no-truncation", "unbounded-slice-no-span",
             "short-radii", "negative-span", "zero-span", "span-clips-the-slice-away",
-            "no-asymptotics-check"])
+            "no-asymptotics-check", "lattice-too-large", "lattice-spacing-underflows",
+            "radii-from-the-slit-tip", "radii-on-the-slit", "hess-radii-from-the-slit-tip"])
     def test_geometry_errors_are_usage_errors(self, tmp_path, capsys, argv):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
@@ -212,8 +223,8 @@ class TestAudit:
     @pytest.mark.parametrize("name", ["strip", "exterior", "slit_sector", "cylinder:A=1,B=0.5"])
     def test_harmonicity_details_match_per_point_reference(self, name, seed):
         fld = fields.field_from_name(name)
-        got = cli._check_harmonicity(fld, XorShift64Star(seed), {})
-        assert got == reference_check_harmonicity(fld, XorShift64Star(seed))
+        got = cli._check_harmonicity(fld, random.Random(seed), {})
+        assert got == reference_check_harmonicity(fld, random.Random(seed))
         assert got[0] is True
 
     def test_required_failure_sets_exit_code(self, tmp_path):
@@ -520,6 +531,12 @@ class TestSliceScanAndAsymptotics:
         assert payload["f-decay"]["fsecond_slope"] == pytest.approx(-4.0, abs=0.1)
         assert payload["hess-residual"]["slope"] <= -1.9
 
+    @pytest.mark.parametrize("radii, code", [("1.0000001:80:12", 0), ("2:0.5:12", 2)])
+    def test_radii_bounds_lie_past_the_slit_tip(self, tmp_path, capsys, radii, code):
+        assert cli.main(["asymptotics", "--radii", radii, "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert ("--radii" in err) == bool(code) and "Traceback" not in err
+
     def test_asymptotics_bytes_deterministic(self, tmp_path):
         reports = []
         for sub in ("a", "b"):
@@ -770,23 +787,6 @@ def test_green_runs_or_rejects_every_domain_kind(tmp_path, domain):
     assert rejected is None or rejected in res.stderr
 
 
-class TestSeededGenerator:
-    def test_deterministic_stream(self):
-        a = XorShift64Star(42)
-        b = XorShift64Star(42)
-        assert [a.next_u64() for _ in range(8)] == [b.next_u64() for _ in range(8)]
-
-    def test_uniform_range(self):
-        rng = XorShift64Star(7)
-        vals = rng.uniforms(1000, -2.0, 3.0)
-        assert all(-2.0 <= v < 3.0 for v in vals)
-        assert abs(float(np.mean(vals)) - 0.5) < 0.25
-
-    def test_zero_seed_not_stuck(self):
-        rng = XorShift64Star(0)
-        assert len({rng.next_u64() for _ in range(16)}) == 16
-
-
 SMALL_RING = {"domain": {"kind": "convex_ring", "A": {"ngon": 8, "radius": 2.0},
                          "B": {"ngon": 8, "radius": 0.5}}, "h": 0.1}
 
@@ -799,6 +799,17 @@ def test_ring_run_computes_the_inner_body_mask_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "ring.json", SMALL_RING)
     assert cli.main(["green", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+def test_ring_solver_error_names_its_stage(tmp_path, capsys, monkeypatch):
+    def failing_cg(*args, **kwargs):
+        raise greenratio.SolverError("iteration cap")
+
+    monkeypatch.setattr(greenratio, "_cg", failing_cg)
+    cfg = write_config(tmp_path, "ring.json", SMALL_RING)
+    assert cli.main(["green", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: ring solve (h = 0.1): iteration cap\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("levels, message", [

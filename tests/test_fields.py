@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from martinlevels import cli
 from martinlevels import fields as flds
 from martinlevels import geometry as geo
 from martinlevels import greenratio as gr
-from martinlevels._rng import XorShift64Star
 
 ALL_MARTIN = ["strip", "exterior", "slit_sector"]
 
@@ -105,6 +105,13 @@ class TestDerivatives:
         fld._guard(complex(2.0, 1.0))  # far from the tube: no error
 
 
+#: interior_points(strip_martin(), 4, random.Random(7)): x, then y, per draw
+PINNED_STRIP_POINTS = [[0.9714982944994871, -1.0968896701935924],
+                       [1.9528034191195611, -1.3432310207468199],
+                       [1.6076460129200676, -0.4219507119231096],
+                       [0.17399677432412042, 0.023360044761936427]]
+
+
 class TestHarmonicity:
     def test_strip_residual_small(self):
         res = flds.harmonicity_residual(flds.strip_martin(), (1.0, 0.0), 1e-3)
@@ -127,8 +134,12 @@ class TestHarmonicity:
         res = flds.harmonicity_residual(Probe(), (1.0, 0.5), 1e-3)
         assert res == pytest.approx(4.0, abs=1e-6)
         # the residual does not shrink with h and stands far above the rounding floor
-        passed, details = cli._check_harmonicity(Probe(), XorShift64Star(3), {})
+        passed, details = cli._check_harmonicity(Probe(), random.Random(3), {})
         assert not passed and abs(details["fitted_order"]) < 1e-3
+
+    def test_interior_points_pin_the_generator_and_draw_order(self):
+        pts = flds.interior_points(flds.strip_martin(), 4, random.Random(7))
+        assert pts.tolist() == PINNED_STRIP_POINTS
 
     @pytest.mark.parametrize("name", ALL_MARTIN + ["halfplane_v"])
     def test_matches_pointwise_reference(self, name):

@@ -170,6 +170,106 @@ class TestRowBlockedLattice:
                               gr.ring_dirichlet_data(grid))
 
 
+def reference_mask(domain, window, h):
+    """``build_grid``'s mask with its closure test written out inline."""
+    xs, ys = window.lattice(h)
+    in_closure = geo.lattice_mask(xs, ys, domain.contains_closure)
+    interior = geo.lattice_mask(xs, ys, domain.contains)
+    interior[0, :] = interior[-1, :] = False
+    interior[:, 0] = interior[:, -1] = False
+    interior[1:-1, 1:-1] &= (in_closure[2:, 1:-1] & in_closure[:-2, 1:-1]
+                             & in_closure[1:-1, 2:] & in_closure[1:-1, :-2])
+    boundary = in_closure & ~interior & gr._has_neighbor_in(interior)
+    mask = np.zeros(interior.shape, dtype=np.int8)
+    mask[interior] = gr.INTERIOR
+    mask[boundary] = gr.BOUNDARY
+    return mask
+
+
+def reference_boundary_cloud(fld, c, extra_member=None):
+    """``superlevel_boundary_nodes`` with its region edge written out inline."""
+    g = fld.grid
+    member = (g.mask != gr.EXTERIOR) & (fld.values > c)
+    if extra_member is not None:
+        member = member | extra_member
+    edge = np.zeros_like(member)
+    edge[1:-1, 1:-1] = member[1:-1, 1:-1] & ~(member[2:, 1:-1] & member[:-2, 1:-1]
+                                              & member[1:-1, 2:] & member[1:-1, :-2])
+    edge[0, :] = member[0, :]
+    edge[-1, :] = member[-1, :]
+    edge[:, 0] |= member[:, 0]
+    edge[:, -1] |= member[:, -1]
+    ii, jj = np.nonzero(edge)
+    return np.column_stack([g.xs[ii], g.ys[jj]])
+
+
+def reference_fold(grid, data):
+    """The right-hand side that Dirichlet data folds into, written out inline."""
+    bdata = np.where(grid.mask == gr.BOUNDARY, data, 0.0)
+    rhs = np.zeros(grid.shape)
+    rhs[1:-1, 1:-1] += ((bdata[2:, 1:-1] + bdata[:-2, 1:-1]) / grid.hx ** 2
+                        + (bdata[1:-1, 2:] + bdata[1:-1, :-2]) / grid.hy ** 2)
+    return rhs
+
+
+TWELVE_GON_RING = geo.ConvexRing(geo.square_body(2.0), geo.regular_polygon(12, 0.6))
+SQRT_PROFILE = geo.domain_from_config({"kind": "profile", "f": "sqrt"})
+
+
+class TestStencilStatedOnce:
+    """The 5-point neighbour relation of the grid masks, the region edges and
+    the Dirichlet fold equals its inline reference bit for bit."""
+
+    @pytest.mark.parametrize("domain, window, h", [
+        (geo.Strip(), geo.WindowBox((0.0, -np.pi / 2), (8.0, np.pi / 2)), np.pi / 50),
+        (TWELVE_GON_RING, geo.WindowBox((-2.0, -2.0), (2.0, 2.0)), 0.05),
+        (geo.HalfplaneMinusDisk(), geo.HalfplaneMinusDisk().truncation_window(4.0), 0.1),
+        (SQRT_PROFILE, SQRT_PROFILE.truncation_window(4.0), 0.05),
+    ], ids=["strip", "ring", "exterior", "sqrt"])
+    def test_masks_and_clouds_equal_the_references(self, domain, window, h):
+        grid = gr.build_grid(domain, window, h)
+        assert np.array_equal(grid.mask, reference_mask(domain, window, h))
+        # a speckled field puts region edges everywhere, the window border included
+        fld = gr.GridField(grid, np.random.default_rng(12).random(grid.shape))
+        extra = grid.mask == gr.BOUNDARY
+        for c, extra_member in ((0.3, None), (0.7, None), (0.7, extra)):
+            assert np.array_equal(gr.superlevel_boundary_nodes(fld, c, extra_member),
+                                  reference_boundary_cloud(fld, c, extra_member))
+
+    def test_ring_fold_equals_the_reference(self):
+        grid = gr.build_grid(TWELVE_GON_RING, geo.WindowBox((-2.0, -2.0), (2.0, 2.0)), 0.05)
+        data = gr.ring_dirichlet_data(grid)
+        self.check_fold(grid, data)
+
+    def test_zoom_fold_equals_the_reference(self, monkeypatch):
+        fine = []
+        solve = gr.solve_dirichlet
+
+        def spy(grid, boundary_values=None, **kwargs):
+            if boundary_values is not None:
+                fine.append((grid, boundary_values.copy()))
+            return solve(grid, boundary_values, **kwargs)
+
+        monkeypatch.setattr(gr, "solve_dirichlet", spy)
+        cfg = gr.MartinApproxConfig(x0=(2.0, 0.0), poles=(8.0,),
+                                    probe_window=geo.WindowBox((1.5, -1.0), (3.0, 1.0)))
+        gr.martin_ratio(geo.HalfplaneMinusDisk(), cfg, 0.04)
+        monkeypatch.undo()
+        [(grid, data)] = fine
+        assert grid.window != geo.HalfplaneMinusDisk().truncation_window(8.0)
+        self.check_fold(grid, data)
+
+    @staticmethod
+    def check_fold(grid, data):
+        boundary = grid.mask == gr.BOUNDARY
+        assert np.count_nonzero(data[boundary]) > 0
+        want = gr.solve_dirichlet(grid, source=reference_fold(grid, data))
+        want.values[boundary] = data[boundary]
+        got = gr.solve_dirichlet(grid, data)
+        assert got.stats == want.stats
+        assert np.array_equal(got.values, want.values)
+
+
 class TestSolveDirichlet:
     def test_discrete_harmonic_polynomial_exact(self):
         # x^2 - y^2 is in the kernel of the 5-point stencil, so the solve
@@ -633,7 +733,8 @@ class TestSuperlevelClouds:
         _, res = strip_ratio
         h = res.final.grid.h
         window = geo.WindowBox((0.1, -1.5), (5.0, 1.5))
-        cloud = gr.superlevel_boundary_nodes(res.final, 1.0, window=window)
+        cloud = gr.superlevel_boundary_nodes(res.final, 1.0)
+        cloud = cloud[window.contains(cloud)]
         rep = ls.convexity_test(cloud, tol=2 * h)
         assert rep.verdict == "convex"
 
@@ -653,7 +754,8 @@ class TestSuperlevelClouds:
         G = gr.green_function(grid, (8.0, 0.0))
         fld = gr.GridField(grid, G.values / G.value((2.0, 0.0)))
         window = geo.WindowBox((0.05, -4.0), (6.0, 4.0))
-        cloud = gr.superlevel_boundary_nodes(fld, 0.1, window=window)
+        cloud = gr.superlevel_boundary_nodes(fld, 0.1)
+        cloud = cloud[window.contains(cloud)]
         rep = ls.convexity_test(cloud, tol=2 * grid.h)
         assert rep.verdict == "non_convex"
 
