@@ -138,19 +138,15 @@ def _check_harmonicity(fld, rng, params):
 
 
 def _check_boundary(fld, rng, params):
-    rep = fields.boundary_vanishing(fld, n_samples=params.get("n_samples", 200),
-                                    tol=params.get("tol", 1e-8))
+    rep = fields.boundary_vanishing(fld, **params)
     return rep.passed, {"max_abs": rep.max_abs, "worst_point": list(rep.worst_point)}
 
 
 def _check_convexity(fld, rng, params):
-    window = fld.default_window
-    h = params.get("h", 0.02)
-    levels = params.get("levels", [0.5, 1.0, 2.0])
     verdicts = {}
     ok = True
-    for c in levels:
-        rep = levelset.certify_level(fld, c, window, h)
+    for c in params["levels"]:
+        rep = levelset.certify_level(fld, c, fld.default_window, params["h"])
         verdicts[str(c)] = "level not attained" if rep is None else rep.verdict
         ok = ok and verdicts[str(c)] == "convex"
     return ok, {"levels": verdicts}
@@ -170,25 +166,26 @@ def _check_slice_maxima(fld, rng, params):
 
 
 def _check_strictness(fld, rng, params):
-    levels = params.get("levels", [0.5, 1.0, 2.0])
-    cls = levelset.classify_strictness(fld, levels, window=fld.default_window,
-                                       h=params.get("h", 0.02))
+    cls = levelset.classify_strictness(fld, params["levels"], window=fld.default_window,
+                                       h=params["h"])
     want = params.get("expect_tag", "strictly_convex_everywhere")
     ok = all(tag == want for tag in cls.tags.values())
     return ok, {"tags": {str(k): v for k, v in cls.tags.items()}}
 
 
+#: the lattice spacing and the levels that the convexity and strictness checks share
+_LEVEL_GRID = {"h": (float, None, 0, 0.02), "levels": (float, ",", 0, [0.5, 1.0, 2.0])}
 #: each check and the params it reads, each with the arguments of
-#: :func:`geometry.parse_value` after the value and its name: the kind, then
-#: the list separator (None for one value) and the bound it must exceed; a
-#: param left out takes the check's default
+#: :func:`geometry.parse_value` after the value and its name (the kind, then
+#: the list separator, None for one value, and the bound it must exceed),
+#: then for a shared param its default; any other param left out takes the
+#: default of the check, or of the library call it passes through to
 AUDIT_CHECKS = {
     "harmonicity": (_check_harmonicity, {"n_points": (int, None, 0)}),
     "boundary_vanishing": (_check_boundary, {"n_samples": (int, None, 1), "tol": (float,)}),
-    "convexity": (_check_convexity, {"h": (float, None, 0), "levels": (float, ",", 0)}),
+    "convexity": (_check_convexity, _LEVEL_GRID),
     "slice_maxima": (_check_slice_maxima, {"t": (float, ","), "span": (float, None, 0)}),
-    "strictness": (_check_strictness, {"h": (float, None, 0), "levels": (float, ",", 0),
-                                       "expect_tag": (str,)}),
+    "strictness": (_check_strictness, {**_LEVEL_GRID, "expect_tag": (str,)}),
 }
 
 
@@ -217,8 +214,9 @@ def cmd_audit(args):
             raise ConfigError(f"check {name!r}: 'expected' and 'required' must be true or false")
         kinds = AUDIT_CHECKS[name][1]
         geometry.check_keys(params, kinds, f"check {name!r} param")
-        parsed = {key: geometry.parse_value(value, f"check {name!r} param {key!r}", *kinds[key])
-                  for key, value in params.items()}
+        defaults = {key: spec[3] for key, spec in kinds.items() if len(spec) > 3}
+        parsed = {key: geometry.parse_value(value, f"check {name!r} param {key!r}", *kinds[key][:3])
+                  for key, value in {**defaults, **params}.items()}
         jobs.append((name, parsed, expected, required))
 
     verdicts = {}
@@ -294,7 +292,7 @@ def _green_ring_mode(domain, raw, h, args, out):
         sol = greenratio.solve_dirichlet(grid, greenratio.ring_dirichlet_data(grid, inner))
     except greenratio.SolverError as e:
         raise greenratio.SolverError(f"ring solve (h = {h:.3g}): {e}") from None
-    vals = sol.values[grid.mask == greenratio.INTERIOR]
+    vals = sol.values[grid.interior]
     umin, umax = float(vals.min()), float(vals.max())
     verdicts = {}
     for c in levels:

@@ -1,10 +1,10 @@
 """Unbounded planar domains, convex cross-sections, and point-set utilities.
 
 Points are planar: sequences/ndarrays ``(t, y)`` whose first coordinate is
-the axial variable.  Every domain answers membership of the open set and of
-its closure on arrays of shape ``(..., 2)`` in one call.  Every object here
-is immutable after construction and every operation is pure, so values can
-be shared freely between threads.
+the axial variable.  Every domain, bodies and windows included, answers
+membership of the open set and of its closure on ``(..., 2)`` arrays in
+one call.  Every object here is immutable after construction and every
+operation is pure, so values can be shared freely between threads.
 
 Domains are built either from the named registry (``strip``, ``sector``,
 ``sector_minus_slit``, ``halfplane_minus_disk``, ``right_halfplane``,
@@ -16,6 +16,7 @@ interval ``D`` containing the origin.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +26,89 @@ class GeometryError(ValueError):
     pass
 
 
+class Domain:
+    """Open connected planar set with membership, boundary, and slice queries.
+
+    ``contains`` and ``contains_closure`` take points of shape ``(..., 2)``
+    and return a boolean array of shape ``(...)`` (a numpy bool for one
+    point); the open set lies inside its closure.  A domain states its
+    inequalities once, in ``_member``, and both memberships derive from it.
+    """
+
+    kind = None
+
+    def contains(self, p):
+        return np.asarray(self._member(*self._split(p), np.less))[()]
+
+    def contains_closure(self, p):
+        return np.asarray(self._member(*self._split(p), np.less_equal))[()]
+
+    def _member(self, x, y, lt):
+        """Mask of the coordinate arrays x, y satisfying the domain's
+        inequalities, each written ``lt(a, b)``: ``np.less`` for the open
+        set, ``np.less_equal`` for its closure."""
+        raise NotImplementedError
+
+    def boundary_distance(self, p):
+        """Distance to the boundary from points ``(..., 2)`` of the open set
+        (a :class:`GeometryError` if one lies outside it), on the domains
+        whose ``_distance(x, y)`` gives it in closed form."""
+        p = np.asarray(p, dtype=float)
+        outside = ~np.asarray(self.contains(p))
+        if outside.any():
+            raise GeometryError(f"point {p[outside][0].tolist()} outside domain")
+        return np.array(self._distance(*self._split(p)))[()]
+
+    def slice_at(self, t):
+        raise GeometryError(f"domain kind {self.kind!r} has no slices")
+
+    def boundary_points(self, window, n):
+        """Boundary points in the window from membership alone: on its lattice
+        with about n nodes along the longer side, the nodes in the closure but
+        not in the open set, then on each edge whose ends differ in
+        ``contains`` (along x, then y) the first float outside the open set,
+        by bisection in float order (one float past a rounded wall that no
+        float lies on).  A zero-width wall (the slit) is found only on a
+        lattice row, as the mirror-exact lattice of a y-symmetric window gives.
+        A GeometryError for n < 2."""
+        if not n >= 2:
+            raise GeometryError(f"boundary sampling needs n >= 2, got {n}")
+        xs, ys = window.lattice(max(window.extent()) / (n - 1))
+        inside = lattice_mask(xs, ys, self.contains)
+        ii, jj = np.nonzero(lattice_mask(xs, ys, self.contains_closure) & ~inside)
+        out = [np.column_stack([xs[ii], ys[jj]])]
+        for axis, nodes in enumerate((xs, ys)):
+            ii, jj = np.nonzero(np.diff(inside, axis=axis))
+            k = (ii, jj)[axis]
+            keys = _float_keys(np.stack([nodes[k], nodes[k + 1]]).view(np.int64))
+            a, b = np.where(inside[ii, jj], keys, keys[::-1])
+            pts = np.column_stack([xs[ii], ys[jj]])
+            for _ in range(64):
+                mid = (a >> 1) + (b >> 1) + (a & b & 1)
+                pts[:, axis] = _float_keys(mid).view(float)
+                a, b = np.where(self.contains(pts), (mid, b), (a, mid))
+            pts[:, axis] = _float_keys(b).view(float)
+            out.append(pts)
+        return np.vstack(out)
+
+    def truncation_window(self, s):
+        raise GeometryError(f"domain kind {self.kind!r} has no axial truncation rule")
+
+    def _split(self, p):
+        p = np.asarray(p, dtype=float)
+        if p.shape[-1:] != (2,):
+            raise GeometryError(f"points must have shape (..., 2), got {p.shape}")
+        return p[..., 0], p[..., 1]
+
+
 # ---------------------------------------------------------------------------
 # Windows
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WindowBox:
-    """Axis-aligned planar box given by lower/upper corners (nonempty interior)."""
+class WindowBox(Domain):
+    """Axis-aligned planar box given by lower/upper corners (nonempty interior):
+    ``contains`` is the open box and ``contains_closure`` the closed one."""
 
     lower: tuple
     upper: tuple
@@ -51,14 +128,9 @@ class WindowBox:
     def extent(self):
         return tuple(b - a for a, b in zip(self.lower, self.upper))
 
-    def contains(self, p, strict=False):
-        """Membership of points ``(..., 2)`` in the closed (or open) box."""
-        p = np.asarray(p, dtype=float)
-        if strict:
-            inside = (p > self.lower) & (p < self.upper)
-        else:
-            inside = (p >= self.lower) & (p <= self.upper)
-        return np.all(inside, axis=-1)[()]
+    def _member(self, x, y, lt):
+        (x0, y0), (x1, y1) = self.lower, self.upper
+        return lt(x0, x) & lt(x, x1) & lt(y0, y) & lt(y, y1)
 
     def lattice(self, h):
         """Node coordinates of a grid of spacing ~h snapped to the corners.
@@ -113,6 +185,20 @@ def lattice_mask(xs, ys, member):
     return out
 
 
+def physical_memory():
+    """The machine's physical memory in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_lattice_memory(xs, ys, node_bytes, what):
+    """A GeometryError, before anything is allocated, when ``what`` (``node_bytes``
+    bytes per node of the lattice xs x ys) would exceed physical memory."""
+    need, have = len(xs) * len(ys) * node_bytes / 2 ** 30, physical_memory() / 2 ** 30
+    if need > have:
+        raise GeometryError(f"{what} on {len(xs)} x {len(ys)} nodes needs {need:.3g} GiB, "
+                            f"more than the {have:.3g} GiB of physical memory")
+
+
 def _float_keys(bits):
     """float64 bit patterns as int64 keys in numeric order, and back."""
     return bits ^ ((bits >> 63) & 0x7FFFFFFFFFFFFFFF)
@@ -122,7 +208,7 @@ def _float_keys(bits):
 # Convex bodies (bounded convex polygons containing the origin)
 # ---------------------------------------------------------------------------
 
-class ConvexBody:
+class ConvexBody(Domain):
     """Bounded convex polygon given by its vertices, origin strictly inside.
 
     The body is reduced to its convex hull, stored in counter-clockwise
@@ -142,25 +228,11 @@ class ConvexBody:
         if not self.contains(np.zeros(2)):
             raise GeometryError("origin not strictly inside body")
 
-    def contains(self, w, strict=True):
-        """Membership of planar points ``w`` (shape ``(..., 2)``) in D.
-
-        The open body when ``strict``, its closure otherwise.
-        """
-        w = np.asarray(w, dtype=float)
-        if w.shape[-1:] != (2,):
-            raise GeometryError(f"membership needs points (..., 2), got {w.shape}")
-        lt = np.less if strict else np.less_equal
-        return self._edges(w[..., 0], w[..., 1], lambda cross: lt(0.0, cross))[()]
-
-    def _edges(self, x, y, test, join=np.logical_and):
-        """``test(cross)`` joined by ``join`` over the edges, where cross is the
-        cross product of an edge with the points x, y (positive on the body's
-        side): with ``np.logical_and`` it holds on every edge, with
-        ``np.logical_or`` on some edge."""
-        out = np.full(np.shape(x), join.identity, dtype=bool)
+    def _member(self, x, y, lt):
+        # the cross product of each edge with the points is positive on the body's side
+        out = np.ones(np.shape(x), dtype=bool)
         for (ax, ay), (bx, by) in zip(self.vertices, np.roll(self.vertices, -1, axis=0)):
-            join(out, test((bx - ax) * (y - ay) - (by - ay) * (x - ax)), out=out)
+            out &= lt(0.0, (bx - ax) * (y - ay) - (by - ay) * (x - ax))
         return out
 
 
@@ -276,81 +348,6 @@ class SliceSet:
 # Domains
 # ---------------------------------------------------------------------------
 
-class Domain:
-    """Open connected planar set with membership, boundary, and slice queries.
-
-    ``contains`` and ``contains_closure`` take points of shape ``(..., 2)``
-    and return a boolean array of shape ``(...)`` (a numpy bool for one
-    point); the open set lies inside its closure.  A domain states its
-    inequalities once, in ``_member``, and both memberships derive from it.
-    """
-
-    kind = None
-
-    def contains(self, p):
-        return np.asarray(self._member(*self._split(p), np.less))[()]
-
-    def contains_closure(self, p):
-        return np.asarray(self._member(*self._split(p), np.less_equal))[()]
-
-    def _member(self, x, y, lt):
-        """Mask of the coordinate arrays x, y satisfying the domain's
-        inequalities, each written ``lt(a, b)``: ``np.less`` for the open
-        set, ``np.less_equal`` for its closure."""
-        raise NotImplementedError
-
-    def boundary_distance(self, p):
-        """Distance to the boundary from points ``(..., 2)`` of the open set
-        (a :class:`GeometryError` if one lies outside it), on the domains
-        whose ``_distance(x, y)`` gives it in closed form."""
-        p = np.asarray(p, dtype=float)
-        outside = ~np.asarray(self.contains(p))
-        if outside.any():
-            raise GeometryError(f"point {p[outside][0].tolist()} outside domain")
-        return np.array(self._distance(*self._split(p)))[()]
-
-    def slice_at(self, t):
-        raise GeometryError(f"domain kind {self.kind!r} has no slices")
-
-    def boundary_points(self, window, n):
-        """Boundary points in the window from membership alone: on its lattice
-        with about n nodes along the longer side, the nodes in the closure but
-        not in the open set, then on each edge whose ends differ in
-        ``contains`` (along x, then y) the first float outside the open set,
-        by bisection in float order (one float past a rounded wall that no
-        float lies on).  A zero-width wall (the slit) is found only on a
-        lattice row, as the mirror-exact lattice of a y-symmetric window gives.
-        A GeometryError for n < 2."""
-        if not n >= 2:
-            raise GeometryError(f"boundary sampling needs n >= 2, got {n}")
-        xs, ys = window.lattice(max(window.extent()) / (n - 1))
-        inside = lattice_mask(xs, ys, self.contains)
-        ii, jj = np.nonzero(lattice_mask(xs, ys, self.contains_closure) & ~inside)
-        out = [np.column_stack([xs[ii], ys[jj]])]
-        for axis, nodes in enumerate((xs, ys)):
-            ii, jj = np.nonzero(np.diff(inside, axis=axis))
-            k = (ii, jj)[axis]
-            keys = _float_keys(np.stack([nodes[k], nodes[k + 1]]).view(np.int64))
-            a, b = np.where(inside[ii, jj], keys, keys[::-1])
-            pts = np.column_stack([xs[ii], ys[jj]])
-            for _ in range(64):
-                mid = (a >> 1) + (b >> 1) + (a & b & 1)
-                pts[:, axis] = _float_keys(mid).view(float)
-                a, b = np.where(self.contains(pts), (mid, b), (a, mid))
-            pts[:, axis] = _float_keys(b).view(float)
-            out.append(pts)
-        return np.vstack(out)
-
-    def truncation_window(self, s):
-        raise GeometryError(f"domain kind {self.kind!r} has no axial truncation rule")
-
-    def _split(self, p):
-        p = np.asarray(p, dtype=float)
-        if p.shape[-1:] != (2,):
-            raise GeometryError(f"points must have shape (..., 2), got {p.shape}")
-        return p[..., 0], p[..., 1]
-
-
 class Strip(Domain):
     """(0, inf) x (-pi/2, pi/2)."""
 
@@ -458,6 +455,10 @@ class CylinderDomain(Domain):
         return SliceSet(t, ((-1.0, 1.0),))
 
 
+#: the dual comparison (``<`` for ``<=`` and back), for the set that a complement leaves out
+_DUAL = {np.less: np.less_equal, np.less_equal: np.less}
+
+
 class ConvexRing(Domain):
     """interior(A) minus closure(B) for planar convex bodies B inside A."""
 
@@ -470,8 +471,8 @@ class ConvexRing(Domain):
         self.inner = inner
 
     def _member(self, x, y, lt):
-        return (self.outer._edges(x, y, lambda cross: lt(0.0, cross))
-                & self.inner._edges(x, y, lambda cross: lt(cross, 0.0), np.logical_or))
+        # the open ring leaves out the closed inner body, its closure the open one
+        return self.outer._member(x, y, lt) & ~self.inner._member(x, y, _DUAL[lt])
 
 
 class _IntervalProfile(Domain):

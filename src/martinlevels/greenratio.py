@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import _STENCIL, ScalarField, _centered_gradient, _centered_hessian
-from .geometry import ConvexRing, Domain, GeometryError, WindowBox, lattice_mask
-
-EXTERIOR, INTERIOR, BOUNDARY = 0, 1, 2
+from .geometry import (ConvexRing, Domain, GeometryError, WindowBox, check_lattice_memory,
+                       lattice_mask)
 
 
 class SolverError(RuntimeError):
@@ -35,12 +34,12 @@ class SolveStats:
 
 @dataclass
 class Grid2D:
-    """Uniform grid on a window with a per-node domain mask.
+    """Uniform grid on a window with two disjoint boolean node masks.
 
-    ``mask`` is 0 exterior, 1 interior, 2 boundary (Dirichlet).  Boundary
-    nodes are closure points of the domain adjacent to an interior node, so
-    walls that align with grid lines carry their data exactly; artificial
-    window edges cutting through the domain become zero-Dirichlet caps.
+    ``interior`` marks the unknowns, ``boundary`` the Dirichlet nodes: the
+    closure points of the domain adjacent to an interior node, so walls
+    that align with grid lines carry their data exactly; artificial window
+    edges cutting through the domain become zero-Dirichlet caps.
 
     The per-axis spacings hx, hy equal the requested h up to corner
     snapping (windows keep their exact corners); the Laplacian stencil uses
@@ -53,7 +52,8 @@ class Grid2D:
     hy: float
     xs: np.ndarray
     ys: np.ndarray
-    mask: np.ndarray
+    interior: np.ndarray
+    boundary: np.ndarray
 
     @property
     def h(self):
@@ -61,7 +61,7 @@ class Grid2D:
 
     @property
     def shape(self):
-        return self.mask.shape
+        return self.interior.shape
 
     def node_index(self, p):
         i = int(round((p[0] - self.xs[0]) / self.hx))
@@ -69,18 +69,20 @@ class Grid2D:
         return i, j
 
     def interior_count(self):
-        return int(np.count_nonzero(self.mask == INTERIOR))
+        return int(np.count_nonzero(self.interior))
 
 
 def build_grid(domain, window, h):
     """Classify window nodes against the domain at spacing ~h.
 
-    Raises when the interior is empty or disconnected, or when h is not
-    positive or too coarse for the window (h must be <= extent / 16).
+    Raises when the interior is empty or disconnected, when h is not
+    positive or too coarse for the window (h must be <= extent / 16), or
+    when the masks and a solve's four float arrays would exceed memory.
     """
     if h > min(window.extent()) / 16.0:
         raise GeometryError(f"grid spacing h={h} too coarse for window extent {window.extent()}")
     xs, ys = window.lattice(h)
+    check_lattice_memory(xs, ys, 2 + 4 * 8, "a grid's masks and solve arrays")
     hx = float((xs[-1] - xs[0]) / (len(xs) - 1))
     hy = float((ys[-1] - ys[0]) / (len(ys) - 1))
     in_closure = lattice_mask(xs, ys, domain.contains_closure)
@@ -89,16 +91,12 @@ def build_grid(domain, window, h):
     interior[:, 0] = interior[:, -1] = False
     interior &= ~_has_neighbor_in(~in_closure)
     boundary = in_closure & ~interior & _has_neighbor_in(interior)
-
-    mask = np.zeros(interior.shape, dtype=np.int8)
-    mask[interior] = INTERIOR
-    mask[boundary] = BOUNDARY
-    n_int = int(np.count_nonzero(interior))
-    if n_int == 0:
+    if not interior.any():
         raise GeometryError("grid has no interior nodes")
     if not _connected(interior):
         raise GeometryError("grid interior is disconnected")
-    return Grid2D(domain=domain, window=window, hx=hx, hy=hy, xs=xs, ys=ys, mask=mask)
+    return Grid2D(domain=domain, window=window, hx=hx, hy=hy, xs=xs, ys=ys,
+                  interior=interior, boundary=boundary)
 
 
 def _has_neighbor_in(member):
@@ -149,7 +147,8 @@ def _connected(interior):
 class GridField(ScalarField):
     """Node values on a grid; bilinear interpolation between nodes.
 
-    ``stats`` describes the solve that produced the values, if any.
+    ``stats`` describes the solve that produced the values, if any.  The
+    values are read-only: a field's values never change once it is built.
     """
 
     derivative_kind = "finite-difference"
@@ -158,6 +157,7 @@ class GridField(ScalarField):
         self.grid = grid
         self.domain = grid.domain
         self.values = np.asarray(values, dtype=float)
+        self.values.setflags(write=False)
         self.name = name
         self.default_window = grid.window
         self.stats = stats
@@ -351,8 +351,7 @@ def solve_dirichlet(grid, boundary_values=None, source=None, tol=1e-10, maxiter=
     arrays; the preconditioner adds only 64-row blocks and vectors of
     length ny per reduction level.
     """
-    interior = grid.mask == INTERIOR
-    boundary = grid.mask == BOUNDARY
+    interior, boundary = grid.interior, grid.boundary
     hx, hy = grid.hx, grid.hy
     rhs = np.zeros(grid.shape) if source is None else source
     bvals = None
@@ -418,7 +417,7 @@ def green_function(grid, pole):
     symmetry G_p(q) = G_q(p) holds to ~1e-12 relative.
     """
     i, j = grid.node_index(pole)
-    if not (0 <= i < grid.shape[0] and 0 <= j < grid.shape[1]) or grid.mask[i, j] != INTERIOR:
+    if not (0 <= i < grid.shape[0] and 0 <= j < grid.shape[1]) or not grid.interior[i, j]:
         raise GeometryError(f"pole {pole} does not snap to an interior node")
     source = np.zeros(grid.shape)
     source[i, j] = 1.0 / (grid.hx * grid.hy)
@@ -555,17 +554,16 @@ def martin_ratio(domain, cfg: MartinApproxConfig, h):
     iterates = []
     for s in cfg.poles:
         window = domain.truncation_window(s)
-        if not (window.contains(cfg.probe_window.lower) and window.contains(cfg.probe_window.upper)):
+        if not np.all(window.contains_closure([cfg.probe_window.lower, cfg.probe_window.upper])):
             raise GeometryError(f"probe window not inside truncation window for pole {s}")
-        if not window.contains((s, 0.0), strict=True):
+        if not window.contains((s, 0.0)):
             raise GeometryError(f"pole {s} not inside its truncation window")
         ratio = None                    # free the previous grid before building the next
         ratio, coarse = _solve_pole(domain, cfg, window, s, h)
         g0 = ratio.value(np.asarray(cfg.x0, dtype=float))
         if g0 <= 0.0:
             raise SolverError(f"nonpositive Green value at the reference point for pole {s}")
-        ratio.values /= g0
-        ratio.name = f"ratio[{s}]"
+        ratio = GridField(ratio.grid, ratio.values / g0, name=f"ratio[{s}]", stats=ratio.stats)
         iterates.append(MartinIterate(pole=s, window=window, fine_window=ratio.grid.window,
                                       interior_nodes=ratio.grid.interior_count(),
                                       stats=ratio.stats, coarse=coarse,
@@ -586,7 +584,7 @@ def superlevel_nodes(fld: GridField, c):
     if c <= 0.0:
         raise GeometryError("superlevel threshold must be positive")
     g = fld.grid
-    ii, jj = np.nonzero((g.mask != EXTERIOR) & (fld.values > c))
+    ii, jj = np.nonzero((g.interior | g.boundary) & (fld.values > c))
     return np.column_stack([g.xs[ii], g.ys[jj]])
 
 
@@ -598,7 +596,7 @@ def superlevel_boundary_nodes(fld: GridField, c, extra_member=None):
     the points tested by the hull certificate.
     """
     g = fld.grid
-    member = (g.mask != EXTERIOR) & (fld.values > c)
+    member = (g.interior | g.boundary) & (fld.values > c)
     if extra_member is not None:
         member = member | extra_member
     edge = member & _has_neighbor_in(~member)
@@ -620,12 +618,11 @@ def ring_dirichlet_data(grid, closed=None):
     closed = inner_body_nodes(grid) if closed is None else closed
     near_inner = closed | _has_neighbor_in(lattice_mask(grid.xs, grid.ys,
                                                         grid.domain.inner.contains))
-    return np.where((grid.mask == BOUNDARY) & near_inner, 1.0, 0.0)
+    return np.where(grid.boundary & near_inner, 1.0, 0.0)
 
 
 def inner_body_nodes(grid):
     """Mask of grid nodes lying in the closed inner body of a ring grid."""
     if not isinstance(grid.domain, ConvexRing):
         raise GeometryError("needs a convex-ring grid")
-    inner = grid.domain.inner
-    return lattice_mask(grid.xs, grid.ys, lambda pts: inner.contains(pts, strict=False))
+    return lattice_mask(grid.xs, grid.ys, grid.domain.inner.contains_closure)

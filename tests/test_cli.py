@@ -812,6 +812,29 @@ def test_ring_solver_error_names_its_stage(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, config, nodes", [
+    (["green", "--domain", "strip", "--x0", "0.5,0", "--poles", "4,6", "--h", "1e-5",
+      "--probe", "0.5,1.5,-0.5,0.5"], None, "800001 x 314161 nodes needs 7.96e+03 GiB"),
+    (["levelsets"], {"field": "strip", "levels": [1], "h": 1e-6},
+     "3000001 x 3141595 nodes needs 7.9e+04 GiB"),
+], ids=["green", "levelsets"])
+def test_lattice_over_physical_memory_is_a_usage_error(tmp_path, capsys, monkeypatch, argv,
+                                                       config, nodes):
+    # an 8 GiB machine; the node arrays would fail the run if they were allocated
+    def no_node_arrays(*args):
+        raise AssertionError("node arrays allocated")
+
+    monkeypatch.setattr(geometry, "physical_memory", lambda: 8 * 2 ** 30)
+    monkeypatch.setattr(greenratio, "lattice_mask", no_node_arrays)
+    monkeypatch.setattr(levelset, "lattice_blocks", no_node_arrays)
+    if config:
+        argv = argv + ["--config", write_config(tmp_path, "cfg.json", config)]
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and nodes in err and "than the 8 GiB" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("levels, message", [
     ([1.5, -0.2, 0.5], "ring levels must lie in (0, 1)"),
     ([0.5, 1.0], "ring levels must lie in (0, 1)"),

@@ -60,6 +60,63 @@ def _registry_domain(cfg):
     return geo.domain_from_config(cfg)
 
 
+#: bodies in both config forms, a y-symmetric and an asymmetric window, and a ring
+BODIES_WINDOWS_RING = {
+    "vertices-body": geo.body_from_config(
+        {"vertices": [[-1.0, -0.5], [2.0, -1.0], [1.5, 1.0], [-0.5, 1.5]]}),
+    "ngon-body": geo.body_from_config({"ngon": 7, "radius": 1.5}),
+    "symmetric-window": geo.WindowBox((0.0, -1.5), (3.0, 1.5)),
+    "asymmetric-window": geo.WindowBox((-1.0, -0.5), (2.0, 1.25)),
+    "ring": geo.domain_from_config(RING),
+}
+
+
+def polygons(obj):
+    """The vertex loops of a body, a window or both bodies of a ring."""
+    if isinstance(obj, geo.ConvexRing):
+        return [obj.outer.vertices, obj.inner.vertices]
+    if isinstance(obj, geo.WindowBox):
+        (x0, y0), (x1, y1) = obj.lower, obj.upper
+        return [np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])]
+    return [obj.vertices]
+
+
+def edge_and_random_points(obj):
+    """``(vertices, edges, points)``: the vertices, 7 points inside each
+    edge, and both with random points around the object and a NaN point."""
+    loops = polygons(obj)
+    vertices = np.vstack(loops)
+    t = np.linspace(0.0, 1.0, 9)[1:-1, None, None]
+    edges = np.vstack([(v + t * (np.roll(v, -1, axis=0) - v)).reshape(-1, 2) for v in loops])
+    noise = np.random.default_rng(5).uniform([-2.5, -2.5], [3.5, 2.5], size=(300, 2))
+    return vertices, edges, np.vstack([vertices, edges, noise, [[np.nan, 0.0]]])
+
+
+def reference_edges(body, x, y, test, join=np.logical_and):
+    """``ConvexBody._edges`` before bodies were Domains: ``test(cross)``
+    joined by ``join`` over the edges, cross being the cross product of an
+    edge with the points, positive on the body's side."""
+    out = np.full(np.shape(x), join.identity, dtype=bool)
+    for (ax, ay), (bx, by) in zip(body.vertices, np.roll(body.vertices, -1, axis=0)):
+        join(out, test((bx - ax) * (y - ay) - (by - ay) * (x - ax)), out=out)
+    return out
+
+
+def reference_membership(obj, pts, strict):
+    """Membership as the hand-written methods stated it: a body's and a
+    window's ``contains(strict=)`` and the ring's edge-join formula."""
+    x, y = pts[..., 0], pts[..., 1]
+    lt = np.less if strict else np.less_equal
+    if isinstance(obj, geo.WindowBox):
+        if strict:
+            return np.all((pts > obj.lower) & (pts < obj.upper), axis=-1)
+        return np.all((pts >= obj.lower) & (pts <= obj.upper), axis=-1)
+    if isinstance(obj, geo.ConvexRing):
+        return (reference_edges(obj.outer, x, y, lambda cross: lt(0.0, cross))
+                & reference_edges(obj.inner, x, y, lambda cross: lt(cross, 0.0), np.logical_or))
+    return reference_edges(obj, x, y, lambda cross: lt(0.0, cross))
+
+
 class TestMembershipContract:
     @pytest.mark.parametrize("cfg", REGISTRY, ids=lambda c: c if isinstance(c, str) else
                              "-".join(str(c[k]) for k in ("kind", "f") if k in c))
@@ -108,6 +165,44 @@ class TestMembershipContract:
     def test_points_must_be_planar(self, cfg):
         with pytest.raises(geo.GeometryError):
             _registry_domain(cfg).contains(np.zeros((4, 3)))
+
+    # bodies and windows are Domains: contains is the open set, contains_closure its closure
+    @pytest.mark.parametrize("name", BODIES_WINDOWS_RING)
+    def test_bodies_windows_and_ring_on_edges_vertices_and_random_points(self, name):
+        obj = BODIES_WINDOWS_RING[name]
+        assert isinstance(obj, geo.Domain)
+        vertices, _, pts = edge_and_random_points(obj)
+        inside, closure = obj.contains(pts), obj.contains_closure(pts)
+        assert inside.shape == closure.shape == pts.shape[:-1]
+        assert inside.dtype == closure.dtype == bool
+        assert inside.tolist() == [bool(obj.contains(p)) for p in pts]
+        assert closure.tolist() == [bool(obj.contains_closure(p)) for p in pts]
+        assert not np.any(inside & ~closure)
+        assert np.any(inside) and not np.all(closure)
+        # every vertex lies on a wall: in the closure, not in the open set
+        assert np.all(obj.contains_closure(vertices))
+        assert not np.any(obj.contains(vertices))
+
+    @pytest.mark.parametrize("name", [n for n in BODIES_WINDOWS_RING if "window" in n])
+    def test_window_edges_are_walls(self, name):
+        window = BODIES_WINDOWS_RING[name]
+        _, edges, _ = edge_and_random_points(window)
+        assert np.all(window.contains_closure(edges))
+        assert not np.any(window.contains(edges))
+
+    @pytest.mark.parametrize("name", BODIES_WINDOWS_RING)
+    def test_masks_equal_the_hand_written_membership(self, name):
+        obj = BODIES_WINDOWS_RING[name]
+        _, _, pts = edge_and_random_points(obj)
+        assert np.array_equal(obj.contains(pts), reference_membership(obj, pts, True))
+        assert np.array_equal(obj.contains_closure(pts), reference_membership(obj, pts, False))
+
+    @pytest.mark.parametrize("name", BODIES_WINDOWS_RING)
+    def test_bodies_windows_and_ring_share_the_shape_error(self, name):
+        obj = BODIES_WINDOWS_RING[name]
+        for member in (obj.contains, obj.contains_closure):
+            with pytest.raises(geo.GeometryError, match=r"points must have shape \(\.\.\., 2\)"):
+                member(np.zeros((4, 3)))
 
 
 class TestBoundaryDistance:
@@ -234,7 +329,7 @@ class TestSupportFunction:
         for pts in (np.vstack([half, -half]), np.vstack([half, -half + 1e-9]),
                     np.vstack([half, -half[1:], [[0.0, -3.0]]])):
             body = geo.ConvexBody(pts)
-            assert np.all(body.contains(pts, strict=False))
+            assert np.all(body.contains_closure(pts))
 
 
 class TestSlices:

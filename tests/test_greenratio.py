@@ -31,24 +31,24 @@ class TestBuildGrid:
         grid = gr.build_grid(geo.Strip(), geo.WindowBox((0.0, -np.pi / 2), (10.0, np.pi / 2)),
                              np.pi / 100)
         # every wall node adjacent to the interior is Dirichlet
-        assert np.all(grid.mask[1:-1, 0] == gr.BOUNDARY)
-        assert np.all(grid.mask[1:-1, -1] == gr.BOUNDARY)
-        assert np.all(grid.mask[0, 1:-1] == gr.BOUNDARY)
-        assert np.all(grid.mask[-1, 1:-1] == gr.BOUNDARY)
-        assert np.all(grid.mask[1:-1, 1:-1] == gr.INTERIOR)
+        assert np.all(grid.boundary[1:-1, 0])
+        assert np.all(grid.boundary[1:-1, -1])
+        assert np.all(grid.boundary[0, 1:-1])
+        assert np.all(grid.boundary[-1, 1:-1])
+        assert np.all(grid.interior[1:-1, 1:-1])
         assert grid.interior_count() == (grid.shape[0] - 2) * (grid.shape[1] - 2)
 
     def test_ring_mask_is_annular(self, ring_solution):
         grid, _ = ring_solution
         i0, j0 = grid.node_index((0.0, 0.0))
-        assert grid.mask[i0, j0] == gr.EXTERIOR
-        assert grid.mask[grid.node_index((1.2, 0.0))] == gr.INTERIOR
+        assert not (grid.interior | grid.boundary)[i0, j0]
+        assert grid.interior[grid.node_index((1.2, 0.0))]
 
     def test_disk_hole_masked(self):
         grid = gr.build_grid(geo.HalfplaneMinusDisk(),
                              geo.WindowBox((0.0, -3.0), (6.0, 3.0)), 0.05)
-        assert grid.mask[grid.node_index((0.5, 0.0))] == gr.EXTERIOR
-        assert grid.mask[grid.node_index((2.0, 0.0))] == gr.INTERIOR
+        assert not (grid.interior | grid.boundary)[grid.node_index((0.5, 0.0))]
+        assert grid.interior[grid.node_index((2.0, 0.0))]
 
     def test_coarse_spacing_rejected(self):
         with pytest.raises(geo.GeometryError):
@@ -64,15 +64,45 @@ class TestBuildGrid:
         with pytest.raises(geo.GeometryError):
             gr.build_grid(ring, geo.WindowBox((-2.0, -0.45), (2.0, 0.45)), 0.02)
 
+    @pytest.mark.parametrize("domain, window, h", [
+        (geo.Strip(), geo.WindowBox((0.0, -np.pi / 2), (8.0, np.pi / 2)), np.pi / 50),
+        (geo.ConvexRing(geo.square_body(2.0), geo.regular_polygon(12, 0.6)),
+         geo.WindowBox((-2.0, -2.0), (2.0, 2.0)), 0.05),
+        (geo.HalfplaneMinusDisk(), geo.WindowBox((0.0, -3.0), (6.0, 3.0)), 0.05),
+        (geo.SectorMinusSlit(), geo.WindowBox((0.0, -3.0), (4.0, 3.0)), 0.05),
+        (geo.ProfileRegion("sqrt"), geo.ProfileRegion("sqrt").truncation_window(4.0), 0.05),
+    ], ids=["strip", "ring", "exterior", "slit_sector", "sqrt"])
+    def test_interior_and_boundary_are_disjoint(self, domain, window, h):
+        grid = gr.build_grid(domain, window, h)
+        assert grid.interior.dtype == grid.boundary.dtype == bool
+        assert not np.any(grid.interior & grid.boundary)
+        assert grid.interior_count() == np.count_nonzero(grid.interior) > 0
+        assert np.any(grid.boundary)
+
+    def test_grid_over_physical_memory_is_refused_before_allocating(self, monkeypatch):
+        window = geo.WindowBox((0.0, -np.pi / 2), (8.0, np.pi / 2))
+        xs, ys = window.lattice(0.05)
+        need = len(xs) * len(ys) * (2 + 4 * 8)          # two masks, four float arrays
+        monkeypatch.setattr(geo, "physical_memory", lambda: need)
+        assert gr.build_grid(geo.Strip(), window, 0.05).shape == (len(xs), len(ys))
+
+        def no_lattice(*args):
+            raise AssertionError("a node mask was allocated")
+
+        monkeypatch.setattr(geo, "physical_memory", lambda: need - 1)
+        monkeypatch.setattr(gr, "lattice_mask", no_lattice)
+        with pytest.raises(geo.GeometryError, match=f"{len(xs)} x {len(ys)} nodes needs "):
+            gr.build_grid(geo.Strip(), window, 0.05)
+
     def test_interior_neighbors_never_exterior(self):
         # mask consistency: each interior node touches only interior or
         # Dirichlet nodes, even along the curved disk wall
         grid = gr.build_grid(geo.HalfplaneMinusDisk(),
                              geo.WindowBox((0.0, -3.0), (6.0, 3.0)), 0.05)
-        interior = grid.mask == gr.INTERIOR
+        interior = grid.interior
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            shifted = np.roll(grid.mask, (di, dj), axis=(0, 1))
-            assert not np.any(interior & (shifted == gr.EXTERIOR))
+            shifted = np.roll(grid.interior | grid.boundary, (di, dj), axis=(0, 1))
+            assert not np.any(interior & ~shifted)
 
 
 def _bfs_connected(member):
@@ -157,11 +187,11 @@ class TestRowBlockedLattice:
         ring = geo.ConvexRing(geo.square_body(2.0), geo.regular_polygon(12, 0.6))
         grid = gr.build_grid(ring, geo.WindowBox((-2.0, -2.0), (2.0, 2.0)), 0.015)
         pts = reference_node_points(grid.xs, grid.ys)
-        closed = ring.inner.contains(pts, strict=False)
+        closed = ring.inner.contains_closure(pts)
         near = closed | gr._has_neighbor_in(ring.inner.contains(pts))
         assert np.array_equal(gr.inner_body_nodes(grid), closed)
         assert np.array_equal(gr.ring_dirichlet_data(grid),
-                              np.where((grid.mask == gr.BOUNDARY) & near, 1.0, 0.0))
+                              np.where(grid.boundary & near, 1.0, 0.0))
 
     def test_ring_data_takes_the_inner_body_mask(self):
         ring = geo.ConvexRing(geo.square_body(2.0), geo.regular_polygon(12, 0.6))
@@ -170,8 +200,9 @@ class TestRowBlockedLattice:
                               gr.ring_dirichlet_data(grid))
 
 
-def reference_mask(domain, window, h):
-    """``build_grid``'s mask with its closure test written out inline."""
+def reference_masks(domain, window, h):
+    """``build_grid``'s interior and boundary masks with its closure test
+    written out inline."""
     xs, ys = window.lattice(h)
     in_closure = geo.lattice_mask(xs, ys, domain.contains_closure)
     interior = geo.lattice_mask(xs, ys, domain.contains)
@@ -180,16 +211,13 @@ def reference_mask(domain, window, h):
     interior[1:-1, 1:-1] &= (in_closure[2:, 1:-1] & in_closure[:-2, 1:-1]
                              & in_closure[1:-1, 2:] & in_closure[1:-1, :-2])
     boundary = in_closure & ~interior & gr._has_neighbor_in(interior)
-    mask = np.zeros(interior.shape, dtype=np.int8)
-    mask[interior] = gr.INTERIOR
-    mask[boundary] = gr.BOUNDARY
-    return mask
+    return interior, boundary
 
 
 def reference_boundary_cloud(fld, c, extra_member=None):
     """``superlevel_boundary_nodes`` with its region edge written out inline."""
     g = fld.grid
-    member = (g.mask != gr.EXTERIOR) & (fld.values > c)
+    member = (g.interior | g.boundary) & (fld.values > c)
     if extra_member is not None:
         member = member | extra_member
     edge = np.zeros_like(member)
@@ -205,7 +233,7 @@ def reference_boundary_cloud(fld, c, extra_member=None):
 
 def reference_fold(grid, data):
     """The right-hand side that Dirichlet data folds into, written out inline."""
-    bdata = np.where(grid.mask == gr.BOUNDARY, data, 0.0)
+    bdata = np.where(grid.boundary, data, 0.0)
     rhs = np.zeros(grid.shape)
     rhs[1:-1, 1:-1] += ((bdata[2:, 1:-1] + bdata[:-2, 1:-1]) / grid.hx ** 2
                         + (bdata[1:-1, 2:] + bdata[1:-1, :-2]) / grid.hy ** 2)
@@ -228,10 +256,10 @@ class TestStencilStatedOnce:
     ], ids=["strip", "ring", "exterior", "sqrt"])
     def test_masks_and_clouds_equal_the_references(self, domain, window, h):
         grid = gr.build_grid(domain, window, h)
-        assert np.array_equal(grid.mask, reference_mask(domain, window, h))
+        assert np.array_equal((grid.interior, grid.boundary), reference_masks(domain, window, h))
         # a speckled field puts region edges everywhere, the window border included
         fld = gr.GridField(grid, np.random.default_rng(12).random(grid.shape))
-        extra = grid.mask == gr.BOUNDARY
+        extra = grid.boundary
         for c, extra_member in ((0.3, None), (0.7, None), (0.7, extra)):
             assert np.array_equal(gr.superlevel_boundary_nodes(fld, c, extra_member),
                                   reference_boundary_cloud(fld, c, extra_member))
@@ -261,9 +289,10 @@ class TestStencilStatedOnce:
 
     @staticmethod
     def check_fold(grid, data):
-        boundary = grid.mask == gr.BOUNDARY
+        boundary = grid.boundary
         assert np.count_nonzero(data[boundary]) > 0
         want = gr.solve_dirichlet(grid, source=reference_fold(grid, data))
+        want.values = want.values.copy()
         want.values[boundary] = data[boundary]
         got = gr.solve_dirichlet(grid, data)
         assert got.stats == want.stats
@@ -279,7 +308,7 @@ class TestSolveDirichlet:
         X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
         exact = X ** 2 - Y ** 2
         sol = gr.solve_dirichlet(grid, boundary_values=exact)
-        interior = grid.mask == gr.INTERIOR
+        interior = grid.interior
         assert np.abs(sol.values - exact)[interior].max() <= 1e-7
 
     def test_zero_data_zero_solution(self, strip_grid):
@@ -289,10 +318,10 @@ class TestSolveDirichlet:
     def test_maximum_principle_random_data(self, strip_grid):
         rng = np.random.default_rng(21)
         data = np.zeros(strip_grid.shape)
-        boundary = strip_grid.mask == gr.BOUNDARY
+        boundary = strip_grid.boundary
         data[boundary] = rng.uniform(-1.0, 2.0, int(boundary.sum()))
         sol = gr.solve_dirichlet(strip_grid, boundary_values=data)
-        interior = strip_grid.mask == gr.INTERIOR
+        interior = strip_grid.interior
         assert sol.values[interior].max() <= data[boundary].max()
         assert sol.values[interior].min() >= data[boundary].min()
 
@@ -437,7 +466,7 @@ class TestGreenFunction:
 
     def test_positive_on_interior(self, strip_grid):
         G = gr.green_function(strip_grid, (2.0, 0.0))
-        assert G.values[strip_grid.mask == gr.INTERIOR].min() > 0.0
+        assert G.values[strip_grid.interior].min() > 0.0
 
     def test_symmetry(self, strip_grid):
         Ga = gr.green_function(strip_grid, (2.0, 0.0))
@@ -663,8 +692,8 @@ class TestProfileRatio:
         assert all(b < a for a, b in zip(res.cauchy, res.cauchy[1:]))
         assert res.final.value(res.probe_points).min() > 0.0
         grid = res.final.grid
-        assert grid.mask[grid.node_index((1.0, 0.0))] == gr.INTERIOR
-        assert grid.mask[grid.node_index((1.0, 1.5))] == gr.EXTERIOR
+        assert grid.interior[grid.node_index((1.0, 0.0))]
+        assert not (grid.interior | grid.boundary)[grid.node_index((1.0, 1.5))]
 
     def test_probe_window_must_stay_in_domain(self):
         dom = geo.domain_from_config({"kind": "profile", "f": "sqrt"})
@@ -697,7 +726,8 @@ class TestMirrorSymmetry:
         for w in [window] if window else [dom.truncation_window(s) for s in (4.0, 8.0)]:
             grid = gr.build_grid(dom, w, h)
             assert grid.ys[(len(grid.ys) - 1) // 2] == 0.0
-            assert np.array_equal(grid.mask, grid.mask[:, ::-1])
+            assert np.array_equal(grid.interior, grid.interior[:, ::-1])
+            assert np.array_equal(grid.boundary, grid.boundary[:, ::-1])
 
     def test_sqrt_profile_green_function_is_mirror_symmetric(self):
         # y = 0 was not a node before the lattice became mirror-exact; the
@@ -725,7 +755,7 @@ class TestMirrorSymmetry:
         finally:
             tracemalloc.stop()
         assert G.stats.iterations > 1
-        assert peak <= 5.5 * 8 * grid.mask.size
+        assert peak <= 5.5 * 8 * grid.interior.size
 
 
 class TestSuperlevelClouds:
@@ -734,7 +764,7 @@ class TestSuperlevelClouds:
         h = res.final.grid.h
         window = geo.WindowBox((0.1, -1.5), (5.0, 1.5))
         cloud = gr.superlevel_boundary_nodes(res.final, 1.0)
-        cloud = cloud[window.contains(cloud)]
+        cloud = cloud[window.contains_closure(cloud)]
         rep = ls.convexity_test(cloud, tol=2 * h)
         assert rep.verdict == "convex"
 
@@ -755,7 +785,7 @@ class TestSuperlevelClouds:
         fld = gr.GridField(grid, G.values / G.value((2.0, 0.0)))
         window = geo.WindowBox((0.05, -4.0), (6.0, 4.0))
         cloud = gr.superlevel_boundary_nodes(fld, 0.1)
-        cloud = cloud[window.contains(cloud)]
+        cloud = cloud[window.contains_closure(cloud)]
         rep = ls.convexity_test(cloud, tol=2 * grid.h)
         assert rep.verdict == "non_convex"
 
@@ -763,7 +793,7 @@ class TestSuperlevelClouds:
 class TestRingHarness:
     def test_interior_strictly_between_data(self, ring_solution):
         grid, sol = ring_solution
-        interior = grid.mask == gr.INTERIOR
+        interior = grid.interior
         assert sol.values[interior].min() > 0.0
         assert sol.values[interior].max() < 1.0
 

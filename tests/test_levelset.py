@@ -601,6 +601,37 @@ class TestLatticeMemo:
         for a, b in zip(got, want):
             assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
 
+    def test_grid_field_values_cannot_go_stale_under_the_memo(self):
+        # doubling the values in place used to succeed, and the memo then
+        # returned the curves of the old values
+        fld = strip_grid_field()
+        w = fld.default_window
+        ls.extract_level_curve(fld, 1.0, w, 0.05)
+        try:
+            fld.values *= 2.0
+        except ValueError:
+            pass
+        got = ls.extract_level_curve(fld, 1.0, w, 0.05)
+        want = ls.extract_level_curve(gr.GridField(fld.grid, fld.values.copy()), 1.0, w, 0.05)
+        assert [c.vertices.tolist() for c in got] == [c.vertices.tolist() for c in want]
+        assert not fld.values.flags.writeable
+
+    def test_lattice_over_physical_memory_is_refused_before_allocating(self, monkeypatch):
+        fld = flds.strip_martin()
+        xs, ys = fld.default_window.lattice(0.05)
+        need = len(xs) * len(ys) * (8 + 1)                # float values, bool mask
+        monkeypatch.setattr(geo, "physical_memory", lambda: need - 1)
+
+        def no_blocks(*args):
+            raise AssertionError("the lattice was allocated")
+
+        monkeypatch.setattr(ls, "lattice_blocks", no_blocks)
+        with pytest.raises(geo.GeometryError, match=f"{len(xs)} x {len(ys)} nodes needs "):
+            ls.extract_level_curve(fld, 1.0, fld.default_window, 0.05)
+        monkeypatch.undo()
+        monkeypatch.setattr(geo, "physical_memory", lambda: need)
+        assert ls.extract_level_curve(fld, 1.0, fld.default_window, 0.05)
+
     def test_memo_arrays_are_read_only(self):
         s = flds.strip_martin()
         xs, ys, vals, mask = ls._lattice(s, s.default_window, 0.05)
