@@ -52,12 +52,17 @@ class Domain:
     def boundary_distance(self, p):
         """Distance to the boundary from points ``(..., 2)`` of the open set
         (a :class:`GeometryError` if one lies outside it), on the domains
-        whose ``_distance(x, y)`` gives it in closed form."""
+        whose ``_distance(x, y)`` gives it in closed form (a GeometryError
+        naming the domain on the others)."""
         p = np.asarray(p, dtype=float)
         outside = ~np.asarray(self.contains(p))
         if outside.any():
             raise GeometryError(f"point {p[outside][0].tolist()} outside domain")
         return np.array(self._distance(*self._split(p)))[()]
+
+    def _distance(self, x, y):
+        raise GeometryError(f"domain {self.kind or type(self).__name__!r} has no "
+                            f"closed-form boundary distance")
 
     def slice_at(self, t):
         raise GeometryError(f"domain kind {self.kind!r} has no slices")

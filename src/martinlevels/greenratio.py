@@ -11,6 +11,7 @@ diagnostic max |u_{n+1} - u_n| certifies the truncation empirically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,8 +256,8 @@ def _dst1(x, out, scale=1.0):
         k = len(block)
         ext[:k, 1:n + 1] = block
         np.negative(block[:, ::-1], out=ext[:k, n + 2:])
-        spec = np.fft.rfft(ext[:k], axis=1)
-        np.multiply(spec[:, 1:n + 1].imag, neg_scale, out=out[i:i + k])
+        # the spectrum is a temporary: the next block's is built after it is freed
+        np.multiply(np.fft.rfft(ext[:k], axis=1)[:, 1:n + 1].imag, neg_scale, out=out[i:i + k])
     return out
 
 
@@ -325,6 +326,7 @@ def _fast_poisson(shape, hx, hy):
             dropped[0] += beta * kept[0]
             if m % 2:
                 dropped[p] += b * kept[p - 1]
+        del w                           # before the inverse transform's own blocks
         _dst1(t, out=t)
         out[0] = out[-1] = 0.0
         out[:, 0] = out[:, -1] = 0.0
@@ -345,64 +347,76 @@ def solve_dirichlet(grid, boundary_values=None, source=None, tol=1e-10, maxiter=
     iteration cap and the residual.
     The returned field's ``stats`` hold the iteration count and the final
     relative residual.  With zero source the discrete maximum principle
-    bounds interior values by the boundary data.  A given ``source``, a
-    float array of the grid's shape, is consumed: it becomes the right-hand
-    side and then the residual.  The solve keeps four grid-sized float
-    arrays; the preconditioner adds only 64-row blocks and vectors of
-    length ny per reduction level.
+    bounds interior values by the boundary data, which is read on the
+    boundary nodes.  Both inputs are arrays of the grid's shape and are
+    consumed: ``source`` becomes the right-hand side and then the residual,
+    and ``boundary_values``, when it is a writable C-contiguous float64
+    array, becomes the solution, its boundary entries kept and the others
+    overwritten (anything else is copied once).  The solve keeps four
+    grid-sized float arrays, the given inputs among them; the
+    preconditioner adds only 64-row blocks and vectors of length ny per
+    reduction level.
     """
     interior, boundary = grid.interior, grid.boundary
     hx, hy = grid.hx, grid.hy
-    rhs = np.zeros(grid.shape) if source is None else source
-    bvals = None
-    if boundary_values is not None:
-        bdata = np.where(boundary, np.asarray(boundary_values, dtype=float), 0.0)
-        # fold Dirichlet neighbors into the right-hand side (bdata is 0 on the interior)
-        rhs -= _apply_neg_laplacian(bdata, interior, hx, hy)
-        bvals = bdata[boundary]
-        del bdata                       # only the boundary values outlive the fold
+    if boundary_values is None:
+        u = np.zeros(grid.shape)
+        rhs = np.zeros(grid.shape) if source is None else source
+    else:
+        u = np.require(boundary_values, dtype=float, requirements="CW")
+        u[~boundary] = 0.0
+        # fold Dirichlet neighbors into the right-hand side (u is 0 on the interior)
+        rhs = _apply_neg_laplacian(u, interior, hx, hy)
+        if source is None:
+            np.subtract(0.0, rhs, out=rhs)      # 0 - fold, not -fold: no negative zeros
+        else:
+            source -= rhs
+            rhs = source                # frees the fold before the solve's arrays exist
     rhs[~interior] = 0.0
-
-    u, stats = _cg(rhs, interior, hx, hy, tol=tol, maxiter=maxiter)
-    if bvals is not None:
-        u[boundary] = bvals
+    stats = _cg(u, rhs, interior, hx, hy, tol=tol, maxiter=maxiter)
     return GridField(grid, u, stats=stats)
 
 
-def _cg(b, interior, hx, hy, tol, maxiter):
+def _dot(a, b):
+    """Inner product of two grid arrays, summed in an order that does not
+    depend on the BLAS thread count (``np.vdot`` does) and with no temporary."""
+    return float(np.einsum("ij,ij->", a, b))
+
+
+def _cg(u, b, interior, hx, hy, tol, maxiter):
     """Preconditioned conjugate gradients for -lap u = b on the interior.
 
-    ``b`` is zero off the interior and becomes the residual in place.
-    Returns the solution and its :class:`SolveStats`.  Besides the solution
-    u, the residual r and the direction p, one work array w holds A p and
-    then the preconditioned residual M r.  The residual is tested right
-    after each update, so a converged solve makes no preconditioner call
-    whose result would go unused.
+    ``u`` is zero on the interior and holds the Dirichlet data elsewhere;
+    the interior solution is added into it in place.  ``b`` is zero off the
+    interior and becomes the residual in place.  Returns the
+    :class:`SolveStats`.  Besides the solution u, the residual r and the
+    direction p, one work array w holds A p and then the preconditioned
+    residual M r; the mask ``~interior`` is a temporary at each use.  The
+    residual is tested right after each update, so a converged solve makes
+    no preconditioner call whose result would go unused.
     """
     r = b
-    b_norm = float(np.sqrt(np.vdot(r, r)))
+    b_norm = math.sqrt(_dot(r, r))
     if b_norm == 0.0:
-        return np.zeros_like(b), SolveStats(iterations=0, residual=0.0)
-    exterior = ~interior
+        return SolveStats(iterations=0, residual=0.0)
     precondition = _fast_poisson(b.shape, hx, hy)
-    u = np.zeros_like(b)
     p = precondition(r, np.empty_like(b))
-    p[exterior] = 0.0
+    p[~interior] = 0.0
     w = np.empty_like(b)
-    rz = float(np.vdot(r, p))
+    rz = _dot(r, p)
     r_norm = b_norm
     for it in range(1, maxiter + 1):
         _apply_neg_laplacian(p, interior, hx, hy, out=w)
-        alpha = rz / float(np.vdot(p, w))
+        alpha = rz / _dot(p, w)
         w *= alpha
         r -= w
         u += np.multiply(p, alpha, out=w)
-        r_norm = float(np.sqrt(np.vdot(r, r)))
+        r_norm = math.sqrt(_dot(r, r))
         if r_norm <= tol * b_norm:
-            return u, SolveStats(iterations=it, residual=r_norm / b_norm)
+            return SolveStats(iterations=it, residual=r_norm / b_norm)
         precondition(r, w)
-        w[exterior] = 0.0
-        rz_new = float(np.vdot(r, w))
+        w[~interior] = 0.0
+        rz_new = _dot(r, w)
         p *= rz_new / rz
         p += w
         rz = rz_new

@@ -787,6 +787,33 @@ def test_green_runs_or_rejects_every_domain_kind(tmp_path, domain):
     assert rejected is None or rejected in res.stderr
 
 
+BLAS_RUNS = {
+    "ring.json": {"domain": {"kind": "convex_ring",
+                             "A": {"vertices": [[-2, -2], [2, -2], [2, 2], [-2, 2]]},
+                             "B": {"vertices": [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5],
+                                                [-0.5, 0.5]]}},
+                  "h": 0.01, "levels": [0.25, 0.5, 0.75]},
+    "ratio.json": {"domain": "strip", "x0": [0.5, 0.0], "poles": [4, 6, 8], "h": math.pi / 200,
+                   "probe": [0.5, 2.0, -1.0, 1.0]},
+}
+
+
+@pytest.mark.parametrize("report", BLAS_RUNS)
+def test_green_reports_do_not_depend_on_the_blas_thread_count(tmp_path, report):
+    # threaded OpenBLAS sums a dot product in an order set by its thread count:
+    # with np.vdot the ring took 17 CG iterations on one thread and 18 on two
+    cfg = write_config(tmp_path, "green.json", BLAS_RUNS[report])
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        res = subprocess.run([sys.executable, "-m", "martinlevels.cli", "green", "--config", cfg,
+                              "--out", str(out)], capture_output=True, text=True,
+                             env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+        assert res.returncode == 0, res.stderr
+        reports.append((out / report).read_bytes())
+    assert reports[0] == reports[1]
+
+
 SMALL_RING = {"domain": {"kind": "convex_ring", "A": {"ngon": 8, "radius": 2.0},
                          "B": {"ngon": 8, "radius": 0.5}}, "h": 0.1}
 

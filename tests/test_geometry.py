@@ -235,6 +235,17 @@ class TestBoundaryDistance:
                 if d > 0.0:
                     assert dom.contains(p)
 
+    @pytest.mark.parametrize("dom, p, name", [
+        (geo.domain_from_config({"kind": "profile", "f": "sqrt"}), (0.5, 0.1), "profile"),
+        (geo.domain_from_config(RING), (1.2, 0.0), "convex_ring"),
+        (BODIES_WINDOWS_RING["ngon-body"], (0.5, 0.1), "ConvexBody"),
+        (BODIES_WINDOWS_RING["symmetric-window"], (0.5, 0.1), "WindowBox"),
+    ], ids=["sqrt-profile", "ring", "body", "window"])
+    def test_no_closed_form_is_a_geometry_error(self, dom, p, name):
+        assert dom.contains(p)
+        with pytest.raises(geo.GeometryError, match=f"domain '{name}' has no closed-form"):
+            dom.boundary_distance(p)
+
     @pytest.mark.parametrize("kind", ["strip", "right_halfplane", "sector", "sector_minus_slit",
                                       "halfplane_minus_disk", "cylinder"])
     def test_array_matches_per_point_formulas(self, kind):

@@ -307,7 +307,7 @@ class TestSolveDirichlet:
         grid = gr.build_grid(geo.Sector(math.inf), window, 1 / 32)
         X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
         exact = X ** 2 - Y ** 2
-        sol = gr.solve_dirichlet(grid, boundary_values=exact)
+        sol = gr.solve_dirichlet(grid, boundary_values=exact.copy())   # the solve consumes it
         interior = grid.interior
         assert np.abs(sol.values - exact)[interior].max() <= 1e-7
 
@@ -368,6 +368,92 @@ class TestSolveDirichlet:
         assert 0.0 < ring.stats.residual <= 1e-10
         zero = gr.solve_dirichlet(strip_grid, boundary_values=None)
         assert zero.stats == gr.SolveStats(iterations=0, residual=0.0)
+
+
+class TestSolveConsumesItsData:
+    def test_float_data_becomes_the_solution(self, ring_solution):
+        grid, want = ring_solution
+        data = gr.ring_dirichlet_data(grid)
+        kept = data[grid.boundary].copy()
+        sol = gr.solve_dirichlet(grid, data)
+        assert np.shares_memory(sol.values, data)
+        assert np.array_equal(sol.values[grid.boundary], kept)
+        assert np.array_equal(sol.values, want.values)
+
+    @pytest.mark.parametrize("kind", ["list", "int", "read-only", "fortran"])
+    def test_other_data_is_copied(self, ring_solution, kind):
+        grid, want = ring_solution
+        data = gr.ring_dirichlet_data(grid)
+        given = {"list": data.tolist(), "int": data.astype(int), "read-only": data.copy(),
+                 "fortran": np.asfortranarray(data)}[kind]
+        if kind == "read-only":
+            given.setflags(write=False)
+        sol = gr.solve_dirichlet(grid, given)
+        if kind == "list":
+            assert given == data.tolist()
+        else:
+            assert not np.shares_memory(sol.values, given)
+            assert np.array_equal(given, data)
+        assert np.array_equal(sol.values, want.values)
+
+    def test_source_and_data_equal_the_two_step_reference(self, ring_solution):
+        # fold the data into the source by the inline reference, solve, then
+        # put the data back on the boundary nodes
+        grid, _ = ring_solution
+        data = gr.ring_dirichlet_data(grid)
+        source = np.random.default_rng(3).random(grid.shape)
+        want = gr.solve_dirichlet(grid, source=source + reference_fold(grid, data))
+        got = gr.solve_dirichlet(grid, data.copy(), source=source)
+        assert got.stats == want.stats
+        assert np.array_equal(got.values[grid.interior], want.values[grid.interior])
+        assert np.array_equal(got.values[grid.boundary], data[grid.boundary])
+        assert not got.values[~(grid.interior | grid.boundary)].any()
+
+
+#: bytes per node of what a Dirichlet solve holds: the grid's two masks and four
+#: float arrays (solution, residual, direction and work array), the data among them
+SOLVE_NODE_BYTES = 2 + 4 * 8
+#: the rest, in rows of ny floats: the preconditioner's 64-row blocks (the odd
+#: extension and its spectrum), its coefficient vectors, numpy's FFT plan and a
+#: transient mask; 368 measured on the ring grid below
+SCRATCH_ROWS = 400
+
+
+class TestSolveMemory:
+    @staticmethod
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = run()
+            return result, tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    def test_solve_holds_four_float_arrays(self):
+        ring = geo.ConvexRing(geo.square_body(2.0), geo.square_body(0.5))
+        grid = gr.build_grid(ring, geo.WindowBox((-2.0, -2.0), (2.0, 2.0)), 0.008)
+        assert grid.interior.size >= 250_000
+        # present at the call: the two masks and the data array (a Green solve's source)
+        at_call = 2 + 8
+        allowed = ((SOLVE_NODE_BYTES - at_call) * grid.interior.size
+                   + SCRATCH_ROWS * 8 * grid.shape[1])
+        data = gr.ring_dirichlet_data(grid)
+        sol, peak = self.traced_peak(lambda: gr.solve_dirichlet(grid, data))
+        del data
+        assert sol.stats.iterations > 1
+        assert peak <= allowed
+        # green_function allocates its source before the solve starts
+        G, peak = self.traced_peak(lambda: gr.green_function(grid, (1.2, 0.0)))
+        assert G.stats.iterations > 1
+        assert peak <= allowed + 8 * grid.interior.size
+
+    def test_build_grid_counts_what_a_solve_holds(self, monkeypatch):
+        counted = []
+        monkeypatch.setattr(gr, "check_lattice_memory",
+                            lambda xs, ys, node_bytes, what: counted.append(node_bytes))
+        gr.build_grid(geo.Strip(), geo.WindowBox((0.0, -np.pi / 2), (8.0, np.pi / 2)), np.pi / 50)
+        assert counted == [SOLVE_NODE_BYTES]
 
 
 def reference_neg_laplacian(v, interior, hx, hy):
