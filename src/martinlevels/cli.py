@@ -88,9 +88,9 @@ def cmd_levelsets(args):
     geometry.check_keys(raw, ("field", "window", "levels", "h") + _COMMON_KEYS, "config key")
     w = raw.get("window")
     try:
-        window = (fld.default_window if w is None
-                  else geometry.WindowBox(tuple(w[0]), tuple(w[1])))
-    except (ValueError, TypeError, IndexError, KeyError) as e:  # GeometryError is a ValueError
+        window = (fld.default_window if w is None else geometry.WindowBox(
+            *(geometry.parse_value(corner, "window corner", sep=",") for corner in w)))
+    except (ValueError, TypeError) as e:  # GeometryError is a ValueError
         raise ConfigError(f"bad window {w!r}: {e}")
     levels = geometry.parse_value(raw.get("levels", []), "level grid", sep=",", above=0.0)
     h = geometry.parse_value(raw.get("h", 0.02), "h")
@@ -205,24 +205,23 @@ def cmd_audit(args):
         name = item.get("name")
         if name not in AUDIT_CHECKS:
             raise ConfigError(f"unknown check {name!r}; known: {sorted(AUDIT_CHECKS)}")
-        geometry.check_keys(item, ("name", "params", "expected", "required"), f"check {name!r} key")
+        geometry.check_keys(item, ("name", "params", "expected"), f"check {name!r} key")
         params = item.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"check {name!r}: 'params' must be a JSON object")
-        expected, required = item.get("expected", True), item.get("required", True)
-        if not (isinstance(expected, bool) and isinstance(required, bool)):
-            raise ConfigError(f"check {name!r}: 'expected' and 'required' must be true or false")
+        expected = item.get("expected", True)
+        if not isinstance(expected, bool):
+            raise ConfigError(f"check {name!r}: 'expected' must be true or false")
         kinds = AUDIT_CHECKS[name][1]
         geometry.check_keys(params, kinds, f"check {name!r} param")
         defaults = {key: spec[3] for key, spec in kinds.items() if len(spec) > 3}
         parsed = {key: geometry.parse_value(value, f"check {name!r} param {key!r}", *kinds[key][:3])
                   for key, value in {**defaults, **params}.items()}
-        jobs.append((name, parsed, expected, required))
+        jobs.append((name, parsed, expected))
 
     verdicts = {}
     timings = {}
-    failed_required = False
-    for name, params, expected, required in jobs:
+    for name, params, expected in jobs:
         # process-independent per-check seed (hash() is salted per process)
         rng = random.Random(seed ^ zlib.crc32(name.encode()))
         t0 = time.perf_counter()
@@ -233,13 +232,10 @@ def cmd_audit(args):
             passed, details, err = False, {}, f"{type(e).__name__}: {e}"
         dt = time.perf_counter() - t0
         ok = err is None and passed == expected
-        verdicts[name] = {"passed": passed, "expected": expected, "ok": ok,
-                          "required": required, "details": details}
+        verdicts[name] = {"passed": passed, "expected": expected, "ok": ok, "details": details}
         if err:
             verdicts[name]["error"] = err
         timings[name] = dt
-        if required and not ok:
-            failed_required = True
         if args.verbose:
             flag = "ok" if ok else "FAIL"
             print(f"[{flag}] {name}: passed={passed} expected={expected} ({dt:.1f}s)")
@@ -250,18 +246,12 @@ def cmd_audit(args):
     export.write_json(os.path.join(out, "report.timings.json"), timings)
     if args.verbose:
         print(f"audit report -> {path}")
-    return 1 if failed_required else 0
+    return 0 if all(v["ok"] for v in verdicts.values()) else 1
 
 
 # ---------------------------------------------------------------------------
 # green
 # ---------------------------------------------------------------------------
-
-_RATIO_ORACLES = {
-    "strip": "strip",
-    "halfplane_minus_disk": "exterior",
-}
-
 
 def _probe_half_height(domain, x0, x1, pole):
     """Smallest half-width over [x0, x1] of the slice intervals whose closure
@@ -372,12 +362,15 @@ def cmd_green(args):
                           "cg_residual": it.coarse.stats.residual}}
                      for it in result.iterates],
     }
-    oracle = _RATIO_ORACLES.get(domain.kind)
+    # the registry field that is the Martin function of this domain, compared on
+    # the probes in the open domain: on a wall or on the slit it is 0 or undefined
+    oracle = next((fld for fld in (make() for make in fields.FIELDS.values())
+                   if fld.domain.kind == domain.kind), None)
     if oracle:
-        fld = fields.field_from_name(oracle)
-        exact = fld.value(result.probe_points) / fld.value(np.asarray(mcfg.x0))
-        rel = np.abs(probe_vals_final - exact) / np.abs(exact)
-        payload["closed_form"] = {"field": oracle, "max_rel_error": float(rel.max())}
+        inside = domain.contains(result.probe_points)
+        exact = oracle.value(result.probe_points[inside]) / oracle.value(np.asarray(mcfg.x0))
+        rel = np.abs(probe_vals_final[inside] - exact) / np.abs(exact)
+        payload["closed_form"] = {"field": oracle.name, "max_rel_error": float(rel.max())}
     out_path = os.path.join(out, "ratio.json")
     export.write_json(out_path, payload)
     export.write_json(os.path.join(out, "ratio.timings.json"),

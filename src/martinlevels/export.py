@@ -10,19 +10,21 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 
 TOOL_VERSION = "martinlevels 0.1.0"
 
 
-def _atomic_write(path, text, mode="w", newline=None):
-    d = os.path.dirname(os.path.abspath(path)) or "."
+def _atomic_write(path, text, newline=None):
+    """Write text to a new sibling temp file, then rename it to path; like a
+    plain ``open``, the file gets mode 0o666 less the umask."""
+    d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}-{os.path.basename(path)}")
+    f = open(tmp, "x", newline=newline)     # a name taken already raises, removing nothing
     try:
-        with os.fdopen(fd, mode, newline=newline) as f:
+        with f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:

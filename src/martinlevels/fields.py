@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (CylinderDomain, HalfplaneMinusDisk, Sector, SectorMinusSlit, Strip,
-                       WindowBox)
+from .geometry import (CylinderDomain, GeometryError, HalfplaneMinusDisk, Sector,
+                       SectorMinusSlit, Strip, WindowBox, check_keys, parse_value)
 
 
 class FieldError(ValueError):
@@ -242,33 +242,32 @@ cylinder_martin = CylinderModeField
 # Field registry
 # ---------------------------------------------------------------------------
 
+#: each registry name's constructor; every field but the cylinder mode is the
+#: Martin function of its domain, and only the cylinder mode takes coefficients
+FIELDS = {
+    "strip": strip_martin,
+    "exterior": exterior_martin,
+    "slit_sector": slit_sector_martin,
+    "halfplane_v": lambda: sector_martin(2),
+    "halfplane_x": lambda: sector_martin(1),
+    "cylinder": cylinder_martin,
+}
+
+
 def field_from_name(name) -> ScalarField:
-    """Resolve a registry name: strip | exterior | slit_sector | halfplane_v
-    | halfplane_x | cylinder:A=..,B=.. ."""
+    """Resolve a registry name of :data:`FIELDS`, the cylinder's as
+    ``cylinder:A=..,B=..`` with coefficients read by :func:`geometry.parse_value`."""
     base, _, params = name.partition(":")
-    registry = {
-        "strip": strip_martin,
-        "exterior": exterior_martin,
-        "slit_sector": slit_sector_martin,
-        "halfplane_v": lambda: sector_martin(2),
-        "halfplane_x": lambda: sector_martin(1),
-    }
-    if base in registry:
-        return registry[base]()
-    if base == "cylinder":
-        kw = {"A": 1.0, "B": 0.0}
-        for item in params.split(",") if params else ():
-            key, _, val = (part.strip() for part in item.partition("="))
-            if key not in kw:
-                raise FieldError(f"unknown cylinder coefficient {key!r} in {item!r}; known: A, B")
-            try:
-                kw[key] = float(val)
-            except ValueError:
-                raise FieldError(f"cannot parse cylinder coefficient {item!r}") from None
-            if not math.isfinite(kw[key]):
-                raise FieldError(f"cylinder coefficient {item!r} is not finite")
-        return cylinder_martin(**kw)
-    raise FieldError(f"unknown field name {name!r}")
+    if base not in FIELDS:
+        raise FieldError(f"unknown field name {name!r}")
+    items = [item.partition("=") for item in params.split(",")] if params else []
+    coefficients = {key.strip(): value for key, _, value in items}
+    try:
+        check_keys(coefficients, ("A", "B") if base == "cylinder" else (), f"{base} coefficient")
+        return FIELDS[base](**{key: parse_value(value, f"{base} coefficient {key!r}")
+                               for key, value in coefficients.items()})
+    except GeometryError as e:
+        raise FieldError(f"field {name!r}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -645,9 +645,10 @@ def parse_value(value, what, kind=float, sep=None, above=None):
     """``value`` read as ``kind`` (float, int or str), or with ``sep`` the
     list of ``kind`` of each item of a config list or of each field of a
     string split at ``sep``, stripped, blank fields dropped.  A GeometryError
-    naming ``what`` when a value does not parse (an int must be integral:
-    8.0 reads as 8, 8.5 is an error), a string is not a string, a number is
-    not finite, the list is empty or a number is not above ``above``."""
+    naming ``what`` when a value does not parse (a boolean is not a number,
+    and an int must be integral: 8.0 reads as 8, 8.5 is an error), a string
+    is not a string, a number is not finite, the list is empty or a number
+    is not above ``above``."""
     if sep is not None and not isinstance(value, list):
         value = [v.strip() for v in str(value).split(sep) if v.strip()]
     items = [value] if sep is None else value
@@ -657,7 +658,7 @@ def parse_value(value, what, kind=float, sep=None, above=None):
         vals = items
     else:
         try:
-            vals = [_integral(v) if kind is int else kind(v) for v in items]
+            vals = [_number(v, kind) for v in items]
         except (TypeError, ValueError, OverflowError):
             raise GeometryError(f"cannot parse {what} {value!r}") from None
     if kind is float and not all(map(math.isfinite, vals)):
@@ -669,11 +670,12 @@ def parse_value(value, what, kind=float, sep=None, above=None):
     return vals[0] if sep is None else vals
 
 
-def _integral(v):
-    """``int(v)``, a ValueError for a float with a fraction (or not finite)."""
-    if isinstance(v, float) and not v.is_integer():
+def _number(v, kind):
+    """``kind(v)``, a ValueError for a boolean and, for kind int, for a float
+    with a fraction (or not finite)."""
+    if isinstance(v, bool) or (kind is int and isinstance(v, float) and not v.is_integer()):
         raise ValueError
-    return int(v)
+    return kind(v)
 
 
 def body_from_config(cfg) -> ConvexBody:
@@ -681,8 +683,8 @@ def body_from_config(cfg) -> ConvexBody:
     if isinstance(cfg, dict) and "vertices" in cfg:
         check_keys(cfg, ("vertices",), "vertices-form key")
         try:
-            vertices = np.asarray(cfg["vertices"], dtype=float)
-        except (TypeError, ValueError):
+            vertices = np.array([parse_value(v, "'vertices'", sep=",") for v in cfg["vertices"]])
+        except (TypeError, ValueError):     # GeometryError is a ValueError
             raise GeometryError(f"cannot parse 'vertices' {cfg['vertices']!r}") from None
         return ConvexBody(vertices)
     if isinstance(cfg, dict) and "ngon" in cfg:
@@ -728,7 +730,7 @@ def domain_from_config(cfg) -> Domain:
     except (KeyError, TypeError, ValueError):
         raise GeometryError(f"a profile cross-section D is an interval "
                             f"{{'vertices': [[lo], [hi]]}}, got {D!r}") from None
-    return ProfileRegion(_required(cfg, "f"), (lo, hi))
+    return ProfileRegion(_required(cfg, "f"), parse_value([lo, hi], "cross-section D", sep=","))
 
 
 def _required(cfg, key):

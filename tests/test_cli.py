@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import chain
@@ -322,6 +323,33 @@ class TestGreen:
         assert payload["cg_iterations"] > 1
         assert 0.0 < payload["cg_residual"] <= 1e-10
 
+    @pytest.mark.parametrize("domain, field, error", [
+        ("sector", "halfplane_v", "1.01e-02"),
+        ("right_halfplane", "halfplane_x", "1.14e-02"),
+        ("sector_minus_slit", "slit_sector", "1.06e-02"),
+        ("halfplane_minus_disk", "exterior", "2.24e-02"),
+    ])
+    def test_closed_form_is_the_registry_field_of_the_kind(self, tmp_path, domain, field, error):
+        assert cli.main(["green", "--domain", domain, "--x0", "2,0", "--poles", "8,16",
+                         "--h", "0.05", "--probe", "1.5,3,-1,1", "--out", str(tmp_path)]) == 0
+        closed_form = json.load(open(tmp_path / "ratio.json"))["closed_form"]
+        assert closed_form["field"] == field
+        assert f"{closed_form['max_rel_error']:.2e}" == error
+
+    def test_closed_form_leaves_out_probes_on_the_slit(self, tmp_path):
+        # the slit lies in the closure, where the closed form's value raises
+        assert cli.main(["green", "--domain", "sector_minus_slit", "--x0", "2,0",
+                         "--poles", "8,16", "--h", "0.05", "--probe", "0.5,3,-0.5,0.5",
+                         "--out", str(tmp_path)]) == 0
+        payload = json.load(open(tmp_path / "ratio.json"))
+        pts = greenratio.probe_lattice(geometry.WindowBox((0.5, -0.5), (3.0, 0.5)))
+        inside = geometry.SectorMinusSlit().contains(pts)
+        assert (inside.sum(), len(pts)) == (418, 425)
+        fld = fields.slit_sector_martin()
+        exact = fld.value(pts[inside]) / fld.value(np.array([2.0, 0.0]))
+        rel = np.abs(np.array(payload["probe_values"])[inside] - exact) / exact
+        assert payload["closed_form"] == {"field": "slit_sector", "max_rel_error": rel.max()}
+
     def test_profile_domain_config(self, tmp_path):
         cfg = write_config(tmp_path, "profile.json", {
             "domain": {"kind": "profile", "f": "sqrt"}, "x0": [1.0, 0.0],
@@ -425,10 +453,16 @@ def test_non_string_field_name_is_a_usage_error(tmp_path, capsys, command):
     (["slice-scan", "--field", "strip", "--t", "1", "--span", "abc"], None),
     (["green", "--domain", "strip", "--x0", "0.5,0", "--poles", "2,3", "--h", "0.0628"],
      {"probe": ["a", 1.5, -1, 1]}),
+    # a JSON boolean is not a number: float(true) would read it as 1
+    (["levelsets"], {**STRIP_LEVELS, "h": True}),
+    (["levelsets"], {**STRIP_LEVELS, "levels": [True, 2]}),
+    (["levelsets"], {**STRIP_LEVELS, "window": [[0, -1], [3, True]]}),
+    (["audit"], {"field": "strip", "checks": ["boundary_vanishing"], "seed": False}),
 ], ids=["levelsets-h", "levelsets-seed", "levelsets-window", "levelsets-window-mapping",
         "levelsets-window-infinite",
         "green-h", "asymptotics-radii", "slice-scan-span",
-        "green-config-probe"])
+        "green-config-probe", "levelsets-h-boolean", "levelsets-levels-boolean",
+        "levelsets-window-boolean", "audit-seed-boolean"])
 def test_malformed_number_is_a_usage_error(tmp_path, capsys, argv, config):
     if config is not None:
         argv = argv + ["--config", write_config(tmp_path, "bad.json", config)]
@@ -441,8 +475,10 @@ def test_malformed_number_is_a_usage_error(tmp_path, capsys, argv, config):
 @pytest.mark.parametrize("D, rc", [({"vertices": [[-1], [1]]}, 0),
                                    ({"vertices": [[-0.8], [2]]}, 0), ({"ngon": 6}, 2),
                                    ({"vertices": [[-1, 0], [1, 0]]}, 2),
-                                   ({"vertices": [[1], [2]]}, 2)],
-                         ids=["documented", "asymmetric", "ngon", "planar", "origin-outside"])
+                                   ({"vertices": [[1], [2]]}, 2),
+                                   ({"vertices": [[-1], [True]]}, 2)],
+                         ids=["documented", "asymmetric", "ngon", "planar", "origin-outside",
+                              "boolean-bound"])
 def test_profile_cross_section_config(tmp_path, capsys, D, rc):
     cfg = write_config(tmp_path, "profile.json", {
         "domain": {"kind": "profile", "f": "sqrt", "D": D}, "x0": [1.0, 0.0],
@@ -465,12 +501,15 @@ SMALL_SQUARE = {"vertices": [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]
      "'A': cannot parse 'radius'"),
     ({"kind": "convex_ring", "A": {"vertices": [["a", 0], [1, 0], [0, 1]]}, "B": SMALL_SQUARE},
      "'A': cannot parse 'vertices'"),
+    ({"kind": "convex_ring", "A": {"vertices": [[-2, -2], [2, -2], [2, 2], [-2, True]]},
+      "B": SMALL_SQUARE}, "'A': cannot parse 'vertices'"),
     ({"kind": "convex_ring", "A": 5, "B": SMALL_SQUARE}, "ring body 'A'"),
     (5, "domain must be a kind name or a mapping"),
     ({"kind": "convex_ring", "A": {"ngon": 8, "radious": 2.0}, "B": SMALL_SQUARE},
      "ring body 'A': ngon-form key 'radious' is unknown; known: ['ngon', 'radius']"),
     ({"kind": "sector", "f": "sqrt"}, "domain kind 'sector' key 'f' is unknown; known: ['kind']"),
-], ids=["ngon", "infinite-ngon", "fractional-ngon", "radius", "vertices", "body-not-a-mapping", "domain-not-a-mapping",
+], ids=["ngon", "infinite-ngon", "fractional-ngon", "radius", "vertices", "boolean-vertex",
+        "body-not-a-mapping", "domain-not-a-mapping",
         "unknown-body-key", "unknown-domain-key"])
 def test_malformed_domain_config_is_a_usage_error(tmp_path, capsys, domain, named):
     cfg = write_config(tmp_path, "bad.json", {"domain": domain, "h": 0.1})
@@ -620,15 +659,14 @@ def test_nonpositive_levelsets_spacing_is_a_usage_error(tmp_path, capsys, h):
     assert "must be positive" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag, value", [("expected", "false"), ("required", "false"),
-                                         ("expected", 0), ("required", None)])
-def test_audit_flags_must_be_json_booleans(tmp_path, capsys, flag, value):
+@pytest.mark.parametrize("value", ["false", 0], ids=["expected-false", "expected-0"])
+def test_audit_flags_must_be_json_booleans(tmp_path, capsys, value):
     # the string "false" is truthy: read with bool() it flipped the verdict
     cfg = write_config(tmp_path, "audit.json", {
-        "field": "exterior", "checks": [{"name": "convexity", flag: value}]})
+        "field": "exterior", "checks": [{"name": "convexity", "expected": value}]})
     assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "'expected' and 'required' must be true or false" in err and "Traceback" not in err
+    assert "'expected' must be true or false" in err and "Traceback" not in err
     assert not (tmp_path / "report.json").exists()
 
 
@@ -689,6 +727,7 @@ def test_unparsable_negative_control_does_not_pass(tmp_path, capsys):
     ("strictness", {"levels": []}, "check 'strictness' param 'levels' must not be empty"),
     ("slice_maxima", {"t": []}, "check 'slice_maxima' param 't' must not be empty"),
     ("harmonicity", {"n_points": 2.5}, "cannot parse check 'harmonicity' param 'n_points'"),
+    ("harmonicity", {"n_points": True}, "cannot parse check 'harmonicity' param 'n_points' True"),
     ("convexity", {"h": -1}, "check 'convexity' param 'h' must be > 0"),
     ("convexity", {"h": 0}, "check 'convexity' param 'h' must be > 0"),
     ("convexity", {"levels": [-1]}, "check 'convexity' param 'levels' must be > 0"),
@@ -697,8 +736,8 @@ def test_unparsable_negative_control_does_not_pass(tmp_path, capsys):
 ], ids=["typo", "other-check-key", "nan", "level", "count", "infinite-count", "list-tol",
         "span", "tag", "negative-span", "zero-span", "no-points", "negative-points",
         "no-samples", "one-sample", "no-levels", "no-strictness-levels", "no-t",
-        "fractional-count", "negative-h", "zero-h", "negative-level", "zero-strictness-h",
-        "zero-strictness-level"])
+        "fractional-count", "boolean-count", "negative-h", "zero-h", "negative-level",
+        "zero-strictness-h", "zero-strictness-level"])
 def test_audit_params_parse_before_any_check_runs(tmp_path, capsys, check, params, message):
     # the valid first check must not run either: no report is written
     cfg = write_config(tmp_path, "audit.json", {
@@ -892,7 +931,7 @@ def test_ratio_flags_on_a_ring_run_are_usage_errors(tmp_path, capsys, flag, valu
      "config key 'check' is unknown; known: ['checks', 'field', 'out', 'seed']"),
     (["audit"], {"field": "strip", "checks": [{"name": "convexity", "param": {"h": 0.05}}]},
      "check 'convexity' key 'param' is unknown; "
-     "known: ['expected', 'name', 'params', 'required']"),
+     "known: ['expected', 'name', 'params']"),
     (["green"], {"domain": "strip", "x0": [0.5, 0], "poles": [2], "hh": 0.1},
      "config key 'hh' is unknown"),
     (["green"], {**SMALL_RING, "poles": [2]}, "config key 'poles' is unknown; "
@@ -923,7 +962,7 @@ KNOB_CENSUS = {
     "config keys": {
         "levelsets": ["field", "h", "levels", "out", "seed", "window"],
         "audit": ["checks", "field", "out", "seed"],
-        "audit check": ["expected", "name", "params", "required"],
+        "audit check": ["expected", "name", "params"],
         "green ratio": ["domain", "h", "out", "poles", "probe", "seed", "x0"],
         "green ring": ["domain", "h", "levels", "out", "seed"],
     },
@@ -961,3 +1000,26 @@ def test_knob_census(tmp_path, capsys):
         "audit params": {name: sorted(params) for name, (_, params) in cli.AUDIT_CHECKS.items()},
     }
     assert census == KNOB_CENSUS
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_blocks(lang):
+    with open(README) as f:
+        return re.findall(rf"```{lang}\n(.*?)```", f.read(), re.S)
+
+
+@pytest.mark.parametrize("command, key", [("levelsets", "window"), ("audit", "checks"),
+                                          ("green", "domain")])
+def test_readme_configs_run(tmp_path, command, key):
+    # README shows one config of each command, told apart by a key only it holds
+    (config,) = [c for c in map(json.loads, _readme_blocks("json")) if key in c]
+    cfg = write_config(tmp_path, f"{command}.json", config)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+def test_readme_quick_start_runs(capsys):
+    (code,) = _readme_blocks("python")
+    exec(compile(code, README, "exec"), {})
+    assert capsys.readouterr().out.startswith("convex ")

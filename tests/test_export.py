@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -100,3 +102,19 @@ class TestSvgPath:
         for curve in ls.extract_level_curve(s, 1.0, w, 0.01):
             assert export._svg_path(curve.vertices, 160.0, 160.0, 0.0, 251.3) \
                 == reference_svg_path(curve.vertices, 160.0, 160.0, 0.0, 251.3)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_reports_get_the_mode_a_plain_open_gives(tmp_path, umask, mode):
+    # each writer renames a temp file to the report, which keeps the temp's mode
+    old = os.umask(umask)
+    try:
+        export.write_json(tmp_path / "r.json", {"a": 1.0})
+        export.write_csv(tmp_path / "r.csv", ["x"], [(1.0,)])
+        export.write_svg_levels(tmp_path / "r.svg", [], geo.WindowBox((0.0, 0.0), (1.0, 1.0)))
+        open(tmp_path / "plain", "w").close()
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["r.json", "r.csv", "r.svg", "plain"], mode)

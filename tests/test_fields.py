@@ -321,6 +321,13 @@ class TestCylinderMode:
         with pytest.raises(flds.FieldError):
             flds.cylinder_martin(A=0.0, B=0.0)
 
+    def test_registry_fields_have_distinct_domain_kinds(self):
+        # martin green takes its closed form as the registry field of its
+        # domain's kind, and reports it by the field's name
+        built = {name: make() for name, make in flds.FIELDS.items()}
+        assert len({fld.domain.kind for fld in built.values()}) == len(built)
+        assert all(fld.name.partition(":")[0] == name for name, fld in built.items())
+
     def test_registry_parses_coefficients(self):
         fld = flds.field_from_name("cylinder:A=2,B=0.5")
         assert fld.A == 2.0 and fld.B == 0.5
@@ -486,13 +493,19 @@ class TestDifferencesMatchReferences:
 
 class TestCylinderNames:
     @pytest.mark.parametrize("name,match", [
-        ("cylinder:C=1", "unknown cylinder coefficient 'C'"),
-        ("cylinder:A=abc", "cannot parse cylinder coefficient 'A=abc'"),
+        ("cylinder:C=1", "cylinder coefficient 'C' is unknown"),
+        ("cylinder:A=abc", "cannot parse cylinder coefficient 'A' 'abc'"),
         ("cylinder:A", "cannot parse cylinder coefficient 'A'"),
-        ("cylinder:A=1,", "unknown cylinder coefficient ''"),
-        ("cylinder:B=inf", "'B=inf' is not finite"),
-        ("cylinder:A=nan", "'A=nan' is not finite"),
-    ])
+        ("cylinder:A=1,", "cylinder coefficient '' is unknown"),
+        ("cylinder:B=inf", "cylinder coefficient 'B' 'inf' is not finite"),
+        ("cylinder:A=nan", "cylinder coefficient 'A' 'nan' is not finite"),
+        ("strip:A=1", "strip coefficient 'A' is unknown"),
+    ], ids=["cylinder:C=1-unknown cylinder coefficient 'C'",
+            "cylinder:A=abc-cannot parse cylinder coefficient 'A=abc'",
+            "cylinder:A-cannot parse cylinder coefficient 'A'",
+            "cylinder:A=1,-unknown cylinder coefficient ''",
+            "cylinder:B=inf-'B=inf' is not finite", "cylinder:A=nan-'A=nan' is not finite",
+            "strip:A=1-unknown strip coefficient 'A'"])
     def test_malformed_items_are_named(self, name, match):
         with pytest.raises(flds.FieldError, match=match):
             flds.field_from_name(name)
