@@ -277,16 +277,15 @@ def _green_ring_mode(domain, raw, h, args, out):
     lo = domain.outer.vertices.min(axis=0)
     hi = domain.outer.vertices.max(axis=0)
     grid = greenratio.build_grid(domain, geometry.WindowBox(tuple(lo), tuple(hi)), h)
-    inner = greenratio.inner_body_nodes(grid)
     try:
-        sol = greenratio.solve_dirichlet(grid, greenratio.ring_dirichlet_data(grid, inner))
+        sol = greenratio.solve_dirichlet(grid, greenratio.ring_dirichlet_data(grid))
     except greenratio.SolverError as e:
         raise greenratio.SolverError(f"ring solve (h = {h:.3g}): {e}") from None
     vals = sol.values[grid.interior]
     umin, umax = float(vals.min()), float(vals.max())
     verdicts = {}
     for c in levels:
-        cloud = greenratio.superlevel_boundary_nodes(sol, c, extra_member=inner)
+        cloud = greenratio.superlevel_boundary_nodes(sol, c)
         rep = levelset.convexity_test(cloud, tol=2 * grid.h)
         verdicts[f"{c:g}"] = {"verdict": rep.verdict, "hull_deviation": rep.hull_deviation}
     payload = {

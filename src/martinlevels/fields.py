@@ -311,17 +311,26 @@ def harmonicity_residual(field, p, h):
     return np.asarray(total / dtype(h) ** 2, dtype=float)[()]
 
 
+#: rounds of n draws before a window short of interior points is an error
+SAMPLE_ROUNDS = 100
+
+
 def interior_points(fld, n, rng):
     """The first n points drawn uniformly from the field's default window
     (x, then y, from the seeded ``random.Random`` rng) that lie in the domain
-    farther than 0.05 from its boundary, shape ``(n, 2)``."""
+    farther than 0.05 from its boundary, shape ``(n, 2)``; a FieldError
+    naming the window if SAMPLE_ROUNDS rounds of n draws give fewer."""
     lower, upper = np.array(fld.default_window.lower), np.array(fld.default_window.upper)
     pts = np.empty((0, 2))
-    while len(pts) < n:
+    for _ in range(SAMPLE_ROUNDS):
         p = lower + (upper - lower) * np.reshape([rng.random() for _ in range(2 * n)], (-1, 2))
         p = p[fld.domain.contains(p)]
         pts = np.vstack([pts, p[fld.domain.boundary_distance(p) > 0.05]])
-    return pts[:n]
+        if len(pts) >= n:
+            return pts[:n]
+    raise FieldError(f"field {fld.name!r}: {SAMPLE_ROUNDS * n} draws from the window "
+                     f"{lower.tolist()} to {upper.tolist()} gave {len(pts)} of {n} points "
+                     f"0.05 inside the domain")
 
 
 @dataclass

@@ -35,12 +35,12 @@ class SolveStats:
 
 @dataclass
 class Grid2D:
-    """Uniform grid on a window with two disjoint boolean node masks.
+    """Uniform grid on a window with one boolean node mask, ``interior``.
 
-    ``interior`` marks the unknowns, ``boundary`` the Dirichlet nodes: the
-    closure points of the domain adjacent to an interior node, so walls
-    that align with grid lines carry their data exactly; artificial window
-    edges cutting through the domain become zero-Dirichlet caps.
+    ``interior`` marks the unknowns; every other node holds Dirichlet data,
+    read where an interior node's stencil reaches it, so walls that align
+    with grid lines carry their data exactly and artificial window edges
+    cutting through the domain become caps.
 
     The per-axis spacings hx, hy equal the requested h up to corner
     snapping (windows keep their exact corners); the Laplacian stencil uses
@@ -54,7 +54,6 @@ class Grid2D:
     xs: np.ndarray
     ys: np.ndarray
     interior: np.ndarray
-    boundary: np.ndarray
 
     @property
     def h(self):
@@ -78,12 +77,12 @@ def build_grid(domain, window, h):
 
     Raises when the interior is empty or disconnected, when h is not
     positive or too coarse for the window (h must be <= extent / 16), or
-    when the masks and a solve's four float arrays would exceed memory.
+    when the mask and a solve's four float arrays would exceed memory.
     """
     if h > min(window.extent()) / 16.0:
         raise GeometryError(f"grid spacing h={h} too coarse for window extent {window.extent()}")
     xs, ys = window.lattice(h)
-    check_lattice_memory(xs, ys, 2 + 4 * 8, "a grid's masks and solve arrays")
+    check_lattice_memory(xs, ys, 1 + 4 * 8, "a grid's mask and solve arrays")
     hx = float((xs[-1] - xs[0]) / (len(xs) - 1))
     hy = float((ys[-1] - ys[0]) / (len(ys) - 1))
     in_closure = lattice_mask(xs, ys, domain.contains_closure)
@@ -91,13 +90,11 @@ def build_grid(domain, window, h):
     interior[0, :] = interior[-1, :] = False
     interior[:, 0] = interior[:, -1] = False
     interior &= ~_has_neighbor_in(~in_closure)
-    boundary = in_closure & ~interior & _has_neighbor_in(interior)
     if not interior.any():
         raise GeometryError("grid has no interior nodes")
     if not _connected(interior):
         raise GeometryError("grid interior is disconnected")
-    return Grid2D(domain=domain, window=window, hx=hx, hy=hy, xs=xs, ys=ys,
-                  interior=interior, boundary=boundary)
+    return Grid2D(domain=domain, window=window, hx=hx, hy=hy, xs=xs, ys=ys, interior=interior)
 
 
 def _has_neighbor_in(member):
@@ -346,25 +343,24 @@ def solve_dirichlet(grid, boundary_values=None, source=None, tol=1e-10, maxiter=
     relative residual <= tol or raises :class:`SolverError` naming the
     iteration cap and the residual.
     The returned field's ``stats`` hold the iteration count and the final
-    relative residual.  With zero source the discrete maximum principle
-    bounds interior values by the boundary data, which is read on the
-    boundary nodes.  Both inputs are arrays of the grid's shape and are
-    consumed: ``source`` becomes the right-hand side and then the residual,
-    and ``boundary_values``, when it is a writable C-contiguous float64
-    array, becomes the solution, its boundary entries kept and the others
-    overwritten (anything else is copied once).  The solve keeps four
-    grid-sized float arrays, the given inputs among them; the
-    preconditioner adds only 64-row blocks and vectors of length ny per
-    reduction level.
+    relative residual.  ``boundary_values`` off the interior is the
+    Dirichlet data, read where an interior node's stencil reaches it (with
+    zero source the discrete maximum principle bounds interior values by
+    it there) and returned unchanged.  Both inputs are arrays of the grid's
+    shape and are consumed: ``source`` becomes the right-hand side and then
+    the residual, and ``boundary_values``, when it is a writable
+    C-contiguous float64 array, becomes the solution (anything else is
+    copied once).  The solve keeps four grid-sized float arrays, the given
+    inputs among them; the preconditioner adds only 64-row blocks and
+    vectors of length ny per reduction level.
     """
-    interior, boundary = grid.interior, grid.boundary
-    hx, hy = grid.hx, grid.hy
+    interior, hx, hy = grid.interior, grid.hx, grid.hy
     if boundary_values is None:
         u = np.zeros(grid.shape)
         rhs = np.zeros(grid.shape) if source is None else source
     else:
         u = np.require(boundary_values, dtype=float, requirements="CW")
-        u[~boundary] = 0.0
+        u[interior] = 0.0
         # fold Dirichlet neighbors into the right-hand side (u is 0 on the interior)
         rhs = _apply_neg_laplacian(u, interior, hx, hy)
         if source is None:
@@ -590,29 +586,32 @@ def martin_ratio(domain, cfg: MartinApproxConfig, h):
 # Superlevel node clouds
 # ---------------------------------------------------------------------------
 
+def _superlevel(fld, c):
+    """Mask of the nodes where the field exceeds c; c must be positive."""
+    if c <= 0.0:
+        raise GeometryError("superlevel threshold must be positive")
+    return fld.values > c
+
+
 def superlevel_nodes(fld: GridField, c):
-    """Grid nodes (interior or boundary) where the field exceeds c > 0.
+    """Grid nodes where the field exceeds c > 0.
 
     Empty levels return an empty cloud (reported, not an error).
     """
-    if c <= 0.0:
-        raise GeometryError("superlevel threshold must be positive")
     g = fld.grid
-    ii, jj = np.nonzero((g.interior | g.boundary) & (fld.values > c))
+    ii, jj = np.nonzero(_superlevel(fld, c))
     return np.column_stack([g.xs[ii], g.ys[jj]])
 
 
-def superlevel_boundary_nodes(fld: GridField, c, extra_member=None):
-    """Region-boundary nodes of {values > c} (union an extra node mask).
+def superlevel_boundary_nodes(fld: GridField, c):
+    """Region-boundary nodes of {values > c}, c > 0.
 
     A member node belongs to the discrete region boundary when one of its
     4-neighbors is not a member or it lies on the grid's border; these are
     the points tested by the hull certificate.
     """
     g = fld.grid
-    member = (g.interior | g.boundary) & (fld.values > c)
-    if extra_member is not None:
-        member = member | extra_member
+    member = _superlevel(fld, c)
     edge = member & _has_neighbor_in(~member)
     edge[[0, -1]] = member[[0, -1]]
     edge[:, [0, -1]] = member[:, [0, -1]]
@@ -620,19 +619,13 @@ def superlevel_boundary_nodes(fld: GridField, c, extra_member=None):
     return np.column_stack([g.xs[ii], g.ys[jj]])
 
 
-def ring_dirichlet_data(grid, closed=None):
-    """Boundary data for a convex-ring grid: 1 on the inner wall, 0 outside.
-
-    A boundary node is on the inner wall when it lies in the closed inner
-    body (the mask ``closed`` of :func:`inner_body_nodes`, computed when not
-    given) or has a grid neighbor in the open one.
-    """
-    if not isinstance(grid.domain, ConvexRing):
-        raise GeometryError("ring data needs a convex-ring grid")
-    closed = inner_body_nodes(grid) if closed is None else closed
-    near_inner = closed | _has_neighbor_in(lattice_mask(grid.xs, grid.ys,
-                                                        grid.domain.inner.contains))
-    return np.where(grid.boundary & near_inner, 1.0, 0.0)
+def ring_dirichlet_data(grid):
+    """Dirichlet data for a convex-ring grid: 1 on the filled inner body (the
+    closed one and the nodes next to the open one), 0 elsewhere, so the
+    solved ring field is 1 there and its superlevel sets are filled."""
+    closed = inner_body_nodes(grid)     # raises unless the grid is a ring's
+    near = _has_neighbor_in(lattice_mask(grid.xs, grid.ys, grid.domain.inner.contains))
+    return (closed | near).astype(float)
 
 
 def inner_body_nodes(grid):

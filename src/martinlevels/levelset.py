@@ -253,7 +253,7 @@ def convexity_test(curve_or_cloud, closure=None, tol=1e-9, fld=None, level=None)
     a, b = hull[k], hull[(k + 1) % len(hull)]
     report.witness = (tuple(a), tuple(b), tuple(0.5 * (a + b)))
     if fld is not None and level is not None:
-        w = _verified_witness(fld, float(level), deepest, hull, scale=tol)
+        w = _verified_witness(fld, float(level), a, b, scale=tol)
         if w is not None:
             report.witness = w
             report.witness_verified = True
@@ -276,12 +276,11 @@ def _excluded(fld, c, pts):
 
 
 def _nudge_inward(fld, c, p, scales):
-    """Push a near-level point into {u > c} along the gradient direction."""
+    """Push a near-level point into {u > c} along the gradient, if it is regular."""
     p = np.asarray(p, dtype=float)
-    try:
-        g = np.asarray(fld.gradient(p), dtype=float)
-    except Exception:
+    if not fld.regular(p):
         return None
+    g = np.asarray(fld.gradient(p), dtype=float)
     n = np.linalg.norm(g)
     if n == 0.0:
         return None
@@ -291,17 +290,15 @@ def _nudge_inward(fld, c, p, scales):
     return qs[ok[0]] if len(ok) else None
 
 
-def _verified_witness(fld, c, deepest, hull, scale):
-    """Search along the violated hull chord for p, q in {u > c} whose exact
-    midpoint is excluded.
+def _verified_witness(fld, c, a, b, scale):
+    """Search along the violated hull chord [a, b] for p, q in {u > c} whose
+    exact midpoint is excluded.
 
     Hull vertices sit on the level itself, so the chord endpoints are first
     nudged into the region along the gradient.  On each chord the pairs
     around each excluded chord point, by increasing distance from it, go to
     :func:`midpoint_witness_search` in one call.
     """
-    k = _nearest_hull_edge(deepest, hull)
-    a, b = hull[k], hull[(k + 1) % len(hull)]
     scales = [0.25 * scale, scale, 4.0 * scale]
     ends_a = [a] + [p for p in [_nudge_inward(fld, c, a, scales)] if p is not None]
     ends_b = [b] + [p for p in [_nudge_inward(fld, c, b, scales)] if p is not None]

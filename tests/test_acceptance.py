@@ -69,11 +69,10 @@ class TestCriterion3ConvexRing:
         interior = grid.interior
         max_principle = bool(sol.values[interior].min() >= 0.0
                              and sol.values[interior].max() <= 1.0)
-        inner = gr.inner_body_nodes(grid)
         devs = {}
         all_convex = True
         for c in (0.25, 0.5, 0.75):
-            cloud = gr.superlevel_boundary_nodes(sol, c, extra_member=inner)
+            cloud = gr.superlevel_boundary_nodes(sol, c)
             rep = ls.convexity_test(cloud, tol=2 * grid.h)
             devs[c] = rep.hull_deviation
             all_convex &= rep.verdict == "convex" and rep.hull_deviation <= 2 * grid.h

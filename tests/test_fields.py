@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,17 @@ class TestHarmonicity:
     def test_interior_points_pin_the_generator_and_draw_order(self):
         pts = flds.interior_points(flds.strip_martin(), 4, random.Random(7))
         assert pts.tolist() == PINNED_STRIP_POINTS
+
+    @pytest.mark.parametrize("lower, upper", [((-2.0, -1.0), (-1.0, 1.0)),
+                                              ((0.0, 1.55), (3.0, 1.6))],
+                             ids=["off-the-domain", "within-0.05-of-the-wall"])
+    def test_interior_points_refuse_a_window_without_them(self, lower, upper):
+        # these windows hold no point farther than 0.05 inside the strip
+        fld = flds.strip_martin()
+        fld.default_window = geo.WindowBox(lower, upper)
+        with pytest.raises(flds.FieldError,
+                           match=re.escape(f"the window {list(lower)} to {list(upper)} gave 0 of 30")):
+            flds.interior_points(fld, 30, random.Random(1))
 
     @pytest.mark.parametrize("name", ALL_MARTIN + ["halfplane_v"])
     def test_matches_pointwise_reference(self, name):

@@ -12,6 +12,17 @@ from martinlevels import greenratio as gr
 from martinlevels import levelset as ls
 
 
+def dirichlet_nodes(interior):
+    """The nodes whose data a solve reads: non-interior nodes with an
+    interior 4-neighbour."""
+    near = np.zeros_like(interior)
+    near[1:] |= interior[:-1]
+    near[:-1] |= interior[1:]
+    near[:, 1:] |= interior[:, :-1]
+    near[:, :-1] |= interior[:, 1:]
+    return near & ~interior
+
+
 @pytest.fixture(scope="module")
 def strip_grid():
     window = geo.WindowBox((0.0, -np.pi / 2), (8.0, np.pi / 2))
@@ -31,23 +42,24 @@ class TestBuildGrid:
         grid = gr.build_grid(geo.Strip(), geo.WindowBox((0.0, -np.pi / 2), (10.0, np.pi / 2)),
                              np.pi / 100)
         # every wall node adjacent to the interior is Dirichlet
-        assert np.all(grid.boundary[1:-1, 0])
-        assert np.all(grid.boundary[1:-1, -1])
-        assert np.all(grid.boundary[0, 1:-1])
-        assert np.all(grid.boundary[-1, 1:-1])
+        boundary = dirichlet_nodes(grid.interior)
+        assert np.all(boundary[1:-1, 0])
+        assert np.all(boundary[1:-1, -1])
+        assert np.all(boundary[0, 1:-1])
+        assert np.all(boundary[-1, 1:-1])
         assert np.all(grid.interior[1:-1, 1:-1])
         assert grid.interior_count() == (grid.shape[0] - 2) * (grid.shape[1] - 2)
 
     def test_ring_mask_is_annular(self, ring_solution):
         grid, _ = ring_solution
         i0, j0 = grid.node_index((0.0, 0.0))
-        assert not (grid.interior | grid.boundary)[i0, j0]
+        assert not (grid.interior | dirichlet_nodes(grid.interior))[i0, j0]
         assert grid.interior[grid.node_index((1.2, 0.0))]
 
     def test_disk_hole_masked(self):
         grid = gr.build_grid(geo.HalfplaneMinusDisk(),
                              geo.WindowBox((0.0, -3.0), (6.0, 3.0)), 0.05)
-        assert not (grid.interior | grid.boundary)[grid.node_index((0.5, 0.0))]
+        assert not (grid.interior | dirichlet_nodes(grid.interior))[grid.node_index((0.5, 0.0))]
         assert grid.interior[grid.node_index((2.0, 0.0))]
 
     def test_coarse_spacing_rejected(self):
@@ -73,16 +85,20 @@ class TestBuildGrid:
         (geo.ProfileRegion("sqrt"), geo.ProfileRegion("sqrt").truncation_window(4.0), 0.05),
     ], ids=["strip", "ring", "exterior", "slit_sector", "sqrt"])
     def test_interior_and_boundary_are_disjoint(self, domain, window, h):
+        # the grid keeps one mask; the Dirichlet nodes next to it are closure points
         grid = gr.build_grid(domain, window, h)
-        assert grid.interior.dtype == grid.boundary.dtype == bool
-        assert not np.any(grid.interior & grid.boundary)
+        assert "boundary" not in {f.name for f in dataclasses.fields(grid)}
+        assert not hasattr(grid, "boundary")
+        assert grid.interior.dtype == bool
         assert grid.interior_count() == np.count_nonzero(grid.interior) > 0
-        assert np.any(grid.boundary)
+        ii, jj = np.nonzero(dirichlet_nodes(grid.interior))
+        assert len(ii) > 0
+        assert np.all(domain.contains_closure(np.column_stack([grid.xs[ii], grid.ys[jj]])))
 
     def test_grid_over_physical_memory_is_refused_before_allocating(self, monkeypatch):
         window = geo.WindowBox((0.0, -np.pi / 2), (8.0, np.pi / 2))
         xs, ys = window.lattice(0.05)
-        need = len(xs) * len(ys) * (2 + 4 * 8)          # two masks, four float arrays
+        need = len(xs) * len(ys) * (1 + 4 * 8)          # one mask, four float arrays
         monkeypatch.setattr(geo, "physical_memory", lambda: need)
         assert gr.build_grid(geo.Strip(), window, 0.05).shape == (len(xs), len(ys))
 
@@ -95,13 +111,15 @@ class TestBuildGrid:
             gr.build_grid(geo.Strip(), window, 0.05)
 
     def test_interior_neighbors_never_exterior(self):
-        # mask consistency: each interior node touches only interior or
-        # Dirichlet nodes, even along the curved disk wall
-        grid = gr.build_grid(geo.HalfplaneMinusDisk(),
-                             geo.WindowBox((0.0, -3.0), (6.0, 3.0)), 0.05)
+        # mask consistency: each interior node touches only nodes of the
+        # closure, even along the curved disk wall
+        dom = geo.HalfplaneMinusDisk()
+        grid = gr.build_grid(dom, geo.WindowBox((0.0, -3.0), (6.0, 3.0)), 0.05)
         interior = grid.interior
+        closure = geo.lattice_mask(grid.xs, grid.ys, dom.contains_closure)
+        assert np.any(dirichlet_nodes(interior) & ~geo.lattice_mask(grid.xs, grid.ys, dom.contains))
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            shifted = np.roll(grid.interior | grid.boundary, (di, dj), axis=(0, 1))
+            shifted = np.roll(closure, (di, dj), axis=(0, 1))
             assert not np.any(interior & ~shifted)
 
 
@@ -190,19 +208,24 @@ class TestRowBlockedLattice:
         closed = ring.inner.contains_closure(pts)
         near = closed | gr._has_neighbor_in(ring.inner.contains(pts))
         assert np.array_equal(gr.inner_body_nodes(grid), closed)
-        assert np.array_equal(gr.ring_dirichlet_data(grid),
-                              np.where(grid.boundary & near, 1.0, 0.0))
+        assert np.array_equal(gr.ring_dirichlet_data(grid), np.where(near, 1.0, 0.0))
 
     def test_ring_data_takes_the_inner_body_mask(self):
+        # 1 on the closed inner body, 0 on the outer wall; a grid that is not
+        # a ring's has no inner body
         ring = geo.ConvexRing(geo.square_body(2.0), geo.regular_polygon(12, 0.6))
         grid = gr.build_grid(ring, geo.WindowBox((-2.0, -2.0), (2.0, 2.0)), 0.05)
-        assert np.array_equal(gr.ring_dirichlet_data(grid, gr.inner_body_nodes(grid)),
-                              gr.ring_dirichlet_data(grid))
+        data = gr.ring_dirichlet_data(grid)
+        assert np.all(data[gr.inner_body_nodes(grid)] == 1.0)
+        assert not data[[0, -1]].any() and not data[:, [0, -1]].any()
+        strip = gr.build_grid(geo.Strip(), geo.WindowBox((0.0, -np.pi / 2), (8.0, np.pi / 2)),
+                              np.pi / 50)
+        with pytest.raises(geo.GeometryError, match="needs a convex-ring grid"):
+            gr.ring_dirichlet_data(strip)
 
 
-def reference_masks(domain, window, h):
-    """``build_grid``'s interior and boundary masks with its closure test
-    written out inline."""
+def reference_interior(domain, window, h):
+    """``build_grid``'s interior mask with its closure test written out inline."""
     xs, ys = window.lattice(h)
     in_closure = geo.lattice_mask(xs, ys, domain.contains_closure)
     interior = geo.lattice_mask(xs, ys, domain.contains)
@@ -210,16 +233,13 @@ def reference_masks(domain, window, h):
     interior[:, 0] = interior[:, -1] = False
     interior[1:-1, 1:-1] &= (in_closure[2:, 1:-1] & in_closure[:-2, 1:-1]
                              & in_closure[1:-1, 2:] & in_closure[1:-1, :-2])
-    boundary = in_closure & ~interior & gr._has_neighbor_in(interior)
-    return interior, boundary
+    return interior
 
 
-def reference_boundary_cloud(fld, c, extra_member=None):
+def reference_boundary_cloud(fld, c):
     """``superlevel_boundary_nodes`` with its region edge written out inline."""
     g = fld.grid
-    member = (g.interior | g.boundary) & (fld.values > c)
-    if extra_member is not None:
-        member = member | extra_member
+    member = fld.values > c
     edge = np.zeros_like(member)
     edge[1:-1, 1:-1] = member[1:-1, 1:-1] & ~(member[2:, 1:-1] & member[:-2, 1:-1]
                                               & member[1:-1, 2:] & member[1:-1, :-2])
@@ -233,7 +253,7 @@ def reference_boundary_cloud(fld, c, extra_member=None):
 
 def reference_fold(grid, data):
     """The right-hand side that Dirichlet data folds into, written out inline."""
-    bdata = np.where(grid.boundary, data, 0.0)
+    bdata = np.where(grid.interior, 0.0, data)
     rhs = np.zeros(grid.shape)
     rhs[1:-1, 1:-1] += ((bdata[2:, 1:-1] + bdata[:-2, 1:-1]) / grid.hx ** 2
                         + (bdata[1:-1, 2:] + bdata[1:-1, :-2]) / grid.hy ** 2)
@@ -256,13 +276,12 @@ class TestStencilStatedOnce:
     ], ids=["strip", "ring", "exterior", "sqrt"])
     def test_masks_and_clouds_equal_the_references(self, domain, window, h):
         grid = gr.build_grid(domain, window, h)
-        assert np.array_equal((grid.interior, grid.boundary), reference_masks(domain, window, h))
+        assert np.array_equal(grid.interior, reference_interior(domain, window, h))
         # a speckled field puts region edges everywhere, the window border included
         fld = gr.GridField(grid, np.random.default_rng(12).random(grid.shape))
-        extra = grid.boundary
-        for c, extra_member in ((0.3, None), (0.7, None), (0.7, extra)):
-            assert np.array_equal(gr.superlevel_boundary_nodes(fld, c, extra_member),
-                                  reference_boundary_cloud(fld, c, extra_member))
+        for c in (0.3, 0.7):
+            assert np.array_equal(gr.superlevel_boundary_nodes(fld, c),
+                                  reference_boundary_cloud(fld, c))
 
     def test_ring_fold_equals_the_reference(self):
         grid = gr.build_grid(TWELVE_GON_RING, geo.WindowBox((-2.0, -2.0), (2.0, 2.0)), 0.05)
@@ -289,11 +308,10 @@ class TestStencilStatedOnce:
 
     @staticmethod
     def check_fold(grid, data):
-        boundary = grid.boundary
-        assert np.count_nonzero(data[boundary]) > 0
+        assert np.count_nonzero(data[dirichlet_nodes(grid.interior)]) > 0
         want = gr.solve_dirichlet(grid, source=reference_fold(grid, data))
         want.values = want.values.copy()
-        want.values[boundary] = data[boundary]
+        want.values[~grid.interior] = data[~grid.interior]
         got = gr.solve_dirichlet(grid, data)
         assert got.stats == want.stats
         assert np.array_equal(got.values, want.values)
@@ -318,7 +336,7 @@ class TestSolveDirichlet:
     def test_maximum_principle_random_data(self, strip_grid):
         rng = np.random.default_rng(21)
         data = np.zeros(strip_grid.shape)
-        boundary = strip_grid.boundary
+        boundary = dirichlet_nodes(strip_grid.interior)
         data[boundary] = rng.uniform(-1.0, 2.0, int(boundary.sum()))
         sol = gr.solve_dirichlet(strip_grid, boundary_values=data)
         interior = strip_grid.interior
@@ -374,10 +392,10 @@ class TestSolveConsumesItsData:
     def test_float_data_becomes_the_solution(self, ring_solution):
         grid, want = ring_solution
         data = gr.ring_dirichlet_data(grid)
-        kept = data[grid.boundary].copy()
+        kept = data[~grid.interior].copy()
         sol = gr.solve_dirichlet(grid, data)
         assert np.shares_memory(sol.values, data)
-        assert np.array_equal(sol.values[grid.boundary], kept)
+        assert np.array_equal(sol.values[~grid.interior], kept)
         assert np.array_equal(sol.values, want.values)
 
     @pytest.mark.parametrize("kind", ["list", "int", "read-only", "fortran"])
@@ -398,7 +416,7 @@ class TestSolveConsumesItsData:
 
     def test_source_and_data_equal_the_two_step_reference(self, ring_solution):
         # fold the data into the source by the inline reference, solve, then
-        # put the data back on the boundary nodes
+        # put the data back off the interior
         grid, _ = ring_solution
         data = gr.ring_dirichlet_data(grid)
         source = np.random.default_rng(3).random(grid.shape)
@@ -406,13 +424,26 @@ class TestSolveConsumesItsData:
         got = gr.solve_dirichlet(grid, data.copy(), source=source)
         assert got.stats == want.stats
         assert np.array_equal(got.values[grid.interior], want.values[grid.interior])
-        assert np.array_equal(got.values[grid.boundary], data[grid.boundary])
-        assert not got.values[~(grid.interior | grid.boundary)].any()
+        assert np.array_equal(got.values[~grid.interior], data[~grid.interior])
+
+    def test_unread_data_changes_nothing_and_comes_back(self, ring_solution):
+        # the inner body's deep nodes and the window corners border no
+        # interior node: new data there changes no interior value
+        grid, want = ring_solution
+        unread = ~grid.interior & ~dirichlet_nodes(grid.interior)
+        assert unread[grid.node_index((0.0, 0.0))] and unread[0, 0]
+        data = gr.ring_dirichlet_data(grid)
+        data[unread] = np.random.default_rng(8).uniform(-5.0, 5.0, int(unread.sum()))
+        given = data.copy()
+        got = gr.solve_dirichlet(grid, data)
+        assert got.stats == want.stats
+        assert np.array_equal(got.values[grid.interior], want.values[grid.interior])
+        assert np.array_equal(got.values[~grid.interior], given[~grid.interior])
 
 
-#: bytes per node of what a Dirichlet solve holds: the grid's two masks and four
-#: float arrays (solution, residual, direction and work array), the data among them
-SOLVE_NODE_BYTES = 2 + 4 * 8
+#: bytes per node of what a Dirichlet solve holds: the grid's mask and four float
+#: arrays (solution, residual, direction and work array), the data among them
+SOLVE_NODE_BYTES = 1 + 4 * 8
 #: the rest, in rows of ny floats: the preconditioner's 64-row blocks (the odd
 #: extension and its spectrum), its coefficient vectors, numpy's FFT plan and a
 #: transient mask; 368 measured on the ring grid below
@@ -434,8 +465,8 @@ class TestSolveMemory:
         ring = geo.ConvexRing(geo.square_body(2.0), geo.square_body(0.5))
         grid = gr.build_grid(ring, geo.WindowBox((-2.0, -2.0), (2.0, 2.0)), 0.008)
         assert grid.interior.size >= 250_000
-        # present at the call: the two masks and the data array (a Green solve's source)
-        at_call = 2 + 8
+        # present at the call: the mask and the data array (a Green solve's source)
+        at_call = 1 + 8
         allowed = ((SOLVE_NODE_BYTES - at_call) * grid.interior.size
                    + SCRATCH_ROWS * 8 * grid.shape[1])
         data = gr.ring_dirichlet_data(grid)
@@ -779,7 +810,7 @@ class TestProfileRatio:
         assert res.final.value(res.probe_points).min() > 0.0
         grid = res.final.grid
         assert grid.interior[grid.node_index((1.0, 0.0))]
-        assert not (grid.interior | grid.boundary)[grid.node_index((1.0, 1.5))]
+        assert not (grid.interior | dirichlet_nodes(grid.interior))[grid.node_index((1.0, 1.5))]
 
     def test_probe_window_must_stay_in_domain(self):
         dom = geo.domain_from_config({"kind": "profile", "f": "sqrt"})
@@ -813,7 +844,8 @@ class TestMirrorSymmetry:
             grid = gr.build_grid(dom, w, h)
             assert grid.ys[(len(grid.ys) - 1) // 2] == 0.0
             assert np.array_equal(grid.interior, grid.interior[:, ::-1])
-            assert np.array_equal(grid.boundary, grid.boundary[:, ::-1])
+            boundary = dirichlet_nodes(grid.interior)
+            assert np.array_equal(boundary, boundary[:, ::-1])
 
     def test_sqrt_profile_green_function_is_mirror_symmetric(self):
         # y = 0 was not a node before the lattice became mirror-exact; the
@@ -864,6 +896,15 @@ class TestSuperlevelClouds:
         with pytest.raises(geo.GeometryError):
             gr.superlevel_nodes(res.final, 0.0)
 
+    @pytest.mark.parametrize("c", [0.0, -0.5])
+    @pytest.mark.parametrize("cloud", [gr.superlevel_nodes, gr.superlevel_boundary_nodes],
+                             ids=["nodes", "boundary_nodes"])
+    def test_threshold_must_be_positive(self, ring_solution, cloud, c):
+        # off the domain the field is 0, so c <= 0 would take in every node
+        _, sol = ring_solution
+        with pytest.raises(geo.GeometryError, match="superlevel threshold must be positive"):
+            cloud(sol, c)
+
     def test_halfplane_low_level_nonconvex(self):
         # the unit-disk hole dents the low superlevel sets of the ratio
         grid = gr.build_grid(geo.HalfplaneMinusDisk(), geo.WindowBox((0.0, -8.0), (16.0, 8.0)), 0.05)
@@ -883,18 +924,26 @@ class TestRingHarness:
         assert sol.values[interior].min() > 0.0
         assert sol.values[interior].max() < 1.0
 
-    def test_superlevel_union_inner_convex(self, ring_solution):
+    def test_solution_is_one_on_the_filled_inner_body(self, ring_solution):
         grid, sol = ring_solution
         inner = gr.inner_body_nodes(grid)
+        assert np.count_nonzero(inner) > 0
+        assert np.all(sol.values[inner] == 1.0)
+
+    def test_superlevel_union_inner_convex(self, ring_solution):
+        # the solved field is 1 on the inner body: its superlevel sets are filled
+        grid, sol = ring_solution
         for c in (0.25, 0.5, 0.75):
-            cloud = gr.superlevel_boundary_nodes(sol, c, extra_member=inner)
+            cloud = gr.superlevel_boundary_nodes(sol, c)
             rep = ls.convexity_test(cloud, tol=2 * grid.h)
             assert rep.verdict == "convex", f"c={c}: deviation {rep.hull_deviation}"
 
     def test_annulus_alone_nonconvex(self, ring_solution):
         # without the inner body the superlevel cloud is an annulus
         grid, sol = ring_solution
-        cloud = gr.superlevel_boundary_nodes(sol, 0.5)
+        values = sol.values.copy()
+        values[gr.inner_body_nodes(grid)] = 0.0
+        cloud = gr.superlevel_boundary_nodes(gr.GridField(grid, values), 0.5)
         rep = ls.convexity_test(cloud, tol=2 * grid.h)
         assert rep.verdict == "non_convex"
 

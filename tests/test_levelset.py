@@ -149,6 +149,20 @@ class TestConvexityTest:
         assert np.allclose(mid, 0.5 * (p + q))
         assert (not e.domain.contains(mid)) or e.value(mid) <= c
 
+    def test_witness_search_lets_field_errors_through(self):
+        # a bug in a field's gradient is an error, not an unverified witness
+        class BrokenGradient(ScaledField):
+            def gradient(self, p):
+                raise TypeError("broken gradient")
+
+        e = BrokenGradient(flds.exterior_martin(), 1.0)
+        w = geo.WindowBox((0.0, -3.0), (6.0, 3.0))
+        c = 1.5
+        curves = ls.extract_level_curve(e, c, w, 0.02)
+        closure = ls.window_closure_points(w, e, c)
+        with pytest.raises(TypeError, match="broken gradient"):
+            ls.convexity_test(curves, closure=closure, tol=0.04, fld=e, level=c)
+
     def test_certificates_agree_where_form_is_negative(self):
         # strictly negative tangent form along the whole extracted curve
         # implies the hull certificate also returns convex
@@ -520,7 +534,8 @@ class TestArrayPassesMatchReferences:
         dev = ls.hull_boundary_deviation(pts, hull)
         deepest = pts[int(np.argmax(dev))]
         assert dev.max() > 2 * 2 * h
-        got = ls._verified_witness(e, c, deepest, hull, scale=2 * h)
+        k = ls._nearest_hull_edge(deepest, hull)
+        got = ls._verified_witness(e, c, hull[k], hull[(k + 1) % len(hull)], scale=2 * h)
         assert got is not None
         assert got == reference_verified_witness(e, c, deepest, hull, scale=2 * h)
 
