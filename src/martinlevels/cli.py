@@ -281,8 +281,8 @@ def _green_ring_mode(domain, raw, h, args, out):
         sol = greenratio.solve_dirichlet(grid, greenratio.ring_dirichlet_data(grid))
     except greenratio.SolverError as e:
         raise greenratio.SolverError(f"ring solve (h = {h:.3g}): {e}") from None
-    vals = sol.values[grid.interior]
-    umin, umax = float(vals.min()), float(vals.max())
+    umin = float(np.min(sol.values, where=grid.interior, initial=np.inf))
+    umax = float(np.max(sol.values, where=grid.interior, initial=-np.inf))
     verdicts = {}
     for c in levels:
         cloud = greenratio.superlevel_boundary_nodes(sol, c)

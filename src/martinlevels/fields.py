@@ -1,12 +1,12 @@
 """Scalar fields: closed-form positive harmonic functions with analytic
 derivatives, and cylinder modes.
 
-All closed forms are the real part of an explicit holomorphic function, so
-values, gradients, and Hessians come from F, F', F'' via the Cauchy-Riemann
-relations:
+All closed forms are the real part u of an explicit holomorphic function
+F.  Values come from u written in real arithmetic; gradients and Hessians
+come from F', F'' via the Cauchy-Riemann relations:
 
-    u = Re F,  grad u = (Re F', -Im F'),  H_u = [[Re F'', -Im F''],
-                                                 [-Im F'', -Re F'']].
+    grad u = (Re F', -Im F'),  H_u = [[Re F'', -Im F''],
+                                      [-Im F'', -Re F'']].
 
 Value oracles preserve the floating dtype of their input; passing
 ``np.longdouble`` points evaluates in extended precision, which the
@@ -81,17 +81,17 @@ class ScalarField:
 
 
 class HolomorphicReField(ScalarField):
-    """u = Re(F) for holomorphic F with explicit first and second derivatives.
+    """u = Re(F) for holomorphic F: ``u(x, y)`` in real arithmetic, and F', F''.
 
-    The triple is public as ``F``, ``dF`` and ``d2F``, so other consumers of
-    the closed form (the asymptotic fits) take it from here.
+    The derivatives are public as ``dF`` and ``d2F``, so other consumers of
+    the closed form (the asymptotic fits) take them from here.
     ``tube``, if given, maps complex points to a mask of the points too close
     to a branch or singular point for the derivatives to be trusted.
     """
 
-    def __init__(self, domain, F, dF, d2F, name, default_window=None, tube=None):
+    def __init__(self, domain, u, dF, d2F, name, default_window=None, tube=None):
         self.domain = domain
-        self.F = F
+        self.u = u
         self.dF = dF
         self.d2F = d2F
         self.name = name
@@ -101,8 +101,9 @@ class HolomorphicReField(ScalarField):
     def value(self, p, check=True):
         if check:
             self._require_inside(p)
-        z = _complex_of(p)
-        return np.real(self.F(z))[()]
+        p = np.asarray(p)
+        p = p if p.dtype == np.longdouble else p.astype(float, copy=False)
+        return np.asarray(self.u(p[..., 0], p[..., 1]))[()]
 
     def _guard(self, z):
         """Raise :class:`SingularPointError` if a complex point lies in the tube."""
@@ -147,14 +148,15 @@ def _slit_tube(z):
 
 def strip_martin():
     """sinh(x) cos(y) on the half-strip (0, inf) x (-pi/2, pi/2)."""
-    return HolomorphicReField(Strip(), np.sinh, np.cosh, np.sinh, "strip",
+    return HolomorphicReField(Strip(), lambda x, y: np.sinh(x) * np.cos(y),
+                              np.cosh, np.sinh, "strip",
                               default_window=WindowBox((0.0, -np.pi / 2), (3.0, np.pi / 2)))
 
 
 def exterior_martin():
     """x - x/(x^2 + y^2) on the half-plane minus the closed unit disk."""
     return HolomorphicReField(HalfplaneMinusDisk(),
-                              lambda z: z - 1.0 / z,
+                              lambda x, y: x - x / (x * x + y * y),
                               lambda z: 1.0 + z ** -2,
                               lambda z: -2.0 * z ** -3,
                               "exterior",
@@ -168,8 +170,8 @@ def slit_sector_martin():
     square root is the positive branch; derivatives are guarded near the
     slit where 1/sqrt blows up or flips sign.
     """
-    def F(z):
-        return np.sqrt(z ** 4 - 1.0)
+    def u(x, y):
+        return np.real(np.sqrt((x + 1j * y) ** 4 - 1.0))
 
     def dF(z):
         return 2.0 * z ** 3 / np.sqrt(z ** 4 - 1.0)
@@ -178,13 +180,14 @@ def slit_sector_martin():
         w = np.sqrt(z ** 4 - 1.0)
         return 6.0 * z ** 2 / w - 4.0 * z ** 6 / w ** 3
 
-    return HolomorphicReField(SectorMinusSlit(), F, dF, d2F, "slit_sector",
+    return HolomorphicReField(SectorMinusSlit(), u, dF, d2F, "slit_sector",
                               default_window=WindowBox((0.0, -4.0), (4.0, 4.0)),
                               tube=_slit_tube)
 
 
-#: registry name, wall slope and default window half-height of Re z^k, by k
-_SECTOR_FIELDS = {2: ("halfplane_v", 1.0, 4.0), 1: ("halfplane_x", math.inf, 2.0)}
+#: registry name, wall slope, default window half-height and u = Re z^k, by k
+_SECTOR_FIELDS = {2: ("halfplane_v", 1.0, 4.0, lambda x, y: x * x - y * y),
+                  1: ("halfplane_x", math.inf, 2.0, lambda x, y: x.copy())}
 
 
 def sector_martin(k):
@@ -192,9 +195,8 @@ def sector_martin(k):
     function: k = 2 on the quarter sector (halfplane_v, the comparison field
     of the slit sector), k = 1 on the right half-plane (halfplane_x, flat
     level lines).  F'' = k(k - 1) is constant for both."""
-    name, slope, half = _SECTOR_FIELDS[k]
-    return HolomorphicReField(Sector(slope),
-                              lambda z: z ** k,
+    name, slope, half, u = _SECTOR_FIELDS[k]
+    return HolomorphicReField(Sector(slope), u,
                               lambda z: k * z ** (k - 1),
                               lambda z: k * (k - 1) * np.ones_like(z),
                               name,
@@ -226,8 +228,8 @@ class CylinderModeField(HolomorphicReField):
         def dF(z):
             return k * (A * np.exp(k * z) - B * np.exp(-k * z))
 
-        super().__init__(CylinderDomain(), F, dF, lambda z: k * k * F(z),
-                         f"cylinder:A={A:g},B={B:g}",
+        super().__init__(CylinderDomain(), lambda x, y: F(x) * np.cos(k * y), dF,
+                         lambda z: k * k * F(z), f"cylinder:A={A:g},B={B:g}",
                          default_window=WindowBox((-2.0, -1.0), (2.0, 1.0)))
 
     @staticmethod

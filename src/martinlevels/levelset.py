@@ -64,24 +64,37 @@ def _lattice(fld, window, h):
     for rows, pts in lattice_blocks(xs, ys):
         inside = mask[rows] = fld.domain.contains(pts)
         if inside.any():
-            vals[rows][inside] = fld.value(pts[inside], check=False)
+            inside_pts = np.compress(inside.ravel(), pts.reshape(-1, 2), axis=0)
+            vals[rows][inside] = fld.value(inside_pts, check=False)
     for a in (xs, ys, vals, mask):
         a.setflags(write=False)
     return xs, ys, vals, mask
 
 
+@functools.lru_cache(maxsize=1)
+def _curves(fld, window, h):
+    """Level -> curves extracted on one lattice, held as :func:`_lattice` is."""
+    return {}
+
+
 def extract_level_curve(fld, c, window, h):
     """Marching-squares contours of the field at level c inside the window.
 
-    Returns a list of :class:`LevelCurve`; vertices interpolate linearly
-    along cell edges, so each satisfies |u - c| = O(h * |grad u|) locally.
-    An unattained level yields an empty list.  Successive calls with the
-    same field, window and h share one lattice evaluation.
+    Returns a list of :class:`LevelCurve` (read-only vertices interpolating
+    linearly along cell edges, so |u - c| = O(h * |grad u|) locally); an
+    unattained level yields an empty list.  Calls with the same field,
+    window and h share one lattice evaluation, and at one level its curves.
     """
-    xs, ys, vals, mask = _lattice(fld, window, float(h))
-    segments, positions = _marching_squares(vals, mask, xs, ys, float(c))
-    return [LevelCurve(level=float(c), vertices=positions[chain], closed=closed)
-            for chain, closed in _stitch(segments)]
+    c, h = float(c), float(h)
+    memo = _curves(fld, window, h)
+    if c not in memo:
+        xs, ys, vals, mask = _lattice(fld, window, h)
+        segments, positions = _marching_squares(vals, mask, xs, ys, c)
+        memo[c] = tuple(LevelCurve(level=c, vertices=positions[chain], closed=closed)
+                        for chain, closed in _stitch(segments))
+        for curve in memo[c]:
+            curve.vertices.setflags(write=False)
+    return list(memo[c])
 
 
 # Segments of each cell case as pairs of cell edges, numbered 0: x-edge (i, j),
@@ -271,7 +284,7 @@ def _excluded(fld, c, pts):
     out = ~np.asarray(fld.domain.contains(pts), dtype=bool)
     inside = ~out
     if inside.any():
-        out[inside] = np.asarray(fld.value(pts[inside], check=False)) <= c
+        out[inside] = np.asarray(fld.value(np.compress(inside, pts, axis=0), check=False)) <= c
     return out
 
 

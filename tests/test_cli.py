@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from itertools import chain
 
 import numpy as np
@@ -865,6 +866,58 @@ def test_ring_run_computes_the_inner_body_mask_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "ring.json", SMALL_RING)
     assert cli.main(["green", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+#: the benchmark's ring run (perfbench RING_CONFIG), at h = 0.01
+RING_RUN = BLAS_RUNS["ring.json"]
+
+
+@pytest.mark.parametrize("h", [0.01, 0.05])
+def test_ring_value_range_equals_the_copied_interior_values(tmp_path, h):
+    # the verdict statistics read the solution in place; a report written
+    # with the range of a copy of the interior values has the same bytes
+    cfg = write_config(tmp_path, "ring.json", {**RING_RUN, "h": h})
+    assert cli.main(["green", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    payload = json.loads((tmp_path / "run" / "ring.json").read_bytes())
+    ring = geometry.domain_from_config(RING_RUN["domain"])
+    lo, hi = ring.outer.vertices.min(axis=0), ring.outer.vertices.max(axis=0)
+    grid = greenratio.build_grid(ring, geometry.WindowBox(tuple(lo), tuple(hi)), h)
+    vals = greenratio.solve_dirichlet(grid, greenratio.ring_dirichlet_data(grid)).values
+    copied = vals[grid.interior]
+    umin, umax = float(copied.min()), float(copied.max())
+    payload.update(value_range=[umin, umax], max_principle=umin >= 0.0 and umax <= 1.0)
+    export.write_json(str(tmp_path / "copied.json"), payload)
+    assert (tmp_path / "copied.json").read_bytes() == (tmp_path / "run" / "ring.json").read_bytes()
+
+
+def test_ring_verdicts_copy_no_grid_array(tmp_path, monkeypatch):
+    # from the solve's return to the report, the statistics, clouds and
+    # certificates stay at least half a float grid array below the solve's
+    # own traced peak (the interior values' copy took them to within 0.05 MiB)
+    peaks = {}
+    solve, write_json = greenratio.solve_dirichlet, export.write_json
+
+    def traced_solve(grid, data):
+        tracemalloc.reset_peak()
+        sol = solve(grid, data)
+        peaks.update(solve=tracemalloc.get_traced_memory()[1], nodes=grid.interior.size)
+        tracemalloc.reset_peak()
+        return sol
+
+    def traced_write(path, payload):
+        peaks.setdefault("verdicts", tracemalloc.get_traced_memory()[1])
+        return write_json(path, payload)
+
+    monkeypatch.setattr(greenratio, "solve_dirichlet", traced_solve)
+    monkeypatch.setattr(export, "write_json", traced_write)
+    cfg = write_config(tmp_path, "ring.json", RING_RUN)
+    tracemalloc.start()
+    try:
+        assert cli.main(["green", "--config", cfg, "--out", str(tmp_path)]) == 0
+    finally:
+        tracemalloc.stop()
+    assert peaks["nodes"] == 401 * 401
+    assert peaks["verdicts"] <= peaks["solve"] - 4 * peaks["nodes"]
 
 
 def test_ring_solver_error_names_its_stage(tmp_path, capsys, monkeypatch):

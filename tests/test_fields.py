@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 import re
@@ -279,6 +280,46 @@ class TestBoundaryAndPositivity:
             x = rng.uniform(1.05, 5.0)
             y = rng.uniform(0.05, 2.0)
             assert e.value(np.array([x, y])) > e.value(np.array([x, 0.0]))
+
+
+#: Re F of each registry field comes from F in complex arithmetic here; the
+#: fields write it in real arithmetic (the cylinder with A = 1, B = 0.5)
+COMPLEX_REFERENCES = {
+    "strip": np.sinh,
+    "exterior": lambda z: z - 1.0 / z,
+    "slit_sector": lambda z: np.sqrt(z ** 4 - 1.0),
+    "halfplane_v": lambda z: z ** 2,
+    "halfplane_x": lambda z: z,
+    "cylinder:A=1,B=0.5": lambda z: np.exp(np.pi / 2 * z) + 0.5 * np.exp(-np.pi / 2 * z),
+}
+
+
+class TestRealForms:
+    def test_every_registry_field_has_a_reference(self):
+        assert sorted(name.partition(":")[0] for name in COMPLEX_REFERENCES) == sorted(flds.FIELDS)
+
+    @pytest.mark.parametrize("name", sorted(COMPLEX_REFERENCES))
+    @pytest.mark.parametrize("dtype,rel", [(np.float64, 1e-13), (np.longdouble, 1e-16)],
+                             ids=["float64", "longdouble"])
+    def test_value_is_the_real_part_of_F(self, name, dtype, rel):
+        fld = flds.field_from_name(name)
+        pts = flds.interior_points(fld, 200, random.Random(26)).astype(dtype)
+        z = pts[:, 0] + 1j * pts[:, 1]
+        assert z.dtype == (np.clongdouble if dtype == np.longdouble else np.complex128)
+        F = COMPLEX_REFERENCES[name](z)
+        got = fld.value(pts, check=False)
+        assert got.dtype == dtype and got.shape == (200,)
+        assert np.all(np.abs(got - np.real(F)) <= rel * np.abs(F))
+
+    @pytest.mark.parametrize("name", ["strip", "exterior", "cylinder:A=1,B=0.5"])
+    def test_audit_checks_on_the_real_forms(self, tmp_path, name):
+        cfg = tmp_path / "audit.json"
+        cfg.write_text(json.dumps({"field": name, "checks": [
+            "harmonicity", "boundary_vanishing", "convexity", "strictness", "slice_maxima"]}))
+        cli.main(["audit", "--config", str(cfg), "--out", str(tmp_path)])
+        verdicts = json.loads((tmp_path / "report.json").read_text())["verdicts"]
+        assert len(verdicts) == 5
+        assert verdicts["harmonicity"]["passed"] and verdicts["boundary_vanishing"]["passed"]
 
 
 class TestCylinderMode:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from martinlevels import cli
 from martinlevels import fields as flds
 from martinlevels import geometry as geo
 from martinlevels import greenratio as gr
@@ -654,6 +656,110 @@ class TestLatticeMemo:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = a[0]
+
+
+#: the benchmark's 5-check strip audit
+STRIP_AUDIT = {"field": "strip", "checks": [
+    "harmonicity", "boundary_vanishing", {"name": "convexity", "params": {"h": 0.005}},
+    {"name": "strictness", "params": {"h": 0.005}},
+    {"name": "slice_maxima", "params": {"t": [1.0, 2.0, 5.0]}}]}
+
+
+class TestLevelCurveMemo:
+    def test_curves_are_shared_and_read_only(self):
+        s = flds.strip_martin()
+        first = ls.extract_level_curve(s, 1.0, s.default_window, 0.05)
+        kept = list(first)
+        first.clear()                 # a caller's list is its own
+        again = ls.extract_level_curve(s, 1, s.default_window, 0.05)
+        assert kept and len(again) == len(kept)
+        assert all(a is b for a, b in zip(again, kept))
+        for curve in again:
+            with pytest.raises(ValueError):
+                curve.vertices[0] = curve.vertices[0]
+
+    @staticmethod
+    def audit(tmp_path, monkeypatch, clear_between_checks):
+        levels = []
+        marching_squares = ls._marching_squares
+
+        def counting(vals, mask, xs, ys, c):
+            levels.append(c)
+            return marching_squares(vals, mask, xs, ys, c)
+
+        monkeypatch.setattr(ls, "_marching_squares", counting)
+        if clear_between_checks:
+            def clearing(run):
+                return lambda *args: ls._curves.cache_clear() or run(*args)
+
+            monkeypatch.setattr(cli, "AUDIT_CHECKS", {
+                name: (clearing(run), kinds) for name, (run, kinds) in cli.AUDIT_CHECKS.items()})
+        cfg = tmp_path / "audit.json"
+        cfg.write_text(json.dumps(STRIP_AUDIT))
+        out = tmp_path / str(clear_between_checks)
+        assert cli.main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+        monkeypatch.undo()
+        return levels, (out / "report.json").read_bytes()
+
+    def test_strip_audit_marches_each_level_once(self, tmp_path, monkeypatch):
+        levels, report = self.audit(tmp_path, monkeypatch, False)
+        assert levels == [0.5, 1.0, 2.0]
+        cleared_levels, cleared_report = self.audit(tmp_path, monkeypatch, True)
+        assert cleared_levels == [0.5, 1.0, 2.0] * 2
+        assert report == cleared_report
+
+
+def boolean_index_lattice(fld, window, h):
+    """The row-blocked lattice with its inside points gathered by boolean indexing."""
+    xs, ys = window.lattice(h)
+    mask = np.empty((len(xs), len(ys)), dtype=bool)
+    vals = np.full(mask.shape, np.nan)
+    for rows, pts in geo.lattice_blocks(xs, ys):
+        inside = mask[rows] = fld.domain.contains(pts)
+        if inside.any():
+            vals[rows][inside] = fld.value(pts[inside], check=False)
+    return xs, ys, vals, mask
+
+
+def boolean_index_excluded(fld, c, pts):
+    """``_excluded`` with its inside points gathered by boolean indexing."""
+    out = ~np.asarray(fld.domain.contains(pts), dtype=bool)
+    inside = ~out
+    if inside.any():
+        out[inside] = np.asarray(fld.value(pts[inside], check=False)) <= c
+    return out
+
+
+def solved_ring_field(h=0.05):
+    ring = geo.ConvexRing(geo.square_body(2.0), geo.square_body(0.5))
+    grid = gr.build_grid(ring, geo.WindowBox((-2.0, -2.0), (2.0, 2.0)), h)
+    return gr.solve_dirichlet(grid, gr.ring_dirichlet_data(grid))
+
+
+GATHER_CASES = {
+    # the levelsets window of the benchmark, at its h
+    "strip": (flds.strip_martin, geo.WindowBox((0.0, -np.pi / 2), (4.0, np.pi / 2)), 0.005, 1.0),
+    "exterior-cut-disk": (flds.exterior_martin, geo.WindowBox((0.0, -2.0), (3.0, 2.0)), 0.01, 1.5),
+    "solved-grid": (solved_ring_field, geo.WindowBox((-2.0, -2.0), (2.0, 2.0)), 0.013, 0.5),
+}
+
+
+class TestCompressedGathers:
+    @pytest.mark.parametrize("case", GATHER_CASES)
+    def test_lattice_and_exclusion_equal_boolean_indexing(self, case):
+        make, window, h, c = GATHER_CASES[case]
+        fld = make()
+        got = ls._lattice(fld, window, h)
+        want = boolean_index_lattice(fld, window, h)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        mask = got[3]
+        assert mask.any() and not mask.all()
+        xs, ys = window.lattice(h)
+        pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+        out = ls._excluded(fld, c, pts)
+        assert out.dtype == bool and out.any() and not out.all()
+        assert out.tobytes() == boolean_index_excluded(fld, c, pts).tobytes()
 
 
 # ---------------------------------------------------------------------------
