@@ -269,8 +269,10 @@ def _probe_half_height(domain, x0, x1, pole):
     return half
 
 
-def _green_ring_mode(domain, raw, h, args, out):
+def _green_ring_mode(domain, raw, h, args):
     """Theorem-style ring run: direct solve plus per-level convexity verdicts."""
+    if args.x0 or args.poles or args.probe:
+        raise ConfigError("a ring run takes no --x0, --poles or --probe")
     levels = geometry.parse_value(raw.get("levels", [0.25, 0.5, 0.75]), "levels", sep=",")
     if not all(0.0 < c < 1.0 for c in levels):
         raise ConfigError(f"ring levels must lie in (0, 1), got {levels}")
@@ -288,7 +290,7 @@ def _green_ring_mode(domain, raw, h, args, out):
         cloud = greenratio.superlevel_boundary_nodes(sol, c)
         rep = levelset.convexity_test(cloud, tol=2 * grid.h)
         verdicts[f"{c:g}"] = {"verdict": rep.verdict, "hull_deviation": rep.hull_deviation}
-    payload = {
+    return "ring", {
         "mode": "ring",
         "h": h,
         "levels": levels,
@@ -299,27 +301,12 @@ def _green_ring_mode(domain, raw, h, args, out):
         "max_principle": umin >= 0.0 and umax <= 1.0,
         "convexity": verdicts,
     }
-    out_path = os.path.join(out, "ring.json")
-    export.write_json(out_path, payload)
-    if args.verbose:
-        print(f"green (ring mode): {verdicts} -> {out_path}")
-    return 0
 
 
-def cmd_green(args):
-    raw, _, out = _load(args)
-    domain_name = args.domain or raw.get("domain")
-    if not domain_name:
-        raise ConfigError("green needs --domain or a config 'domain'")
-    domain = geometry.domain_from_config(domain_name)
-    ring = isinstance(domain, geometry.ConvexRing)
-    geometry.check_keys(raw, ("domain", "h") + _COMMON_KEYS
-                        + (("levels",) if ring else ("x0", "poles", "probe")), "config key")
-    h = geometry.parse_value(args.h or raw.get("h", 0.05), "h")
-    if ring:
-        if args.x0 or args.poles or args.probe:
-            raise ConfigError("a ring run takes no --x0, --poles or --probe")
-        return _green_ring_mode(domain, raw, h, args, out)
+def _green_ratio_mode(domain, raw, h, args):
+    """Green-ratio run: normalized Green functions at escaping poles, sampled
+    on the probe window, and their error against the closed form that the
+    domain's declaration keys, if there is one."""
     x0 = geometry.parse_value(args.x0 or raw.get("x0", []), "x0", sep=",")
     if len(x0) != 2:
         raise ConfigError(f"green needs --x0 x,y, got {x0}")
@@ -334,13 +321,10 @@ def cmd_green(args):
         raise ConfigError("--probe takes 2 or 4 comma-separated values")
 
     mcfg = greenratio.MartinApproxConfig(x0=tuple(x0), poles=tuple(poles), probe_window=probe)
-
-    t0 = time.perf_counter()
     result = greenratio.martin_ratio(domain, mcfg, h)
     probe_vals_final = result.iterates[-1].samples
 
     payload = {
-        "domain": domain.kind,
         "h": h,
         "x0": list(mcfg.x0),
         "poles": list(mcfg.poles),
@@ -361,21 +345,36 @@ def cmd_green(args):
                           "cg_residual": it.coarse.stats.residual}}
                      for it in result.iterates],
     }
-    # the registry field that is the Martin function of this domain, compared on
-    # the probes in the open domain: on a wall or on the slit it is 0 or undefined
-    oracle = next((fld for fld in (make() for make in fields.FIELDS.values())
-                   if fld.domain.kind == domain.kind), None)
-    if oracle:
+    # compared on the probes in the open domain: on a wall or on the slit the
+    # closed form is 0 or undefined
+    name = fields.CLOSED_FORMS.get(fields.declaration_key(domain.declaration))
+    if name:
+        oracle = fields.FIELDS[name]()
         inside = domain.contains(result.probe_points)
         exact = oracle.value(result.probe_points[inside]) / oracle.value(np.asarray(mcfg.x0))
         rel = np.abs(probe_vals_final[inside] - exact) / np.abs(exact)
         payload["closed_form"] = {"field": oracle.name, "max_rel_error": float(rel.max())}
-    out_path = os.path.join(out, "ratio.json")
-    export.write_json(out_path, payload)
-    export.write_json(os.path.join(out, "ratio.timings.json"),
+    return "ratio", payload
+
+
+def cmd_green(args):
+    raw, _, out = _load(args)
+    domain_name = args.domain or raw.get("domain")
+    if not domain_name:
+        raise ConfigError("green needs --domain or a config 'domain'")
+    domain = geometry.domain_from_config(domain_name)
+    ring = isinstance(domain, geometry.ConvexRing)
+    geometry.check_keys(raw, ("domain", "h") + _COMMON_KEYS
+                        + (("levels",) if ring else ("x0", "poles", "probe")), "config key")
+    h = geometry.parse_value(args.h or raw.get("h", 0.05), "h")
+    t0 = time.perf_counter()
+    report, payload = (_green_ring_mode if ring else _green_ratio_mode)(domain, raw, h, args)
+    out_path = os.path.join(out, f"{report}.json")
+    export.write_json(out_path, {"domain": domain.declaration, **payload})
+    export.write_json(os.path.join(out, f"{report}.timings.json"),
                       {"total": time.perf_counter() - t0})
     if args.verbose:
-        print(f"green: {len(poles)} poles, cauchy={result.cauchy} -> {out_path}")
+        print(f"green ({report} mode) -> {out_path}")
     return 0
 
 

@@ -15,6 +15,7 @@ Value oracles preserve the floating dtype of their input; passing
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -254,6 +255,18 @@ FIELDS = {
     "halfplane_x": lambda: sector_martin(1),
     "cylinder": cylinder_martin,
 }
+
+
+def declaration_key(declaration):
+    """A domain's declaration as the canonical JSON text that keys :data:`CLOSED_FORMS`."""
+    return json.dumps(declaration, sort_keys=True)
+
+
+#: the registry name of each domain's closed-form Martin function, by the domain's
+#: declaration; none for the cylinder, whose mode is one Martin function of many
+CLOSED_FORMS = {declaration_key({"kind": kind}): name for kind, name in [
+    ("strip", "strip"), ("halfplane_minus_disk", "exterior"), ("sector", "halfplane_v"),
+    ("right_halfplane", "halfplane_x"), ("sector_minus_slit", "slit_sector")]}
 
 
 def field_from_name(name) -> ScalarField:

@@ -36,6 +36,9 @@ class Domain:
     """
 
     kind = None
+    #: the canonical mapping that :func:`domain_from_config` built this domain
+    #: from, every default filled in (None for a domain built otherwise)
+    declaration = None
 
     def contains(self, p):
         return np.asarray(self._member(*self._split(p), np.less))[()]
@@ -78,7 +81,7 @@ class Domain:
         A GeometryError for n < 2."""
         if not n >= 2:
             raise GeometryError(f"boundary sampling needs n >= 2, got {n}")
-        xs, ys = window.lattice(max(window.extent()) / (n - 1))
+        xs, ys = window.lattice(max(window.extent()) / (n - 1), 4, "boundary sampling's 4 masks")
         inside = lattice_mask(xs, ys, self.contains)
         ii, jj = np.nonzero(lattice_mask(xs, ys, self.contains_closure) & ~inside)
         out = [np.column_stack([xs[ii], ys[jj]])]
@@ -137,29 +140,30 @@ class WindowBox(Domain):
         (x0, y0), (x1, y1) = self.lower, self.upper
         return lt(x0, x) & lt(x, x1) & lt(y0, y) & lt(y, y1)
 
-    def lattice(self, h):
+    def lattice(self, h, node_bytes=0, what="a lattice"):
         """Node coordinates of a grid of spacing ~h snapped to the corners.
 
         A window symmetric in y (lower y = -upper y) gets mirror-exact y
         nodes: an even number of intervals, a node at exactly 0 and an upper
-        half that is the negation of the lower half.
+        half that is the negation of the lower half.  A GeometryError before any
+        array exists when ``what``, ``node_bytes`` per node, exceeds physical memory.
         """
         if not h > 0.0:
             raise GeometryError(f"lattice spacing h={h} must be positive")
         (x0, y0), (x1, y1) = self.lower, self.upper
-        steps = [(b - a) / h for a, b in zip(self.lower, self.upper)]
+        # clamped, so a count that no memory holds still rounds to an int
+        nx, ny = (max(1, round(min(n / h, 2.0 ** 62))) for n in self.extent())
+        ny += ny % 2 if y0 == -y1 else 0
+        check_lattice_memory(nx + 1, ny + 1, node_bytes, what)
         try:
-            nx, ny = (max(1, int(round(n))) for n in steps)
             xs = x0 + (x1 - x0) * np.arange(nx + 1) / nx
             if y0 != -y1:
                 return xs, y0 + (y1 - y0) * np.arange(ny + 1) / ny
-            ny += ny % 2
             half = y0 + (y1 - y0) * np.arange(ny // 2) / ny
             return xs, np.concatenate([half, [0.0], -half[::-1]])
-        except (OverflowError, ValueError, MemoryError) as e:
-            raise GeometryError(f"cannot build the lattice of window lower={self.lower}, "
-                                f"upper={self.upper} at h={h}: {steps[0] + 1:.3g} x "
-                                f"{steps[1] + 1:.3g} nodes ({e})") from None
+        except (ValueError, MemoryError) as e:
+            raise GeometryError(f"cannot build the lattice of window lower={self.lower}, upper="
+                                f"{self.upper} at h={h}: {nx + 1} x {ny + 1} nodes ({e})") from None
 
 
 # lattice rows per block: bounds a lattice pass's point buffer at 64 x len(ys) x 2
@@ -195,12 +199,12 @@ def physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_lattice_memory(xs, ys, node_bytes, what):
-    """A GeometryError, before anything is allocated, when ``what`` (``node_bytes``
-    bytes per node of the lattice xs x ys) would exceed physical memory."""
-    need, have = len(xs) * len(ys) * node_bytes / 2 ** 30, physical_memory() / 2 ** 30
+def check_lattice_memory(nx, ny, node_bytes, what):
+    """A GeometryError when ``what`` (``node_bytes`` bytes per node of an
+    nx x ny lattice) would exceed physical memory."""
+    need, have = nx * ny * node_bytes / 2 ** 30, physical_memory() / 2 ** 30
     if need > have:
-        raise GeometryError(f"{what} on {len(xs)} x {len(ys)} nodes needs {need:.3g} GiB, "
+        raise GeometryError(f"{what} on {nx} x {ny} nodes needs {need:.3g} GiB, "
                             f"more than the {have:.3g} GiB of physical memory")
 
 
@@ -704,7 +708,8 @@ _DOMAIN_KEYS = {**dict.fromkeys(_PLAIN_DOMAINS, ("kind",)),
 
 
 def domain_from_config(cfg) -> Domain:
-    """Build a domain from a JSON-style mapping, e.g. {"kind": "strip"}."""
+    """Build a domain from a JSON-style mapping, e.g. {"kind": "strip"}, with its
+    ``declaration``: a profile's ``f`` and ``D``, a ring's bodies as hull vertices."""
     if isinstance(cfg, str):
         cfg = {"kind": cfg}
     if not isinstance(cfg, dict):
@@ -714,8 +719,8 @@ def domain_from_config(cfg) -> Domain:
         raise GeometryError(f"unknown domain kind {kind!r}")
     check_keys(cfg, _DOMAIN_KEYS[kind], f"domain kind {kind!r} key")
     if kind in _PLAIN_DOMAINS:
-        return _PLAIN_DOMAINS[kind]()
-    if kind == "convex_ring":
+        domain, params = _PLAIN_DOMAINS[kind](), {}
+    elif kind == "convex_ring":
         bodies = []
         for key in ("A", "B"):
             body = _required(cfg, key)
@@ -723,14 +728,20 @@ def domain_from_config(cfg) -> Domain:
                 bodies.append(body_from_config(body))
             except GeometryError as e:
                 raise GeometryError(f"ring body {key!r}: {e}") from None
-        return ConvexRing(*bodies)
-    D = cfg.get("D", {"vertices": [[-1.0], [1.0]]})
-    try:
-        (lo,), (hi,) = D["vertices"]
-    except (KeyError, TypeError, ValueError):
-        raise GeometryError(f"a profile cross-section D is an interval "
-                            f"{{'vertices': [[lo], [hi]]}}, got {D!r}") from None
-    return ProfileRegion(_required(cfg, "f"), parse_value([lo, hi], "cross-section D", sep=","))
+        domain = ConvexRing(*bodies)
+        params = {key: {"vertices": b.vertices.tolist()} for key, b in zip("AB", bodies)}
+    else:
+        D = cfg.get("D", {"vertices": [[-1.0], [1.0]]})
+        try:
+            (lo,), (hi,) = D["vertices"]
+        except (KeyError, TypeError, ValueError):
+            raise GeometryError(f"a profile cross-section D is an interval "
+                                f"{{'vertices': [[lo], [hi]]}}, got {D!r}") from None
+        domain = ProfileRegion(_required(cfg, "f"),
+                               parse_value([lo, hi], "cross-section D", sep=","))
+        params = {"f": cfg["f"], "D": {"vertices": [[domain.lo], [domain.hi]]}}
+    domain.declaration = {"kind": kind, **params}
+    return domain
 
 
 def _required(cfg, key):

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import _STENCIL, ScalarField, _centered_gradient, _centered_hessian
-from .geometry import (ConvexRing, Domain, GeometryError, WindowBox, check_lattice_memory,
-                       lattice_mask)
+from .geometry import ConvexRing, Domain, GeometryError, WindowBox, lattice_mask
 
 
 class SolverError(RuntimeError):
@@ -81,8 +80,7 @@ def build_grid(domain, window, h):
     """
     if h > min(window.extent()) / 16.0:
         raise GeometryError(f"grid spacing h={h} too coarse for window extent {window.extent()}")
-    xs, ys = window.lattice(h)
-    check_lattice_memory(xs, ys, 1 + 4 * 8, "a grid's mask and solve arrays")
+    xs, ys = window.lattice(h, 1 + 4 * 8, "a grid's mask and solve arrays")
     hx = float((xs[-1] - xs[0]) / (len(xs) - 1))
     hy = float((ys[-1] - ys[0]) / (len(ys) - 1))
     in_closure = lattice_mask(xs, ys, domain.contains_closure)

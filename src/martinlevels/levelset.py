@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import check_lattice_memory, convex_hull_2d, edge_distances, lattice_blocks
+from .geometry import convex_hull_2d, edge_distances, lattice_blocks
 
 
 class LevelSetError(ValueError):
@@ -57,8 +57,7 @@ def _lattice(fld, window, h):
     calls with the same field, window and h (fields and windows are
     immutable, so the key decides the values).  A GeometryError when the
     values and the mask would not fit in physical memory."""
-    xs, ys = window.lattice(h)
-    check_lattice_memory(xs, ys, 8 + 1, "a level-set lattice's values and mask")
+    xs, ys = window.lattice(h, 8 + 1, "a level-set lattice's values and mask")
     mask = np.empty((len(xs), len(ys)), dtype=bool)
     vals = np.full(mask.shape, np.nan)
     for rows, pts in lattice_blocks(xs, ys):

@@ -178,6 +178,16 @@ def reference_check_harmonicity(fld, rng, n=30):
 
 
 class TestAudit:
+    def test_boundary_sampling_beyond_memory_is_a_geometry_error(self, tmp_path, monkeypatch):
+        # 2,000,000 samples ask for masks of 3.5 TiB, refused before they exist
+        monkeypatch.setattr(geometry, "physical_memory", lambda: 8 * 2 ** 30)
+        cfg = write_config(tmp_path, "audit.json", {"field": "strip", "checks": [
+            {"name": "boundary_vanishing", "params": {"n_samples": 2000000}}]})
+        assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path)]) == 1
+        verdict = json.load(open(tmp_path / "report.json"))["verdicts"]["boundary_vanishing"]
+        assert verdict["error"].startswith("GeometryError: boundary sampling's 4 masks on "
+                                           "1909859 x 2000001 nodes needs 1.42e+04 GiB")
+
     def test_strip_audit_passes(self, tmp_path):
         cfg = write_config(tmp_path, "audit.json", {
             "field": "strip",
@@ -282,7 +292,7 @@ class TestGreen:
                          "--out", str(tmp_path)])
         assert code == 0
         payload = json.load(open(tmp_path / "ratio.json"))
-        assert payload["domain"] == "strip"
+        assert payload["domain"] == {"kind": "strip"}
         assert len(payload["cauchy"]) == 1
         assert payload["closed_form"]["field"] == "strip"
         assert payload["closed_form"]["max_rel_error"] < 0.05
@@ -324,6 +334,30 @@ class TestGreen:
         assert payload["cg_iterations"] > 1
         assert 0.0 < payload["cg_residual"] <= 1e-10
 
+    def test_ring_report_declares_its_bodies(self, tmp_path):
+        square = {"vertices": [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]}
+        reports = []
+        for sub, inner in (("ngon", SMALL_RING["domain"]["B"]), ("square", square)):
+            domain = {**SMALL_RING["domain"], "B": inner}
+            cfg = write_config(tmp_path, f"{sub}.json", {**SMALL_RING, "domain": domain})
+            assert cli.main(["green", "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+            reports.append(json.load(open(tmp_path / sub / "ring.json")))
+            assert (reports[-1]["domain"]
+                    == geometry.domain_from_config(domain).declaration
+                    == geometry.domain_from_config(reports[-1]["domain"]).declaration)
+        assert reports[0]["domain"] != reports[1]["domain"]
+
+    @pytest.mark.parametrize("argv, report", [
+        (["--domain", "strip", "--x0", "0.5,0", "--poles", "2,3", "--h", "0.0628",
+          "--probe", "0.4,1.5,-1,1"], "ratio"),
+        (["--config", "ring.json"], "ring")])
+    def test_each_mode_writes_its_total_to_a_sidecar(self, tmp_path, monkeypatch, argv, report):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, "ring.json", SMALL_RING)
+        assert cli.main(["green", *argv, "--out", "out"]) == 0
+        assert sorted(os.listdir(tmp_path / "out")) == [f"{report}.json", f"{report}.timings.json"]
+        assert list(json.load(open(tmp_path / "out" / f"{report}.timings.json"))) == ["total"]
+
     @pytest.mark.parametrize("domain, field, error", [
         ("sector", "halfplane_v", "1.01e-02"),
         ("right_halfplane", "halfplane_x", "1.14e-02"),
@@ -357,9 +391,49 @@ class TestGreen:
             "poles": [2.0, 3.0], "h": 0.05, "probe": [0.5, 1.5, -0.5, 0.5]})
         assert cli.main(["green", "--config", cfg, "--out", str(tmp_path)]) == 0
         payload = json.load(open(tmp_path / "ratio.json"))
-        assert payload["domain"] == "profile"
+        assert payload["domain"] == {"kind": "profile", "f": "sqrt",
+                                     "D": {"vertices": [[-1.0], [1.0]]}}
         assert len(payload["cauchy"]) == 1
         assert "closed_form" not in payload
+
+    def profile_run(self, tmp_path, sub, domain):
+        cfg = write_config(tmp_path, f"{sub}.json", {"domain": domain, "x0": [1, 0],
+                                                     "poles": [4, 8], "h": 0.05,
+                                                     "probe": [0.5, 1.5]})
+        assert cli.main(["green", "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+        return json.load(open(tmp_path / sub / "ratio.json"))
+
+    def test_profile_reports_name_their_profile(self, tmp_path):
+        # h, x0 and poles agree; the domain entry tells the runs apart
+        reports = [self.profile_run(tmp_path, f, {"kind": "profile", "f": f})
+                   for f in ("sqrt", "log1p")]
+        assert [r["domain"]["f"] for r in reports] == ["sqrt", "log1p"]
+        for key in ("h", "x0", "poles"):
+            assert reports[0][key] == reports[1][key]
+        for r in reports:
+            assert geometry.domain_from_config(r["domain"]).declaration == r["domain"]
+
+    def test_a_closed_form_is_the_oracle_of_its_declaration_only(self, tmp_path, monkeypatch):
+        sqrt = {"kind": "profile", "f": "sqrt"}
+        key = fields.declaration_key(geometry.domain_from_config(sqrt).declaration)
+        monkeypatch.setitem(fields.CLOSED_FORMS, key, "strip")
+        assert self.profile_run(tmp_path, "sqrt", sqrt)["closed_form"]["field"] == "strip"
+        for sub, domain in (("log1p", {**sqrt, "f": "log1p"}),
+                            ("wide", {**sqrt, "D": {"vertices": [[-1], [2]]}})):
+            assert "closed_form" not in self.profile_run(tmp_path, sub, domain)
+
+    def test_a_run_builds_only_its_closed_form(self, tmp_path, monkeypatch):
+        # a scan of the registry built every field for a domain without one
+        built = []
+        for name, make in list(fields.FIELDS.items()):
+            monkeypatch.setitem(fields.FIELDS, name,
+                                lambda *a, make=make, name=name: built.append(name) or make(*a))
+        self.profile_run(tmp_path, "sqrt", {"kind": "profile", "f": "sqrt"})
+        assert built == []
+        assert cli.main(["green", "--domain", "strip", "--x0", "0.5,0", "--poles", "2,3",
+                         "--h", "0.0628", "--probe", "0.4,1.5,-1,1",
+                         "--out", str(tmp_path / "strip")]) == 0
+        assert built == ["strip"]
 
     def test_profile_two_value_probe_stays_inside(self, tmp_path):
         # the probe half-height follows the narrowest slice over [0.5, 1.5]

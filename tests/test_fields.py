@@ -544,6 +544,21 @@ class TestDifferencesMatchReferences:
         assert np.array_equal(fld.hessian(p), flds._symmetric(fxx, fxy, fyy))
 
 
+class TestClosedFormTable:
+    @pytest.mark.parametrize("key", flds.CLOSED_FORMS)
+    def test_each_declaration_is_the_domain_of_its_field(self, key):
+        fld = flds.FIELDS[flds.CLOSED_FORMS[key]]()
+        dom = geo.domain_from_config(json.loads(key))
+        assert flds.declaration_key(dom.declaration) == key
+        xs, ys = geo.WindowBox((-3.0, -4.0), (6.0, 4.0)).lattice(0.02)
+        for member in ("contains", "contains_closure"):
+            np.testing.assert_array_equal(geo.lattice_mask(xs, ys, getattr(dom, member)),
+                                          geo.lattice_mask(xs, ys, getattr(fld.domain, member)))
+
+    def test_every_martin_field_but_the_cylinder_mode_has_a_row(self):
+        assert sorted(flds.CLOSED_FORMS.values()) == sorted(set(flds.FIELDS) - {"cylinder"})
+
+
 class TestCylinderNames:
     @pytest.mark.parametrize("name,match", [
         ("cylinder:C=1", "cylinder coefficient 'C' is unknown"),

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -660,3 +661,34 @@ class TestLatticeSpacing:
     def test_nonpositive_spacing_rejected(self, h):
         with pytest.raises(geo.GeometryError, match="must be positive"):
             geo.WindowBox((0.0, -1.0), (2.0, 1.0)).lattice(h)
+
+
+#: every config form: each plain kind, each profile with the default D and
+#: with D = (-1, 2), and a ring with a vertices-form and an ngon-form body
+DECLARED = REGISTRY[:-1] + [{"kind": "profile", "f": name, "D": {"vertices": [[-1], [2]]}}
+                            for name in geo.PROFILES]
+
+
+class TestDeclaration:
+    @pytest.mark.parametrize("cfg", DECLARED, ids=json.dumps)
+    def test_declaration_rebuilds_the_domain(self, cfg):
+        dom = geo.domain_from_config(cfg)
+        again = geo.domain_from_config(json.loads(json.dumps(dom.declaration)))
+        assert again.declaration == dom.declaration
+        assert type(again) is type(dom)
+        xs, ys = geo.WindowBox((-3.0, -3.0), (6.0, 3.0)).lattice(0.02)
+        for member in ("contains", "contains_closure"):
+            np.testing.assert_array_equal(geo.lattice_mask(xs, ys, getattr(again, member)),
+                                          geo.lattice_mask(xs, ys, getattr(dom, member)))
+
+    def test_declaration_fills_in_the_defaults(self):
+        assert geo.domain_from_config("strip").declaration == {"kind": "strip"}
+        assert geo.domain_from_config({"kind": "profile", "f": "log1p"}).declaration == {
+            "kind": "profile", "f": "log1p", "D": {"vertices": [[-1.0], [1.0]]}}
+        ring = geo.domain_from_config(RING)
+        assert ring.declaration["B"] == {"vertices": ring.inner.vertices.tolist()}
+        assert len(ring.declaration["B"]["vertices"]) == 7
+
+    def test_a_domain_built_directly_has_no_declaration(self):
+        assert geo.Strip().declaration is None
+        assert geo.ProfileRegion("sqrt").declaration is None

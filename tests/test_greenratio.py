@@ -110,6 +110,20 @@ class TestBuildGrid:
         with pytest.raises(geo.GeometryError, match=f"{len(xs)} x {len(ys)} nodes needs "):
             gr.build_grid(geo.Strip(), window, 0.05)
 
+    def test_a_refused_grid_allocates_no_lattice(self, monkeypatch):
+        # the node counts are checked before the coordinates exist: these
+        # alone took 24.5 MiB at h = 1e-5 when the check came after them
+        monkeypatch.setattr(geo, "physical_memory", lambda: 8 * 2 ** 30)
+        window = geo.WindowBox((0.0, -np.pi / 2), (16.0, np.pi / 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(geo.GeometryError, match="1600001 x 314161 nodes needs "):
+                gr.build_grid(geo.Strip(), window, 1e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_interior_neighbors_never_exterior(self):
         # mask consistency: each interior node touches only nodes of the
         # closure, even along the curved disk wall
@@ -481,8 +495,8 @@ class TestSolveMemory:
 
     def test_build_grid_counts_what_a_solve_holds(self, monkeypatch):
         counted = []
-        monkeypatch.setattr(gr, "check_lattice_memory",
-                            lambda xs, ys, node_bytes, what: counted.append(node_bytes))
+        monkeypatch.setattr(geo, "check_lattice_memory",
+                            lambda nx, ny, node_bytes, what: counted.append(node_bytes))
         gr.build_grid(geo.Strip(), geo.WindowBox((0.0, -np.pi / 2), (8.0, np.pi / 2)), np.pi / 50)
         assert counted == [SOLVE_NODE_BYTES]
 

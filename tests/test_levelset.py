@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -648,6 +649,18 @@ class TestLatticeMemo:
         monkeypatch.undo()
         monkeypatch.setattr(geo, "physical_memory", lambda: need)
         assert ls.extract_level_curve(fld, 1.0, fld.default_window, 0.05)
+
+    def test_a_refused_lattice_allocates_no_coordinates(self, monkeypatch):
+        monkeypatch.setattr(geo, "physical_memory", lambda: 8 * 2 ** 30)
+        fld = flds.strip_martin()
+        tracemalloc.start()
+        try:
+            with pytest.raises(geo.GeometryError, match="300001 x 314161 nodes needs "):
+                ls.extract_level_curve(fld, 1.0, fld.default_window, 1e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_memo_arrays_are_read_only(self):
         s = flds.strip_martin()
