@@ -168,8 +168,7 @@ def _check_slice_maxima(fld, rng, params):
 def _check_strictness(fld, rng, params):
     cls = levelset.classify_strictness(fld, params["levels"], window=fld.default_window,
                                        h=params["h"])
-    want = params.get("expect_tag", "strictly_convex_everywhere")
-    ok = all(tag == want for tag in cls.tags.values())
+    ok = all(tag == levelset.STRICTLY_CONVEX for tag in cls.tags.values())
     return ok, {"tags": {str(k): v for k, v in cls.tags.items()}}
 
 
@@ -185,7 +184,7 @@ AUDIT_CHECKS = {
     "boundary_vanishing": (_check_boundary, {"n_samples": (int, None, 1), "tol": (float,)}),
     "convexity": (_check_convexity, _LEVEL_GRID),
     "slice_maxima": (_check_slice_maxima, {"t": (float, ","), "span": (float, None, 0)}),
-    "strictness": (_check_strictness, {**_LEVEL_GRID, "expect_tag": (str,)}),
+    "strictness": (_check_strictness, _LEVEL_GRID),
 }
 
 
@@ -334,15 +333,10 @@ def _green_ratio_mode(domain, raw, h, args):
         "probe_order": "row-major over (x, y): x varies slowest, y fastest",
         "probe_values": [float(v) for v in probe_vals_final],
         "iterates": [{"pole": it.pole,
-                      "window": [list(it.window.lower), list(it.window.upper)],
-                      "fine_window": [list(it.fine_window.lower), list(it.fine_window.upper)],
-                      "interior_nodes": it.interior_nodes,
-                      "cg_iterations": it.stats.iterations,
-                      "cg_residual": it.stats.residual,
-                      "coarse": it.coarse and {
-                          "h": it.coarse.h, "interior_nodes": it.coarse.interior_nodes,
-                          "cg_iterations": it.coarse.stats.iterations,
-                          "cg_residual": it.coarse.stats.residual}}
+                      "levels": [{"window": [list(lv.window.lower), list(lv.window.upper)],
+                                  "h": lv.h, "interior_nodes": lv.interior_nodes,
+                                  "cg_iterations": lv.stats.iterations,
+                                  "cg_residual": lv.stats.residual} for lv in it.levels]}
                      for it in result.iterates],
     }
     # compared on the probes in the open domain: on a wall or on the slit the
@@ -418,6 +412,9 @@ def _parse_radii(text):
 
 def cmd_asymptotics(args):
     checks = geometry.parse_value(args.check or "f-decay,hess-residual", "--check", str, sep=",")
+    unknown = [c for c in checks if c not in ("f-decay", "hess-residual")]
+    if unknown:
+        raise ConfigError(f"unknown asymptotics check {unknown[0]!r}")
     radii = _parse_radii(args.radii or "5:80:12")
     payload = {}
     u = fields.slit_sector_martin()
@@ -429,13 +426,11 @@ def cmd_asymptotics(args):
             f2 = slices.decay_fit(lambda r: abs(v.d2F(complex(r)) - u.d2F(complex(r))), radii)
             payload["f-decay"] = {"fprime_slope": f1.slope, "fsecond_slope": f2.slope,
                                   "radii": [float(r) for r in radii]}
-        elif check == "hess-residual":
+        else:
             fit, largest = slices.tangent_form_asymptotic(u, v, radii)
             payload["hess-residual"] = {"slope": fit.slope,
                                         "largest_nonnegative_radius": largest,
                                         "radii": [float(r) for r in radii]}
-        else:
-            raise ConfigError(f"unknown asymptotics check {check!r}")
     export.write_json(os.path.join(args.out, "decay.json"), payload)
     return 0
 

@@ -460,9 +460,10 @@ class MartinApproxConfig:
 
 
 @dataclass(frozen=True)
-class CoarseSolve:
-    """The coarse level of a two-level iterate: spacing H, interior nodes, solve."""
+class Level:
+    """One solve of a pole's chain: its window, spacing, interior nodes and solve."""
 
+    window: WindowBox
     h: float
     interior_nodes: int
     stats: SolveStats
@@ -470,15 +471,11 @@ class CoarseSolve:
 
 @dataclass
 class MartinIterate:
-    """What outlives an iterate's grids: its truncation and fine windows, its
-    solves (no coarse one for one level) and the ratio u_n on the probes."""
+    """What outlives an iterate's grids: its levels, the first on the
+    truncation window, and the ratio u_n on the probes."""
 
     pole: float
-    window: WindowBox
-    fine_window: WindowBox
-    interior_nodes: int
-    stats: SolveStats
-    coarse: CoarseSolve | None
+    levels: list
     samples: np.ndarray                # u_n at the probe points
 
 
@@ -501,43 +498,49 @@ def probe_lattice(window):
     return np.stack([X.ravel(), Y.ravel()], axis=-1)
 
 
-#: the fine window W's margin around x0 and the probe; a pole this near W gets one level
+#: the last window W's margin around x0 and the probe; a pole this near W gets one level
 ZOOM_MARGIN = 2.0
-#: the coarse spacing is H = s / COARSE_STEPS for the pole s
+#: a far pole s gets a first level at spacing H = s / COARSE_STEPS
 COARSE_STEPS = 160
 
 
 def _solve_pole(domain, cfg, window, s, h):
-    """The Green field of the pole s on its fine window W, and the coarse solve.
+    """The field of the pole s on the last window of its plan, and one
+    :class:`Level` per solve.
 
-    W is the box around x0 and the probe window grown by ZOOM_MARGIN and
-    clipped to the truncation window.  A Green solve on the truncation window
-    at H = s / COARSE_STEPS (at most 1/16 of its smaller extent), bilinearly
-    interpolated, gives W's edges inside the domain their data (walls get
-    zero) and is freed before the Dirichlet solve at h on W.  A pole within
-    the margin of W, or H <= h, gets one Green solve at h on the whole window.
+    The plan lists (window, spacing) pairs.  W is the box around x0 and the
+    probe window grown by ZOOM_MARGIN and clipped to the truncation window.
+    A pole within the margin of W, or H = s / COARSE_STEPS (at most 1/16 of
+    the window's smaller extent) <= h, gets the truncation window at h;
+    any other pole the truncation window at H, then W at h.  Level 1 is the
+    Green solve.  Each later level is a Dirichlet solve whose window edges
+    inside the domain take the previous level's field, bilinearly
+    interpolated (walls get zero); that field is freed before the solve.
     """
     lo = np.maximum(np.minimum(cfg.x0, cfg.probe_window.lower) - ZOOM_MARGIN, window.lower)
     hi = np.minimum(np.maximum(cfg.x0, cfg.probe_window.upper) + ZOOM_MARGIN, window.upper)
     H = min(s / COARSE_STEPS, min(window.extent()) / 16.0)
-    stage = fine = f"pole {s:g}, fine grid (h = {h:.3g})"
-    try:
-        if np.all((lo - ZOOM_MARGIN < (s, 0.0)) & ((s, 0.0) < hi + ZOOM_MARGIN)) or H <= h:
-            return green_function(build_grid(domain, window, h), (s, 0.0)), None
-        stage = f"pole {s:g}, coarse grid (H = {H:.3g})"
-        G = green_function(build_grid(domain, window, H), (s, 0.0))
-        coarse = CoarseSolve(h=H, interior_nodes=G.grid.interior_count(), stats=G.stats)
-        grid = build_grid(domain, WindowBox(tuple(lo), tuple(hi)), h)
-        data = np.ones(grid.shape)
-        data[1:-1, 1:-1] = 0.0
-        ii, jj = np.nonzero(data)       # the window's edge nodes
-        pts = np.column_stack([grid.xs[ii], grid.ys[jj]])
-        data[ii, jj] = np.where(domain.contains(pts), G.value(pts), 0.0)
-        del G                           # one grid's solve at a time
-        stage = fine
-        return solve_dirichlet(grid, data, tol=1e-12), coarse
-    except SolverError as e:
-        raise SolverError(f"{stage}: {e}") from None
+    near = np.all((lo - ZOOM_MARGIN < (s, 0.0)) & ((s, 0.0) < hi + ZOOM_MARGIN)) or H <= h
+    plan = [(window, h)] if near else [(window, H), (WindowBox(tuple(lo), tuple(hi)), h)]
+    fld, levels = None, []
+    for k, (w, step) in enumerate(plan, 1):
+        grid = build_grid(domain, w, step)
+        try:
+            if fld is None:
+                fld = green_function(grid, (s, 0.0))
+            else:
+                data = np.ones(grid.shape)
+                data[1:-1, 1:-1] = 0.0
+                ii, jj = np.nonzero(data)       # the window's edge nodes
+                pts = np.column_stack([grid.xs[ii], grid.ys[jj]])
+                data[ii, jj] = np.where(domain.contains(pts), fld.value(pts), 0.0)
+                fld = None                      # one grid's solve at a time
+                fld = solve_dirichlet(grid, data, tol=1e-12)
+        except SolverError as e:
+            stage = f"pole {s:g}, level {k} of {len(plan)} (h = {step:.3g})"
+            raise SolverError(f"{stage}: {e}") from None
+        levels.append(Level(w, step, grid.interior_count(), fld.stats))
+    return fld, levels
 
 
 def martin_ratio(domain, cfg: MartinApproxConfig, h):
@@ -546,12 +549,13 @@ def martin_ratio(domain, cfg: MartinApproxConfig, h):
     Each iterate satisfies u_n(x0) = 1 exactly (normalization by the
     interpolated Green value); the final iterate is the limit approximation
     and the Cauchy diagnostics bound the observed inter-iterate movement.
-    A far pole's fine grid covers only the box around x0 and the probe
+    A far pole's last level covers only the box around x0 and the probe
     window (see :func:`_solve_pole`).  Only the final iterate keeps its
-    grid: each earlier one is reduced to its probe samples and solve record
+    grid: each earlier one is reduced to its probe samples and level records
     before the next grid is built.
     """
-    if not domain.contains(np.asarray(cfg.x0, dtype=float)):
+    x0 = np.asarray(cfg.x0, dtype=float)
+    if not domain.contains(x0):
         raise GeometryError(f"reference point {cfg.x0} not inside the domain")
     probes = probe_lattice(cfg.probe_window)
     outside = ~domain.contains_closure(probes)
@@ -564,18 +568,17 @@ def martin_ratio(domain, cfg: MartinApproxConfig, h):
         window = domain.truncation_window(s)
         if not np.all(window.contains_closure([cfg.probe_window.lower, cfg.probe_window.upper])):
             raise GeometryError(f"probe window not inside truncation window for pole {s}")
+        if not window.contains(x0):
+            raise GeometryError(f"reference point {cfg.x0} outside truncation window for pole {s}")
         if not window.contains((s, 0.0)):
             raise GeometryError(f"pole {s} not inside its truncation window")
         ratio = None                    # free the previous grid before building the next
-        ratio, coarse = _solve_pole(domain, cfg, window, s, h)
-        g0 = ratio.value(np.asarray(cfg.x0, dtype=float))
+        ratio, levels = _solve_pole(domain, cfg, window, s, h)
+        g0 = ratio.value(x0)
         if g0 <= 0.0:
             raise SolverError(f"nonpositive Green value at the reference point for pole {s}")
         ratio = GridField(ratio.grid, ratio.values / g0, name=f"ratio[{s}]", stats=ratio.stats)
-        iterates.append(MartinIterate(pole=s, window=window, fine_window=ratio.grid.window,
-                                      interior_nodes=ratio.grid.interior_count(),
-                                      stats=ratio.stats, coarse=coarse,
-                                      samples=ratio.value(probes)))
+        iterates.append(MartinIterate(pole=s, levels=levels, samples=ratio.value(probes)))
     cauchy = [float(np.max(np.abs(b.samples - a.samples))) for a, b in zip(iterates, iterates[1:])]
     return MartinRatioResult(iterates=iterates, cauchy=cauchy, final=ratio, probe_points=probes)
 

@@ -40,6 +40,10 @@ class ConvexityReport:
     witness_verified: bool = False
 
 
+#: the tag of a level whose tangent form is negative at every sample
+STRICTLY_CONVEX = "strictly_convex_everywhere"
+
+
 @dataclass
 class StrictnessClassification:
     tags: dict                        # level -> strictly_convex_everywhere | nowhere_strict | mixed/inconclusive
@@ -53,7 +57,8 @@ class StrictnessClassification:
 @functools.lru_cache(maxsize=1)
 def _lattice(fld, window, h):
     """The window's lattice of spacing h with the field's values (NaN off
-    the domain) and the domain mask, read-only; evaluated once for a run of
+    the domain) and the domain mask, read-only, and a dict, level -> curves,
+    for :func:`extract_level_curve` to fill; evaluated once for a run of
     calls with the same field, window and h (fields and windows are
     immutable, so the key decides the values).  A GeometryError when the
     values and the mask would not fit in physical memory."""
@@ -67,13 +72,7 @@ def _lattice(fld, window, h):
             vals[rows][inside] = fld.value(inside_pts, check=False)
     for a in (xs, ys, vals, mask):
         a.setflags(write=False)
-    return xs, ys, vals, mask
-
-
-@functools.lru_cache(maxsize=1)
-def _curves(fld, window, h):
-    """Level -> curves extracted on one lattice, held as :func:`_lattice` is."""
-    return {}
+    return xs, ys, vals, mask, {}
 
 
 def extract_level_curve(fld, c, window, h):
@@ -85,9 +84,8 @@ def extract_level_curve(fld, c, window, h):
     window and h share one lattice evaluation, and at one level its curves.
     """
     c, h = float(c), float(h)
-    memo = _curves(fld, window, h)
+    xs, ys, vals, mask, memo = _lattice(fld, window, h)
     if c not in memo:
-        xs, ys, vals, mask = _lattice(fld, window, h)
         segments, positions = _marching_squares(vals, mask, xs, ys, c)
         memo[c] = tuple(LevelCurve(level=c, vertices=positions[chain], closed=closed)
                         for chain, closed in _stitch(segments))
@@ -431,7 +429,7 @@ def classify_strictness(fld, levels, window=None, h=0.02):
             diags[c] = {"n_samples": len(forms), "note": "too few valid samples"}
             continue
         if np.all(forms < -bands):
-            tags[c] = "strictly_convex_everywhere"
+            tags[c] = STRICTLY_CONVEX
         elif np.all(np.abs(forms) <= bands):
             tags[c] = "nowhere_strict"
         else:

@@ -76,10 +76,14 @@ class TestExitCodes:
         ["asymptotics", "--check", "f-decay", "--radii", "1:80:12"],
         ["asymptotics", "--radii", "0.5:80:12"],
         ["asymptotics", "--check", "hess-residual", "--radii", "1:80:12"],
+        # x0 lies past pole 2's truncation window [0, 4] x [-pi/2, pi/2]
+        ["green", "--domain", "strip", "--x0", "10,0", "--poles", "2,3", "--h", "0.05",
+         "--probe", "0.5,1,-1,1"],
     ], ids=["profile-without-f", "cylinder-no-truncation", "unbounded-slice-no-span",
             "short-radii", "negative-span", "zero-span", "span-clips-the-slice-away",
             "no-asymptotics-check", "lattice-too-large", "lattice-spacing-underflows",
-            "radii-from-the-slit-tip", "radii-on-the-slit", "hess-radii-from-the-slit-tip"])
+            "radii-from-the-slit-tip", "radii-on-the-slit", "hess-radii-from-the-slit-tip",
+            "x0-outside-truncation"])
     def test_geometry_errors_are_usage_errors(self, tmp_path, capsys, argv):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
@@ -310,8 +314,8 @@ class TestGreen:
             reports.append((tmp_path / sub / "ratio.json").read_bytes())
         assert reports[0] == reports[1]
         iterates = json.loads(reports[0])["iterates"]
-        assert [it["cg_iterations"] for it in iterates] == [1, 1]
-        assert all(0.0 < it["cg_residual"] <= 1e-12 for it in iterates)
+        assert [[lv["cg_iterations"] for lv in it["levels"]] for it in iterates] == [[1], [1]]
+        assert all(0.0 < lv["cg_residual"] <= 1e-12 for it in iterates for lv in it["levels"])
         timings = json.load(open(tmp_path / "a" / "ratio.timings.json"))
         assert "cg_iterations" not in timings
 
@@ -472,12 +476,29 @@ class TestGreen:
             reports.append((tmp_path / sub / "ratio.json").read_bytes())
         assert reports[0] == reports[1]
         near, far = json.loads(reports[0])["iterates"]
-        assert near["coarse"] is None and near["fine_window"] == near["window"]
-        assert far["fine_window"] == [[0.0, -math.pi / 2], [3.5, math.pi / 2]]
-        assert far["coarse"]["h"] == 6 / greenratio.COARSE_STEPS
-        assert far["coarse"]["interior_nodes"] > 0
-        assert far["coarse"]["cg_iterations"] == far["cg_iterations"] == 1
-        assert 0.0 < far["coarse"]["cg_residual"] <= 1e-12
+        assert [(lv["window"], lv["h"]) for lv in near["levels"]] == [
+            ([[0.0, -math.pi / 2], [6.0, math.pi / 2]], 0.0314)]
+        coarse, fine = far["levels"]
+        assert coarse["window"] == [[0.0, -math.pi / 2], [12.0, math.pi / 2]]
+        assert coarse["h"] == 6 / greenratio.COARSE_STEPS
+        assert coarse["interior_nodes"] > 0
+        assert fine["window"] == [[0.0, -math.pi / 2], [3.5, math.pi / 2]]
+        assert fine["h"] == 0.0314
+        assert coarse["cg_iterations"] == fine["cg_iterations"] == 1
+        assert 0.0 < coarse["cg_residual"] <= 1e-12
+        # the exterior: pole 16 lies past the margin of W = [0, 5] x [-3, 3],
+        # and H = 16 / 160 = 0.1 exceeds h, so its coarse level nests W
+        argv = ["green", "--domain", "halfplane_minus_disk", "--x0", "2,0", "--poles", "8,16",
+                "--h", "0.05", "--probe", "1.5,3,-1,1", "--out", str(tmp_path / "exterior")]
+        assert cli.main(argv) == 0
+        near, far = json.load(open(tmp_path / "exterior" / "ratio.json"))["iterates"]
+        assert [(lv["window"], lv["h"]) for lv in near["levels"]] == [
+            ([[0.0, -8.0], [16.0, 8.0]], 0.05)]
+        assert [(lv["window"], lv["h"]) for lv in far["levels"]] == [
+            ([[0.0, -16.0], [32.0, 16.0]], 0.1), ([[0.0, -3.0], [5.0, 3.0]], 0.05)]
+        assert far["levels"][0]["interior_nodes"] > far["levels"][1]["interior_nodes"] > 0
+        for lv in near["levels"] + far["levels"]:
+            assert lv["cg_iterations"] > 1 and 0.0 < lv["cg_residual"] <= 1e-12
 
     def test_config_number_lists(self, tmp_path, capsys):
         # lists, comma-separated strings and single numbers parse alike
@@ -665,6 +686,16 @@ class TestSliceScanAndAsymptotics:
     def test_unknown_asymptotics_check(self, tmp_path):
         assert cli.main(["asymptotics", "--check", "wat", "--out", str(tmp_path)]) == 2
 
+    def test_asymptotics_checks_are_named_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(slices, "decay_fit", no_fit)
+        argv = ["asymptotics", "--check", "f-decay,bogus", "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert "unknown asymptotics check 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "decay.json").exists()
+
     def test_f_decay_slopes_match_closed_form_magnitudes(self, tmp_path):
         def fprime_mag(r):
             z = complex(r)
@@ -787,7 +818,8 @@ def test_unparsable_negative_control_does_not_pass(tmp_path, capsys):
     ("harmonicity", {"n_points": math.inf}, "cannot parse check 'harmonicity' param 'n_points'"),
     ("boundary_vanishing", {"tol": [1e-8]}, "cannot parse check 'boundary_vanishing' param 'tol'"),
     ("slice_maxima", {"span": "wide"}, "cannot parse check 'slice_maxima' param 'span'"),
-    ("strictness", {"expect_tag": 3}, "param 'expect_tag' must be a string"),
+    ("strictness", {"expect_tag": "strictly_convex_everywhere"},
+     "check 'strictness' param 'expect_tag' is unknown"),
     ("slice_maxima", {"span": -1.0}, "check 'slice_maxima' param 'span' must be > 0"),
     ("slice_maxima", {"t": [2.0], "span": 0}, "check 'slice_maxima' param 'span' must be > 0"),
     # no sample point would leave every residual at 0, inside any floor
@@ -899,6 +931,13 @@ def test_green_runs_or_rejects_every_domain_kind(tmp_path, domain):
     assert "Traceback" not in res.stderr
     assert res.stderr.startswith("config error: ") == bool(rejected)
     assert rejected is None or rejected in res.stderr
+    if rejected is None:
+        # each pole's first level is its truncation window, its last the run's h
+        dom = geometry.domain_from_config(domain)
+        for it in json.load(open(tmp_path / "out" / "ratio.json"))["iterates"]:
+            w = dom.truncation_window(it["pole"])
+            assert it["levels"][0]["window"] == [list(w.lower), list(w.upper)]
+            assert it["levels"][-1]["h"] == 0.1
 
 
 BLAS_RUNS = {
@@ -1098,7 +1137,7 @@ KNOB_CENSUS = {
         "boundary_vanishing": ["n_samples", "tol"],
         "convexity": ["h", "levels"],
         "slice_maxima": ["span", "t"],
-        "strictness": ["expect_tag", "h", "levels"],
+        "strictness": ["h", "levels"],
     },
 }
 

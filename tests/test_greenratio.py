@@ -657,6 +657,14 @@ class TestMartinRatio:
         with pytest.raises(geo.GeometryError):
             gr.martin_ratio(geo.Strip(), cfg, np.pi / 100)
 
+    def test_reference_point_outside_a_truncation_window_names_the_pole(self):
+        # x0 lies in the strip but past pole 2's window [0, 4] x [-pi/2, pi/2]
+        cfg = gr.MartinApproxConfig(x0=(10.0, 0.0), poles=(2.0, 3.0),
+                                    probe_window=geo.WindowBox((0.5, -1.0), (1.0, 1.0)))
+        with pytest.raises(geo.GeometryError, match=r"reference point \(10.0, 0.0\) outside "
+                                                    r"truncation window for pole 2.0"):
+            gr.martin_ratio(geo.Strip(), cfg, 0.05)
+
     def test_truncation_enlargement_within_cauchy(self, strip_ratio):
         # widening the cap at a fixed pole moves the probe ratio by less
         # than the reported inter-iterate diagnostic
@@ -689,7 +697,7 @@ class TestMartinRatio:
                 peaks.append(tracemalloc.get_traced_memory()[1] - start)
             finally:
                 tracemalloc.stop()
-        assert [it.stats.iterations for it in result.iterates] == [1, 1, 1]
+        assert [[lv.stats.iterations for lv in it.levels] for it in result.iterates] == [[1]] * 3
         assert peaks[1] <= 1.2 * peaks[0]
 
 
@@ -709,20 +717,24 @@ class TestTwoLevelRatio:
     def test_fine_window_and_fallback(self, monkeypatch):
         # W = [0.5, 2] x [-1, 1] grown by the margin 2 and clipped to the
         # strip; pole 4 lies within the margin of W, poles 6 and 8 do not
-        res = gr.martin_ratio(geo.Strip(), GREEN_STRIP, np.pi / 200)
+        h = np.pi / 200
+        res = gr.martin_ratio(geo.Strip(), GREEN_STRIP, h)
         first, *far = res.iterates
-        assert first.coarse is None and first.fine_window == first.window
-        assert first.interior_nodes == 101092
+        (only,) = first.levels
+        assert only.window == geo.Strip().truncation_window(4.0) and only.h == h
+        assert only.interior_nodes == 101092
         for it in far:
-            assert it.fine_window == geo.WindowBox((0.0, -np.pi / 2), (4.0, np.pi / 2))
-            assert it.interior_nodes == 50546
-            assert it.coarse.h == it.pole / gr.COARSE_STEPS
-            assert it.stats.iterations == it.coarse.stats.iterations == 1
+            coarse, fine = it.levels
+            assert coarse.window == geo.Strip().truncation_window(it.pole)
+            assert coarse.h == it.pole / gr.COARSE_STEPS
+            assert fine.window == geo.WindowBox((0.0, -np.pi / 2), (4.0, np.pi / 2))
+            assert fine.h == h and fine.interior_nodes == 50546
+            assert fine.stats.iterations == coarse.stats.iterations == 1
         assert all(b < a for a, b in zip(res.cauchy, res.cauchy[1:]))
         # no worse than one grid over every truncation window
         monkeypatch.setattr(gr, "ZOOM_MARGIN", math.inf)
-        one_grid = gr.martin_ratio(geo.Strip(), GREEN_STRIP, np.pi / 200)
-        assert all(it.coarse is None for it in one_grid.iterates)
+        one_grid = gr.martin_ratio(geo.Strip(), GREEN_STRIP, h)
+        assert all(len(it.levels) == 1 for it in one_grid.iterates)
         assert strip_probe_error(res) <= strip_probe_error(one_grid)
 
     def test_margin_matters(self, monkeypatch):
@@ -745,14 +757,15 @@ class TestTwoLevelRatio:
     def test_large_poles_cost_the_same(self):
         cfg = dataclasses.replace(GREEN_STRIP, poles=(8.0, 16.0, 32.0))
         res = gr.martin_ratio(geo.Strip(), cfg, np.pi / 100)
-        assert len({it.interior_nodes for it in res.iterates}) == 1
+        assert len({it.levels[-1].interior_nodes for it in res.iterates}) == 1
         # H = s / 160 on a window of fixed height: the coarse grid does not grow
-        coarse = [it.coarse.interior_nodes for it in res.iterates]
+        coarse = [it.levels[0].interior_nodes for it in res.iterates]
         assert coarse == sorted(coarse, reverse=True)
-        assert all(it.stats.iterations == it.coarse.stats.iterations == 1 for it in res.iterates)
+        assert all([lv.stats.iterations for lv in it.levels] == [1, 1] for it in res.iterates)
 
-    @pytest.mark.parametrize("failing_call, stage", [(1, "pole 8, coarse grid (H = 0.05): "),
-                                                     (2, "pole 8, fine grid (h = 0.0314): ")])
+    @pytest.mark.parametrize("failing_call, stage", [(1, "pole 8, level 1 of 2 (h = 0.05): "),
+                                                     (2, "pole 8, level 2 of 2 (h = 0.0314): ")],
+                             ids=["level-1", "level-2"])
     def test_solver_error_names_its_stage(self, monkeypatch, failing_call, stage):
         calls = []
         cg = gr._cg
@@ -796,7 +809,7 @@ class TestTwoLevelRatio:
         for margin, levels in ((gr.ZOOM_MARGIN, 2), (math.inf, 1)):
             monkeypatch.setattr(gr, "ZOOM_MARGIN", margin)
             res = gr.martin_ratio(dom, cfg, 0.05)
-            assert (res.iterates[0].coarse is not None) == (levels == 2)
+            assert len(res.iterates[0].levels) == levels
             errors.append(np.max(np.abs(res.final.value(res.probe_points) - exact) / exact))
         assert errors[0] <= 1.1 * errors[1]
 

@@ -664,7 +664,7 @@ class TestLatticeMemo:
 
     def test_memo_arrays_are_read_only(self):
         s = flds.strip_martin()
-        xs, ys, vals, mask = ls._lattice(s, s.default_window, 0.05)
+        xs, ys, vals, mask, _ = ls._lattice(s, s.default_window, 0.05)
         for a in (xs, ys, vals, mask):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -703,7 +703,7 @@ class TestLevelCurveMemo:
         monkeypatch.setattr(ls, "_marching_squares", counting)
         if clear_between_checks:
             def clearing(run):
-                return lambda *args: ls._curves.cache_clear() or run(*args)
+                return lambda *args: ls._lattice.cache_clear() or run(*args)
 
             monkeypatch.setattr(cli, "AUDIT_CHECKS", {
                 name: (clearing(run), kinds) for name, (run, kinds) in cli.AUDIT_CHECKS.items()})
@@ -836,7 +836,7 @@ class TestStitchMatchesReference:
                                        (flds.slit_sector_martin(), 2.0),
                                        (flds.cylinder_martin(1.0, 1.0), 2.5)])
     def test_level_curve_segments(self, fld, c):
-        xs, ys, vals, mask = ls._lattice(fld, fld.default_window, 0.01)
+        xs, ys, vals, mask, _ = ls._lattice(fld, fld.default_window, 0.01)
         segments, _ = ls._marching_squares(vals, mask, xs, ys, c)
         assert ls._stitch(segments) == reference_stitch(segments)
 
