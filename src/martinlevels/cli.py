@@ -75,11 +75,13 @@ def _rounded_pairs(curve):
     return list(zip(r[0::2], r[1::2]))
 
 
-def _csv_rows(k, curve):
-    """``(curve, level, x, y)`` per vertex of curve number k; the csv module
-    writes floats by their repr."""
+def _csv_lines(k, curve):
+    """``curve,level,x,y`` per vertex of curve number k, in the bytes the csv
+    module writes for those rows (floats by their repr): one prefix for the
+    curve and one join per vertex."""
+    prefix = f"{k},{float(curve.level)!r},"
     xs, ys = curve.vertices.T.tolist()
-    return zip(repeat(k), repeat(curve.level), xs, ys)
+    return map(prefix.__add__, map(",".join, zip(map(float.__repr__, xs), map(float.__repr__, ys))))
 
 
 def cmd_levelsets(args):
@@ -106,9 +108,8 @@ def cmd_levelsets(args):
                "curves": [{"level": c.level, "closed": c.closed, "points": _rounded_pairs(c)}
                           for c in curves]}
     export.write_json(os.path.join(out, "levels.json"), payload)
-    export.write_csv(os.path.join(out, "levels.csv"),
-                     ["curve", "level", "x", "y"],
-                     chain.from_iterable(_csv_rows(k, c) for k, c in enumerate(curves)))
+    export.write_csv_lines(os.path.join(out, "levels.csv"), ["curve", "level", "x", "y"],
+                           chain.from_iterable(_csv_lines(k, c) for k, c in enumerate(curves)))
     export.write_svg_levels(os.path.join(out, "levels.svg"), curves, window,
                             title=f"level sets of {fld.name}")
     if args.verbose:

@@ -277,13 +277,22 @@ def edge_distances(pts, vertices):
     """(n, m) distances from each of n points to each polygon edge (k, k+1 mod m)."""
     (ax, ay), (bx, by) = vertices.T, (np.roll(vertices, -1, axis=0) - vertices).T
     L2 = bx * bx + by * by
-    dx = pts[:, None, 0] - ax
-    dy = pts[:, None, 1] - ay
-    t = np.divide(dx * bx + dy * by, L2, out=np.zeros_like(dx), where=L2 != 0.0)
+    px, py = pts[:, None, 0], pts[:, None, 1]
+    # px - (ax + t bx) and its y twin, written into the offsets' arrays: an
+    # (n, m) block holds four arrays at once
+    dx, dy = px - ax, py - ay
+    t = np.multiply(dx, bx)
+    t += dy * by
+    np.divide(t, L2, out=t, where=L2 != 0.0)
+    t[:, L2 == 0.0] = 0.0
     np.clip(t, 0.0, 1.0, out=t)
-    ex = pts[:, None, 0] - (ax + t * bx)
-    ey = pts[:, None, 1] - (ay + t * by)
-    return np.sqrt(ex * ex + ey * ey)
+    for d, p, a, b in ((dx, px, ax, bx), (dy, py, ay, by)):
+        np.multiply(t, b, out=d)
+        d += a
+        np.subtract(p, d, out=d)
+        d *= d
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def regular_polygon(n=64, radius=1.0):

@@ -76,7 +76,8 @@ def build_grid(domain, window, h):
 
     Raises when the interior is empty or disconnected, when h is not
     positive or too coarse for the window (h must be <= extent / 16), or
-    when the mask and a solve's four float arrays would exceed memory.
+    when the mask and four float arrays (a solve holds three) would exceed
+    memory.
     """
     if h > min(window.extent()) / 16.0:
         raise GeometryError(f"grid spacing h={h} too coarse for window extent {window.extent()}")
@@ -233,7 +234,7 @@ def _apply_neg_laplacian(v, interior, hx, hy, out=None):
     return out
 
 
-def _dst1(x, out, scale=1.0):
+def _dst1(x, out, scale=1.0, rows=None):
     """Type-I discrete sine transform of a 2-d array along axis 1, into ``out``.
 
     Unnormalized, as ``scipy.fft.dst(x, type=1, axis=1)``:
@@ -242,26 +243,36 @@ def _dst1(x, out, scale=1.0):
     [0, x, 0, -x reversed] of 64 rows at a time, in one reused buffer;
     ``out`` may be ``x``.  Each y_k is multiplied by ``scale`` (a scalar or
     one factor per k) as it is written, which saves a pass over ``out``.
+    ``rows`` lists (start, stop) runs of the rows to transform, all rows
+    when None; the other rows of ``out`` are left as they are.
     """
     neg_scale = -np.asarray(scale, dtype=float)
     m, n = x.shape
-    ext = np.zeros((min(m, _BLOCK), 2 * n + 2))
-    for i in range(0, m, _BLOCK):
-        block = x[i:i + _BLOCK]
-        k = len(block)
-        ext[:k, 1:n + 1] = block
-        np.negative(block[:, ::-1], out=ext[:k, n + 2:])
-        # the spectrum is a temporary: the next block's is built after it is freed
-        np.multiply(np.fft.rfft(ext[:k], axis=1)[:, 1:n + 1].imag, neg_scale, out=out[i:i + k])
+    rows = ((0, m),) if rows is None else rows
+    ext = np.zeros((min(sum(stop - start for start, stop in rows), _BLOCK), 2 * n + 2))
+    for start, stop in rows:
+        for i in range(start, stop, _BLOCK):
+            block = x[i:min(i + _BLOCK, stop)]
+            k = len(block)
+            ext[:k, 1:n + 1] = block
+            np.negative(block[:, ::-1], out=ext[:k, n + 2:])
+            # the spectrum is a temporary: the next block's is built after it is freed
+            np.multiply(np.fft.rfft(ext[:k], axis=1)[:, 1:n + 1].imag, neg_scale,
+                        out=out[i:i + k])
     return out
 
 
 def _fast_poisson(shape, hx, hy):
     """Exact inverse of the 5-point -lap on the inner rectangle of a window.
 
-    Returns ``solve(r, out)``, which writes into ``out`` the solution on
-    ``[1:-1, 1:-1]`` for the right-hand side r on the window's nodes, with
-    zero data on the window edge (the edge entries of ``out`` are set to 0).
+    Returns ``solve(r, out, rows_in=None, rows_out=None)``, which writes into
+    ``out`` the solution on ``[1:-1, 1:-1]`` for the right-hand side r on
+    the window's nodes, with zero data on the window edge (the edge entries
+    of ``out`` are set to 0); ``out`` may be ``r``.  ``rows_in`` and
+    ``rows_out`` are (start, stop) runs of inner rows (row i of the window is
+    inner row i - 1): r is read only on ``rows_in`` and taken as zero on the
+    others, and only the ``rows_out`` of the solution are written, the other
+    inner rows of ``out`` holding sine coefficients.  None means every row.
     This is Hockney's FACR(0): a DST-I along axis 1 splits the operator into
     one tridiagonal system per sine mode k, tridiag(-1, 2 + lam_k hx^2, -1)
     / hx^2 along axis 0 with lam_k = (2 - 2 cos(pi k / (ny + 1))) / hy^2.
@@ -294,8 +305,16 @@ def _fast_poisson(shape, hx, hy):
         beta = beta ** 2 * c
         m //= 2
 
-    def solve(r, out):
-        t = _dst1(r[1:-1, 1:-1], out=out[1:-1, 1:-1], scale=scale)
+    def solve(r, out, rows_in=None, rows_out=None):
+        t = out[1:-1, 1:-1]
+        if rows_in is not None:
+            # the sine coefficients of the rows that are not read are 0
+            stop = 0
+            for start, end in rows_in:
+                t[stop:start] = 0.0
+                stop = end
+            t[stop:] = 0.0
+        _dst1(r[1:-1, 1:-1], out=t, scale=scale, rows=rows_in)
         w = np.empty((min(nx // 2, _BLOCK), ny))
         # level d holds every 2^d-th row of t; its odd rows go on to level d + 1
         halves = [(t[2 ** d - 1::2 ** d][1::2], t[2 ** d - 1::2 ** d][::2])
@@ -322,7 +341,7 @@ def _fast_poisson(shape, hx, hy):
             if m % 2:
                 dropped[p] += b * kept[p - 1]
         del w                           # before the inverse transform's own blocks
-        _dst1(t, out=t)
+        _dst1(t, out=t, rows=rows_out)
         out[0] = out[-1] = 0.0
         out[:, 0] = out[:, -1] = 0.0
         return out
@@ -334,23 +353,27 @@ def solve_dirichlet(grid, boundary_values=None, source=None, tol=1e-10, maxiter=
     """Solve the 5-point Laplace problem -lap u = source with Dirichlet node values.
 
     Fast-Poisson preconditioned conjugate gradients on the interior
-    unknowns: the preconditioner is the exact inverse of the operator on the
-    window's inner rectangle (a DST along axis 1 and cyclic reduction of
-    the tridiagonal systems along axis 0), restricted to the interior, so a
-    domain that fills that rectangle converges in one iteration.  Stops at
-    relative residual <= tol or raises :class:`SolverError` naming the
-    iteration cap and the residual.
-    The returned field's ``stats`` hold the iteration count and the final
-    relative residual.  ``boundary_values`` off the interior is the
+    unknowns, run on the mask's wall layer (see :func:`_cg`): the
+    preconditioner is the exact inverse of the operator on the window's
+    inner rectangle (a DST along axis 1 and cyclic reduction of the
+    tridiagonal systems along axis 0), restricted to the interior, so a
+    domain that fills that rectangle takes one full fast-Poisson solve and
+    each further iteration transforms only the rows that the walls touch.
+    Stops when the true relative residual ||b - A u|| / ||b|| is <= tol or
+    raises :class:`SolverError` naming the iteration cap and the residual.
+    The returned field's ``stats`` hold the iteration count (1 for the
+    first full solve plus one per wall-layer step) and that true relative
+    residual.  ``boundary_values`` off the interior is the
     Dirichlet data, read where an interior node's stencil reaches it (with
     zero source the discrete maximum principle bounds interior values by
     it there) and returned unchanged.  Both inputs are arrays of the grid's
     shape and are consumed: ``source`` becomes the right-hand side and then
     the residual, and ``boundary_values``, when it is a writable
     C-contiguous float64 array, becomes the solution (anything else is
-    copied once).  The solve keeps four grid-sized float arrays, the given
+    copied once).  The solve keeps three grid-sized float arrays, the given
     inputs among them; the preconditioner adds only 64-row blocks and
-    vectors of length ny per reduction level.
+    vectors of length ny per reduction level, and the wall layer vectors
+    on its nodes.
     """
     interior, hx, hy = grid.interior, grid.hx, grid.hy
     if boundary_values is None:
@@ -372,50 +395,130 @@ def solve_dirichlet(grid, boundary_values=None, source=None, tol=1e-10, maxiter=
 
 
 def _dot(a, b):
-    """Inner product of two grid arrays, summed in an order that does not
-    depend on the BLAS thread count (``np.vdot`` does) and with no temporary."""
-    return float(np.einsum("ij,ij->", a, b))
+    """Inner product of two arrays of one shape, summed in an order that does
+    not depend on the BLAS thread count (``np.vdot`` does) and with no
+    temporary."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+
+def _runs(member):
+    """The (start, stop) runs of the True entries of a boolean vector."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], member, [False]))))
+    return tuple(zip(edges[0::2].tolist(), edges[1::2].tolist()))
+
+
+class _WallLayer:
+    """The interior nodes S next to E, the nodes of the window's inner
+    rectangle that are not interior, and the coupling C between them.
+
+    For v on the inner rectangle, C(v)_i = sum of v_e / h_e^2 over the
+    4-neighbours e of i in E, with h_e the spacing along the edge i-e; it
+    lives on S.  ``nodes`` are the flat indices of S, ``rows`` the runs of
+    inner rows that hold S, and ``reach`` the runs that hold S or an
+    E-neighbour of S.
+    """
+
+    def __init__(self, interior, hx, hy):
+        outside = np.zeros(interior.shape, dtype=bool)
+        outside[1:-1, 1:-1] = ~interior[1:-1, 1:-1]
+        self.nodes = np.flatnonzero(interior & _has_neighbor_in(outside))
+        ny = interior.shape[1]
+        slots, nbrs, weights = [], [], []
+        for step, h in ((ny, hx), (-ny, hx), (1, hy), (-1, hy)):
+            hit = np.flatnonzero(outside.ravel()[self.nodes + step])
+            slots.append(hit)
+            nbrs.append(self.nodes[hit] + step)
+            weights.append(np.full(len(hit), 1.0 / h ** 2))
+        self._slot, self._nbr, self._weight = map(np.concatenate, (slots, nbrs, weights))
+        row = np.zeros(interior.shape[0] - 2, dtype=bool)
+        row[self.nodes // ny - 1] = True
+        self.rows = _runs(row)
+        row[self._nbr // ny - 1] = True
+        self.reach = _runs(row)
+
+    def couple(self, v):
+        """C(v) on S, read from v's entries at the E-neighbours of S."""
+        return np.bincount(self._slot, np.take(v, self._nbr) * self._weight, len(self.nodes))
 
 
 def _cg(u, b, interior, hx, hy, tol, maxiter):
-    """Preconditioned conjugate gradients for -lap u = b on the interior.
+    """Preconditioned conjugate gradients for -lap u = b on the interior,
+    run on the wall layer (the capacitance-matrix method of Buzbee, Dorr,
+    George and Golub 1971 and Proskurowski and Widlund 1976).
 
-    ``u`` is zero on the interior and holds the Dirichlet data elsewhere;
-    the interior solution is added into it in place.  ``b`` is zero off the
-    interior and becomes the residual in place.  Returns the
-    :class:`SolveStats`.  Besides the solution u, the residual r and the
-    direction p, one work array w holds A p and then the preconditioned
-    residual M r; the mask ``~interior`` is a temporary at each use.  The
-    residual is tested right after each update, so a converged solve makes
-    no preconditioner call whose result would go unused.
+    ``u`` holds the Dirichlet data off the interior; the interior solution
+    is written into it in place.  ``b`` is zero off the interior and becomes
+    the residual in place.  Returns the :class:`SolveStats`.
+
+    The preconditioner M is the exact inverse A_R^-1 of the operator on the
+    window's inner rectangle (:func:`_fast_poisson`), restricted to the
+    interior.  For q on the interior, A M q = q + C(A_R^-1 q) with the
+    coupling C of :class:`_WallLayer`, which lives on the wall layer S.  CG
+    starts from u0 = M b, one full solve that counts as iteration 1, whose
+    residual -C(A_R^-1 b) lives on S; so do every later residual r_k and
+    direction generator q_k (the direction is p_k = M q_k) and every A p_k.
+    Each later iteration is one fast-Poisson solve of r_k, transformed only
+    on the rows that S holds and back only on the rows that S or its
+    E-neighbours hold, and vector work on S.  The solution u0 + M(sum of
+    alpha_k q_k) is one more full solve, skipped when u0 meets tol.  Once
+    the residual on S meets tol, the true residual b - A u, from one
+    matvec, is tested and reported; while it misses tol, the iteration
+    goes on and tests it again after each step.
+    A domain that fills the inner rectangle has no layer: one full solve.
+    The solve holds u, b and one work array w; b's interior is parked in
+    u's while A u is formed in b.
     """
-    r = b
-    b_norm = math.sqrt(_dot(r, r))
+    b_norm = math.sqrt(_dot(b, b))
     if b_norm == 0.0:
         return SolveStats(iterations=0, residual=0.0)
-    precondition = _fast_poisson(b.shape, hx, hy)
-    p = precondition(r, np.empty_like(b))
-    p[~interior] = 0.0
-    w = np.empty_like(b)
-    rz = _dot(r, p)
-    r_norm = b_norm
-    for it in range(1, maxiter + 1):
-        _apply_neg_laplacian(p, interior, hx, hy, out=w)
-        alpha = rz / _dot(p, w)
-        w *= alpha
-        r -= w
-        u += np.multiply(p, alpha, out=w)
-        r_norm = math.sqrt(_dot(r, r))
+    solve = _fast_poisson(b.shape, hx, hy)
+    w = solve(b, np.empty(b.shape))
+    # E empty: nothing of the layer is built
+    layer = None if interior[1:-1, 1:-1].all() else _WallLayer(interior, hx, hy)
+    r = np.zeros(0) if layer is None else -layer.couple(w)
+    q, gq, cq, total = (np.zeros_like(r) for _ in range(4))
+    rz = math.inf                       # the first direction generator is r itself
+    r_norm = math.sqrt(_dot(r, r))
+    it = 1
+    while True:
         if r_norm <= tol * b_norm:
-            return SolveStats(iterations=it, residual=r_norm / b_norm)
-        precondition(r, w)
-        w[~interior] = 0.0
-        rz_new = _dot(r, w)
-        p *= rz_new / rz
-        p += w
+            if it > 1:                  # else w still holds u0 = M b
+                np.copyto(w, b)
+                np.put(w, layer.nodes, np.take(w, layer.nodes) + total)
+                solve(w, w)
+            w[~interior] = 0.0
+            np.copyto(u, b, where=interior)     # b's interior, parked
+            _apply_neg_laplacian(w, interior, hx, hy, out=b)
+            np.subtract(u, b, out=b, where=interior)
+            true_norm = math.sqrt(_dot(b, b))
+            if true_norm <= tol * b_norm:
+                np.copyto(u, w, where=interior)
+                return SolveStats(iterations=it, residual=true_norm / b_norm)
+            if layer is None:
+                raise SolverError(f"the fast-Poisson solve leaves relative residual "
+                                  f"{true_norm / b_norm:.3e} on a rectangle")
+            np.copyto(b, u, where=interior)
+        if it == maxiter:
+            raise SolverError(f"conjugate gradients hit the iteration cap of {maxiter} "
+                              f"iterations; relative residual {r_norm / b_norm:.3e}")
+        # y = A_R^-1 r on S (M r there) and C(y)
+        for start, stop in layer.rows:
+            w[start + 1:stop + 1] = 0.0
+        np.put(w, layer.nodes, r)
+        solve(w, w, layer.rows, layer.reach)
+        y = np.take(w, layer.nodes)
+        rz_new = _dot(r, y)
+        beta = rz_new / rz
+        q = r + beta * q
+        gq = y + beta * gq              # A_R^-1 q on S: M q there
+        cq = layer.couple(w) + beta * cq
         rz = rz_new
-    raise SolverError(f"conjugate gradients hit the iteration cap of {maxiter} iterations; "
-                      f"relative residual {r_norm / b_norm:.3e}")
+        ap = q + cq                     # A M q
+        alpha = rz / _dot(gq, ap)
+        total += alpha * q
+        r -= alpha * ap
+        r_norm = math.sqrt(_dot(r, r))
+        it += 1
 
 
 def green_function(grid, pole):

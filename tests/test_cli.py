@@ -1,5 +1,7 @@
 import argparse
 import ast
+import csv
+import io
 import json
 import math
 import os
@@ -142,9 +144,26 @@ class TestLevelsets:
         ref_rows = [(k, c.level, repr(float(x)), repr(float(y)))
                     for k, c in enumerate(curves) for x, y in c.vertices]
         export.write_csv(tmp_path / "ref.csv", ["curve", "level", "x", "y"], ref_rows)
-        export.write_csv(tmp_path / "new.csv", ["curve", "level", "x", "y"],
-                         chain.from_iterable(cli._csv_rows(k, c) for k, c in enumerate(curves)))
+        export.write_csv_lines(tmp_path / "new.csv", ["curve", "level", "x", "y"],
+                               chain.from_iterable(cli._csv_lines(k, c)
+                                                   for k, c in enumerate(curves)))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_benchmark_levels_csv_equals_the_csv_module_bytes(self, tmp_path):
+        # the certify benchmark's levelsets config: 9,972 rows over six levels
+        levels = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
+        lower, upper = (0.0, -math.pi / 2), (4.0, math.pi / 2)
+        cfg = write_config(tmp_path, "lv.json", {"field": "strip", "levels": levels,
+                                                 "window": [lower, upper], "h": 0.005})
+        assert cli.main(["levelsets", "--config", cfg, "--out", str(tmp_path)]) == 0
+        fld = fields.strip_martin()
+        curves = [cv for c in levels for cv in
+                  levelset.extract_level_curve(fld, c, geometry.WindowBox(lower, upper), 0.005)]
+        rows = [(k, c.level, x, y) for k, c in enumerate(curves) for x, y in c.vertices.tolist()]
+        assert len(rows) == 9972
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerows([("curve", "level", "x", "y")] + rows)
+        assert (tmp_path / "levels.csv").read_bytes() == buf.getvalue().encode()
 
     def test_config_out_key_is_honoured_and_the_flag_wins(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -455,8 +455,9 @@ class TestSolveConsumesItsData:
         assert np.array_equal(got.values[~grid.interior], given[~grid.interior])
 
 
-#: bytes per node of what a Dirichlet solve holds: the grid's mask and four float
-#: arrays (solution, residual, direction and work array), the data among them
+#: bytes per node that a grid budgets for a Dirichlet solve: the grid's mask and
+#: four float arrays; the solve holds three (solution, right-hand side and work
+#: array), the data among them
 SOLVE_NODE_BYTES = 1 + 4 * 8
 #: the rest, in rows of ny floats: the preconditioner's 64-row blocks (the odd
 #: extension and its spectrum), its coefficient vectors, numpy's FFT plan and a
@@ -587,6 +588,145 @@ class TestFastPoisson:
             tracemalloc.stop()
         assert callable(solve)
         assert peak < 0.1 * 8 * shape[0] * shape[1]
+
+
+def reference_pcg(u, b, interior, hx, hy, tol, maxiter):
+    """The full-grid preconditioned CG that the wall-layer solve replaced.
+
+    ``u`` is zero on the interior and holds the Dirichlet data elsewhere;
+    the interior solution is added into it in place.  ``b`` is zero off the
+    interior and becomes the residual in place.  Returns the
+    :class:`SolveStats`.  Besides the solution u, the residual r and the
+    direction p, one work array w holds A p and then the preconditioned
+    residual M r; the mask ``~interior`` is a temporary at each use.  The
+    residual is tested right after each update, so a converged solve makes
+    no preconditioner call whose result would go unused.
+    """
+    r = b
+    b_norm = math.sqrt(gr._dot(r, r))
+    if b_norm == 0.0:
+        return gr.SolveStats(iterations=0, residual=0.0)
+    precondition = gr._fast_poisson(b.shape, hx, hy)
+    p = precondition(r, np.empty_like(b))
+    p[~interior] = 0.0
+    w = np.empty_like(b)
+    rz = gr._dot(r, p)
+    r_norm = b_norm
+    for it in range(1, maxiter + 1):
+        gr._apply_neg_laplacian(p, interior, hx, hy, out=w)
+        alpha = rz / gr._dot(p, w)
+        w *= alpha
+        r -= w
+        u += np.multiply(p, alpha, out=w)
+        r_norm = math.sqrt(gr._dot(r, r))
+        if r_norm <= tol * b_norm:
+            return gr.SolveStats(iterations=it, residual=r_norm / b_norm)
+        precondition(r, w)
+        w[~interior] = 0.0
+        rz_new = gr._dot(r, w)
+        p *= rz_new / rz
+        p += w
+        rz = rz_new
+    raise gr.SolverError(f"conjugate gradients hit the iteration cap of {maxiter} iterations; "
+                         f"relative residual {r_norm / b_norm:.3e}")
+
+
+SQUARE_RING_DOMAIN = geo.ConvexRing(geo.square_body(2.0), geo.square_body(0.5))
+
+
+def ring_problem(h, half=2.0):
+    grid = gr.build_grid(SQUARE_RING_DOMAIN, geo.WindowBox((-half, -half), (half, half)), h)
+    data = gr.ring_dirichlet_data(grid)
+    rhs = np.where(grid.interior, reference_fold(grid, data), 0.0)
+    return grid, lambda: (data.copy(), None), rhs, 1e-10
+
+
+def green_problem(domain, s, h):
+    grid = gr.build_grid(domain, domain.truncation_window(s), h)
+    source = np.zeros(grid.shape)
+    source[grid.node_index((s, 0.0))] = 1.0 / (grid.hx * grid.hy)
+    return grid, lambda: (None, source.copy()), source, 1e-12
+
+
+WALL_LAYER_CASES = {
+    "ring-0.01": lambda: ring_problem(0.01),
+    "ring-0.02": lambda: ring_problem(0.02),
+    # rows outside the outer square are wholly E: the inverse transform must
+    # reach past the rows that hold S
+    "ring-wide-window": lambda: ring_problem(0.02, 2.5),
+    "strip": lambda: green_problem(geo.Strip(), 4.0, np.pi / 200),
+    "sector": lambda: green_problem(geo.domain_from_config("sector"), 8.0, 0.05),
+    "exterior": lambda: green_problem(geo.HalfplaneMinusDisk(), 8.0, 0.05),
+    "sqrt": lambda: green_problem(SQRT_PROFILE, 4.0, 0.025),
+}
+
+
+class TestWallLayerSolve:
+    @pytest.mark.parametrize("case", list(WALL_LAYER_CASES))
+    def test_matches_the_full_grid_reference(self, case, monkeypatch):
+        grid, inputs, rhs, tol = WALL_LAYER_CASES[case]()
+        got = gr.solve_dirichlet(grid, *inputs(), tol=tol)
+        monkeypatch.setattr(gr, "_cg", reference_pcg)
+        want = gr.solve_dirichlet(grid, *inputs(), tol=tol)
+        assert abs(got.stats.iterations - want.stats.iterations) <= 1
+        scale = np.abs(want.values).max()
+        assert np.abs(got.values - want.values).max() <= 10 * tol * scale
+        # the reported residual is the true one, b - A u on the interior
+        u = np.where(grid.interior, got.values, 0.0)
+        true = (np.linalg.norm(rhs - reference_neg_laplacian(u, grid.interior, grid.hx, grid.hy))
+                / np.linalg.norm(rhs))
+        assert got.stats.residual == pytest.approx(true, rel=1e-12, abs=0.0)
+        assert got.stats.residual <= tol
+
+    def test_layer_steps_transform_only_the_wall_rows(self, monkeypatch):
+        # the ring's inner square touches 103 of the 399 inner rows; only the
+        # first and the last solve transform all of them
+        grid, inputs, _, tol = ring_problem(0.01)
+        sizes = []
+        dst1 = gr._dst1
+
+        def counted(x, out, scale=1.0, rows=None):
+            sizes.append(len(x) if rows is None else sum(stop - start for start, stop in rows))
+            return dst1(x, out, scale, rows)
+
+        monkeypatch.setattr(gr, "_dst1", counted)
+        sol = gr.solve_dirichlet(grid, *inputs(), tol=tol)
+        inner = grid.shape[0] - 2
+        assert inner == 399
+        full = [n for n in sizes if n == inner]
+        layer = [n for n in sizes if n != inner]
+        assert len(full) == 4
+        assert len(layer) == 2 * (sol.stats.iterations - 1)
+        assert max(layer) <= 110
+
+    def test_a_missed_true_residual_goes_on_iterating(self, monkeypatch):
+        # the first true residual is made to miss tol: the solve restores its
+        # right-hand side, iterates on and still returns the reference solution
+        grid, inputs, rhs, tol = green_problem(geo.HalfplaneMinusDisk(), 8.0, 0.05)
+        want = gr.solve_dirichlet(grid, *inputs(), tol=tol)
+        apply = gr._apply_neg_laplacian
+        calls = []
+
+        def spoiled_once(v, interior, hx, hy, out=None):
+            out = apply(v, interior, hx, hy, out)
+            calls.append(1)
+            if len(calls) == 1:
+                out[grid.node_index((8.0, 0.0))] += 1e-6 * np.abs(rhs).max()
+            return out
+
+        monkeypatch.setattr(gr, "_apply_neg_laplacian", spoiled_once)
+        got = gr.solve_dirichlet(grid, *inputs(), tol=tol)
+        assert len(calls) == 2
+        assert got.stats.iterations == want.stats.iterations + 1
+        assert got.stats.residual <= tol
+        assert np.abs(got.values - want.values).max() <= 10 * tol * np.abs(want.values).max()
+
+    def test_a_rectangle_that_misses_tol_raises(self, strip_grid):
+        # with no wall layer there is nothing to iterate on
+        source = np.zeros(strip_grid.shape)
+        source[strip_grid.node_index((2.0, 0.0))] = 1.0
+        with pytest.raises(gr.SolverError, match="leaves relative residual .* on a rectangle"):
+            gr.solve_dirichlet(strip_grid, source=source, tol=1e-20)
 
 
 class TestGreenFunction:
@@ -885,10 +1025,10 @@ class TestMirrorSymmetry:
         assert np.abs(G.values - G.values[:, ::-1]).max() <= 1e-12 * G.values.max()
 
     def test_green_solve_memory(self):
-        # u, r (the delta source itself, not a copy), p, the work array and
-        # the boolean masks: about 5 grid-sized float arrays (11.8 before the
-        # solve ran on four float arrays, 7 with a copy of the source, 5.9
-        # with the Thomas sweep's pivot table)
+        # u, b (the delta source itself, not a copy), the work array and the
+        # boolean masks: 3.6 grid-sized float arrays (11.8 before the solve
+        # ran on four float arrays, 7 with a copy of the source, 5.9 with the
+        # Thomas sweep's pivot table, about 5 before the wall-layer solve)
         dom = geo.domain_from_config({"kind": "profile", "f": "sqrt"})
         grid = gr.build_grid(dom, dom.truncation_window(8.0), 0.02)
         assert grid.shape == (801, 401)
