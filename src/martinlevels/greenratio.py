@@ -76,12 +76,12 @@ def build_grid(domain, window, h):
 
     Raises when the interior is empty or disconnected, when h is not
     positive or too coarse for the window (h must be <= extent / 16), or
-    when the mask and four float arrays (a solve holds three) would exceed
+    when the mask and three float arrays (a solve holds two) would exceed
     memory.
     """
     if h > min(window.extent()) / 16.0:
         raise GeometryError(f"grid spacing h={h} too coarse for window extent {window.extent()}")
-    xs, ys = window.lattice(h, 1 + 4 * 8, "a grid's mask and solve arrays")
+    xs, ys = window.lattice(h, 1 + 3 * 8, "a grid's mask and solve arrays")
     hx = float((xs[-1] - xs[0]) / (len(xs) - 1))
     hy = float((ys[-1] - ys[0]) / (len(ys) - 1))
     in_closure = lattice_mask(xs, ys, domain.contains_closure)
@@ -197,8 +197,8 @@ class GridField(ScalarField):
         return _centered_hessian(self.value, np.asarray(p, dtype=float), self.grid.h)
 
 
-# grid rows per block of the matvec and of the type-I DST: bounds their
-# scratch buffers at 64 rows
+# grid rows per block of the matvec, of the type-I DST and of the residual's
+# slabs: bounds their scratch buffers at 64 rows
 _BLOCK = 64
 
 
@@ -255,10 +255,15 @@ def _dst1(x, out, scale=1.0, rows=None):
             block = x[i:min(i + _BLOCK, stop)]
             k = len(block)
             ext[:k, 1:n + 1] = block
-            np.negative(block[:, ::-1], out=ext[:k, n + 2:])
+            # copies, then in-place ufuncs on contiguous rows: a ufunc reading
+            # the reversed block or the strided spectrum would allocate buffers
+            tail = ext[:k, n + 2:]
+            tail[...] = block[:, ::-1]
+            np.negative(tail, out=tail)
+            o = out[i:i + k]
             # the spectrum is a temporary: the next block's is built after it is freed
-            np.multiply(np.fft.rfft(ext[:k], axis=1)[:, 1:n + 1].imag, neg_scale,
-                        out=out[i:i + k])
+            np.copyto(o, np.fft.rfft(ext[:k], axis=1)[:, 1:n + 1].imag)
+            o *= neg_scale
     return out
 
 
@@ -367,13 +372,14 @@ def solve_dirichlet(grid, boundary_values=None, source=None, tol=1e-10, maxiter=
     Dirichlet data, read where an interior node's stencil reaches it (with
     zero source the discrete maximum principle bounds interior values by
     it there) and returned unchanged.  Both inputs are arrays of the grid's
-    shape and are consumed: ``source`` becomes the right-hand side and then
-    the residual, and ``boundary_values``, when it is a writable
-    C-contiguous float64 array, becomes the solution (anything else is
-    copied once).  The solve keeps three grid-sized float arrays, the given
-    inputs among them; the preconditioner adds only 64-row blocks and
-    vectors of length ny per reduction level, and the wall layer vectors
-    on its nodes.
+    shape and are consumed: ``source`` becomes the right-hand side (the data
+    folded in, zero off the interior), which the solve then only reads, and
+    ``boundary_values``, when it is a writable C-contiguous float64 array,
+    becomes the solution (anything else is copied once).  The solve keeps
+    two grid-sized float arrays, the given inputs among them; the data
+    waits in a copy of its values off the interior, the preconditioner adds
+    only 64-row blocks and vectors of length ny per reduction level, and
+    the wall layer vectors on its nodes.
     """
     interior, hx, hy = grid.interior, grid.hx, grid.hy
     if boundary_values is None:
@@ -441,14 +447,33 @@ class _WallLayer:
         return np.bincount(self._slot, np.take(v, self._nbr) * self._weight, len(self.nodes))
 
 
+def _residual_norm(u, b, interior, hx, hy):
+    """||b - A u|| over the interior nodes, for u zero off the interior.
+
+    A u is formed by :func:`_apply_neg_laplacian` on slabs of 64 rows of u
+    with one halo row on each side, so no grid-sized array is made.
+    """
+    total = 0.0
+    m = u.shape[0] - 1
+    slab = np.empty((min(m + 1, _BLOCK + 2), u.shape[1]))
+    for i in range(1, m, _BLOCK):
+        k = min(_BLOCK, m - i)
+        s = slab[:k + 2]
+        _apply_neg_laplacian(u[i - 1:i + k + 1], interior[i - 1:i + k + 1], hx, hy, out=s)
+        np.subtract(b[i:i + k], s[1:-1], out=s[1:-1])
+        total += _dot(s[1:-1], s[1:-1])
+    return math.sqrt(total)
+
+
 def _cg(u, b, interior, hx, hy, tol, maxiter):
     """Preconditioned conjugate gradients for -lap u = b on the interior,
     run on the wall layer (the capacitance-matrix method of Buzbee, Dorr,
     George and Golub 1971 and Proskurowski and Widlund 1976).
 
-    ``u`` holds the Dirichlet data off the interior; the interior solution
-    is written into it in place.  ``b`` is zero off the interior and becomes
-    the residual in place.  Returns the :class:`SolveStats`.
+    ``u`` is zero on the interior and holds the Dirichlet data off it; the
+    interior solution is written into it in place and the data comes back
+    bit for bit, also when the solve raises.  ``b`` is zero off the interior
+    and is only read.  Returns the :class:`SolveStats`.
 
     The preconditioner M is the exact inverse A_R^-1 of the operator on the
     window's inner rectangle (:func:`_fast_poisson`), restricted to the
@@ -461,64 +486,64 @@ def _cg(u, b, interior, hx, hy, tol, maxiter):
     on the rows that S holds and back only on the rows that S or its
     E-neighbours hold, and vector work on S.  The solution u0 + M(sum of
     alpha_k q_k) is one more full solve, skipped when u0 meets tol.  Once
-    the residual on S meets tol, the true residual b - A u, from one
-    matvec, is tested and reported; while it misses tol, the iteration
-    goes on and tests it again after each step.
+    the residual on S meets tol, the true residual ||b - A u|| is tested
+    and reported; while it misses tol, the iteration goes on from the
+    unchanged b and tests it again after each step.
     A domain that fills the inner rectangle has no layer: one full solve.
-    The solve holds u, b and one work array w; b's interior is parked in
-    u's while A u is formed in b.
+    The solve holds two grid arrays, u and b: u is the work array of every
+    fast-Poisson solve, and its data waits in a copy of its entries off the
+    interior.
     """
     b_norm = math.sqrt(_dot(b, b))
     if b_norm == 0.0:
         return SolveStats(iterations=0, residual=0.0)
-    solve = _fast_poisson(b.shape, hx, hy)
-    w = solve(b, np.empty(b.shape))
-    # E empty: nothing of the layer is built
-    layer = None if interior[1:-1, 1:-1].all() else _WallLayer(interior, hx, hy)
-    r = np.zeros(0) if layer is None else -layer.couple(w)
-    q, gq, cq, total = (np.zeros_like(r) for _ in range(4))
-    rz = math.inf                       # the first direction generator is r itself
-    r_norm = math.sqrt(_dot(r, r))
-    it = 1
-    while True:
-        if r_norm <= tol * b_norm:
-            if it > 1:                  # else w still holds u0 = M b
-                np.copyto(w, b)
-                np.put(w, layer.nodes, np.take(w, layer.nodes) + total)
-                solve(w, w)
-            w[~interior] = 0.0
-            np.copyto(u, b, where=interior)     # b's interior, parked
-            _apply_neg_laplacian(w, interior, hx, hy, out=b)
-            np.subtract(u, b, out=b, where=interior)
-            true_norm = math.sqrt(_dot(b, b))
-            if true_norm <= tol * b_norm:
-                np.copyto(u, w, where=interior)
-                return SolveStats(iterations=it, residual=true_norm / b_norm)
-            if layer is None:
-                raise SolverError(f"the fast-Poisson solve leaves relative residual "
-                                  f"{true_norm / b_norm:.3e} on a rectangle")
-            np.copyto(b, u, where=interior)
-        if it == maxiter:
-            raise SolverError(f"conjugate gradients hit the iteration cap of {maxiter} "
-                              f"iterations; relative residual {r_norm / b_norm:.3e}")
-        # y = A_R^-1 r on S (M r there) and C(y)
-        for start, stop in layer.rows:
-            w[start + 1:stop + 1] = 0.0
-        np.put(w, layer.nodes, r)
-        solve(w, w, layer.rows, layer.reach)
-        y = np.take(w, layer.nodes)
-        rz_new = _dot(r, y)
-        beta = rz_new / rz
-        q = r + beta * q
-        gq = y + beta * gq              # A_R^-1 q on S: M q there
-        cq = layer.couple(w) + beta * cq
-        rz = rz_new
-        ap = q + cq                     # A M q
-        alpha = rz / _dot(gq, ap)
-        total += alpha * q
-        r -= alpha * ap
+    data = u[~interior]
+    try:
+        solve = _fast_poisson(b.shape, hx, hy)
+        solve(b, u)
+        # E empty: nothing of the layer is built
+        layer = None if interior[1:-1, 1:-1].all() else _WallLayer(interior, hx, hy)
+        r = np.zeros(0) if layer is None else -layer.couple(u)
+        q, gq, cq, total = (np.zeros_like(r) for _ in range(4))
+        rz = math.inf                   # the first direction generator is r itself
         r_norm = math.sqrt(_dot(r, r))
-        it += 1
+        it = 1
+        while True:
+            if r_norm <= tol * b_norm:
+                if it > 1:              # else u still holds u0 = M b
+                    np.copyto(u, b)
+                    np.put(u, layer.nodes, np.take(u, layer.nodes) + total)
+                    solve(u, u)
+                u[~interior] = 0.0
+                true_norm = _residual_norm(u, b, interior, hx, hy)
+                if true_norm <= tol * b_norm:
+                    return SolveStats(iterations=it, residual=true_norm / b_norm)
+                if layer is None:
+                    raise SolverError(f"the fast-Poisson solve leaves relative residual "
+                                      f"{true_norm / b_norm:.3e} on a rectangle")
+            if it == maxiter:
+                raise SolverError(f"conjugate gradients hit the iteration cap of {maxiter} "
+                                  f"iterations; relative residual {r_norm / b_norm:.3e}")
+            # y = A_R^-1 r on S (M r there) and C(y)
+            for start, stop in layer.rows:
+                u[start + 1:stop + 1] = 0.0
+            np.put(u, layer.nodes, r)
+            solve(u, u, layer.rows, layer.reach)
+            y = np.take(u, layer.nodes)
+            rz_new = _dot(r, y)
+            beta = rz_new / rz
+            q = r + beta * q
+            gq = y + beta * gq          # A_R^-1 q on S: M q there
+            cq = layer.couple(u) + beta * cq
+            rz = rz_new
+            ap = q + cq                 # A M q
+            alpha = rz / _dot(gq, ap)
+            total += alpha * q
+            r -= alpha * ap
+            r_norm = math.sqrt(_dot(r, r))
+            it += 1
+    finally:
+        u[~interior] = data
 
 
 def green_function(grid, pole):

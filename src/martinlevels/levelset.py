@@ -196,7 +196,7 @@ def _stitch(segments):
 # ---------------------------------------------------------------------------
 
 # points x edges per block of the point-to-hull distance matrix
-_BLOCK = 1 << 16
+_BLOCK = 1 << 14
 
 
 def hull_boundary_deviation(points, hull):

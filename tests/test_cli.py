@@ -1065,7 +1065,7 @@ def test_ring_solver_error_names_its_stage(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv, config, nodes", [
     (["green", "--domain", "strip", "--x0", "0.5,0", "--poles", "4,6", "--h", "1e-5",
-      "--probe", "0.5,1.5,-0.5,0.5"], None, "800001 x 314161 nodes needs 7.72e+03 GiB"),
+      "--probe", "0.5,1.5,-0.5,0.5"], None, "800001 x 314161 nodes needs 5.85e+03 GiB"),
     (["levelsets"], {"field": "strip", "levels": [1], "h": 1e-6},
      "3000001 x 3141595 nodes needs 7.9e+04 GiB"),
 ], ids=["green", "levelsets"])

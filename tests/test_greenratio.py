@@ -98,7 +98,7 @@ class TestBuildGrid:
     def test_grid_over_physical_memory_is_refused_before_allocating(self, monkeypatch):
         window = geo.WindowBox((0.0, -np.pi / 2), (8.0, np.pi / 2))
         xs, ys = window.lattice(0.05)
-        need = len(xs) * len(ys) * (1 + 4 * 8)          # one mask, four float arrays
+        need = len(xs) * len(ys) * SOLVE_NODE_BYTES     # one mask, three float arrays
         monkeypatch.setattr(geo, "physical_memory", lambda: need)
         assert gr.build_grid(geo.Strip(), window, 0.05).shape == (len(xs), len(ys))
 
@@ -368,14 +368,19 @@ class TestSolveDirichlet:
     def test_rectangle_solve_needs_one_iteration(self, strip_grid, monkeypatch):
         # the strip interior fills the window's inner rectangle, where the
         # fast-Poisson preconditioner is the exact inverse; a converged solve
-        # makes no preconditioner call after its last update
-        matvecs, preconditions = [], []
-        apply = gr._apply_neg_laplacian
+        # makes no preconditioner call after its last update, and its one
+        # true-residual evaluation applies the operator to every inner row once
+        residuals, matvec_rows, preconditions = [], [], []
+        residual_norm, apply = gr._residual_norm, gr._apply_neg_laplacian
         fast_poisson = gr._fast_poisson
 
-        def counted_apply(*args, **kwargs):
-            matvecs.append(1)
-            return apply(*args, **kwargs)
+        def counted_residual(*args):
+            residuals.append(1)
+            return residual_norm(*args)
+
+        def counted_apply(v, *args, **kwargs):
+            matvec_rows.append(len(v) - 2)
+            return apply(v, *args, **kwargs)
 
         def counted_fast_poisson(*args):
             solve = fast_poisson(*args)
@@ -386,10 +391,12 @@ class TestSolveDirichlet:
 
             return counted_solve
 
+        monkeypatch.setattr(gr, "_residual_norm", counted_residual)
         monkeypatch.setattr(gr, "_apply_neg_laplacian", counted_apply)
         monkeypatch.setattr(gr, "_fast_poisson", counted_fast_poisson)
         G = gr.green_function(strip_grid, (2.0, 0.0))
-        assert len(matvecs) == 1
+        assert len(residuals) == 1
+        assert sum(matvec_rows) == strip_grid.shape[0] - 2
         assert len(preconditions) == 1
         assert G.stats.iterations == 1
         assert G.stats.residual <= 1e-12
@@ -440,6 +447,14 @@ class TestSolveConsumesItsData:
         assert np.array_equal(got.values[grid.interior], want.values[grid.interior])
         assert np.array_equal(got.values[~grid.interior], data[~grid.interior])
 
+    def test_a_failed_solve_gives_its_data_back(self, ring_solution):
+        grid, _ = ring_solution
+        data = gr.ring_dirichlet_data(grid)
+        given = data.copy()
+        with pytest.raises(gr.SolverError, match="iteration cap"):
+            gr.solve_dirichlet(grid, data, maxiter=3)
+        assert np.array_equal(data[~grid.interior], given[~grid.interior])
+
     def test_unread_data_changes_nothing_and_comes_back(self, ring_solution):
         # the inner body's deep nodes and the window corners border no
         # interior node: new data there changes no interior value
@@ -456,12 +471,13 @@ class TestSolveConsumesItsData:
 
 
 #: bytes per node that a grid budgets for a Dirichlet solve: the grid's mask and
-#: four float arrays; the solve holds three (solution, right-hand side and work
-#: array), the data among them
-SOLVE_NODE_BYTES = 1 + 4 * 8
+#: three float arrays; the solve holds two (solution and right-hand side), the
+#: data among them
+SOLVE_NODE_BYTES = 1 + 3 * 8
 #: the rest, in rows of ny floats: the preconditioner's 64-row blocks (the odd
-#: extension and its spectrum), its coefficient vectors, numpy's FFT plan and a
-#: transient mask; 368 measured on the ring grid below
+#: extension and its spectrum), its coefficient vectors, numpy's FFT plan, a
+#: transient mask and the copy of the data off the interior; the ring solve
+#: below holds 338 beyond its one new grid array
 SCRATCH_ROWS = 400
 
 
@@ -700,26 +716,36 @@ class TestWallLayerSolve:
         assert max(layer) <= 110
 
     def test_a_missed_true_residual_goes_on_iterating(self, monkeypatch):
-        # the first true residual is made to miss tol: the solve restores its
-        # right-hand side, iterates on and still returns the reference solution
+        # the first true residual is made to miss tol: the solve iterates on
+        # from its unchanged right-hand side and still returns the reference
+        # solution
         grid, inputs, rhs, tol = green_problem(geo.HalfplaneMinusDisk(), 8.0, 0.05)
         want = gr.solve_dirichlet(grid, *inputs(), tol=tol)
-        apply = gr._apply_neg_laplacian
+        residual_norm = gr._residual_norm
         calls = []
 
-        def spoiled_once(v, interior, hx, hy, out=None):
-            out = apply(v, interior, hx, hy, out)
+        def spoiled_once(u, b, interior, hx, hy):
+            norm = residual_norm(u, b, interior, hx, hy)
             calls.append(1)
-            if len(calls) == 1:
-                out[grid.node_index((8.0, 0.0))] += 1e-6 * np.abs(rhs).max()
-            return out
+            return norm + 1e-6 * np.linalg.norm(rhs) if len(calls) == 1 else norm
 
-        monkeypatch.setattr(gr, "_apply_neg_laplacian", spoiled_once)
-        got = gr.solve_dirichlet(grid, *inputs(), tol=tol)
+        monkeypatch.setattr(gr, "_residual_norm", spoiled_once)
+        data, source = inputs()
+        got = gr.solve_dirichlet(grid, data, source, tol=tol)
+        assert np.array_equal(source, rhs)
         assert len(calls) == 2
         assert got.stats.iterations == want.stats.iterations + 1
         assert got.stats.residual <= tol
         assert np.abs(got.values - want.values).max() <= 10 * tol * np.abs(want.values).max()
+
+    @pytest.mark.parametrize("case", ["strip", "exterior", "sqrt"])
+    def test_a_green_solve_leaves_its_source_unchanged(self, case):
+        # the solve only reads its right-hand side, so an iteration that goes
+        # on after a missed true residual works on the exact one
+        grid, inputs, rhs, tol = WALL_LAYER_CASES[case]()
+        _, source = inputs()
+        gr.solve_dirichlet(grid, source=source, tol=tol)
+        assert np.array_equal(source, rhs)
 
     def test_a_rectangle_that_misses_tol_raises(self, strip_grid):
         # with no wall layer there is nothing to iterate on
@@ -1025,10 +1051,11 @@ class TestMirrorSymmetry:
         assert np.abs(G.values - G.values[:, ::-1]).max() <= 1e-12 * G.values.max()
 
     def test_green_solve_memory(self):
-        # u, b (the delta source itself, not a copy), the work array and the
-        # boolean masks: 3.6 grid-sized float arrays (11.8 before the solve
-        # ran on four float arrays, 7 with a copy of the source, 5.9 with the
-        # Thomas sweep's pivot table, about 5 before the wall-layer solve)
+        # u, b (the delta source itself, not a copy), the data off the
+        # interior and the boolean masks: 2.8 grid-sized float arrays (11.8
+        # before the solve ran on four float arrays, 7 with a copy of the
+        # source, 5.9 with the Thomas sweep's pivot table, about 5 before the
+        # wall-layer solve, 3.6 with its work array)
         dom = geo.domain_from_config({"kind": "profile", "f": "sqrt"})
         grid = gr.build_grid(dom, dom.truncation_window(8.0), 0.02)
         assert grid.shape == (801, 401)
