@@ -310,7 +310,9 @@ def _green_ratio_mode(domain, raw, h, args):
     x0 = geometry.parse_value(args.x0 or raw.get("x0", []), "x0", sep=",")
     if len(x0) != 2:
         raise ConfigError(f"green needs --x0 x,y, got {x0}")
-    poles = geometry.parse_value(args.poles or raw.get("poles", []), "poles", sep=",")
+    # before the probe's half-height reads the first pole's truncation window
+    poles = greenratio.check_poles(
+        geometry.parse_value(args.poles or raw.get("poles", []), "poles", sep=","))
     probe_vals = geometry.parse_value(args.probe or raw.get("probe", []), "probe", sep=",")
     if len(probe_vals) == 2:
         half = 0.8 * _probe_half_height(domain, probe_vals[0], probe_vals[1], poles[0])

@@ -354,49 +354,33 @@ def _fast_poisson(shape, hx, hy):
     return solve
 
 
-def solve_dirichlet(grid, boundary_values=None, source=None, tol=1e-10, maxiter=10 ** 6):
-    """Solve the 5-point Laplace problem -lap u = source with Dirichlet node values.
+def solve_dirichlet(grid, boundary_values, tol=1e-10):
+    """Solve the 5-point Laplace problem -lap u = 0 with Dirichlet node values.
 
-    Fast-Poisson preconditioned conjugate gradients on the interior
-    unknowns, run on the mask's wall layer (see :func:`_cg`): the
-    preconditioner is the exact inverse of the operator on the window's
-    inner rectangle (a DST along axis 1 and cyclic reduction of the
-    tridiagonal systems along axis 0), restricted to the interior, so a
-    domain that fills that rectangle takes one full fast-Poisson solve and
-    each further iteration transforms only the rows that the walls touch.
-    Stops when the true relative residual ||b - A u|| / ||b|| is <= tol or
-    raises :class:`SolverError` naming the iteration cap and the residual.
-    The returned field's ``stats`` hold the iteration count (1 for the
-    first full solve plus one per wall-layer step) and that true relative
-    residual.  ``boundary_values`` off the interior is the
-    Dirichlet data, read where an interior node's stencil reaches it (with
-    zero source the discrete maximum principle bounds interior values by
-    it there) and returned unchanged.  Both inputs are arrays of the grid's
-    shape and are consumed: ``source`` becomes the right-hand side (the data
-    folded in, zero off the interior), which the solve then only reads, and
-    ``boundary_values``, when it is a writable C-contiguous float64 array,
-    becomes the solution (anything else is copied once).  The solve keeps
-    two grid-sized float arrays, the given inputs among them; the data
-    waits in a copy of its values off the interior, the preconditioner adds
-    only 64-row blocks and vectors of length ny per reduction level, and
-    the wall layer vectors on its nodes.
+    ``boundary_values`` is an array of the grid's shape.  Off the interior it
+    is the Dirichlet data, read where an interior node's stencil reaches it
+    (the discrete maximum principle bounds interior values by it there) and
+    returned bit for bit, also when the solve raises.  The array is consumed:
+    a writable C-contiguous float64 array becomes the solution, anything else
+    is copied once.  The data is folded into the right-hand side and waits
+    in a copy of its values off the interior while :func:`_cg` uses the
+    array as its work array, so the solve keeps two grid-sized float arrays,
+    the data among them.  The returned field's ``stats``, and the
+    :class:`SolverError` of a solve that cannot reach ``tol``, are those of
+    :func:`_cg`.
     """
     interior, hx, hy = grid.interior, grid.hx, grid.hy
-    if boundary_values is None:
-        u = np.zeros(grid.shape)
-        rhs = np.zeros(grid.shape) if source is None else source
-    else:
-        u = np.require(boundary_values, dtype=float, requirements="CW")
-        u[interior] = 0.0
-        # fold Dirichlet neighbors into the right-hand side (u is 0 on the interior)
-        rhs = _apply_neg_laplacian(u, interior, hx, hy)
-        if source is None:
-            np.subtract(0.0, rhs, out=rhs)      # 0 - fold, not -fold: no negative zeros
-        else:
-            source -= rhs
-            rhs = source                # frees the fold before the solve's arrays exist
+    u = np.require(boundary_values, dtype=float, requirements="CW")
+    u[interior] = 0.0
+    # fold Dirichlet neighbors into the right-hand side (u is 0 on the interior)
+    rhs = _apply_neg_laplacian(u, interior, hx, hy)
+    np.subtract(0.0, rhs, out=rhs)      # 0 - fold, not -fold: no negative zeros
     rhs[~interior] = 0.0
-    stats = _cg(u, rhs, interior, hx, hy, tol=tol, maxiter=maxiter)
+    data = u[~interior]
+    try:
+        stats = _cg(u, rhs, interior, hx, hy, tol=tol)
+    finally:
+        u[~interior] = data
     return GridField(grid, u, stats=stats)
 
 
@@ -465,15 +449,22 @@ def _residual_norm(u, b, interior, hx, hy):
     return math.sqrt(total)
 
 
-def _cg(u, b, interior, hx, hy, tol, maxiter):
+#: conjugate-gradient iterations after which a solve gives up
+MAX_ITERATIONS = 10 ** 6
+
+
+def _cg(u, b, interior, hx, hy, tol):
     """Preconditioned conjugate gradients for -lap u = b on the interior,
     run on the wall layer (the capacitance-matrix method of Buzbee, Dorr,
     George and Golub 1971 and Proskurowski and Widlund 1976).
 
-    ``u`` is zero on the interior and holds the Dirichlet data off it; the
-    interior solution is written into it in place and the data comes back
-    bit for bit, also when the solve raises.  ``b`` is zero off the interior
-    and is only read.  Returns the :class:`SolveStats`.
+    ``u`` is the work array of every fast-Poisson solve: its entries are not
+    read, and on return it holds the solution on the interior and 0 off it.
+    ``b`` is zero off the interior and is only read.  Returns the
+    :class:`SolveStats` once the true relative residual ||b - A u|| / ||b||
+    is <= tol: 1 iteration for the first full solve plus one per wall-layer
+    step, and that residual.  Raises :class:`SolverError` naming the cap
+    and the residual after MAX_ITERATIONS iterations.
 
     The preconditioner M is the exact inverse A_R^-1 of the operator on the
     window's inner rectangle (:func:`_fast_poisson`), restricted to the
@@ -485,82 +476,78 @@ def _cg(u, b, interior, hx, hy, tol, maxiter):
     Each later iteration is one fast-Poisson solve of r_k, transformed only
     on the rows that S holds and back only on the rows that S or its
     E-neighbours hold, and vector work on S.  The solution u0 + M(sum of
-    alpha_k q_k) is one more full solve, skipped when u0 meets tol.  Once
-    the residual on S meets tol, the true residual ||b - A u|| is tested
-    and reported; while it misses tol, the iteration goes on from the
-    unchanged b and tests it again after each step.
-    A domain that fills the inner rectangle has no layer: one full solve.
-    The solve holds two grid arrays, u and b: u is the work array of every
-    fast-Poisson solve, and its data waits in a copy of its entries off the
-    interior.
+    alpha_k q_k) is one more full solve, skipped when u0 meets tol.  The
+    true residual is tested once the residual on S meets tol; while it
+    misses tol, the iteration goes on from the unchanged b and tests it
+    again after each step.  A domain that fills the inner rectangle has no
+    layer: one full solve.  Besides u and b, the preconditioner holds only
+    64-row blocks and vectors of length ny per reduction level, and the
+    wall layer vectors on its nodes.
     """
     b_norm = math.sqrt(_dot(b, b))
     if b_norm == 0.0:
+        u.fill(0.0)
         return SolveStats(iterations=0, residual=0.0)
-    data = u[~interior]
-    try:
-        solve = _fast_poisson(b.shape, hx, hy)
-        solve(b, u)
-        # E empty: nothing of the layer is built
-        layer = None if interior[1:-1, 1:-1].all() else _WallLayer(interior, hx, hy)
-        r = np.zeros(0) if layer is None else -layer.couple(u)
-        q, gq, cq, total = (np.zeros_like(r) for _ in range(4))
-        rz = math.inf                   # the first direction generator is r itself
+    solve = _fast_poisson(b.shape, hx, hy)
+    solve(b, u)
+    # E empty: nothing of the layer is built
+    layer = None if interior[1:-1, 1:-1].all() else _WallLayer(interior, hx, hy)
+    r = np.zeros(0) if layer is None else -layer.couple(u)
+    q, gq, cq, total = (np.zeros_like(r) for _ in range(4))
+    rz = math.inf                       # the first direction generator is r itself
+    r_norm = math.sqrt(_dot(r, r))
+    it = 1
+    while True:
+        if r_norm <= tol * b_norm:
+            if it > 1:                  # else u still holds u0 = M b
+                np.copyto(u, b)
+                np.put(u, layer.nodes, np.take(u, layer.nodes) + total)
+                solve(u, u)
+            u[~interior] = 0.0
+            true_norm = _residual_norm(u, b, interior, hx, hy)
+            if true_norm <= tol * b_norm:
+                return SolveStats(iterations=it, residual=true_norm / b_norm)
+            if layer is None:
+                raise SolverError(f"the fast-Poisson solve leaves relative residual "
+                                  f"{true_norm / b_norm:.3e} on a rectangle")
+        if it == MAX_ITERATIONS:
+            raise SolverError(f"conjugate gradients hit the iteration cap of {MAX_ITERATIONS} "
+                              f"iterations; relative residual {r_norm / b_norm:.3e}")
+        # y = A_R^-1 r on S (M r there) and C(y)
+        for start, stop in layer.rows:
+            u[start + 1:stop + 1] = 0.0
+        np.put(u, layer.nodes, r)
+        solve(u, u, layer.rows, layer.reach)
+        y = np.take(u, layer.nodes)
+        rz_new = _dot(r, y)
+        beta = rz_new / rz
+        q = r + beta * q
+        gq = y + beta * gq              # A_R^-1 q on S: M q there
+        cq = layer.couple(u) + beta * cq
+        rz = rz_new
+        ap = q + cq                     # A M q
+        alpha = rz / _dot(gq, ap)
+        total += alpha * q
+        r -= alpha * ap
         r_norm = math.sqrt(_dot(r, r))
-        it = 1
-        while True:
-            if r_norm <= tol * b_norm:
-                if it > 1:              # else u still holds u0 = M b
-                    np.copyto(u, b)
-                    np.put(u, layer.nodes, np.take(u, layer.nodes) + total)
-                    solve(u, u)
-                u[~interior] = 0.0
-                true_norm = _residual_norm(u, b, interior, hx, hy)
-                if true_norm <= tol * b_norm:
-                    return SolveStats(iterations=it, residual=true_norm / b_norm)
-                if layer is None:
-                    raise SolverError(f"the fast-Poisson solve leaves relative residual "
-                                      f"{true_norm / b_norm:.3e} on a rectangle")
-            if it == maxiter:
-                raise SolverError(f"conjugate gradients hit the iteration cap of {maxiter} "
-                                  f"iterations; relative residual {r_norm / b_norm:.3e}")
-            # y = A_R^-1 r on S (M r there) and C(y)
-            for start, stop in layer.rows:
-                u[start + 1:stop + 1] = 0.0
-            np.put(u, layer.nodes, r)
-            solve(u, u, layer.rows, layer.reach)
-            y = np.take(u, layer.nodes)
-            rz_new = _dot(r, y)
-            beta = rz_new / rz
-            q = r + beta * q
-            gq = y + beta * gq          # A_R^-1 q on S: M q there
-            cq = layer.couple(u) + beta * cq
-            rz = rz_new
-            ap = q + cq                 # A M q
-            alpha = rz / _dot(gq, ap)
-            total += alpha * q
-            r -= alpha * ap
-            r_norm = math.sqrt(_dot(r, r))
-            it += 1
-    finally:
-        u[~interior] = data
+        it += 1
 
 
 def green_function(grid, pole):
     """Discrete Green field: -lap G = delta_pole / h^2, zero Dirichlet data.
 
-    Solved tighter than the generic Dirichlet tolerance so that the
-    symmetry G_p(q) = G_q(p) holds to ~1e-12 relative.
+    Zero data folds into nothing, so the one-node right-hand side and a zero
+    solution array go straight to :func:`_cg`.  Solved to relative residual
+    1e-12 so that the symmetry G_p(q) = G_q(p) holds to ~1e-12 relative.
     """
     i, j = grid.node_index(pole)
     if not (0 <= i < grid.shape[0] and 0 <= j < grid.shape[1]) or not grid.interior[i, j]:
         raise GeometryError(f"pole {pole} does not snap to an interior node")
-    source = np.zeros(grid.shape)
-    source[i, j] = 1.0 / (grid.hx * grid.hy)
-    # the solve consumes source as its right-hand side: no second copy
-    fld = solve_dirichlet(grid, boundary_values=None, source=source, tol=1e-12)
-    fld.name = f"green[{pole}]"
-    return fld
+    rhs = np.zeros(grid.shape)
+    rhs[i, j] = 1.0 / (grid.hx * grid.hy)
+    u = np.zeros(grid.shape)
+    stats = _cg(u, rhs, grid.interior, grid.hx, grid.hy, tol=1e-12)
+    return GridField(grid, u, name=f"green[{pole}]", stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +568,15 @@ class MartinApproxConfig:
     probe_window: WindowBox
 
     def __post_init__(self):
-        s = tuple(float(v) for v in self.poles)
-        if len(s) < 1 or any(b <= a for a, b in zip(s, s[1:])) or s[0] <= 0.0:
-            raise GeometryError("poles must be strictly increasing and positive")
-        object.__setattr__(self, "poles", s)
+        object.__setattr__(self, "poles", check_poles(self.poles))
+
+
+def check_poles(poles):
+    """The poles as a tuple of floats; they must be strictly increasing and positive."""
+    s = tuple(float(v) for v in poles)
+    if len(s) < 1 or any(b <= a for a, b in zip(s, s[1:])) or s[0] <= 0.0:
+        raise GeometryError("poles must be strictly increasing and positive")
+    return s
 
 
 @dataclass(frozen=True)

@@ -1110,6 +1110,41 @@ def test_ratio_flags_on_a_ring_run_are_usage_errors(tmp_path, capsys, flag, valu
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--domain", "strip", "--x0", "0.5,0", "--poles=-1,2", "--probe", "0.5,2"],
+    ["--domain", "sector", "--x0", "1,0", "--poles=0,4", "--probe", "1.5,3"],
+], ids=["strip", "sector"])
+def test_bad_poles_are_named_before_a_two_value_probe_is_sized(tmp_path, capsys, argv):
+    # the probe's half-height reads the first pole's truncation window, which
+    # is empty for a pole <= 0
+    assert cli.main(["green", *argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: poles must be strictly increasing and positive\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, config, code, message", [
+    (["levelsets"], [1, 2], 2, "config error: config root must be a JSON object"),
+    (["levelsets"], {"levels": [1], "h": 0.05}, 2,
+     "config error: config needs a 'field' registry name"),
+    (["levelsets"], {"field": "strip", "levels": [1000], "h": 0.05}, 1,
+     "no level curve found in the window"),
+    (["green", "--domain", "strip", "--x0", "0.5,0,1", "--poles", "2,3", "--probe", "0.5,2"],
+     None, 2, "config error: green needs --x0 x,y, got [0.5, 0.0, 1.0]"),
+    (["green", "--domain", "strip", "--x0", "0.5,0", "--poles", "2,3", "--probe", "0.5,2,1"],
+     None, 2, "config error: --probe takes 2 or 4 comma-separated values"),
+    (["green", "--x0", "0.5,0", "--poles", "2,3", "--probe", "0.5,2"], None, 2,
+     "config error: green needs --domain or a config 'domain'"),
+], ids=["config-root-not-an-object", "levelsets-without-field", "levelsets-no-curve",
+        "green-three-value-x0", "green-three-value-probe", "green-without-domain"])
+def test_exit_paths_write_no_report(tmp_path, capsys, argv, config, code, message):
+    if config is not None:
+        argv = argv + ["--config", write_config(tmp_path, "cfg.json", config)]
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv, config, named", [
     (["levelsets"], {**STRIP_LEVELS, "level": [1.0]}, "config key 'level' is unknown"),
     (["audit"], {"field": "strip", "checks": ["harmonicity"], "check": []},

@@ -118,3 +118,10 @@ def test_reports_get_the_mode_a_plain_open_gives(tmp_path, umask, mode):
         os.umask(old)
     modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
     assert modes == dict.fromkeys(["r.json", "r.csv", "r.svg", "plain"], mode)
+
+
+def test_a_failed_write_removes_its_temp_file(tmp_path):
+    # the temp file exists when the write raises: a text file takes no int
+    with pytest.raises(TypeError):
+        export._atomic_write(str(tmp_path / "r.json"), 3)
+    assert not list(tmp_path.iterdir())

@@ -306,9 +306,8 @@ class TestStencilStatedOnce:
         fine = []
         solve = gr.solve_dirichlet
 
-        def spy(grid, boundary_values=None, **kwargs):
-            if boundary_values is not None:
-                fine.append((grid, boundary_values.copy()))
+        def spy(grid, boundary_values, **kwargs):
+            fine.append((grid, boundary_values.copy()))
             return solve(grid, boundary_values, **kwargs)
 
         monkeypatch.setattr(gr, "solve_dirichlet", spy)
@@ -323,12 +322,13 @@ class TestStencilStatedOnce:
     @staticmethod
     def check_fold(grid, data):
         assert np.count_nonzero(data[dirichlet_nodes(grid.interior)]) > 0
-        want = gr.solve_dirichlet(grid, source=reference_fold(grid, data))
-        want.values = want.values.copy()
-        want.values[~grid.interior] = data[~grid.interior]
+        want = np.zeros(grid.shape)
+        rhs = np.where(grid.interior, reference_fold(grid, data), 0.0)
+        stats = gr._cg(want, rhs, grid.interior, grid.hx, grid.hy, tol=1e-10)
+        want[~grid.interior] = data[~grid.interior]
         got = gr.solve_dirichlet(grid, data)
-        assert got.stats == want.stats
-        assert np.array_equal(got.values, want.values)
+        assert got.stats == stats
+        assert np.array_equal(got.values, want)
 
 
 class TestSolveDirichlet:
@@ -344,7 +344,7 @@ class TestSolveDirichlet:
         assert np.abs(sol.values - exact)[interior].max() <= 1e-7
 
     def test_zero_data_zero_solution(self, strip_grid):
-        sol = gr.solve_dirichlet(strip_grid, boundary_values=None)
+        sol = gr.solve_dirichlet(strip_grid, np.zeros(strip_grid.shape))
         assert np.abs(sol.values).max() == 0.0
 
     def test_maximum_principle_random_data(self, strip_grid):
@@ -357,13 +357,14 @@ class TestSolveDirichlet:
         assert sol.values[interior].max() <= data[boundary].max()
         assert sol.values[interior].min() >= data[boundary].min()
 
-    def test_iteration_cap_raises(self, ring_solution):
+    def test_iteration_cap_raises(self, ring_solution, monkeypatch):
         # on the strip the preconditioner is exact, so the cap is exercised
         # on the ring, where 3 iterations leave a relative residual ~9e-2
         grid, _ = ring_solution
-        src = np.ones(grid.shape)
+        rhs = np.where(grid.interior, 1.0, 0.0)
+        monkeypatch.setattr(gr, "MAX_ITERATIONS", 3)
         with pytest.raises(gr.SolverError, match="iteration cap of 3 iterations"):
-            gr.solve_dirichlet(grid, source=src, tol=1e-13, maxiter=3)
+            gr._cg(np.zeros(grid.shape), rhs, grid.interior, grid.hx, grid.hy, tol=1e-13)
 
     def test_rectangle_solve_needs_one_iteration(self, strip_grid, monkeypatch):
         # the strip interior fills the window's inner rectangle, where the
@@ -405,7 +406,7 @@ class TestSolveDirichlet:
         _, ring = ring_solution
         assert ring.stats.iterations > 1
         assert 0.0 < ring.stats.residual <= 1e-10
-        zero = gr.solve_dirichlet(strip_grid, boundary_values=None)
+        zero = gr.solve_dirichlet(strip_grid, np.zeros(strip_grid.shape))
         assert zero.stats == gr.SolveStats(iterations=0, residual=0.0)
 
 
@@ -435,24 +436,13 @@ class TestSolveConsumesItsData:
             assert np.array_equal(given, data)
         assert np.array_equal(sol.values, want.values)
 
-    def test_source_and_data_equal_the_two_step_reference(self, ring_solution):
-        # fold the data into the source by the inline reference, solve, then
-        # put the data back off the interior
-        grid, _ = ring_solution
-        data = gr.ring_dirichlet_data(grid)
-        source = np.random.default_rng(3).random(grid.shape)
-        want = gr.solve_dirichlet(grid, source=source + reference_fold(grid, data))
-        got = gr.solve_dirichlet(grid, data.copy(), source=source)
-        assert got.stats == want.stats
-        assert np.array_equal(got.values[grid.interior], want.values[grid.interior])
-        assert np.array_equal(got.values[~grid.interior], data[~grid.interior])
-
-    def test_a_failed_solve_gives_its_data_back(self, ring_solution):
+    def test_a_failed_solve_gives_its_data_back(self, ring_solution, monkeypatch):
         grid, _ = ring_solution
         data = gr.ring_dirichlet_data(grid)
         given = data.copy()
+        monkeypatch.setattr(gr, "MAX_ITERATIONS", 3)
         with pytest.raises(gr.SolverError, match="iteration cap"):
-            gr.solve_dirichlet(grid, data, maxiter=3)
+            gr.solve_dirichlet(grid, data)
         assert np.array_equal(data[~grid.interior], given[~grid.interior])
 
     def test_unread_data_changes_nothing_and_comes_back(self, ring_solution):
@@ -505,7 +495,7 @@ class TestSolveMemory:
         del data
         assert sol.stats.iterations > 1
         assert peak <= allowed
-        # green_function allocates its source before the solve starts
+        # green_function allocates its right-hand side and its solution
         G, peak = self.traced_peak(lambda: gr.green_function(grid, (1.2, 0.0)))
         assert G.stats.iterations > 1
         assert peak <= allowed + 8 * grid.interior.size
@@ -606,7 +596,7 @@ class TestFastPoisson:
         assert peak < 0.1 * 8 * shape[0] * shape[1]
 
 
-def reference_pcg(u, b, interior, hx, hy, tol, maxiter):
+def reference_pcg(u, b, interior, hx, hy, tol):
     """The full-grid preconditioned CG that the wall-layer solve replaced.
 
     ``u`` is zero on the interior and holds the Dirichlet data elsewhere;
@@ -628,7 +618,7 @@ def reference_pcg(u, b, interior, hx, hy, tol, maxiter):
     w = np.empty_like(b)
     rz = gr._dot(r, p)
     r_norm = b_norm
-    for it in range(1, maxiter + 1):
+    for it in range(1, gr.MAX_ITERATIONS + 1):
         gr._apply_neg_laplacian(p, interior, hx, hy, out=w)
         alpha = rz / gr._dot(p, w)
         w *= alpha
@@ -643,8 +633,8 @@ def reference_pcg(u, b, interior, hx, hy, tol, maxiter):
         p *= rz_new / rz
         p += w
         rz = rz_new
-    raise gr.SolverError(f"conjugate gradients hit the iteration cap of {maxiter} iterations; "
-                         f"relative residual {r_norm / b_norm:.3e}")
+    raise gr.SolverError(f"conjugate gradients hit the iteration cap of {gr.MAX_ITERATIONS} "
+                         f"iterations; relative residual {r_norm / b_norm:.3e}")
 
 
 SQUARE_RING_DOMAIN = geo.ConvexRing(geo.square_body(2.0), geo.square_body(0.5))
@@ -654,14 +644,14 @@ def ring_problem(h, half=2.0):
     grid = gr.build_grid(SQUARE_RING_DOMAIN, geo.WindowBox((-half, -half), (half, half)), h)
     data = gr.ring_dirichlet_data(grid)
     rhs = np.where(grid.interior, reference_fold(grid, data), 0.0)
-    return grid, lambda: (data.copy(), None), rhs, 1e-10
+    return grid, lambda: gr.solve_dirichlet(grid, data.copy()), rhs, 1e-10
 
 
 def green_problem(domain, s, h):
     grid = gr.build_grid(domain, domain.truncation_window(s), h)
     source = np.zeros(grid.shape)
     source[grid.node_index((s, 0.0))] = 1.0 / (grid.hx * grid.hy)
-    return grid, lambda: (None, source.copy()), source, 1e-12
+    return grid, lambda: gr.green_function(grid, (s, 0.0)), source, 1e-12
 
 
 WALL_LAYER_CASES = {
@@ -680,10 +670,10 @@ WALL_LAYER_CASES = {
 class TestWallLayerSolve:
     @pytest.mark.parametrize("case", list(WALL_LAYER_CASES))
     def test_matches_the_full_grid_reference(self, case, monkeypatch):
-        grid, inputs, rhs, tol = WALL_LAYER_CASES[case]()
-        got = gr.solve_dirichlet(grid, *inputs(), tol=tol)
+        grid, solve, rhs, tol = WALL_LAYER_CASES[case]()
+        got = solve()
         monkeypatch.setattr(gr, "_cg", reference_pcg)
-        want = gr.solve_dirichlet(grid, *inputs(), tol=tol)
+        want = solve()
         assert abs(got.stats.iterations - want.stats.iterations) <= 1
         scale = np.abs(want.values).max()
         assert np.abs(got.values - want.values).max() <= 10 * tol * scale
@@ -697,7 +687,7 @@ class TestWallLayerSolve:
     def test_layer_steps_transform_only_the_wall_rows(self, monkeypatch):
         # the ring's inner square touches 103 of the 399 inner rows; only the
         # first and the last solve transform all of them
-        grid, inputs, _, tol = ring_problem(0.01)
+        grid, solve, _, _ = ring_problem(0.01)
         sizes = []
         dst1 = gr._dst1
 
@@ -706,7 +696,7 @@ class TestWallLayerSolve:
             return dst1(x, out, scale, rows)
 
         monkeypatch.setattr(gr, "_dst1", counted)
-        sol = gr.solve_dirichlet(grid, *inputs(), tol=tol)
+        sol = solve()
         inner = grid.shape[0] - 2
         assert inner == 399
         full = [n for n in sizes if n == inner]
@@ -719,8 +709,8 @@ class TestWallLayerSolve:
         # the first true residual is made to miss tol: the solve iterates on
         # from its unchanged right-hand side and still returns the reference
         # solution
-        grid, inputs, rhs, tol = green_problem(geo.HalfplaneMinusDisk(), 8.0, 0.05)
-        want = gr.solve_dirichlet(grid, *inputs(), tol=tol)
+        grid, solve, rhs, tol = green_problem(geo.HalfplaneMinusDisk(), 8.0, 0.05)
+        want = solve()
         residual_norm = gr._residual_norm
         calls = []
 
@@ -730,21 +720,21 @@ class TestWallLayerSolve:
             return norm + 1e-6 * np.linalg.norm(rhs) if len(calls) == 1 else norm
 
         monkeypatch.setattr(gr, "_residual_norm", spoiled_once)
-        data, source = inputs()
-        got = gr.solve_dirichlet(grid, data, source, tol=tol)
+        got, source = np.zeros(grid.shape), rhs.copy()
+        stats = gr._cg(got, source, grid.interior, grid.hx, grid.hy, tol=tol)
         assert np.array_equal(source, rhs)
         assert len(calls) == 2
-        assert got.stats.iterations == want.stats.iterations + 1
-        assert got.stats.residual <= tol
-        assert np.abs(got.values - want.values).max() <= 10 * tol * np.abs(want.values).max()
+        assert stats.iterations == want.stats.iterations + 1
+        assert stats.residual <= tol
+        assert np.abs(got - want.values).max() <= 10 * tol * np.abs(want.values).max()
 
     @pytest.mark.parametrize("case", ["strip", "exterior", "sqrt"])
     def test_a_green_solve_leaves_its_source_unchanged(self, case):
         # the solve only reads its right-hand side, so an iteration that goes
         # on after a missed true residual works on the exact one
-        grid, inputs, rhs, tol = WALL_LAYER_CASES[case]()
-        _, source = inputs()
-        gr.solve_dirichlet(grid, source=source, tol=tol)
+        grid, _, rhs, tol = WALL_LAYER_CASES[case]()
+        source = rhs.copy()
+        gr._cg(np.zeros(grid.shape), source, grid.interior, grid.hx, grid.hy, tol=tol)
         assert np.array_equal(source, rhs)
 
     def test_a_rectangle_that_misses_tol_raises(self, strip_grid):
@@ -752,7 +742,8 @@ class TestWallLayerSolve:
         source = np.zeros(strip_grid.shape)
         source[strip_grid.node_index((2.0, 0.0))] = 1.0
         with pytest.raises(gr.SolverError, match="leaves relative residual .* on a rectangle"):
-            gr.solve_dirichlet(strip_grid, source=source, tol=1e-20)
+            gr._cg(np.zeros(strip_grid.shape), source, strip_grid.interior, strip_grid.hx,
+                   strip_grid.hy, tol=1e-20)
 
 
 class TestGreenFunction:
@@ -1051,11 +1042,11 @@ class TestMirrorSymmetry:
         assert np.abs(G.values - G.values[:, ::-1]).max() <= 1e-12 * G.values.max()
 
     def test_green_solve_memory(self):
-        # u, b (the delta source itself, not a copy), the data off the
-        # interior and the boolean masks: 2.8 grid-sized float arrays (11.8
+        # u, b and the boolean masks: 2.5 grid-sized float arrays (11.8
         # before the solve ran on four float arrays, 7 with a copy of the
         # source, 5.9 with the Thomas sweep's pivot table, about 5 before the
-        # wall-layer solve, 3.6 with its work array)
+        # wall-layer solve, 3.6 with its work array, 2.8 with a copy of zero
+        # data)
         dom = geo.domain_from_config({"kind": "profile", "f": "sqrt"})
         grid = gr.build_grid(dom, dom.truncation_window(8.0), 0.02)
         assert grid.shape == (801, 401)
@@ -1067,7 +1058,7 @@ class TestMirrorSymmetry:
         finally:
             tracemalloc.stop()
         assert G.stats.iterations > 1
-        assert peak <= 5.5 * 8 * grid.interior.size
+        assert peak <= 2.6 * 8 * grid.interior.size
 
 
 class TestSuperlevelClouds:
