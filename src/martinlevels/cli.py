@@ -20,7 +20,7 @@ import random
 import sys
 import time
 import zlib
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -69,12 +69,6 @@ def _field(name):
 # levelsets
 # ---------------------------------------------------------------------------
 
-def _rounded_pairs(curve):
-    """Vertex (x, y) pairs rounded to 12 decimals by Python's ``round``."""
-    r = list(map(round, curve.vertices.ravel().tolist(), repeat(12)))
-    return list(zip(r[0::2], r[1::2]))
-
-
 def _csv_lines(k, curve):
     """``curve,level,x,y`` per vertex of curve number k, in the bytes the csv
     module writes for those rows (floats by their repr): one prefix for the
@@ -105,11 +99,11 @@ def cmd_levelsets(args):
         return 1
     payload = {"field": fld.name, "h": h,
                "window": [list(window.lower), list(window.upper)],
-               "curves": [{"level": c.level, "closed": c.closed, "points": _rounded_pairs(c)}
+               "curves": [{"level": c.level, "closed": c.closed, "points": c.vertices.tolist()}
                           for c in curves]}
     export.write_json(os.path.join(out, "levels.json"), payload)
-    export.write_csv_lines(os.path.join(out, "levels.csv"), ["curve", "level", "x", "y"],
-                           chain.from_iterable(_csv_lines(k, c) for k, c in enumerate(curves)))
+    export.write_csv(os.path.join(out, "levels.csv"), ["curve", "level", "x", "y"],
+                     chain.from_iterable(_csv_lines(k, c) for k, c in enumerate(curves)))
     export.write_svg_levels(os.path.join(out, "levels.svg"), curves, window,
                             title=f"level sets of {fld.name}")
     if args.verbose:

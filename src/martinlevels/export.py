@@ -84,14 +84,7 @@ def write_json(path, obj):
     _atomic_write(path, canonical_json(obj))
 
 
-def write_csv(path, header, rows):
-    """A header of plain names and rows of numbers, comma separated with CRLF
-    line ends, in the bytes the csv module writes for them (floats by their
-    repr, which is their str)."""
-    write_csv_lines(path, header, [",".join(map(str, row)) for row in rows])
-
-
-def write_csv_lines(path, header, lines):
+def write_csv(path, header, lines):
     """A header of plain names and lines already joined by commas, with CRLF
     line ends."""
     _atomic_write(path, "\r\n".join(chain([",".join(header)], lines)) + "\r\n", newline="")

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (CylinderDomain, GeometryError, HalfplaneMinusDisk, Sector,
-                       SectorMinusSlit, Strip, WindowBox, check_keys, parse_value)
+                       SectorMinusSlit, Strip, WindowBox, check_keys, nearest_distances,
+                       parse_value)
 
 
 class FieldError(ValueError):
@@ -328,24 +329,36 @@ def harmonicity_residual(field, p, h):
 
 #: rounds of n draws before a window short of interior points is an error
 SAMPLE_ROUNDS = 100
+#: wall samples along the longer side of the window, from which interior
+#: points keep clear (boundary_vanishing's default)
+WALL_SAMPLES = 200
 
 
 def interior_points(fld, n, rng):
     """The first n points drawn uniformly from the field's default window
-    (x, then y, from the seeded ``random.Random`` rng) that lie in the domain
-    farther than 0.05 from its boundary, shape ``(n, 2)``; a FieldError
-    naming the window if SAMPLE_ROUNDS rounds of n draws give fewer."""
-    lower, upper = np.array(fld.default_window.lower), np.array(fld.default_window.upper)
+    (x, then y, from the seeded ``random.Random`` rng) that lie in the open
+    domain farther than 0.05 + sqrt(2) s from every sample of
+    ``fld.domain.boundary_points(window, WALL_SAMPLES)``, shape ``(n, 2)``.
+    s = max(window extent)/(WALL_SAMPLES - 1) is the sampling lattice's
+    spacing: every wall point in the window lies within one cell diagonal of
+    a sample, sqrt(2) s for square cells (the shorter side's spacing is s up to
+    rounding to whole cells), so the points lie about 0.05 or farther from
+    the wall.  A FieldError naming the window if SAMPLE_ROUNDS rounds of n
+    draws give fewer."""
+    window = fld.default_window
+    lower, upper = np.array(window.lower), np.array(window.upper)
+    walls = fld.domain.boundary_points(window, WALL_SAMPLES)
+    margin = 0.05 + math.sqrt(2.0) * max(window.extent()) / (WALL_SAMPLES - 1)
     pts = np.empty((0, 2))
     for _ in range(SAMPLE_ROUNDS):
         p = lower + (upper - lower) * np.reshape([rng.random() for _ in range(2 * n)], (-1, 2))
         p = p[fld.domain.contains(p)]
-        pts = np.vstack([pts, p[fld.domain.boundary_distance(p) > 0.05]])
+        pts = np.vstack([pts, p[nearest_distances(p, walls) > margin]])
         if len(pts) >= n:
             return pts[:n]
     raise FieldError(f"field {fld.name!r}: {SAMPLE_ROUNDS * n} draws from the window "
                      f"{lower.tolist()} to {upper.tolist()} gave {len(pts)} of {n} points "
-                     f"0.05 inside the domain")
+                     f"{margin:.3g} clear of its wall samples")
 
 
 @dataclass
@@ -359,7 +372,7 @@ class BoundaryReport:
         return self.max_abs <= self.tol
 
 
-def boundary_vanishing(field, n_samples=200, tol=1e-8):
+def boundary_vanishing(field, n_samples=WALL_SAMPLES, tol=1e-8):
     """Max |u| over boundary samples in the default window, via the continuous extension of u."""
     pts = field.domain.boundary_points(field.default_window, n_samples)
     vals = np.abs(np.asarray(field.value(pts, check=False), dtype=float))

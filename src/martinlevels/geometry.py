@@ -52,21 +52,6 @@ class Domain:
         set, ``np.less_equal`` for its closure."""
         raise NotImplementedError
 
-    def boundary_distance(self, p):
-        """Distance to the boundary from points ``(..., 2)`` of the open set
-        (a :class:`GeometryError` if one lies outside it), on the domains
-        whose ``_distance(x, y)`` gives it in closed form (a GeometryError
-        naming the domain on the others)."""
-        p = np.asarray(p, dtype=float)
-        outside = ~np.asarray(self.contains(p))
-        if outside.any():
-            raise GeometryError(f"point {p[outside][0].tolist()} outside domain")
-        return np.array(self._distance(*self._split(p)))[()]
-
-    def _distance(self, x, y):
-        raise GeometryError(f"domain {self.kind or type(self).__name__!r} has no "
-                            f"closed-form boundary distance")
-
     def slice_at(self, t):
         raise GeometryError(f"domain kind {self.kind!r} has no slices")
 
@@ -374,9 +359,6 @@ class Strip(Domain):
     def _member(self, x, y, lt):
         return lt(0.0, x) & lt(np.abs(y), np.pi / 2)
 
-    def _distance(self, x, y):
-        return np.minimum(x, np.pi / 2 - np.abs(y))
-
     def slice_at(self, t):
         if t <= 0.0:
             raise GeometryError(f"slice at t={t} is empty")
@@ -402,9 +384,6 @@ class Sector(Domain):
     def _member(self, x, y, lt):
         return lt(np.abs(y) / self.slope, x)
 
-    def _distance(self, x, y):
-        return (x - np.abs(y) / self.slope) / math.sqrt(1.0 + 1.0 / self.slope ** 2)
-
     def slice_at(self, t):
         if t <= 0.0:
             raise GeometryError(f"slice at t={t} is empty")
@@ -414,10 +393,6 @@ class Sector(Domain):
         return WindowBox((0.0, -s), (2.0 * s, s))
 
 
-#: the slit [0, 1] as a two-vertex polygon, both of whose edges are the segment
-_SLIT = np.array([[0.0, 0.0], [1.0, 0.0]])
-
-
 class SectorMinusSlit(Sector):
     """{x > 0, |y| < x} minus the segment [0, 1] on the real axis."""
 
@@ -425,10 +400,6 @@ class SectorMinusSlit(Sector):
 
     def _member(self, x, y, lt):
         return super()._member(x, y, lt) & (lt(0.0, np.abs(y)) | lt(1.0, x))
-
-    def _distance(self, x, y):
-        d_slit = edge_distances(np.stack([x, y], axis=-1).reshape(-1, 2), _SLIT)[:, 0]
-        return np.minimum(super()._distance(x, y), d_slit.reshape(x.shape))
 
     def slice_at(self, t):
         if 0.0 < t <= 1.0:
@@ -443,9 +414,6 @@ class HalfplaneMinusDisk(Domain):
 
     def _member(self, x, y, lt):
         return lt(0.0, x) & lt(1.0, x * x + y * y)
-
-    def _distance(self, x, y):
-        return np.minimum(x, np.hypot(x, y) - 1.0)
 
     def slice_at(self, t):
         if t <= 0.0:
@@ -465,9 +433,6 @@ class CylinderDomain(Domain):
 
     def _member(self, x, y, lt):
         return lt(np.abs(y), 1.0)
-
-    def _distance(self, x, y):
-        return 1.0 - np.abs(y)
 
     def slice_at(self, t):
         return SliceSet(t, ((-1.0, 1.0),))
@@ -617,11 +582,23 @@ def strip_as_profile():
 
 
 # ---------------------------------------------------------------------------
-# Hausdorff distance
+# Nearest and Hausdorff distances
 # ---------------------------------------------------------------------------
 
-#: points per block of the Hausdorff distance matrix
-_HAUSDORFF_CHUNK = 2048
+#: points per block of a point-to-cloud distance matrix
+_CLOUD_CHUNK = 2048
+
+
+def nearest_distances(pts, cloud):
+    """Distance from each of the points ``(n, 2)`` to the nearest point of the
+    cloud ``(m, 2)`` (inf for an empty cloud), 2048 points at a time."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    cloud = np.asarray(cloud, dtype=float).reshape(-1, 2)
+    out = np.empty(len(pts))
+    for k in range(0, len(pts), _CLOUD_CHUNK):
+        d2 = np.sum((pts[k:k + _CLOUD_CHUNK, None, :] - cloud[None, :, :]) ** 2, axis=2)
+        out[k:k + _CLOUD_CHUNK] = np.sqrt(d2.min(axis=1, initial=np.inf))
+    return out
 
 
 def hausdorff_distance(cloud_a, cloud_b):
@@ -630,16 +607,7 @@ def hausdorff_distance(cloud_a, cloud_b):
     b = np.asarray(cloud_b, dtype=float).reshape(-1, 2)
     if a.size == 0 or b.size == 0:
         raise GeometryError("hausdorff distance needs nonempty clouds")
-
-    def directed(p, q):
-        worst = 0.0
-        for k in range(0, len(p), _HAUSDORFF_CHUNK):
-            blk = p[k:k + _HAUSDORFF_CHUNK]
-            d2 = np.sum((blk[:, None, :] - q[None, :, :]) ** 2, axis=2)
-            worst = max(worst, float(np.sqrt(d2.min(axis=1).max())))
-        return worst
-
-    return max(directed(a, b), directed(b, a))
+    return float(max(nearest_distances(a, b).max(), nearest_distances(b, a).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -218,19 +218,12 @@ def hull_boundary_deviation(points, hull):
     return dev
 
 
-def _gather_points(curve_or_cloud):
-    if isinstance(curve_or_cloud, (list, tuple)) and curve_or_cloud \
-            and isinstance(curve_or_cloud[0], LevelCurve):
-        return np.vstack([c.vertices for c in curve_or_cloud])
-    return np.atleast_2d(np.asarray(curve_or_cloud, dtype=float))
-
-
-def convexity_test(curve_or_cloud, closure=None, tol=1e-9, fld=None, level=None):
+def convexity_test(points, closure=None, tol=1e-9, fld=None, level=None):
     """Hull-deviation convexity certificate for a region-boundary sample.
 
     Parameters
     ----------
-    curve_or_cloud : list of LevelCurve, or (n, 2) array
+    points : (n, 2) array
         Boundary samples of the region under test.
     closure : None or (m, 2) array
         Extra points closing an open curve against its window (e.g. the
@@ -242,7 +235,7 @@ def convexity_test(curve_or_cloud, closure=None, tol=1e-9, fld=None, level=None)
         When given, non-convex verdicts carry a midpoint witness verified
         against the field: u(p) > c, u(q) > c, u(mid) <= c.
     """
-    pts = _gather_points(curve_or_cloud)
+    pts = np.asarray(points, dtype=float)
     if len(pts) < 8:
         raise LevelSetError("convexity test needs at least 8 points")
     hull_input = pts
@@ -363,7 +356,8 @@ def certify_level(fld, c, window, h):
     if not curves:
         return None
     closure = window_closure_points(window, fld, c)
-    return convexity_test(curves, closure=closure, tol=2.0 * h, fld=fld, level=c)
+    return convexity_test(np.vstack([cv.vertices for cv in curves]), closure=closure,
+                          tol=2.0 * h, fld=fld, level=c)
 
 
 # ---------------------------------------------------------------------------

@@ -61,12 +61,12 @@ def slice_scan(fld, t, span=None):
 
     512 samples per slice interval (clipped to ``span`` when unbounded)
     followed by golden-section refinement around the best sample, position
-    tolerance 1e-8.
+    tolerance 1e-8.  A FieldError naming t when a value is not finite.
     """
     sl = fld.domain.slice_at(t)
     ys = sl.sample(512, span=span)
     ys = np.append(ys, 0.0) if sl.contains(0.0) else ys
-    vals = np.asarray(fld.value(_slice_points(t, ys)), dtype=float)
+    vals = _finite_values(fld, t, ys)
     k = int(np.argmax(vals))
     y_best = float(ys[k])
     step = float(np.min(np.diff(np.sort(ys)))) if len(ys) > 1 else 1e-3
@@ -80,6 +80,16 @@ def slice_scan(fld, t, span=None):
     center = float(fld.value(np.array([t, 0.0]))) if sl.contains(0.0) else None
     return SliceReport(t=float(t), argmax=(float(t), y_star), max_value=u_star,
                        center_value=center)
+
+
+def _finite_values(fld, t, ys):
+    """The field's values at the points (t, ys); a FieldError naming t, and
+    no floating-point warning, when one of them is not finite."""
+    with np.errstate(all="ignore"):
+        vals = np.asarray(fld.value(_slice_points(t, ys)), dtype=float)
+    if not np.isfinite(vals).all():
+        raise FieldError(f"field {fld.name!r} is not finite on the slice at t = {t:g}")
+    return vals
 
 
 def _golden_max(f, lo, hi, tol=1e-8):
@@ -108,7 +118,8 @@ def ray_monotonicity(fld, t, direction, length=None):
     endpoint excluded; a violation is the first step failing
     u_{k+1} < u_k - 1e-12 * max |u| (differences within the tolerance count
     as equality, hence as violations of strict decrease).  Raises
-    :class:`GeometryError` when no slice interval contains the axis point.
+    :class:`GeometryError` when no slice interval contains the axis point,
+    and a FieldError naming t when a value is not finite.
     """
     direction = float(np.sign(direction))
     if direction == 0.0:
@@ -121,7 +132,7 @@ def ray_monotonicity(fld, t, direction, length=None):
         raise GeometryError("unbounded slice ray needs an explicit length")
     length = end if length is None else min(float(length), end)
     ys = direction * length * (np.arange(512) / 512)   # endpoint excluded
-    vals = np.asarray(fld.value(_slice_points(t, ys)), dtype=float)
+    vals = _finite_values(fld, t, ys)
     tol = 1e-12 * float(np.abs(vals).max())
     bad = np.flatnonzero(~(vals[1:] < vals[:-1] - tol))
     if not len(bad):

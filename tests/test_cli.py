@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from itertools import chain
 
 import numpy as np
@@ -138,16 +139,25 @@ class TestLevelsets:
         curves = [cv for c in (0.5, 2.0, 8.0) for cv in
                   levelset.extract_level_curve(fld, c, fld.default_window, 0.01)]
         for c in curves:
-            ref = [[round(float(x), 12), round(float(y), 12)] for x, y in c.vertices]
-            assert list(map(list, cli._rounded_pairs(c))) == ref
-            assert export.canonical_json(cli._rounded_pairs(c)) == export.canonical_json(ref)
-        ref_rows = [(k, c.level, repr(float(x)), repr(float(y)))
-                    for k, c in enumerate(curves) for x, y in c.vertices]
-        export.write_csv(tmp_path / "ref.csv", ["curve", "level", "x", "y"], ref_rows)
-        export.write_csv_lines(tmp_path / "new.csv", ["curve", "level", "x", "y"],
-                               chain.from_iterable(cli._csv_lines(k, c)
-                                                   for k, c in enumerate(curves)))
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+            ref = [[float(x), float(y)] for x, y in c.vertices]
+            assert export.canonical_json(c.vertices.tolist()) == json.dumps(ref, indent=2) + "\n"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerows(
+            [("curve", "level", "x", "y")]
+            + [(k, c.level, float(x), float(y)) for k, c in enumerate(curves) for x, y in c.vertices])
+        export.write_csv(tmp_path / "new.csv", ["curve", "level", "x", "y"],
+                         chain.from_iterable(cli._csv_lines(k, c) for k, c in enumerate(curves)))
+        assert (tmp_path / "new.csv").read_bytes() == buf.getvalue().encode()
+
+    def test_levels_json_writes_each_vertex_as_its_repr(self, tmp_path):
+        cfg = write_config(tmp_path, "lv.json", STRIP_LEVELS)
+        assert cli.main(["levelsets", "--config", cfg, "--out", str(tmp_path)]) == 0
+        fld = fields.strip_martin()
+        window = geometry.WindowBox(*STRIP_LEVELS["window"])
+        curves = [cv for c in STRIP_LEVELS["levels"] for cv in
+                  levelset.extract_level_curve(fld, c, window, STRIP_LEVELS["h"])]
+        payload = json.load(open(tmp_path / "levels.json"))
+        assert [c["points"] for c in payload["curves"]] == [c.vertices.tolist() for c in curves]
 
     def test_benchmark_levels_csv_equals_the_csv_module_bytes(self, tmp_path):
         # the certify benchmark's levelsets config: 9,972 rows over six levels
@@ -186,12 +196,15 @@ class TestLevelsets:
 
 
 def reference_check_harmonicity(fld, rng, n=30):
-    """The per-point sampling and residual loop that the array check replaced."""
+    """The per-point sampling and residual loop that the array check replaced,
+    keeping each point farther than 0.05 + sqrt(2) s from every wall sample."""
     window = fld.default_window
+    walls = fld.domain.boundary_points(window, 200)
+    margin = 0.05 + math.sqrt(2.0) * max(window.extent()) / 199
     pts = []
     while len(pts) < n:
         p = np.asarray(tuple(rng.uniform(a, b) for a, b in zip(window.lower, window.upper)))
-        if fld.domain.contains(p) and fld.domain.boundary_distance(p) > 0.05:
+        if fld.domain.contains(p) and min(math.dist(p, w) for w in walls) > margin:
             pts.append(p)
     hs = [1e-2, 1e-3, 1e-4]
     maxres = [max([abs(fields.harmonicity_residual(fld, p, h)) for p in pts], default=0.0)
@@ -261,6 +274,30 @@ class TestAudit:
         got = cli._check_harmonicity(fld, random.Random(seed), {})
         assert got == reference_check_harmonicity(fld, random.Random(seed))
         assert got[0] is True
+
+    @pytest.mark.parametrize("profile, u", [
+        ("sqrt", lambda x, y: np.real(np.cosh(np.pi * np.sqrt(x + 1j * y - 0.25)))),
+        ("const", lambda x, y: np.sinh(np.pi * x / 2) * np.cos(np.pi * y / 2)),
+    ], ids=["parabola", "half-strip"])
+    def test_profile_region_fields_pass_the_harmonicity_and_boundary_checks(self, profile, u):
+        # the Martin functions of {t > 0, |y| < sqrt(t)} and {t > 0, |y| < 1};
+        # the two checks read values only, so no derivative is given
+        domain = geometry.domain_from_config({"kind": "profile", "f": profile})
+        fld = fields.HolomorphicReField(domain, u, None, None, profile,
+                                        default_window=geometry.WindowBox((0.0, -2.0), (3.0, 2.0)))
+        for name in ("harmonicity", "boundary_vanishing"):
+            passed, details = cli.AUDIT_CHECKS[name][0](fld, random.Random(zlib.crc32(name.encode())), {})
+            assert passed, (name, details)
+
+    def test_an_overflowing_slice_is_an_error_of_the_check(self, tmp_path):
+        # sinh(800) overflows: the check names t, no maximum is recorded and
+        # no floating-point warning is raised
+        cfg = write_config(tmp_path, "audit.json", {"field": "strip", "checks": [
+            {"name": "slice_maxima", "params": {"t": [1.0, 800.0]}}]})
+        assert cli.main(["audit", "--config", cfg, "--out", str(tmp_path)]) == 1
+        verdict = json.load(open(tmp_path / "report.json"))["verdicts"]["slice_maxima"]
+        assert verdict["details"] == {}
+        assert verdict["error"] == "FieldError: field 'strip' is not finite on the slice at t = 800"
 
     def test_required_failure_sets_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "audit.json", {
@@ -675,6 +712,12 @@ class TestSliceScanAndAsymptotics:
         one = payload["slices"]["1"]
         assert one["argmax"][1] == pytest.approx(0.0, abs=1e-6)
         assert all(r["decreasing"] for r in one["rays"])
+
+    def test_an_overflowing_slice_exits_1_and_writes_no_report(self, tmp_path, capsys):
+        argv = ["slice-scan", "--field", "strip", "--t", "1,800", "--out", str(tmp_path)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "error: field 'strip' is not finite on the slice at t = 800\n"
+        assert not (tmp_path / "slices.json").exists()
 
     def test_asymptotics_output(self, tmp_path):
         code = cli.main(["asymptotics", "--check", "f-decay,hess-residual",

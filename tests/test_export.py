@@ -35,7 +35,8 @@ def test_write_csv_matches_the_csv_module(tmp_path):
     rng = np.random.default_rng(9)
     rows += [(k, *map(float, rng.standard_normal(3) * 10.0 ** rng.integers(-12, 12)))
              for k in range(200)]
-    export.write_csv(tmp_path / "t.csv", ["curve", "level", "x", "y"], iter(rows))
+    export.write_csv(tmp_path / "t.csv", ["curve", "level", "x", "y"],
+                     (",".join(map(str, row)) for row in rows))
     assert (tmp_path / "t.csv").read_bytes() == csv_module_bytes(["curve", "level", "x", "y"],
                                                                  rows)
 
@@ -111,7 +112,7 @@ def test_reports_get_the_mode_a_plain_open_gives(tmp_path, umask, mode):
     old = os.umask(umask)
     try:
         export.write_json(tmp_path / "r.json", {"a": 1.0})
-        export.write_csv(tmp_path / "r.csv", ["x"], [(1.0,)])
+        export.write_csv(tmp_path / "r.csv", ["x"], ["1.0"])
         export.write_svg_levels(tmp_path / "r.svg", [], geo.WindowBox((0.0, 0.0), (1.0, 1.0)))
         open(tmp_path / "plain", "w").close()
     finally:

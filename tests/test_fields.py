@@ -16,17 +16,17 @@ ALL_MARTIN = ["strip", "exterior", "slit_sector"]
 
 
 def random_interior_points(fld, n, seed=0):
+    """n points drawn from numpy's generator by interior_points's rule: in the
+    open domain, farther than 0.05 + sqrt(2) s from every wall sample."""
     rng = np.random.default_rng(seed)
     w = fld.default_window
+    walls = fld.domain.boundary_points(w, flds.WALL_SAMPLES)
+    margin = 0.05 + math.sqrt(2.0) * max(w.extent()) / (flds.WALL_SAMPLES - 1)
     pts = []
     while len(pts) < n:
         p = np.array([rng.uniform(w.lower[0], w.upper[0]), rng.uniform(w.lower[1], w.upper[1])])
-        if fld.domain.contains(p):
-            try:
-                if fld.domain.boundary_distance(p) > 0.05:
-                    pts.append(p)
-            except geo.GeometryError:
-                continue
+        if fld.domain.contains(p) and np.hypot(*(walls - p).T).min() > margin:
+            pts.append(p)
     return pts
 
 

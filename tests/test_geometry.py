@@ -1,11 +1,13 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from martinlevels import fields as flds
 from martinlevels import geometry as geo
 
 
@@ -32,7 +34,7 @@ class TestContainment:
 
     def test_dimension_mismatch(self, strip):
         with pytest.raises(geo.GeometryError):
-            strip.boundary_distance((1.0, 0.0, 0.0))
+            strip.contains((1.0, 0.0, 0.0))
 
     def test_vectorized_containment(self, strip):
         pts = np.array([[[1.0, 0.0], [-1.0, 0.0]], [[2.0, 1.0], [2.0, 2.0]]])
@@ -207,50 +209,44 @@ class TestMembershipContract:
 
 
 class TestBoundaryDistance:
-    def test_strip_axis_point(self, strip):
-        # the left wall at distance 1 is closer than the lines y = +-pi/2
-        assert strip.boundary_distance((1.0, 0.0)) == pytest.approx(1.0)
+    """The per-point wall distances of :func:`reference_boundary_distance`,
+    by which the harmonicity sampler's clearance is judged, at known points
+    and against the wall samples that membership alone gives."""
 
-    def test_strip_deep_point(self, strip):
-        assert strip.boundary_distance((4.0, 0.0)) == pytest.approx(np.pi / 2)
+    def test_strip_axis_point(self):
+        # the left wall at distance 1 is closer than the lines y = +-pi/2
+        assert reference_boundary_distance("strip", 1.0, 0.0) == pytest.approx(1.0)
+
+    def test_strip_deep_point(self):
+        assert reference_boundary_distance("strip", 4.0, 0.0) == pytest.approx(np.pi / 2)
 
     def test_halfplane_minus_disk(self):
-        assert geo.HalfplaneMinusDisk().boundary_distance((2.0, 0.0)) == pytest.approx(1.0)
+        assert reference_boundary_distance("halfplane_minus_disk", 2.0, 0.0) == pytest.approx(1.0)
 
-    def test_strip_near_wall(self, strip):
-        assert strip.boundary_distance((0.1, 1.0)) == pytest.approx(0.1)
+    def test_strip_near_wall(self):
+        assert reference_boundary_distance("strip", 0.1, 1.0) == pytest.approx(0.1)
 
-    def test_outside_raises(self, strip):
-        with pytest.raises(geo.GeometryError):
-            strip.boundary_distance((-1.0, 0.0))
-
-    def test_positive_distance_implies_containment(self, strip):
+    def test_positive_distance_implies_containment(self):
         rng = np.random.default_rng(11)
-        for dom in (strip, geo.HalfplaneMinusDisk()):
+        for kind in ("strip", "halfplane_minus_disk"):
+            dom = geo.domain_from_config(kind)
             for _ in range(50):
                 p = (rng.uniform(0.1, 5.0), rng.uniform(-1.5, 1.5))
-                try:
-                    d = dom.boundary_distance(p)
-                except geo.GeometryError:
-                    continue
-                if d > 0.0:
+                if reference_boundary_distance(kind, *p) > 0.0:
                     assert dom.contains(p)
-
-    @pytest.mark.parametrize("dom, p, name", [
-        (geo.domain_from_config({"kind": "profile", "f": "sqrt"}), (0.5, 0.1), "profile"),
-        (geo.domain_from_config(RING), (1.2, 0.0), "convex_ring"),
-        (BODIES_WINDOWS_RING["ngon-body"], (0.5, 0.1), "ConvexBody"),
-        (BODIES_WINDOWS_RING["symmetric-window"], (0.5, 0.1), "WindowBox"),
-    ], ids=["sqrt-profile", "ring", "body", "window"])
-    def test_no_closed_form_is_a_geometry_error(self, dom, p, name):
-        assert dom.contains(p)
-        with pytest.raises(geo.GeometryError, match=f"domain '{name}' has no closed-form"):
-            dom.boundary_distance(p)
 
     @pytest.mark.parametrize("kind", ["strip", "right_halfplane", "sector", "sector_minus_slit",
                                       "halfplane_minus_disk", "cylinder"])
     def test_array_matches_per_point_formulas(self, kind):
+        # every sample lies on the wall, at most a float step outside the open
+        # set, and every wall point in the window lies within one lattice cell
+        # diagonal of a sample; the nearest wall point of a point deeper than
+        # its distance inside the window lies in the window.  The y-symmetric
+        # window puts a lattice row on the slit.
         dom = geo.domain_from_config(kind)
+        window = geo.WindowBox((-1.5, -4.0), (5.0, 4.0))
+        xs, ys = window.lattice(max(window.extent()) / 199)
+        diagonal = math.hypot(np.diff(xs).max(), np.diff(ys).max())
         rng = np.random.default_rng(17)
         pts = np.vstack([rng.uniform([-0.5, -3.0], [4.0, 3.0], size=(4000, 2)),
                          # around the slit [0, 1] x {0}, its tip and the corner
@@ -258,27 +254,29 @@ class TestBoundaryDistance:
                          [[0.5, 1e-12], [1.0 + 1e-9, 0.0], [1e-9, 0.0], [0.3, -1e-300]]])
         pts = pts[dom.contains(pts)]
         ref = np.array([reference_boundary_distance(kind, x, y) for x, y in pts])
-        got = dom.boundary_distance(pts)
-        assert got.shape == (len(pts),)
-        # np.hypot and math.hypot may round the last bit of hypot(x, y) = d + 1 apart
-        assert np.all(np.abs(got - ref) <= np.spacing(ref + 1.0))
-        if kind != "halfplane_minus_disk":
-            assert np.array_equal(got, ref)
-        grid = pts[:12].reshape(3, 4, 2)
-        assert np.array_equal(dom.boundary_distance(grid), got[:12].reshape(3, 4))
-        assert dom.boundary_distance(pts[0]) == got[0]
-        with pytest.raises(geo.GeometryError, match="outside"):
-            dom.boundary_distance(np.vstack([pts[:5], [[-1.0, 5.0]], pts[5:9]]))
+        got = geo.nearest_distances(pts, dom.boundary_points(window, 200))
+        assert np.all(got >= ref - 1e-12)
+        assert np.all(got[ref < 1.0] <= ref[ref < 1.0] + diagonal)
+
+    @pytest.mark.parametrize("name", flds.FIELDS)
+    def test_interior_points_clear_the_wall(self, name):
+        # the harmonicity sampler keeps clear of membership-derived wall
+        # samples only; by the closed-form distances it keeps 0.05 from the wall
+        fld = flds.field_from_name(name)
+        nearest = min(reference_boundary_distance(fld.domain.kind, x, y) for seed in range(50)
+                      for x, y in flds.interior_points(fld, 30, random.Random(seed)))
+        assert nearest > 0.05
 
 
 def reference_boundary_distance(kind, x, y):
-    """The per-point boundary distances the array forms replaced."""
+    """The distance from a point (x, y) of the open domain to its wall, by
+    closed-form per-point formulas."""
     rays = (x - abs(y)) / math.sqrt(2.0)
     return float({"strip": lambda: min(x, np.pi / 2 - abs(y)),
                   "right_halfplane": lambda: x,
                   "sector": lambda: rays,
-                  "sector_minus_slit": lambda: min(rays, geo.edge_distances(
-                      np.array([[x, y]]), geo._SLIT)[0, 0]),
+                  "sector_minus_slit": lambda: min(rays, reference_point_segment_distance(
+                      np.array([x, y]), np.zeros(2), np.array([1.0, 0.0]))),
                   "halfplane_minus_disk": lambda: min(x, math.hypot(x, y) - 1.0),
                   "cylinder": lambda: 1.0 - abs(y)}[kind]())
 
@@ -309,17 +307,15 @@ class TestEdgeDistances:
         assert np.max(np.abs(got - ref)) <= 1e-15 * 8 * scale
 
     def test_slit_distance(self):
-        dom = geo.SectorMinusSlit()
-        a, b = np.zeros(2), np.array([1.0, 0.0])
+        # the slit [0, 1] as a two-vertex polygon, both of whose edges are the segment
+        slit = np.array([[0.0, 0.0], [1.0, 0.0]])
+        a, b = slit
         rng = np.random.default_rng(9)
-        for x, y in rng.uniform([0.05, -1.0], [3.0, 1.0], size=(200, 2)):
-            if not dom.contains((x, y)):
-                continue
-            ref = min((x - abs(y)) / math.sqrt(2.0),
-                      reference_point_segment_distance(np.array([x, y]), a, b))
-            assert abs(dom.boundary_distance((x, y)) - ref) <= 1e-15 * 4
-        assert dom.boundary_distance((0.5, 0.1)) == pytest.approx(0.1)
-        assert dom.boundary_distance((1.2, 0.1)) == pytest.approx(math.hypot(0.2, 0.1))
+        pts = rng.uniform([0.05, -1.0], [3.0, 1.0], size=(200, 2))
+        ref = np.array([reference_point_segment_distance(p, a, b) for p in pts])
+        assert np.all(np.abs(geo.edge_distances(pts, slit) - ref[:, None]) <= 1e-15 * 4)
+        assert geo.edge_distances(np.array([[0.5, 0.1], [1.2, 0.1]]), slit)[:, 0] == \
+            pytest.approx([0.1, math.hypot(0.2, 0.1)])
 
 
 class TestSupportFunction:
@@ -482,6 +478,15 @@ class TestHausdorff:
     def test_empty_raises(self):
         with pytest.raises(geo.GeometryError):
             geo.hausdorff_distance(np.empty((0, 2)), [[1.0, 2.0]])
+
+    def test_nearest_distances_match_the_per_pair_minimum(self, monkeypatch):
+        # blocks of 7 points, so the 30 points span five blocks
+        monkeypatch.setattr(geo, "_CLOUD_CHUNK", 7)
+        rng = np.random.default_rng(4)
+        pts, cloud = rng.normal(size=(30, 2)), rng.normal(size=(11, 2))
+        ref = [min(math.dist(p, q) for q in cloud) for p in pts]
+        assert geo.nearest_distances(pts, cloud) == pytest.approx(ref, rel=1e-15)
+        assert geo.nearest_distances(pts, np.empty((0, 2))).tolist() == [math.inf] * 30
 
     def test_rescaled_sqrt_vs_cylinder(self, sqrt_profile):
         rd = geo.rescaled_domain(sqrt_profile, 400.0)

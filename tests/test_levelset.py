@@ -125,7 +125,8 @@ class TestConvexityTest:
         for c in (0.5, 1.0, 2.0, 5.0):
             curves = ls.extract_level_curve(s, c, w, h)
             closure = ls.window_closure_points(w, s, c)
-            rep = ls.convexity_test(curves, closure=closure, tol=2 * h, fld=s, level=c)
+            rep = ls.convexity_test(np.vstack([cv.vertices for cv in curves]), closure=closure,
+                                    tol=2 * h, fld=s, level=c)
             assert rep.verdict == "convex", f"c={c}: {rep.hull_deviation}"
 
     def test_hull_idempotence(self):
@@ -144,7 +145,8 @@ class TestConvexityTest:
         c = 1.5
         curves = ls.extract_level_curve(e, c, w, 0.02)
         closure = ls.window_closure_points(w, e, c)
-        rep = ls.convexity_test(curves, closure=closure, tol=0.04, fld=e, level=c)
+        rep = ls.convexity_test(np.vstack([cv.vertices for cv in curves]), closure=closure,
+                                tol=0.04, fld=e, level=c)
         assert rep.verdict == "non_convex"
         assert rep.witness_verified
         p, q, mid = (np.asarray(v) for v in rep.witness)
@@ -164,7 +166,8 @@ class TestConvexityTest:
         curves = ls.extract_level_curve(e, c, w, 0.02)
         closure = ls.window_closure_points(w, e, c)
         with pytest.raises(TypeError, match="broken gradient"):
-            ls.convexity_test(curves, closure=closure, tol=0.04, fld=e, level=c)
+            ls.convexity_test(np.vstack([cv.vertices for cv in curves]), closure=closure,
+                              tol=0.04, fld=e, level=c)
 
     def test_certificates_agree_where_form_is_negative(self):
         # strictly negative tangent form along the whole extracted curve
@@ -178,7 +181,7 @@ class TestConvexityTest:
         forms = [ls.tangent_hessian_form(u, p) for p in pts[::5]]
         assert max(forms) < -1e-6
         closure = ls.window_closure_points(w, u, c)
-        rep = ls.convexity_test(curves, closure=closure, tol=2 * h)
+        rep = ls.convexity_test(pts, closure=closure, tol=2 * h)
         assert rep.verdict == "convex"
 
     def test_scale_invariance_of_verdicts(self):
@@ -188,8 +191,10 @@ class TestConvexityTest:
         for kappa in (0.125, 7.5):
             scaled = ScaledField(base, kappa)
             for c in (0.5, 2.0):
-                r1 = ls.convexity_test(ls.extract_level_curve(base, c, w, h), tol=2 * h)
-                r2 = ls.convexity_test(ls.extract_level_curve(scaled, kappa * c, w, h), tol=2 * h)
+                r1, r2 = (ls.convexity_test(np.vstack([cv.vertices for cv in
+                                                       ls.extract_level_curve(f, level, w, h)]),
+                                            tol=2 * h)
+                          for f, level in ((base, c), (scaled, kappa * c)))
                 assert r1.verdict == r2.verdict
 
 

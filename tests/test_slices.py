@@ -36,6 +36,16 @@ class TestSliceScan:
             if all(r.decreasing for r in rays):
                 assert abs(rep.argmax[1]) <= 1e-6
 
+    def test_a_value_that_is_not_finite_is_a_field_error(self):
+        # sinh(800) overflows; under the suite's warnings-as-errors config an
+        # overflow warning would fail this test before the check
+        fld = flds.strip_martin()
+        with pytest.raises(flds.FieldError, match=r"not finite on the slice at t = 800$"):
+            sa.slice_scan(fld, 800.0)
+        for direction in (+1.0, -1.0):
+            with pytest.raises(flds.FieldError, match=r"not finite on the slice at t = 800$"):
+                sa.ray_monotonicity(fld, 800.0, direction)
+
     def test_unbounded_slice_needs_span(self):
         with pytest.raises(geo.GeometryError):
             sa.slice_scan(flds.exterior_martin(), 2.0)
