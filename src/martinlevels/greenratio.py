@@ -76,19 +76,22 @@ def build_grid(domain, window, h):
 
     Raises when the interior is empty or disconnected, when h is not
     positive or too coarse for the window (h must be <= extent / 16), or
-    when the mask and three float arrays (a solve holds two) would exceed
-    memory.
+    when the mask and three float arrays would exceed memory (a solve holds
+    one: its data array becomes the solution).  Besides the interior mask,
+    the classification holds two boolean masks and no integer grid.
     """
     if h > min(window.extent()) / 16.0:
         raise GeometryError(f"grid spacing h={h} too coarse for window extent {window.extent()}")
     xs, ys = window.lattice(h, 1 + 3 * 8, "a grid's mask and solve arrays")
     hx = float((xs[-1] - xs[0]) / (len(xs) - 1))
     hy = float((ys[-1] - ys[0]) / (len(ys) - 1))
-    in_closure = lattice_mask(xs, ys, domain.contains_closure)
+    outside = lattice_mask(xs, ys, domain.contains_closure)
+    np.logical_not(outside, out=outside)
     interior = lattice_mask(xs, ys, domain.contains)
     interior[0, :] = interior[-1, :] = False
     interior[:, 0] = interior[:, -1] = False
-    interior &= ~_has_neighbor_in(~in_closure)
+    interior[_has_neighbor_in(outside)] = False
+    del outside
     if not interior.any():
         raise GeometryError("grid has no interior nodes")
     if not _connected(interior):
@@ -112,18 +115,23 @@ def _connected(interior):
     Nodes are grouped into runs along axis 1.  Runs in adjacent rows touch
     where both rows are True; each maximal such overlap segment contributes
     one edge between two runs, and a union-find over those few edges counts
-    the components.
+    the components.  A node's run is the last run start at or before its
+    flat index, so no grid of run ids is made.
     """
     starts = interior.copy()
     starts[:, 1:] &= ~interior[:, :-1]
-    n_runs = int(np.count_nonzero(starts))
+    first = np.flatnonzero(starts)
+    del starts
+    n_runs = len(first)
     if n_runs == 0:
         return False
-    run = np.cumsum(starts, axis=None).reshape(interior.shape) - 1
     both = interior[:-1] & interior[1:]
     seg = both.copy()
     seg[:, 1:] &= ~both[:, :-1]
-    ii, jj = np.nonzero(seg)
+    del both
+    above = np.flatnonzero(seg)         # flat indices in interior of the segments' upper nodes
+    run_above = np.searchsorted(first, above, side="right") - 1
+    run_below = np.searchsorted(first, above + interior.shape[1], side="right") - 1
     parent = list(range(n_runs))
 
     def root(a):
@@ -133,7 +141,7 @@ def _connected(interior):
         return a
 
     components = n_runs
-    for a, b in zip(run[ii, jj].tolist(), run[ii + 1, jj].tolist()):
+    for a, b in zip(run_above.tolist(), run_below.tolist()):
         ra, rb = root(a), root(b)
         if ra != rb:
             parent[ra] = rb
@@ -202,6 +210,22 @@ class GridField(ScalarField):
 _BLOCK = 64
 
 
+def _neg_laplacian_terms(centre, east, west, north, south, hx2, hy2, ax, ay, out):
+    """(2 c - e - w) / hx2 + (2 c - n - s) / hy2 into ``out``, through the
+    buffers ``ax`` and ``ay`` (``out`` may be ``ax``): the 5-point arithmetic
+    of :func:`_apply_neg_laplacian` and of :func:`_dirichlet_fold`, stated
+    once so that both round alike."""
+    np.multiply(centre, 2.0, out=ax)
+    ax -= east
+    ax -= west
+    ax /= hx2
+    np.multiply(centre, 2.0, out=ay)
+    ay -= north
+    ay -= south
+    ay /= hy2
+    return np.add(ax, ay, out=out)
+
+
 def _apply_neg_laplacian(v, interior, hx, hy, out=None):
     """The 5-point -lap of v on the interior nodes, 0 elsewhere, into ``out``
     (a new array when None; it must not be ``v``).
@@ -218,18 +242,9 @@ def _apply_neg_laplacian(v, interior, hx, hy, out=None):
     out[:, 0] = out[:, -1] = 0.0
     for i in range(1, nx + 1, _BLOCK):
         k = min(_BLOCK, nx + 1 - i)
-        centre = v[i:i + k, 1:-1]
-        ax, ay = scratch[:, :k]
-        np.multiply(centre, 2.0, out=ax)
-        ax -= v[i + 1:i + k + 1, 1:-1]
-        ax -= v[i - 1:i + k - 1, 1:-1]
-        ax /= hx2
-        np.multiply(centre, 2.0, out=ay)
-        ay -= v[i:i + k, 2:]
-        ay -= v[i:i + k, :-2]
-        ay /= hy2
         o = out[i:i + k, 1:-1]
-        np.add(ax, ay, out=o)
+        _neg_laplacian_terms(v[i:i + k, 1:-1], v[i + 1:i + k + 1, 1:-1], v[i - 1:i + k - 1, 1:-1],
+                             v[i:i + k, 2:], v[i:i + k, :-2], hx2, hy2, *scratch[:, :k], o)
         o[~interior[i:i + k, 1:-1]] = 0.0
     return out
 
@@ -362,26 +377,42 @@ def solve_dirichlet(grid, boundary_values, tol=1e-10):
     (the discrete maximum principle bounds interior values by it there) and
     returned bit for bit, also when the solve raises.  The array is consumed:
     a writable C-contiguous float64 array becomes the solution, anything else
-    is copied once.  The data is folded into the right-hand side and waits
-    in a copy of its values off the interior while :func:`_cg` uses the
-    array as its work array, so the solve keeps two grid-sized float arrays,
-    the data among them.  The returned field's ``stats``, and the
-    :class:`SolverError` of a solve that cannot reach ``tol``, are those of
-    :func:`_cg`.
+    is copied once.  The data folds into a right-hand side on the interior
+    nodes next to it (:func:`_dirichlet_fold`) and waits in a copy of its
+    values off the interior while :func:`_cg` uses the array as its work
+    array, so the data array is the solve's one grid-sized float array.
+    The returned field's ``stats``, and the :class:`SolverError` of a solve
+    that cannot reach ``tol``, are those of :func:`_cg`.
     """
-    interior, hx, hy = grid.interior, grid.hx, grid.hy
+    interior = grid.interior
     u = np.require(boundary_values, dtype=float, requirements="CW")
     u[interior] = 0.0
-    # fold Dirichlet neighbors into the right-hand side (u is 0 on the interior)
-    rhs = _apply_neg_laplacian(u, interior, hx, hy)
-    np.subtract(0.0, rhs, out=rhs)      # 0 - fold, not -fold: no negative zeros
-    rhs[~interior] = 0.0
+    b = _dirichlet_fold(u, interior, grid.hx, grid.hy)
     data = u[~interior]
     try:
-        stats = _cg(u, rhs, interior, hx, hy, tol=tol)
+        stats = _cg(u, b, interior, grid.hx, grid.hy, tol=tol)
     finally:
         u[~interior] = data
     return GridField(grid, u, stats=stats)
+
+
+def _dirichlet_fold(u, interior, hx, hy):
+    """The right-hand side that the values of u off the interior fold into,
+    for u zero on the interior, as the pair (nodes, values) that :func:`_cg`
+    takes: ``nodes`` are the sorted flat indices of the interior nodes with
+    a non-interior 4-neighbour (the window edge's nodes are non-interior),
+    and ``values`` is 0 - (-lap u) there, bit for bit the whole-grid
+    :func:`_apply_neg_laplacian` of u on those nodes; it is 0 on the rest
+    of the interior.
+    """
+    near = _has_neighbor_in(~interior)
+    near &= interior
+    nodes = np.flatnonzero(near)
+    v, ny = u.ravel(), u.shape[1]
+    ax, ay = np.empty((2, len(nodes)))
+    _neg_laplacian_terms(v[nodes], v[nodes + ny], v[nodes - ny], v[nodes + 1], v[nodes - 1],
+                         hx ** 2, hy ** 2, ax, ay, ax)
+    return nodes, np.subtract(0.0, ax, out=ax)  # 0 - fold, not -fold: no negative zeros
 
 
 def _dot(a, b):
@@ -432,20 +463,26 @@ class _WallLayer:
 
 
 def _residual_norm(u, b, interior, hx, hy):
-    """||b - A u|| over the interior nodes, for u zero off the interior.
+    """||b - A u|| over the interior nodes, for u zero off the interior and
+    b the (nodes, values) pair of :func:`_cg`.
 
     A u is formed by :func:`_apply_neg_laplacian` on slabs of 64 rows of u
-    with one halo row on each side, so no grid-sized array is made.
+    with one halo row on each side and negated in place; b's values on the
+    slab are then added in, so no grid-sized array is made.
     """
+    nodes, values = b
     total = 0.0
-    m = u.shape[0] - 1
-    slab = np.empty((min(m + 1, _BLOCK + 2), u.shape[1]))
+    m, ny = u.shape[0] - 1, u.shape[1]
+    slab = np.empty((min(m + 1, _BLOCK + 2), ny))
     for i in range(1, m, _BLOCK):
         k = min(_BLOCK, m - i)
         s = slab[:k + 2]
         _apply_neg_laplacian(u[i - 1:i + k + 1], interior[i - 1:i + k + 1], hx, hy, out=s)
-        np.subtract(b[i:i + k], s[1:-1], out=s[1:-1])
-        total += _dot(s[1:-1], s[1:-1])
+        r = s[1:-1]
+        np.negative(r, out=r)
+        lo, hi = np.searchsorted(nodes, (i * ny, (i + k) * ny))
+        r.ravel()[nodes[lo:hi] - i * ny] += values[lo:hi]
+        total += _dot(r, r)
     return math.sqrt(total)
 
 
@@ -460,7 +497,9 @@ def _cg(u, b, interior, hx, hy, tol):
 
     ``u`` is the work array of every fast-Poisson solve: its entries are not
     read, and on return it holds the solution on the interior and 0 off it.
-    ``b`` is zero off the interior and is only read.  Returns the
+    ``b`` is the pair (nodes, values): the sorted flat indices of the
+    interior nodes where the right-hand side may be nonzero and its values
+    there, 0 on every other node; it is only read.  Returns the
     :class:`SolveStats` once the true relative residual ||b - A u|| / ||b||
     is <= tol: 1 iteration for the first full solve plus one per wall-layer
     step, and that residual.  Raises :class:`SolverError` naming the cap
@@ -477,19 +516,24 @@ def _cg(u, b, interior, hx, hy, tol):
     on the rows that S holds and back only on the rows that S or its
     E-neighbours hold, and vector work on S.  The solution u0 + M(sum of
     alpha_k q_k) is one more full solve, skipped when u0 meets tol.  The
-    true residual is tested once the residual on S meets tol; while it
-    misses tol, the iteration goes on from the unchanged b and tests it
-    again after each step.  A domain that fills the inner rectangle has no
-    layer: one full solve.  Besides u and b, the preconditioner holds only
-    64-row blocks and vectors of length ny per reduction level, and the
-    wall layer vectors on its nodes.
+    two full solves start from b scattered into u.  The true residual is
+    tested once the residual on S meets tol; while it misses tol, the
+    iteration goes on from the unchanged b and tests it again after each
+    step.  A domain that fills the inner rectangle has no layer: one full
+    solve.  u is the one grid-sized float array: besides it and b, the
+    solve holds boolean masks while it finds the layer, 64-row blocks,
+    vectors of length ny per reduction level and the wall layer vectors
+    on its nodes.
     """
-    b_norm = math.sqrt(_dot(b, b))
+    nodes, values = b
+    b_norm = math.sqrt(_dot(values, values))
     if b_norm == 0.0:
         u.fill(0.0)
         return SolveStats(iterations=0, residual=0.0)
-    solve = _fast_poisson(b.shape, hx, hy)
-    solve(b, u)
+    solve = _fast_poisson(u.shape, hx, hy)
+    u.fill(0.0)
+    np.put(u, nodes, values)
+    solve(u, u)
     # E empty: nothing of the layer is built
     layer = None if interior[1:-1, 1:-1].all() else _WallLayer(interior, hx, hy)
     r = np.zeros(0) if layer is None else -layer.couple(u)
@@ -500,7 +544,8 @@ def _cg(u, b, interior, hx, hy, tol):
     while True:
         if r_norm <= tol * b_norm:
             if it > 1:                  # else u still holds u0 = M b
-                np.copyto(u, b)
+                u.fill(0.0)
+                np.put(u, nodes, values)
                 np.put(u, layer.nodes, np.take(u, layer.nodes) + total)
                 solve(u, u)
             u[~interior] = 0.0
@@ -536,17 +581,17 @@ def _cg(u, b, interior, hx, hy, tol):
 def green_function(grid, pole):
     """Discrete Green field: -lap G = delta_pole / h^2, zero Dirichlet data.
 
-    Zero data folds into nothing, so the one-node right-hand side and a zero
-    solution array go straight to :func:`_cg`.  Solved to relative residual
-    1e-12 so that the symmetry G_p(q) = G_q(p) holds to ~1e-12 relative.
+    Zero data folds into nothing, so the right-hand side is the pole node
+    alone, and :func:`_cg` solves into a new solution array, the only
+    grid-sized float array.  Solved to relative residual 1e-12 so that the
+    symmetry G_p(q) = G_q(p) holds to ~1e-12 relative.
     """
     i, j = grid.node_index(pole)
     if not (0 <= i < grid.shape[0] and 0 <= j < grid.shape[1]) or not grid.interior[i, j]:
         raise GeometryError(f"pole {pole} does not snap to an interior node")
-    rhs = np.zeros(grid.shape)
-    rhs[i, j] = 1.0 / (grid.hx * grid.hy)
-    u = np.zeros(grid.shape)
-    stats = _cg(u, rhs, grid.interior, grid.hx, grid.hy, tol=1e-12)
+    b = (np.array([i * grid.shape[1] + j]), np.array([1.0 / (grid.hx * grid.hy)]))
+    u = np.empty(grid.shape)
+    stats = _cg(u, b, grid.interior, grid.hx, grid.hy, tol=1e-12)
     return GridField(grid, u, name=f"green[{pole}]", stats=stats)
 
 
@@ -697,7 +742,11 @@ def martin_ratio(domain, cfg: MartinApproxConfig, h):
         g0 = ratio.value(x0)
         if g0 <= 0.0:
             raise SolverError(f"nonpositive Green value at the reference point for pole {s}")
-        ratio = GridField(ratio.grid, ratio.values / g0, name=f"ratio[{s}]", stats=ratio.stats)
+        # the pole's field is dropped here, and its array, which nothing else
+        # holds, is normalized in place: no second grid array
+        ratio.values.setflags(write=True)
+        np.divide(ratio.values, g0, out=ratio.values)
+        ratio = GridField(ratio.grid, ratio.values, name=f"ratio[{s}]", stats=ratio.stats)
         iterates.append(MartinIterate(pole=s, levels=levels, samples=ratio.value(probes)))
     cauchy = [float(np.max(np.abs(b.samples - a.samples))) for a, b in zip(iterates, iterates[1:])]
     return MartinRatioResult(iterates=iterates, cauchy=cauchy, final=ratio, probe_points=probes)

@@ -1067,15 +1067,15 @@ def test_ring_value_range_equals_the_copied_interior_values(tmp_path, h):
 
 def test_ring_verdicts_copy_no_grid_array(tmp_path, monkeypatch):
     # from the solve's return to the report, the statistics, clouds and
-    # certificates stay at least half a float grid array below the solve's
-    # own traced peak (the interior values' copy took them to within 0.05 MiB)
+    # certificates add less than three quarters of a float grid array to
+    # what is held at the return (the superlevel masks take about half of
+    # one; a copy of the interior values took them to 1.4)
     peaks = {}
     solve, write_json = greenratio.solve_dirichlet, export.write_json
 
     def traced_solve(grid, data):
-        tracemalloc.reset_peak()
         sol = solve(grid, data)
-        peaks.update(solve=tracemalloc.get_traced_memory()[1], nodes=grid.interior.size)
+        peaks.update(returned=tracemalloc.get_traced_memory()[0], nodes=grid.interior.size)
         tracemalloc.reset_peak()
         return sol
 
@@ -1092,7 +1092,7 @@ def test_ring_verdicts_copy_no_grid_array(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peaks["nodes"] == 401 * 401
-    assert peaks["verdicts"] <= peaks["solve"] - 4 * peaks["nodes"]
+    assert peaks["verdicts"] <= peaks["returned"] + 6 * peaks["nodes"]
 
 
 def test_ring_solver_error_names_its_stage(tmp_path, capsys, monkeypatch):

@@ -23,6 +23,20 @@ def dirichlet_nodes(interior):
     return near & ~interior
 
 
+def compact(rhs):
+    """A right-hand side grid array as the (nodes, values) pair that
+    ``gr._cg`` takes: its nonzero nodes, in flat order, and their values."""
+    nodes = np.flatnonzero(rhs)
+    return nodes, rhs.ravel()[nodes]
+
+
+def spread(b, shape):
+    """The (nodes, values) pair of ``gr._cg`` as a grid array."""
+    out = np.zeros(shape)
+    out.put(*b)
+    return out
+
+
 @pytest.fixture(scope="module")
 def strip_grid():
     window = geo.WindowBox((0.0, -np.pi / 2), (8.0, np.pi / 2))
@@ -123,6 +137,23 @@ class TestBuildGrid:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    def test_classification_holds_no_integer_grid(self):
+        # the interior mask, two boolean masks and the lattice's row blocks:
+        # 19.1 B per node when the connectivity check numbered the runs in
+        # two int64 grids
+        grid = gr.build_grid(geo.ConvexRing(geo.square_body(2.0), geo.square_body(0.5)),
+                             geo.WindowBox((-2.0, -2.0), (2.0, 2.0)), 0.01)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            again = gr.build_grid(grid.domain, grid.window, 0.01)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert grid.shape == (401, 401)
+        assert np.array_equal(again.interior, grid.interior)
+        assert peak <= 10 * grid.interior.size
 
     def test_interior_neighbors_never_exterior(self):
         # mask consistency: each interior node touches only nodes of the
@@ -319,12 +350,33 @@ class TestStencilStatedOnce:
         assert grid.window != geo.HalfplaneMinusDisk().truncation_window(8.0)
         self.check_fold(grid, data)
 
+    def test_exterior_fold_equals_the_reference(self):
+        # data on the disk's curved wall and on every cap of the window
+        dom = geo.HalfplaneMinusDisk()
+        grid = gr.build_grid(dom, dom.truncation_window(4.0), 0.05)
+        near = dirichlet_nodes(grid.interior)
+        data = np.zeros(grid.shape)
+        data[near] = np.random.default_rng(35).uniform(-1.0, 2.0, int(near.sum()))
+        self.check_fold(grid, data)
+
     @staticmethod
     def check_fold(grid, data):
+        # the fold lives on the interior nodes next to the data: there it is
+        # the whole-grid reference bit for bit, and the reference is 0 on
+        # the rest of the interior
         assert np.count_nonzero(data[dirichlet_nodes(grid.interior)]) > 0
-        want = np.zeros(grid.shape)
-        rhs = np.where(grid.interior, reference_fold(grid, data), 0.0)
-        stats = gr._cg(want, rhs, grid.interior, grid.hx, grid.hy, tol=1e-10)
+        u = np.where(grid.interior, 0.0, data)
+        nodes, values = gr._dirichlet_fold(u, grid.interior, grid.hx, grid.hy)
+        reference = reference_fold(grid, data)
+        assert np.all(np.diff(nodes) > 0)
+        near = np.zeros(grid.shape, dtype=bool)
+        near.ravel()[nodes] = True
+        assert np.array_equal(near, grid.interior & gr._has_neighbor_in(~grid.interior))
+        assert np.array_equal(values.view(np.int64), reference.ravel()[nodes].view(np.int64))
+        assert not reference[grid.interior & ~near].any()
+        want = np.empty(grid.shape)
+        stats = gr._cg(want, compact(np.where(grid.interior, reference, 0.0)), grid.interior,
+                       grid.hx, grid.hy, tol=1e-10)
         want[~grid.interior] = data[~grid.interior]
         got = gr.solve_dirichlet(grid, data)
         assert got.stats == stats
@@ -364,7 +416,8 @@ class TestSolveDirichlet:
         rhs = np.where(grid.interior, 1.0, 0.0)
         monkeypatch.setattr(gr, "MAX_ITERATIONS", 3)
         with pytest.raises(gr.SolverError, match="iteration cap of 3 iterations"):
-            gr._cg(np.zeros(grid.shape), rhs, grid.interior, grid.hx, grid.hy, tol=1e-13)
+            gr._cg(np.zeros(grid.shape), compact(rhs), grid.interior, grid.hx, grid.hy,
+                   tol=1e-13)
 
     def test_rectangle_solve_needs_one_iteration(self, strip_grid, monkeypatch):
         # the strip interior fills the window's inner rectangle, where the
@@ -460,14 +513,15 @@ class TestSolveConsumesItsData:
         assert np.array_equal(got.values[~grid.interior], given[~grid.interior])
 
 
-#: bytes per node that a grid budgets for a Dirichlet solve: the grid's mask and
-#: three float arrays; the solve holds two (solution and right-hand side), the
-#: data among them
+#: bytes per node that a grid budgets for a solve: the grid's mask and three
+#: float arrays, kept at three so that no grid refused before is accepted; the
+#: solve holds one (a Dirichlet solve's data array becomes its solution, a
+#: Green solve allocates its solution)
 SOLVE_NODE_BYTES = 1 + 3 * 8
 #: the rest, in rows of ny floats: the preconditioner's 64-row blocks (the odd
-#: extension and its spectrum), its coefficient vectors, numpy's FFT plan, a
-#: transient mask and the copy of the data off the interior; the ring solve
-#: below holds 338 beyond its one new grid array
+#: extension and its spectrum), its coefficient vectors, numpy's FFT plan and
+#: the copy of the data off the interior; the ring solve below holds 383
+#: beyond what exists at the call
 SCRATCH_ROWS = 400
 
 
@@ -482,20 +536,20 @@ class TestSolveMemory:
         finally:
             tracemalloc.stop()
 
-    def test_solve_holds_four_float_arrays(self):
+    def test_solve_adds_only_its_solution(self):
         ring = geo.ConvexRing(geo.square_body(2.0), geo.square_body(0.5))
         grid = gr.build_grid(ring, geo.WindowBox((-2.0, -2.0), (2.0, 2.0)), 0.008)
         assert grid.interior.size >= 250_000
-        # present at the call: the mask and the data array (a Green solve's source)
-        at_call = 1 + 8
-        allowed = ((SOLVE_NODE_BYTES - at_call) * grid.interior.size
-                   + SCRATCH_ROWS * 8 * grid.shape[1])
+        # above the mask and the data array present at the call: the
+        # transient boolean masks, no grid-sized float array (the right-hand
+        # side lives on the nodes next to the data)
+        allowed = 3 * grid.interior.size + SCRATCH_ROWS * 8 * grid.shape[1]
         data = gr.ring_dirichlet_data(grid)
         sol, peak = self.traced_peak(lambda: gr.solve_dirichlet(grid, data))
         del data
         assert sol.stats.iterations > 1
         assert peak <= allowed
-        # green_function allocates its right-hand side and its solution
+        # green_function allocates its solution, and its right-hand side is one node
         G, peak = self.traced_peak(lambda: gr.green_function(grid, (1.2, 0.0)))
         assert G.stats.iterations > 1
         assert peak <= allowed + 8 * grid.interior.size
@@ -599,23 +653,24 @@ class TestFastPoisson:
 def reference_pcg(u, b, interior, hx, hy, tol):
     """The full-grid preconditioned CG that the wall-layer solve replaced.
 
-    ``u`` is zero on the interior and holds the Dirichlet data elsewhere;
-    the interior solution is added into it in place.  ``b`` is zero off the
-    interior and becomes the residual in place.  Returns the
+    ``u``'s entries are not read: it is zeroed and the interior solution is
+    added into it in place.  ``b`` is the (nodes, values) pair of
+    ``gr._cg``; the residual starts as its grid array.  Returns the
     :class:`SolveStats`.  Besides the solution u, the residual r and the
     direction p, one work array w holds A p and then the preconditioned
     residual M r; the mask ``~interior`` is a temporary at each use.  The
     residual is tested right after each update, so a converged solve makes
     no preconditioner call whose result would go unused.
     """
-    r = b
+    u.fill(0.0)
+    r = spread(b, u.shape)
     b_norm = math.sqrt(gr._dot(r, r))
     if b_norm == 0.0:
         return gr.SolveStats(iterations=0, residual=0.0)
-    precondition = gr._fast_poisson(b.shape, hx, hy)
-    p = precondition(r, np.empty_like(b))
+    precondition = gr._fast_poisson(r.shape, hx, hy)
+    p = precondition(r, np.empty_like(r))
     p[~interior] = 0.0
-    w = np.empty_like(b)
+    w = np.empty_like(r)
     rz = gr._dot(r, p)
     r_norm = b_norm
     for it in range(1, gr.MAX_ITERATIONS + 1):
@@ -720,9 +775,9 @@ class TestWallLayerSolve:
             return norm + 1e-6 * np.linalg.norm(rhs) if len(calls) == 1 else norm
 
         monkeypatch.setattr(gr, "_residual_norm", spoiled_once)
-        got, source = np.zeros(grid.shape), rhs.copy()
+        got, source = np.zeros(grid.shape), compact(rhs)
         stats = gr._cg(got, source, grid.interior, grid.hx, grid.hy, tol=tol)
-        assert np.array_equal(source, rhs)
+        assert np.array_equal(spread(source, grid.shape), rhs)
         assert len(calls) == 2
         assert stats.iterations == want.stats.iterations + 1
         assert stats.residual <= tol
@@ -733,17 +788,17 @@ class TestWallLayerSolve:
         # the solve only reads its right-hand side, so an iteration that goes
         # on after a missed true residual works on the exact one
         grid, _, rhs, tol = WALL_LAYER_CASES[case]()
-        source = rhs.copy()
+        source = compact(rhs)
         gr._cg(np.zeros(grid.shape), source, grid.interior, grid.hx, grid.hy, tol=tol)
-        assert np.array_equal(source, rhs)
+        assert np.array_equal(spread(source, grid.shape), rhs)
 
     def test_a_rectangle_that_misses_tol_raises(self, strip_grid):
         # with no wall layer there is nothing to iterate on
         source = np.zeros(strip_grid.shape)
         source[strip_grid.node_index((2.0, 0.0))] = 1.0
         with pytest.raises(gr.SolverError, match="leaves relative residual .* on a rectangle"):
-            gr._cg(np.zeros(strip_grid.shape), source, strip_grid.interior, strip_grid.hx,
-                   strip_grid.hy, tol=1e-20)
+            gr._cg(np.zeros(strip_grid.shape), compact(source), strip_grid.interior,
+                   strip_grid.hx, strip_grid.hy, tol=1e-20)
 
 
 class TestGreenFunction:
@@ -941,20 +996,19 @@ class TestTwoLevelRatio:
 
     def test_holds_less_than_the_full_grid(self):
         # the far poles' fine grids cover only the probe box, so the run peaks
-        # at pole 4's full grid, half the size of pole 8's
+        # at pole 4's full grid, half the size of pole 8's: under one float
+        # array of pole 8's grid (11.5 B per node of it when every pole is
+        # solved on its truncation window)
         h = np.pi / 200
         full = gr.build_grid(geo.Strip(), geo.Strip().truncation_window(8.0), h)
-        peaks = []
-        for run in (lambda: gr.green_function(full, (8.0, 0.0)),
-                    lambda: gr.martin_ratio(geo.Strip(), GREEN_STRIP, h)):
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                run()
-                peaks.append(tracemalloc.get_traced_memory()[1] - start)
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 0.6 * peaks[0]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            gr.martin_ratio(geo.Strip(), GREEN_STRIP, h)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * full.interior.size
 
     def test_exterior_within_10pct_of_the_full_grid(self, monkeypatch):
         dom = geo.HalfplaneMinusDisk()
@@ -1042,11 +1096,11 @@ class TestMirrorSymmetry:
         assert np.abs(G.values - G.values[:, ::-1]).max() <= 1e-12 * G.values.max()
 
     def test_green_solve_memory(self):
-        # u, b and the boolean masks: 2.5 grid-sized float arrays (11.8
-        # before the solve ran on four float arrays, 7 with a copy of the
-        # source, 5.9 with the Thomas sweep's pivot table, about 5 before the
-        # wall-layer solve, 3.6 with its work array, 2.8 with a copy of zero
-        # data)
+        # u, the boolean masks and the 64-row blocks: 1.5 grid-sized float
+        # arrays (11.8 before the solve ran on four float arrays, 7 with a
+        # copy of the source, 5.9 with the Thomas sweep's pivot table, about
+        # 5 before the wall-layer solve, 3.6 with its work array, 2.8 with a
+        # copy of zero data, 2.5 with a grid-sized right-hand side)
         dom = geo.domain_from_config({"kind": "profile", "f": "sqrt"})
         grid = gr.build_grid(dom, dom.truncation_window(8.0), 0.02)
         assert grid.shape == (801, 401)
@@ -1058,7 +1112,7 @@ class TestMirrorSymmetry:
         finally:
             tracemalloc.stop()
         assert G.stats.iterations > 1
-        assert peak <= 2.6 * 8 * grid.interior.size
+        assert peak <= 1.6 * 8 * grid.interior.size
 
 
 class TestSuperlevelClouds:
